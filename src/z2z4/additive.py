@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
+from .zmaps import _as_bits, _as_quat
 
 DEFAULT_CAPACITY = 1 << 24
 _CAPACITY_ENV = "Z2Z4_CAPACITY"
@@ -39,6 +40,17 @@ def resolve_capacity(capacity: int | None = None) -> int:
 
 # ----------------------------------------------------------------------
 # vectors and matrices
+
+
+def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
+    """Integers from text tokens; a token that is not one is a DomainError."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise DomainError(f"{t.strip()!r} is not an integer") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,13 +113,13 @@ class MixedVector:
 
     @classmethod
     def parse(cls, text: str, alpha: int | None = None, beta: int | None = None):
-        """Parse 'b0,b1,...|q0,q1,...'; either block may be empty."""
+        """Parse 'b0,b1,...|q0,q1,...' (bits 0..1, digits 0..3); either block may be empty."""
         if "|" not in text:
             raise DomainError("mixed vector text needs a '|' separator")
         left, right = text.split("|", 1)
-        bins = tuple(int(t) for t in left.split(",") if t.strip() != "")
-        quats = tuple(int(t) for t in right.split(",") if t.strip() != "")
-        v = cls(bins, quats)
+        bins = parse_ints(t for t in left.split(",") if t.strip() != "")
+        quats = parse_ints(t for t in right.split(",") if t.strip() != "")
+        v = cls(_as_bits(bins), _as_quat(quats))
         if alpha is not None and v.alpha != alpha:
             raise DomainError(f"expected binary block of length {alpha}")
         if beta is not None and v.beta != beta:
@@ -131,7 +143,10 @@ class GeneratorMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeneratorMatrix":
-        """Schema: {"alpha": A, "beta": B, "rows": [[bits..., "|", quats...], ...]}."""
+        """Schema: {"alpha": A, "beta": B, "rows": [[bits..., "|", quats...], ...]}.
+
+        Bits must be 0 or 1 and quaternary entries 0..3; nothing is reduced.
+        """
         try:
             alpha, beta = int(obj["alpha"]), int(obj["beta"])
             rows = []
@@ -141,7 +156,7 @@ class GeneratorMatrix:
                     bins, quats = raw[:cut], raw[cut + 1 :]
                 else:
                     bins, quats = raw[:alpha], raw[alpha:]
-                rows.append(MixedVector(tuple(bins), tuple(quats)))
+                rows.append(MixedVector(_as_bits(bins), _as_quat(quats)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad matrix JSON: {exc}") from exc
         return cls(alpha, beta, tuple(rows))
@@ -155,7 +170,7 @@ class GeneratorMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "GeneratorMatrix":
-        """Parse a grid with a '|' column separating the two blocks."""
+        """Parse a grid with a '|' column separating the two blocks (bits 0..1, digits 0..3)."""
         rows = []
         alpha = beta = None
         for line in text.splitlines():
@@ -165,8 +180,8 @@ class GeneratorMatrix:
             if "|" not in line:
                 raise DomainError(f"matrix row {line!r} lacks a '|' separator")
             left, right = line.split("|", 1)
-            bins = tuple(int(t) for t in left.split())
-            quats = tuple(int(t) for t in right.split())
+            bins = _as_bits(parse_ints(left.split()))
+            quats = _as_quat(parse_ints(right.split()))
             if alpha is None:
                 alpha, beta = len(bins), len(quats)
             rows.append(MixedVector(bins, quats))

@@ -21,6 +21,7 @@ from .additive import (
     GeneratorMatrix,
     MixedVector,
     gray_is_linear_oracle,
+    parse_ints,
     standard_form,
 )
 from .cyclofield import factor_xn_minus_1_z2, factor_xn_minus_1_z4
@@ -61,15 +62,19 @@ def _emit(args, report: dict, text: str) -> None:
 
 
 def _parse_vector_csv(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
+    return parse_ints(t for t in text.split(",") if t.strip() != "")
+
+
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _load_code_spec(arg: str) -> CyclicGenerators:
-    if arg.lstrip().startswith("{"):
-        raw = arg
-    else:
-        with open(arg, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+    raw = arg if arg.lstrip().startswith("{") else _read_file(arg)
     try:
         obj = json.loads(raw)
     except ValueError as exc:
@@ -78,8 +83,7 @@ def _load_code_spec(arg: str) -> CyclicGenerators:
 
 
 def _load_matrix(path: str) -> GeneratorMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     if raw.lstrip().startswith("{"):
         try:
             return GeneratorMatrix.from_json(json.loads(raw))
@@ -298,9 +302,8 @@ def cmd_search(args) -> int:
         parts = [p.strip() for p in args.type.split(",")]
         if len(parts) not in (2, 3):
             raise DomainError("--type expects gamma,delta or gamma,delta,kappa")
-        gamma, delta = int(parts[0]), int(parts[1])
-        if len(parts) == 3:
-            kappa = int(parts[2])
+        gamma, delta, *rest = parse_ints(parts)
+        kappa = rest[0] if rest else None
     results = search_by_type(
         args.alpha, args.beta, gamma, delta, kappa,
         linear_only=args.linear_only, jobs=args.jobs,

@@ -263,3 +263,18 @@ class TestMatrixIO:
             GeneratorMatrix(2, 2, (MixedVector((1,), (0, 0)),))
         with pytest.raises(DomainError):
             GeneratorMatrix.from_json({"alpha": 1, "rows": []})
+
+    @pytest.mark.parametrize("text", ["1 0 | 5 7", "2 0 | 1 1", "1 0 | 1 -1", "1 x | 1 1"])
+    def test_text_entries_out_of_range_rejected(self, text):
+        with pytest.raises(DomainError):
+            GeneratorMatrix.from_text(text)
+
+    @pytest.mark.parametrize("row", [[1, 0, "|", 5, 7], [2, 0, "|", 1, 1], [1, 0, "|", 1, -1]])
+    def test_json_entries_out_of_range_rejected(self, row):
+        with pytest.raises(DomainError):
+            GeneratorMatrix.from_json({"alpha": 2, "beta": 2, "rows": [row]})
+
+    @pytest.mark.parametrize("text", ["1,0|5,7", "2,0|1,1", "1,0|1,-1", "1,x|1,1"])
+    def test_vector_entries_out_of_range_rejected(self, text):
+        with pytest.raises(DomainError):
+            MixedVector.parse(text)

@@ -58,6 +58,14 @@ class TestGray:
         status, _, err = run(capsys, "gray", "--map", "psi", "1,2")
         assert status == 1 and "DomainError" in err
 
+    def test_non_digit_token_fails(self, capsys):
+        status, _, err = run(capsys, "gray", "--map", "phi", "1,2,x")
+        assert status == 1 and err.startswith("DomainError:") and "'x'" in err
+
+    def test_non_digit_mixed_vector_fails(self, capsys):
+        status, _, err = run(capsys, "gray", "--map", "Phi", "0,y|1,3,1")
+        assert status == 1 and err.startswith("DomainError:") and "'y'" in err
+
 
 class TestAnalyze:
     def test_text_matrix(self, capsys, tmp_path):
@@ -78,6 +86,10 @@ class TestAnalyze:
         assert data["gray_image_linear"] is False
         assert data["gray_witness"][2] == "0,0,0|2,0,0"
         assert data["quaternary_image_linear"] is True
+
+    def test_missing_matrix_file(self, capsys, tmp_path):
+        status, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.txt"))
+        assert status == 1 and err.startswith("DomainError:") and "absent.txt" in err
 
 
 class TestCode:
@@ -112,6 +124,10 @@ class TestLinearity:
         path.write_text(LENGTH9_JSON)
         status, out, _ = run(capsys, "linearity", "--code", str(path))
         assert status == 0 and "linear: yes" in out
+
+    def test_missing_code_file(self, capsys, tmp_path):
+        status, _, err = run(capsys, "linearity", "--code", str(tmp_path / "absent.json"))
+        assert status == 1 and err.startswith("DomainError:") and "absent.json" in err
 
 
 class TestImage:
@@ -158,6 +174,10 @@ class TestSearch:
     def test_bad_type_spec(self, capsys):
         status, _, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--type", "1")
         assert status == 1 and "DomainError" in err
+
+    def test_non_digit_type_spec(self, capsys):
+        status, _, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--type", "a,b")
+        assert status == 1 and err.startswith("DomainError:") and "'a'" in err
 
 
 class TestReproduce:

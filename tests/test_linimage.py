@@ -13,7 +13,6 @@ from z2z4.errors import DomainError, PreconditionError
 from z2z4.linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
-    all_cyclic_solutions,
     cy_linear_implication_check,
     double_cyclic_span,
     ext_gray_image,
@@ -23,12 +22,33 @@ from z2z4.linimage import (
     is_double_cyclic,
     psi_image_generators,
     search_by_type,
-    solve_cyclic_z4,
     solve_cyclic_z4_lexmin,
     wolfmann_linear,
     z4_gray_linear_oracle,
 )
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce
+from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin
+
+
+def _pad(p: QuatPoly, n: int) -> tuple[int, ...]:
+    return p.coeffs + (0,) * (n - len(p.coeffs))
+
+
+# factors that make p -> p * gen far from onto: x-1, 2, x^2+x+1, x^3-1, 2(x-1)
+_NON_UNITS = [(1,), (3, 1), (2,), (1, 1, 1), (3, 0, 0, 1), (2, 2)]
+
+
+@st.composite
+def cyclic_systems(draw, lengths):
+    """(gen, target, n) with target inside <gen> about half of the time."""
+    n = draw(st.sampled_from(lengths))
+    digits = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    factor = QuatPoly(draw(st.sampled_from(_NON_UNITS)))
+    gen = cyclic_reduce(QuatPoly(draw(digits)) * factor, n)
+    target = QuatPoly(draw(digits))
+    if draw(st.booleans()):
+        target = cyclic_reduce(target * gen, n)
+    return gen, target, n
 
 
 class TestWolfmann:
@@ -171,23 +191,38 @@ class TestSolver:
         assert cyclic_reduce(p * length9_code.fh_plus_2f, 3) == target
 
     def test_unsolvable_returns_none(self):
-        assert solve_cyclic_z4(QuatPoly((2,)), QuatPoly.one(), 3) is None
+        assert solve_cyclic_z4_lexmin(QuatPoly((2,)), QuatPoly.one(), 3) is None
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 1).map(lambda k: 2 * k + 1),
-        st.data(),
-    )
-    def test_matches_exhaustive(self, n, data):
-        gen = QuatPoly(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-        target = QuatPoly(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    @given(cyclic_systems([1, 3, 5]))
+    def test_matches_exhaustive(self, system):
+        gen, target, n = system
         sols = all_cyclic_solutions(gen, target, n)
         got = solve_cyclic_z4_lexmin(gen, target, n)
         if not sols:
             assert got is None
         else:
-            pad = lambda p: p.coeffs + (0,) * (n - len(p.coeffs))
-            assert pad(got) == min(pad(s) for s in sols)
+            assert _pad(got, n) == min(_pad(s, n) for s in sols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cyclic_systems([7, 9, 15, 21]))
+    def test_matches_digit_fixing_lexmin(self, system):
+        gen, target, n = system
+        assert solve_cyclic_z4_lexmin(gen, target, n) == digit_fixing_lexmin(gen, target, n)
+
+    def test_beta_255(self):
+        # gen = fh + 2f with f = x^5 - 1, h = x^10 + x^5 + 1, so fh = x^15 - 1
+        n = 255
+        f = QuatPoly.xn_minus_1(5)
+        h = QuatPoly.monomial(10) + QuatPoly.monomial(5) + QuatPoly.one()
+        gen = f * h + QuatPoly((2,)) * f
+        q = QuatPoly([(7 * k * k + 3 * k + 1) % 4 for k in range(n)])
+        target = cyclic_reduce(q * gen, n)
+        p = solve_cyclic_z4_lexmin(gen, target, n)
+        assert p is not None and len(p) <= n
+        assert cyclic_reduce(p * gen, n) == target
+        assert _pad(p, n) <= _pad(cyclic_reduce(q, n), n)
+        assert solve_cyclic_z4_lexmin(gen, QuatPoly.one(), n) is None
 
 
 class TestPsiImage:

@@ -1,0 +1,153 @@
+"""Slow reference solvers for p * gen = target in Z4[x]/(x^n - 1).
+
+They are the oracles for the Howell-echelon solver in ``z2z4.linimage``:
+``digit_fixing_lexmin`` fixes the coefficients of p one at a time, smallest
+digit first, with a Smith-form solvability test per digit (about 4n
+eliminations), and ``all_cyclic_solutions`` tries all 4^n vectors.
+"""
+
+from __future__ import annotations
+
+from itertools import product as iproduct
+
+from z2z4.errors import InternalError
+from z2z4.polyring import QuatPoly, cyclic_reduce
+
+
+def smith_solve_z4(m: list[list[int]], t: list[int]) -> list[int] | None:
+    """One solution of M y = t over Z4 via diagonalization, or None.
+
+    Row and column operations reduce M to diag(1..1, 2..2, 0..0); column
+    operations are accumulated so a solution of the diagonal system can be
+    mapped back.  Z4 is a chain ring, so this always succeeds.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [r[:] for r in m]
+    rhs = t[:]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    diag: list[int] = []
+    k = 0
+    while k < min(rows, cols):
+        pr = pc = -1
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if a[i][j] % 2 == 1:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            for i in range(k, rows):
+                for j in range(k, cols):
+                    if a[i][j]:
+                        pr, pc = i, j
+                        break
+                if pr >= 0:
+                    break
+        if pr < 0:
+            break
+        a[k], a[pr] = a[pr], a[k]
+        rhs[k], rhs[pr] = rhs[pr], rhs[k]
+        for row in a:
+            row[k], row[pc] = row[pc], row[k]
+        for vi in v:
+            vi[k], vi[pc] = vi[pc], vi[k]
+        piv = a[k][k]
+        if piv in (3,):
+            a[k] = [(3 * x) % 4 for x in a[k]]
+            rhs[k] = (3 * rhs[k]) % 4
+            piv = a[k][k]
+        if piv == 1:
+            for i in range(rows):
+                if i != k and a[i][k]:
+                    c = a[i][k]
+                    a[i] = [(x - c * y) % 4 for x, y in zip(a[i], a[k])]
+                    rhs[i] = (rhs[i] - c * rhs[k]) % 4
+            for j in range(cols):
+                if j != k and a[k][j]:
+                    c = a[k][j]
+                    for row in a:
+                        row[j] = (row[j] - c * row[k]) % 4
+                    for vi in v:
+                        vi[j] = (vi[j] - c * vi[k]) % 4
+        else:  # pivot 2; the whole remaining block is even
+            for i in range(rows):
+                if i != k and a[i][k]:
+                    c = a[i][k] // 2
+                    a[i] = [(x - c * y) % 4 for x, y in zip(a[i], a[k])]
+                    rhs[i] = (rhs[i] - c * rhs[k]) % 4
+            for j in range(cols):
+                if j != k and a[k][j]:
+                    c = a[k][j] // 2
+                    for row in a:
+                        row[j] = (row[j] - c * row[k]) % 4
+                    for vi in v:
+                        vi[j] = (vi[j] - c * vi[k]) % 4
+        diag.append(a[k][k])
+        k += 1
+    y = [0] * cols
+    for i, d in enumerate(diag):
+        if d == 1:
+            y[i] = rhs[i]
+        else:  # d == 2
+            if rhs[i] % 2:
+                return None
+            y[i] = (rhs[i] // 2) % 4
+    for i in range(len(diag), rows):
+        if rhs[i] % 4:
+            return None
+    sol = [sum(v[i][j] * y[j] for j in range(cols)) % 4 for i in range(cols)]
+    for i in range(rows):
+        if sum(m[i][j] * sol[j] for j in range(cols)) % 4 != t[i] % 4:
+            return None
+    return sol
+
+
+def cyclic_mult_matrix(gen: QuatPoly, n: int) -> list[list[int]]:
+    cols = []
+    cur = cyclic_reduce(gen, n)
+    for _ in range(n):
+        cols.append(list(cur.coeffs) + [0] * (n - len(cur.coeffs)))
+        cur = cyclic_reduce(QuatPoly.x() * cur, n)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def digit_fixing_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
+    """The solution with the lexicographically smallest coefficient vector.
+
+    Coefficients are fixed one at a time, smallest digit first, keeping the
+    remaining system solvable; each step costs one elimination pass.
+    """
+    m = cyclic_mult_matrix(gen, n)
+    t = list(cyclic_reduce(target, n).coeffs)
+    t += [0] * (n - len(t))
+    if smith_solve_z4(m, t) is None:
+        return None
+    fixed: list[int] = []
+    for i in range(n):
+        rest = [[row[j] for j in range(i + 1, n)] for row in m]
+        for d in range(4):
+            t2 = [
+                (t[r] - sum(m[r][j] * fixed[j] for j in range(i)) - m[r][i] * d) % 4
+                for r in range(n)
+            ]
+            if not rest[0] and any(t2[r] % 4 for r in range(n)):
+                continue
+            if not rest[0] or smith_solve_z4(rest, t2) is not None:
+                fixed.append(d)
+                break
+        else:
+            raise InternalError("digit fixing lost solvability")
+    return QuatPoly(fixed)
+
+
+def all_cyclic_solutions(gen: QuatPoly, target: QuatPoly, n: int) -> list[QuatPoly]:
+    """Every p with p * gen = target (exhaustive; intended for small n)."""
+    out = []
+    tgt = cyclic_reduce(target, n)
+    for coeffs in iproduct(range(4), repeat=n):
+        p = QuatPoly(coeffs)
+        if cyclic_reduce(p * gen, n) == tgt:
+            out.append(p)
+    return out
