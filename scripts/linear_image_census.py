@@ -2,6 +2,10 @@
 """Census of cyclic codes by type: how many exist, how many have linear
 Gray images, and which types admit none.
 
+Every valid canonical tuple is counted.  The criterion decides linearity
+from the polynomials alone and no code is enumerated, so the
+Z2Z4_CAPACITY bound does not apply.
+
 Example:
     python3 scripts/linear_image_census.py --alphas 1 2 3 4 --betas 1 3 5 7
 """
@@ -22,7 +26,7 @@ def main() -> None:
     rows = defaultdict(lambda: [0, 0])  # type -> [total, linear]
     for alpha in args.alphas:
         for beta in args.betas:
-            for gens in enumerate_all_cyclic(alpha, beta, on_over_capacity="skip"):
+            for gens in enumerate_all_cyclic(alpha, beta):
                 ct = code_type(gens)
                 key = (alpha, beta, ct.gamma, ct.delta, ct.kappa)
                 rows[key][0] += 1

@@ -44,7 +44,6 @@ from .zmaps import (
     ext_nechaev_gray,
     gray,
     gray_inv,
-    lee_weight,
     nechaev_gray,
     nechaev_gray_inv,
     nechaev_perm,
@@ -69,7 +68,6 @@ from .cycliccode import (
     enumerate_code,
     order_two_generators,
     realize,
-    separable_cyclic,
     star,
     three_generator_form,
     violations,
@@ -78,7 +76,6 @@ from .linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
     LinearityReport,
-    cy_linear_implication_check,
     double_cyclic_span,
     ext_gray_image,
     ext_psi_image,

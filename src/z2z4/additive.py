@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError
 from .zmaps import _as_bits, _as_quat
@@ -145,7 +145,8 @@ class GeneratorMatrix:
     def from_json(cls, obj: dict) -> "GeneratorMatrix":
         """Schema: {"alpha": A, "beta": B, "rows": [[bits..., "|", quats...], ...]}.
 
-        Bits must be 0 or 1 and quaternary entries 0..3; nothing is reduced.
+        Bits must be the integers 0 or 1 and quaternary entries 0..3; nothing
+        is converted or reduced, so 1.7, true or "3" is a DomainError.
         """
         try:
             alpha, beta = int(obj["alpha"]), int(obj["beta"])
@@ -156,6 +157,9 @@ class GeneratorMatrix:
                     bins, quats = raw[:cut], raw[cut + 1 :]
                 else:
                     bins, quats = raw[:alpha], raw[alpha:]
+                bad = [c for c in (*bins, *quats) if type(c) is not int]
+                if bad:
+                    raise DomainError(f"matrix entry {bad[0]!r} is not an integer")
                 rows.append(MixedVector(_as_bits(bins), _as_quat(quats)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad matrix JSON: {exc}") from exc
@@ -283,9 +287,6 @@ class WordCodec:
 
     def tpattern(self, w: int) -> int:
         return (w >> self.toff) & self.qmask
-
-    def is_order_two(self, w: int) -> bool:
-        return (w >> self.toff) & self.qmask == 0
 
     def shift(self, w: int) -> int:
         a, b = self.alpha, self.beta
@@ -424,10 +425,6 @@ class Code:
         return Code(
             self.alpha, self.beta, frozenset(w for w in self.words if (w >> toff) & qm == 0)
         )
-
-    def shifted(self) -> "Code":
-        shift = self.codec.shift
-        return Code(self.alpha, self.beta, frozenset(shift(w) for w in self.words))
 
 
 # ----------------------------------------------------------------------
@@ -629,15 +626,3 @@ def standard_form(matrix: GeneratorMatrix) -> StandardForm:
     ctype = CodeType(alpha, beta, gamma, delta, kappa)
     return StandardForm(std, ctype, bin_perm, quat_perm)
 
-
-def permute_matrix(
-    matrix: GeneratorMatrix, bin_perm: Sequence[int], quat_perm: Sequence[int]
-) -> GeneratorMatrix:
-    """Apply column permutations (new position i takes original column perm[i])."""
-    rows = tuple(
-        MixedVector(
-            tuple(r.bin[c] for c in bin_perm), tuple(r.quat[c] for c in quat_perm)
-        )
-        for r in matrix.rows
-    )
-    return GeneratorMatrix(matrix.alpha, matrix.beta, rows)

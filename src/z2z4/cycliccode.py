@@ -22,7 +22,7 @@ from itertools import product
 from math import lcm
 from typing import Iterator
 
-from .additive import Code, CodeType, GeneratorMatrix, MixedVector, resolve_capacity
+from .additive import Code, CodeType, GeneratorMatrix, MixedVector
 from .cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from .errors import CapacityError, DomainError, PreconditionError
 from .polyring import (
@@ -56,10 +56,6 @@ class ResidueWord:
         q = list(self.qpart.coeffs) + [0] * (self.beta - len(self.qpart.coeffs))
         return MixedVector(tuple(b), tuple(q))
 
-    @classmethod
-    def from_vector(cls, v: MixedVector) -> "ResidueWord":
-        return cls(v.alpha, v.beta, BinPoly(v.bin), QuatPoly(v.quat))
-
     def __str__(self) -> str:
         return f"({self.bpart} | {self.qpart})"
 
@@ -74,6 +70,18 @@ def star(p: QuatPoly, w: ResidueWord) -> ResidueWord:
     )
 
 
+def _ell_violations(
+    b: BinPoly, ell: BinPoly, cof: BinPoly, ht: BinPoly, gt: BinPoly
+) -> list[str]:
+    """The two conditions that depend on ell; cof = (x^beta-1)/f~."""
+    out = []
+    if not b.divides(cof * gcd2(b, ell)):
+        out.append("b does not divide (x^beta-1)/f~ * gcd(b, ell)")
+    if not b.divides(ht * gcd2(b, ell * gt)):
+        out.append("b does not divide h~ * gcd(b, ell*g~)")
+    return out
+
+
 def violations(
     alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly
 ) -> list[str]:
@@ -81,7 +89,8 @@ def violations(
     out = []
     if b.is_zero or not b.divides(BinPoly.xn_minus_1(alpha)):
         out.append(f"b = {b} does not divide x^{alpha}-1 over Z2")
-    if f * h * g != QuatPoly.xn_minus_1(beta):
+    splits = f * h * g == QuatPoly.xn_minus_1(beta)
+    if not splits:
         out.append(f"f*h*g != x^{beta}-1 over Z4")
     for name, p in (("f", f), ("h", h), ("g", g)):
         if not p.is_monic:
@@ -92,12 +101,8 @@ def violations(
         for n1, p1, n2, p2 in pairs:
             if gcd2(p1, p2) != BinPoly.one():
                 out.append(f"mod-2 images of {n1} and {n2} are not coprime")
-    if not b.is_zero and f * h * g == QuatPoly.xn_minus_1(beta):
-        cof = BinPoly.xn_minus_1(beta) // ft
-        if not b.divides(cof * gcd2(b, ell)):
-            out.append("b does not divide (x^beta-1)/f~ * gcd(b, ell)")
-        if not b.divides(ht * gcd2(b, ell * gt)):
-            out.append("b does not divide h~ * gcd(b, ell*g~)")
+    if not b.is_zero and splits:
+        out.extend(_ell_violations(b, ell, BinPoly.xn_minus_1(beta) // ft, ht, gt))
     return out
 
 
@@ -276,32 +281,9 @@ def enumerate_code(gens: CyclicGenerators, capacity: int | None = None) -> Code:
     return Code.from_matrix(realize(gens), capacity)
 
 
-def separable_cyclic(
-    b: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly, alpha: int, beta: int
-) -> CyclicGenerators:
-    """The separable cyclic code <(b|0), (0|fh+2f)>."""
-    return CyclicGenerators(alpha, beta, b, BinPoly.zero(), f, h, g)
-
-
-def enumerate_all_cyclic(
-    alpha: int,
-    beta: int,
-    dedupe: bool = False,
-    capacity: int | None = None,
-    on_over_capacity: str = "raise",
-) -> Iterator[CyclicGenerators]:
-    """All valid canonical tuples for the given block lengths, in a fixed order.
-
-    b runs over divisors of x^alpha - 1 by (degree, coefficients); (f, h, g)
-    over assignments of the basic irreducible factors of x^beta - 1 ordered
-    by the coefficients of h then g; ell over residues mod b by the integer
-    value of its bit string, filtered by the divisibility conditions.
-    """
-    if beta % 2 == 0:
-        raise DomainError("beta must be odd")
-    if on_over_capacity not in ("raise", "skip"):
-        raise DomainError("on_over_capacity must be 'raise' or 'skip'")
-    cap = resolve_capacity(capacity)
+def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
+    """Every (f, h, g) that splits the basic irreducible factors of x^beta - 1
+    among the three roles, ordered by the coefficients of h then g."""
     factors = factor_xn_minus_1_z4(beta)
     triples = []
     for assign in product(range(3), repeat=len(factors)):
@@ -310,25 +292,38 @@ def enumerate_all_cyclic(
             parts[slot] = parts[slot] * fac
         triples.append(tuple(parts))
     triples.sort(key=lambda t: (t[1].coeffs, t[2].coeffs))
-    seen: set[frozenset[int]] = set()
+    return triples
+
+
+def enumerate_all_cyclic(
+    alpha: int, beta: int, capacity: int | None = None
+) -> Iterator[CyclicGenerators]:
+    """All valid canonical tuples for the given block lengths, in a fixed order.
+
+    b runs over divisors of x^alpha - 1 by (degree, coefficients); (f, h, g)
+    over ``factor_triples(beta)``; ell over residues mod b by the integer
+    value of its bit string, filtered by the two divisibility conditions
+    (every other canonical-form condition holds by construction).  A tuple
+    whose code has more than ``capacity`` words raises CapacityError; None
+    sets no bound.
+    """
+    if beta % 2 == 0:
+        raise DomainError("beta must be odd")
+    xb = BinPoly.xn_minus_1(beta)
+    triples = [
+        (f, h, g, xb // reduce_mod2(f), reduce_mod2(h), reduce_mod2(g))
+        for f, h, g in factor_triples(beta)
+    ]
     for b in divisors_of_xn_minus_1_z2(alpha):
         db = int(b.degree)
-        for f, h, g in triples:
-            predicted = 1 << ((alpha - db) + 2 * int(g.degree) + int(h.degree))
-            for bits in range(1 << db):
-                ell = BinPoly([(bits >> i) & 1 for i in range(db)])
-                if violations(alpha, beta, b, ell, f, h, g):
+        ells = [BinPoly([(bits >> i) & 1 for i in range(db)]) for bits in range(1 << db)]
+        for f, h, g, cof, ht, gt in triples:
+            size = 1 << ((alpha - db) + 2 * int(g.degree) + int(h.degree))
+            for ell in ells:
+                if _ell_violations(b, ell, cof, ht, gt):
                     continue
-                if predicted > cap:
-                    if on_over_capacity == "raise":
-                        raise CapacityError(
-                            f"candidate code size {predicted} exceeds the bound {cap}"
-                        )
-                    continue
-                gens = CyclicGenerators(alpha, beta, b, ell, f, h, g)
-                if dedupe:
-                    key = enumerate_code(gens, capacity).words
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield gens
+                if capacity is not None and size > capacity:
+                    raise CapacityError(
+                        f"candidate code size {size} exceeds the bound {capacity}"
+                    )
+                yield CyclicGenerators(alpha, beta, b, ell, f, h, g)

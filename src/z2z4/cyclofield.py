@@ -7,9 +7,9 @@ computes the divisor of x^n - 1 whose roots are all products of two roots
 of the input, via the sumset of root exponents.
 
 Field elements are encoded as ints (bit i = coefficient of x^i) modulo a
-fixed irreducible polynomial; the default modulus is the irreducible of the
-right degree with the smallest integer encoding.  Everything observable is
-independent of that choice.
+fixed irreducible polynomial: the irreducible of the right degree with the
+smallest integer encoding.  Everything observable is independent of that
+choice.
 """
 
 from __future__ import annotations
@@ -163,13 +163,6 @@ class CosetTable:
     n: int
     cosets: tuple[tuple[int, ...], ...]
 
-    def coset_of(self, i: int) -> tuple[int, ...]:
-        i %= self.n
-        for c in self.cosets:
-            if i in c:
-                return c
-        raise InternalError("coset table does not cover its range")
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -200,7 +193,7 @@ def cyclotomic_cosets(n: int) -> CosetTable:
 class _CycloContext:
     """Field, unity root and per-coset minimal polynomials for one n."""
 
-    def __init__(self, n: int, modulus: BinPoly | None):
+    def __init__(self, n: int, modulus: BinPoly | None = None):
         self.n = n
         self.table = cyclotomic_cosets(n)
         self.m = _ord2(n)
@@ -228,31 +221,26 @@ class _CycloContext:
 
 
 @lru_cache(maxsize=None)
-def _context(n: int, modulus_coeffs: tuple[int, ...] | None) -> _CycloContext:
-    modulus = BinPoly(modulus_coeffs) if modulus_coeffs is not None else None
-    return _CycloContext(n, modulus)
-
-
-def _ctx(n: int, modulus: BinPoly | None) -> _CycloContext:
+def _context(n: int) -> _CycloContext:
     _check_n(n)
-    return _context(n, modulus.coeffs if modulus is not None else None)
+    return _CycloContext(n)
 
 
-def factor_xn_minus_1_z2(n: int, modulus: BinPoly | None = None) -> tuple[BinPoly, ...]:
+def factor_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:
     """Monic irreducible factors of x^n - 1 over Z2, sorted by (degree, coeffs)."""
-    ctx = _ctx(n, modulus)
+    ctx = _context(n)
     return tuple(sorted(ctx.min_polys.values(), key=lambda p: (len(p.coeffs), p.coeffs)))
 
 
-def factor_xn_minus_1_z4(n: int, modulus: BinPoly | None = None) -> tuple[QuatPoly, ...]:
+def factor_xn_minus_1_z4(n: int) -> tuple[QuatPoly, ...]:
     """Monic basic irreducible factors of x^n - 1 over Z4 (lifted Z2 factors)."""
-    lifts = [graeffe_lift(p, n) for p in factor_xn_minus_1_z2(n, modulus)]
+    lifts = [graeffe_lift(p, n) for p in factor_xn_minus_1_z2(n)]
     return tuple(sorted(lifts, key=lambda p: (len(p.coeffs), p.coeffs)))
 
 
-def roots_of(p: BinPoly, n: int, modulus: BinPoly | None = None) -> RootSet:
+def roots_of(p: BinPoly, n: int) -> RootSet:
     """Exponent set of the roots of a divisor p of x^n - 1 over Z2."""
-    ctx = _ctx(n, modulus)
+    ctx = _context(n)
     if p.is_zero:
         raise DomainError("the zero polynomial has no root set")
     chosen = [c for c, mp in ctx.min_polys.items() if mp.divides(p)]
@@ -262,9 +250,9 @@ def roots_of(p: BinPoly, n: int, modulus: BinPoly | None = None) -> RootSet:
     return RootSet(n, frozenset(i for c in chosen for i in c))
 
 
-def from_roots(roots: RootSet, modulus: BinPoly | None = None) -> BinPoly:
+def from_roots(roots: RootSet) -> BinPoly:
     """The divisor of x^n - 1 whose root exponents are exactly the given set."""
-    ctx = _ctx(roots.n, modulus)
+    ctx = _context(roots.n)
     exps = set(roots.exponents)
     if any((2 * i) % roots.n not in exps for i in exps):
         raise DomainError("exponent set is not closed under doubling")
@@ -275,7 +263,7 @@ def from_roots(roots: RootSet, modulus: BinPoly | None = None) -> BinPoly:
     return out
 
 
-def tensor_square(p: BinPoly, n: int, modulus: BinPoly | None = None) -> BinPoly:
+def tensor_square(p: BinPoly, n: int) -> BinPoly:
     """Divisor of x^n - 1 whose roots are all pairwise products of roots of p.
 
     With S the root-exponent set of p, the result has exponent set
@@ -283,9 +271,9 @@ def tensor_square(p: BinPoly, n: int, modulus: BinPoly | None = None) -> BinPoly
     under doubling; the polynomial is the product of the matching coset
     minimal polynomials.
     """
-    s = roots_of(p, n, modulus).exponents
+    s = roots_of(p, n).exponents
     sums = frozenset((i + j) % n for i in s for j in s)
-    return from_roots(RootSet(n, sums), modulus)
+    return from_roots(RootSet(n, sums))
 
 
 def divisors_of_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:

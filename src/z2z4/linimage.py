@@ -29,6 +29,7 @@ from .cycliccode import (
     enumerate_code,
 )
 from .errors import CapacityError, DomainError, InternalError, PreconditionError
+from .parallel import run_parallel
 from .polyring import (
     BinPoly,
     QuatPoly,
@@ -114,13 +115,6 @@ def family_g_subgroup(gens: CyclicGenerators) -> bool:
         for s in range(1, gens.beta + 1)
         if gens.beta % s == 0
     )
-
-
-def cy_linear_implication_check(code: Code) -> tuple[bool, bool]:
-    """(extended Gray image of C linear, Gray image of C_Y linear)."""
-    whole = gray_is_linear_oracle(code).linear
-    quat = gray_is_linear_oracle(code.puncture_y()).linear
-    return whole, quat
 
 
 # ----------------------------------------------------------------------
@@ -415,16 +409,16 @@ def search_by_type(
     delta: int | None = None,
     kappa: int | None = None,
     linear_only: bool = False,
-    capacity: int | None = None,
     jobs: int = 1,
 ) -> list[tuple[CyclicGenerators, LinearityReport]]:
-    """Cyclic codes of the requested type with their criterion reports.
+    """Every valid cyclic code of the requested type, with its criterion report.
 
     ``None`` acts as a wildcard; results keep the deterministic order of
-    the candidate stream regardless of ``jobs``.
+    the candidate stream regardless of ``jobs``.  No code is enumerated,
+    so no capacity bound applies.
     """
     matching = []
-    for gens in enumerate_all_cyclic(alpha, beta, capacity=capacity, on_over_capacity="skip"):
+    for gens in enumerate_all_cyclic(alpha, beta):
         ct = code_type(gens)
         if gamma is not None and ct.gamma != gamma:
             continue
@@ -433,13 +427,7 @@ def search_by_type(
         if kappa is not None and ct.kappa != kappa:
             continue
         matching.append(gens)
-    if jobs > 1 and len(matching) > 1:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(jobs) as pool:
-            analyzed = pool.map(_analyze_candidate, matching)
-    else:
-        analyzed = [_analyze_candidate(g) for g in matching]
+    analyzed = run_parallel(_analyze_candidate, matching, jobs)
     if linear_only:
         analyzed = [(g, rep) for g, rep in analyzed if rep.verdict]
     return analyzed

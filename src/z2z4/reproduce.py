@@ -15,8 +15,6 @@ the acceptance tests consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from multiprocessing import get_context
 from typing import Sequence
 
 from .additive import (
@@ -33,6 +31,7 @@ from .cycliccode import (
     code_type,
     enumerate_all_cyclic,
     enumerate_code,
+    factor_triples,
     order_two_generators,
     realize,
     span_words,
@@ -49,6 +48,7 @@ from .linimage import (
     wolfmann_linear,
     z4_gray_linear_oracle,
 )
+from .parallel import run_parallel as _run_parallel
 from .polyring import BinPoly, QuatPoly, cyclic_reduce, gcd2
 
 FULL_ALPHAS = (1, 2, 3, 4)
@@ -173,17 +173,8 @@ def mixed_candidates(
     out = []
     for alpha in alphas:
         for beta in betas:
-            out.extend(enumerate_all_cyclic(alpha, beta, on_over_capacity="skip"))
+            out.extend(enumerate_all_cyclic(alpha, beta))
     return out
-
-
-def _run_parallel(worker, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 2:
-        return [worker(it) for it in items]
-    ctx = get_context("fork")
-    chunk = max(1, len(items) // (jobs * 8))
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, items, chunksize=chunk)
 
 
 def run_mixed_sweep(
@@ -213,15 +204,7 @@ class Z4Record:
 
 
 def z4_candidates(ns: Sequence[int] = FULL_NS) -> list[tuple[int, QuatPoly, QuatPoly, QuatPoly]]:
-    out = []
-    for n in ns:
-        factors = factor_xn_minus_1_z4(n)
-        for assign in iproduct(range(3), repeat=len(factors)):
-            parts = [QuatPoly.one(), QuatPoly.one(), QuatPoly.one()]
-            for fac, slot in zip(factors, assign):
-                parts[slot] = parts[slot] * fac
-            out.append((n, parts[0], parts[1], parts[2]))
-    return out
+    return [(n, f, h, g) for n in ns for f, h, g in factor_triples(n)]
 
 
 def check_z4(item: tuple[int, QuatPoly, QuatPoly, QuatPoly]) -> Z4Record:

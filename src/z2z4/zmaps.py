@@ -107,7 +107,3 @@ def ext_nechaev_gray(w) -> BitVector:
     b, q = _split(w)
     return b + nechaev_gray(q)
 
-
-def lee_weight(u: Sequence[int]) -> int:
-    """Lee weight of a quaternary vector (symbol weights 0, 1, 2, 1)."""
-    return sum(min(c, 4 - c) for c in _as_quat(u))

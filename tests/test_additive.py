@@ -8,7 +8,6 @@ from z2z4.additive import (
     WordCodec,
     gray_image_is_linear,
     gray_is_linear_oracle,
-    permute_matrix,
     resolve_capacity,
     standard_form,
 )
@@ -108,7 +107,7 @@ class TestEnumeration:
         code = Code.from_matrix(nonlinear_image_matrix)
         shifted_rows = tuple(r.shift() for r in nonlinear_image_matrix.rows)
         shifted = Code.from_matrix(GeneratorMatrix(3, 3, shifted_rows))
-        assert shifted == code.shifted()
+        assert shifted == Code(3, 3, frozenset(code.codec.shift(w) for w in code.words))
 
 
 class TestStructure:
@@ -185,7 +184,10 @@ class TestStandardForm:
     def test_span_preserved_under_permutation(self, text):
         m = GeneratorMatrix.from_text(text)
         sf = standard_form(m)
-        permuted = permute_matrix(m, sf.bin_perm, sf.quat_perm)
+        permuted = GeneratorMatrix(m.alpha, m.beta, tuple(
+            MixedVector(tuple(r.bin[c] for c in sf.bin_perm), tuple(r.quat[c] for c in sf.quat_perm))
+            for r in m.rows
+        ))
         assert Code.from_matrix(permuted) == Code.from_matrix(sf.matrix)
         assert sf.code_type.size == len(Code.from_matrix(m))
 
@@ -273,6 +275,13 @@ class TestMatrixIO:
     def test_json_entries_out_of_range_rejected(self, row):
         with pytest.raises(DomainError):
             GeneratorMatrix.from_json({"alpha": 2, "beta": 2, "rows": [row]})
+
+    @pytest.mark.parametrize(
+        "row", [[1.7, "|", 3.9], [1, "|", 3.0], [True, "|", 1], [1, "|", "3"], [None, "|", 1]]
+    )
+    def test_json_entries_that_are_not_integers_rejected(self, row):
+        with pytest.raises(DomainError):
+            GeneratorMatrix.from_json({"alpha": 1, "beta": 1, "rows": [row]})
 
     @pytest.mark.parametrize("text", ["1,0|5,7", "2,0|1,1", "1,0|1,-1", "1,x|1,1"])
     def test_vector_entries_out_of_range_rejected(self, text):

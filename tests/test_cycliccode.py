@@ -10,17 +10,18 @@ from z2z4.cycliccode import (
     code_type,
     enumerate_all_cyclic,
     enumerate_code,
+    factor_triples,
     order_two_generators,
     realize,
-    separable_cyclic,
     span_words,
     star,
     three_generator_form,
     violations,
 )
 from z2z4.cyclofield import factor_xn_minus_1_z4
-from z2z4.errors import DomainError, PreconditionError
+from z2z4.errors import CapacityError, DomainError, PreconditionError
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
+from candidate_oracle import reference_cyclic_tuples
 
 
 class TestStar:
@@ -113,9 +114,9 @@ class TestTypeFormulas:
 
 class TestOrderTwoGenerators:
     def test_separable_case(self):
-        gens = separable_cyclic(
-            BinPoly.parse("x+1"), QuatPoly.one(), QuatPoly.parse("x^2+x+1"),
-            QuatPoly.parse("x+3"), 2, 3,
+        gens = CyclicGenerators(
+            2, 3, BinPoly.parse("x+1"), BinPoly.zero(),
+            QuatPoly.one(), QuatPoly.parse("x^2+x+1"), QuatPoly.parse("x+3"),
         )
         w1, w2 = order_two_generators(gens)
         assert w1.qpart.is_zero and w1.bpart == gens.b
@@ -131,9 +132,9 @@ class TestOrderTwoGenerators:
 
 class TestThreeGeneratorForm:
     def test_separable_case(self):
-        gens = separable_cyclic(
-            BinPoly.parse("x+1"), QuatPoly.one(), QuatPoly.parse("x^2+x+1"),
-            QuatPoly.parse("x+3"), 2, 3,
+        gens = CyclicGenerators(
+            2, 3, BinPoly.parse("x+1"), BinPoly.zero(),
+            QuatPoly.one(), QuatPoly.parse("x^2+x+1"), QuatPoly.parse("x+3"),
         )
         t1, t2, t3 = three_generator_form(gens)
         assert t1.bpart == gens.b and t1.qpart.is_zero
@@ -181,13 +182,13 @@ class TestSeparable:
             (QuatPoly.one(), QuatPoly.parse("x^2+x+1"), QuatPoly.parse("x+3")),
             (QuatPoly.parse("x+3"), QuatPoly.one(), QuatPoly.parse("x^2+x+1")),
         ]:
-            gens = separable_cyclic(BinPoly.parse("x+1"), f, h, g, 2, 3)
+            gens = CyclicGenerators(2, 3, BinPoly.parse("x+1"), BinPoly.zero(), f, h, g)
             code = enumerate_code(gens)
             assert code.is_separable() and code.is_cyclic()
 
     def test_trivial_b_full_binary_block(self):
-        gens = separable_cyclic(
-            BinPoly.one(), QuatPoly.one(), QuatPoly.one(), QuatPoly.xn_minus_1(3), 2, 3
+        gens = CyclicGenerators(
+            2, 3, BinPoly.one(), BinPoly.zero(), QuatPoly.one(), QuatPoly.one(), QuatPoly.xn_minus_1(3)
         )
         code = enumerate_code(gens)
         assert code.is_separable()
@@ -242,10 +243,26 @@ class TestEnumerateAll:
             assert code.is_cyclic()
             assert len(code) == code_type(G).size
 
-    def test_dedupe_drops_duplicates(self):
-        plain = sum(1 for _ in enumerate_all_cyclic(2, 3))
-        deduped = sum(1 for _ in enumerate_all_cyclic(2, 3, dedupe=True))
-        assert deduped <= plain
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_full_check_loop(self, alpha):
+        for beta in (1, 3, 5, 7, 9):
+            got = [G.to_json() for G in enumerate_all_cyclic(alpha, beta)]
+            assert got == [G.to_json() for G in reference_cyclic_tuples(alpha, beta)]
+
+    def test_capacity_is_an_explicit_bound(self):
+        # the largest code at (2,3) is the whole space, 2^(2 + 2*3) words
+        assert sum(1 for _ in enumerate_all_cyclic(2, 3, capacity=None)) == 39
+        assert sum(1 for _ in enumerate_all_cyclic(2, 3, capacity=1 << 8)) == 39
+        with pytest.raises(CapacityError):
+            list(enumerate_all_cyclic(2, 3, capacity=(1 << 8) - 1))
+
+    @pytest.mark.parametrize("beta", [1, 3, 7, 15])
+    def test_factor_triples_split_xn_minus_1(self, beta):
+        triples = factor_triples(beta)
+        assert len(triples) == 3 ** len(factor_xn_minus_1_z4(beta))
+        assert all(f * h * g == QuatPoly.xn_minus_1(beta) for f, h, g in triples)
+        keys = [(h.coeffs, g.coeffs) for _, h, g in triples]
+        assert keys == sorted(set(keys))
 
     def test_factor_assignments_cover_roles(self):
         # every factor of x^3-1 appears in each of the three roles

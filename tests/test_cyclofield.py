@@ -5,6 +5,8 @@ import pytest
 
 from z2z4.cyclofield import (
     MAX_MODULUS,
+    _CycloContext,
+    _context,
     GF2Field,
     cyclotomic_cosets,
     divisors_of_xn_minus_1_z2,
@@ -140,11 +142,22 @@ class TestTensorSquare:
             assert roots_of(t, n).exponents == sums
 
     def test_modulus_independence_n7(self):
-        p = BinPoly.parse("x^3+x+1")
+        # GF(8) built on the other cubic labels the roots differently, but
+        # the minimal polynomials and the root-product polynomials agree
         alt = BinPoly.parse("x^3+x^2+1")
         assert smallest_irreducible(3) == BinPoly.parse("x^3+x+1")
-        assert tensor_square(p, 7, modulus=alt) == tensor_square(p, 7)
-        assert factor_xn_minus_1_z2(7, modulus=alt) == factor_xn_minus_1_z2(7)
+        ctx = _CycloContext(7, alt)
+        assert ctx.field.modulus == alt
+        assert ctx.min_polys != _context(7).min_polys
+        assert set(ctx.min_polys.values()) == set(factor_xn_minus_1_z2(7))
+        for coset, p in ctx.min_polys.items():
+            sums = {(i + j) % 7 for i in coset for j in coset}
+            alt_square = reduce(
+                lambda a, b: a * b,
+                (mp for c, mp in ctx.min_polys.items() if c[0] in sums),
+                BinPoly.one(),
+            )
+            assert alt_square == tensor_square(p, 7)
 
     @pytest.mark.parametrize("n", [7, 15])
     def test_monotone_under_divisibility(self, n):

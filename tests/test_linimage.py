@@ -1,19 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2z4.additive import Code, GeneratorMatrix, MixedVector
+from z2z4.additive import Code, GeneratorMatrix, MixedVector, gray_is_linear_oracle
 from z2z4.cycliccode import (
     code_type,
     enumerate_all_cyclic,
+    CyclicGenerators,
     enumerate_code,
-    separable_cyclic,
 )
 from z2z4.cyclofield import factor_xn_minus_1_z4
 from z2z4.errors import DomainError, PreconditionError
 from z2z4.linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
-    cy_linear_implication_check,
     double_cyclic_span,
     ext_gray_image,
     ext_psi_image,
@@ -131,15 +130,15 @@ class TestFamily:
         assert family_g_subgroup(length9_code)  # g~ = x+1 = x^1 - 1, 1 | 3
 
     def test_non_member(self):
-        gens = separable_cyclic(
-            BinPoly.one(), QuatPoly.parse("x+3"), QuatPoly.one(),
-            QuatPoly.parse("x^2+x+1"), 1, 3,
+        gens = CyclicGenerators(
+            1, 3, BinPoly.one(), BinPoly.zero(),
+            QuatPoly.parse("x+3"), QuatPoly.one(), QuatPoly.parse("x^2+x+1"),
         )
         assert not family_g_subgroup(gens)
 
     def test_full_g_member(self):
-        gens = separable_cyclic(
-            BinPoly.one(), QuatPoly.one(), QuatPoly.one(), QuatPoly.xn_minus_1(3), 1, 3
+        gens = CyclicGenerators(
+            1, 3, BinPoly.one(), BinPoly.zero(), QuatPoly.one(), QuatPoly.one(), QuatPoly.xn_minus_1(3)
         )
         assert family_g_subgroup(gens)
 
@@ -151,22 +150,25 @@ class TestFamily:
 
 
 class TestImplicationCheck:
+    # a linear extended Gray image of C forces a linear Gray image of C_Y
     def test_image_separation(self, nonlinear_image_matrix):
         code = Code.from_matrix(nonlinear_image_matrix)
-        whole, quat = cy_linear_implication_check(code)
-        assert (whole, quat) == (False, True)
+        assert not gray_is_linear_oracle(code).linear
+        assert gray_is_linear_oracle(code.puncture_y()).linear
 
     def test_separable_equivalence(self):
-        gens = separable_cyclic(
-            BinPoly.parse("x+1"), QuatPoly.one(), QuatPoly.parse("x^2+x+1"),
-            QuatPoly.parse("x+3"), 2, 3,
+        gens = CyclicGenerators(
+            2, 3, BinPoly.parse("x+1"), BinPoly.zero(),
+            QuatPoly.one(), QuatPoly.parse("x^2+x+1"), QuatPoly.parse("x+3"),
         )
-        whole, quat = cy_linear_implication_check(enumerate_code(gens))
-        assert (whole, quat) == (True, True)
+        code = enumerate_code(gens)
+        assert gray_is_linear_oracle(code).linear
+        assert gray_is_linear_oracle(code.puncture_y()).linear
 
     def test_zero_code(self):
         code = Code.from_matrix(GeneratorMatrix(1, 1, ()))
-        assert cy_linear_implication_check(code) == (True, True)
+        assert gray_is_linear_oracle(code).linear
+        assert gray_is_linear_oracle(code.puncture_y()).linear
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
@@ -177,9 +179,8 @@ class TestImplicationCheck:
     def test_implication_direction(self, raw_rows):
         rows = tuple(MixedVector(tuple(b), tuple(q)) for b, q in raw_rows)
         code = Code.from_matrix(GeneratorMatrix(2, 3, rows))
-        whole, quat = cy_linear_implication_check(code)
-        if whole:
-            assert quat
+        if gray_is_linear_oracle(code).linear:
+            assert gray_is_linear_oracle(code.puncture_y()).linear
 
 
 class TestSolver:
@@ -247,16 +248,16 @@ class TestPsiImage:
         assert not is_double_cyclic(ext_gray_image(code))
 
     def test_separable_gives_zero_ellp(self):
-        gens = separable_cyclic(
-            BinPoly.parse("x+1"), QuatPoly.one(), QuatPoly.parse("x^2+x+1"),
-            QuatPoly.parse("x+3"), 2, 3,
+        gens = CyclicGenerators(
+            2, 3, BinPoly.parse("x+1"), BinPoly.zero(),
+            QuatPoly.one(), QuatPoly.parse("x^2+x+1"), QuatPoly.parse("x+3"),
         )
         dcg = psi_image_generators(gens)
         assert dcg.ellp.is_zero
 
     def test_precondition_enforced(self):
         f1, f3a, f3b = factor_xn_minus_1_z4(7)
-        gens = separable_cyclic(BinPoly.one(), f3b, f1, f3a, 1, 7)
+        gens = CyclicGenerators(1, 7, BinPoly.one(), BinPoly.zero(), f3b, f1, f3a)
         assert not gray_linear_criterion(gens).verdict
         with pytest.raises(PreconditionError):
             psi_image_generators(gens)
@@ -330,6 +331,12 @@ class TestSearch:
     def test_wildcards(self):
         total = len(search_by_type(2, 3))
         assert total == sum(1 for _ in enumerate_all_cyclic(2, 3))
+
+    @pytest.mark.parametrize("alpha,beta,count", [(4, 15, 1863), (3, 15, 2592)])
+    def test_returns_every_valid_tuple(self, alpha, beta, count):
+        # these cells hold codes past the default enumeration bound of 2^24
+        # words; the criterion needs no enumeration, so none is left out
+        assert len(search_by_type(alpha, beta)) == count
 
     def test_deterministic_order(self):
         a = [(G.to_json(), rep.verdict) for G, rep in search_by_type(2, 3)]

@@ -7,7 +7,6 @@ from z2z4.zmaps import (
     ext_nechaev_gray,
     gray,
     gray_inv,
-    lee_weight,
     nechaev_gray,
     nechaev_gray_inv,
     nechaev_perm,
@@ -38,7 +37,8 @@ class TestGray:
 
     @given(quat_vectors)
     def test_weight_preservation(self, u):
-        assert sum(gray(u)) == lee_weight(u)
+        # Lee weights of the symbols 0, 1, 2, 3 are 0, 1, 2, 1
+        assert sum(gray(u)) == sum(min(c, 4 - c) for c in u)
 
     def test_odd_length_inverse_rejected(self):
         with pytest.raises(DomainError):
