@@ -6,6 +6,14 @@ into ints with three bit planes -- binary block, quaternary low bits t,
 quaternary high bits h (symbol = t + 2h) -- so that addition costs a few
 word operations and codes up to the capacity bound stay cheap to hold.
 
+The span engine splits the code as |C| = 2^(rank + delta): delta
+order-four pivots from an echelon on the t plane, over the order-two
+subcode of GF(2) rank ``rank``.  The size is therefore known, and checked
+against the capacity bound, before any codeword is built; the words are
+then the XORs of the 2^delta coset representatives with the order-two
+subcode.  Shifts and Gray-type images map whole word lists with
+precomputed masks, without a Python call per word.
+
 The Gray-linearity oracle uses the identity 2u*v = (0 | 2(t_u & t_v)):
 the doubled star product of two codewords depends only on the mod-2
 patterns of their quaternary blocks, so checking all codeword pairs
@@ -145,11 +153,14 @@ class GeneratorMatrix:
     def from_json(cls, obj: dict) -> "GeneratorMatrix":
         """Schema: {"alpha": A, "beta": B, "rows": [[bits..., "|", quats...], ...]}.
 
-        Bits must be the integers 0 or 1 and quaternary entries 0..3; nothing
-        is converted or reduced, so 1.7, true or "3" is a DomainError.
+        alpha and beta must be integers, bits the integers 0 or 1 and
+        quaternary entries 0..3; nothing is converted or reduced, so 1.7,
+        true or "3" is a DomainError.
         """
         try:
-            alpha, beta = int(obj["alpha"]), int(obj["beta"])
+            alpha, beta = obj["alpha"], obj["beta"]
+            if type(alpha) is not int or type(beta) is not int:
+                raise DomainError(f"alpha {alpha!r} and beta {beta!r} must be integers")
             rows = []
             for raw in obj["rows"]:
                 if "|" in raw:
@@ -232,10 +243,49 @@ class CodeType:
 # packed-word codec
 
 
-class WordCodec:
-    """Bit-plane packing of mixed words for a fixed (alpha, beta)."""
+class PlaneShift:
+    """Right cyclic shift of every bit plane of a word, over whole word lists.
 
-    __slots__ = ("alpha", "beta", "bmask", "qmask", "toff", "hoff", "_psi_pairs")
+    The planes are adjacent bit fields of the given widths, lowest first.
+    A word maps to ((w << 1) & keep) | ((w >> (k - 1)) & low_k) over the
+    distinct widths k: ``keep`` drops the bit each plane pushes into the
+    next one, and ``low_k`` holds the lowest bit of every plane of width k,
+    which receives that plane's top bit.  Planes of width 0 or 1 are fixed.
+    """
+
+    __slots__ = ("keep", "wraps")
+
+    def __init__(self, *widths: int):
+        keep = off = 0
+        wraps: dict[int, int] = {}
+        for k in widths:
+            if k:
+                keep |= ((1 << (k - 1)) - 1) << (off + 1)
+                wraps[k - 1] = wraps.get(k - 1, 0) | 1 << off
+            off += k
+        if len(wraps) > 2:
+            raise DomainError("the shift kernel takes at most two plane widths")
+        self.keep = keep
+        self.wraps = tuple(wraps.items()) + ((0, 0),) * (2 - len(wraps))
+
+    def __call__(self, words: Iterable[int]) -> list[int]:
+        keep = self.keep
+        (s1, m1), (s2, m2) = self.wraps
+        return [((w << 1) & keep) | ((w >> s1) & m1) | ((w >> s2) & m2) for w in words]
+
+
+class WordCodec:
+    """Bit-plane packing of mixed words for a fixed (alpha, beta).
+
+    Besides the per-word arithmetic it maps whole word lists at once (the
+    cyclic shift and the two Gray-type images), with the masks computed
+    here, so that no Python function is called per word.
+    """
+
+    __slots__ = (
+        "alpha", "beta", "bmask", "qmask", "toff", "hoff",
+        "shift_words", "_tplane", "_hplane", "_psi_mask",
+    )
 
     def __init__(self, alpha: int, beta: int):
         self.alpha = alpha
@@ -244,7 +294,12 @@ class WordCodec:
         self.qmask = (1 << beta) - 1
         self.toff = alpha
         self.hoff = alpha + beta
-        self._psi_pairs = None
+        self.shift_words = PlaneShift(alpha, beta, beta)
+        self._tplane = self.qmask << alpha
+        self._hplane = self.qmask << (alpha + beta)
+        # positions alpha + 1, alpha + 3, ..., alpha + beta - 2: the Nechaev
+        # permutation swaps each with the position beta above it
+        self._psi_mask = sum(1 << (alpha + p) for p in range(1, beta - 1, 2))
 
     def pack(self, v: MixedVector) -> int:
         b = sum(bit << i for i, bit in enumerate(v.bin))
@@ -288,62 +343,84 @@ class WordCodec:
     def tpattern(self, w: int) -> int:
         return (w >> self.toff) & self.qmask
 
-    def shift(self, w: int) -> int:
-        a, b = self.alpha, self.beta
-        bm, qm = self.bmask, self.qmask
-        bpart = w & bm
-        t = (w >> self.toff) & qm
-        h = (w >> self.hoff) & qm
-        if a > 1:
-            bpart = ((bpart << 1) | (bpart >> (a - 1))) & bm
-        if b > 1:
-            t = ((t << 1) | (t >> (b - 1))) & qm
-            h = ((h << 1) | (h >> (b - 1))) & qm
-        return bpart | (t << self.toff) | (h << self.hoff)
+    def gray_words(self, words: Iterable[int]) -> list[int]:
+        """Packed extended-Gray images [binary block][h-block][t+h-block]."""
+        s, bm, tp, hp = self.beta, self.bmask, self._tplane, self._hplane
+        return [(w & bm) | ((w >> s) & tp) | ((w ^ (w << s)) & hp) for w in words]
 
-    def ext_gray_bits(self, w: int) -> int:
-        """Packed extended-Gray image: [binary block][h-block][t+h-block]."""
-        t = (w >> self.toff) & self.qmask
-        h = (w >> self.hoff) & self.qmask
-        return (w & self.bmask) | (h << self.alpha) | ((t ^ h) << (self.alpha + self.beta))
+    def psi_words(self, words: Iterable[int]) -> list[int]:
+        """Packed extended Nechaev-Gray images; beta must be odd."""
+        if self.beta % 2 == 0:
+            raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
+        s, pm = self.beta, self._psi_mask
+        return [
+            g ^ d ^ (d << s)
+            for g in self.gray_words(words)
+            for d in ((g ^ (g >> s)) & pm,)
+        ]
 
-    def ext_psi_bits(self, w: int) -> int:
-        """Packed extended Nechaev-Gray image; beta must be odd."""
-        if self._psi_pairs is None:
-            if self.beta % 2 == 0:
-                raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
-            self._psi_pairs = tuple(
-                (self.alpha + 2 * i + 1, self.alpha + self.beta + 2 * i + 1)
-                for i in range((self.beta - 1) // 2)
-            )
-        img = self.ext_gray_bits(w)
-        for p, q in self._psi_pairs:
-            d = ((img >> p) ^ (img >> q)) & 1
-            img ^= (d << p) | (d << q)
-        return img
+
+def gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """A basis of the GF(2) span of ``vectors``, ints read as bit vectors."""
+    basis: dict[int, int] = {}  # leading bit -> basis vector
+    for v in vectors:
+        while v:
+            lead = v.bit_length() - 1
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return list(basis.values())
+
+
+def xor_span(basis: Iterable[int]) -> list[int]:
+    """The XOR of every subset of ``basis``, built by doubling; the entries
+    are distinct when the basis is independent."""
+    words = [0]
+    for b in basis:
+        words += [w ^ b for w in words]
+    return words
 
 
 def _span_packed(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozenset[int]:
-    add = codec.add
-    words = {0}
+    """Every Z4-combination of ``gens``, built coset by coset.
+
+    Echelon on the quaternary mod-2 plane t leaves delta order-four pivots
+    u_i.  The rows whose t plane became 0, with 2u_i for each pivot, span
+    the order-two subcode C_2 over GF(2).  The code is the union of the
+    cosets r + C_2 over the 2^delta sums r of subsets of the u_i, and
+    r + w = r ^ w because w has an empty t plane.  Its size
+    2^(rank C_2 + delta) is checked against ``capacity`` before any
+    codeword is built.
+    """
+    add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
+    pivots: dict[int, int] = {}  # leading t bit -> order-four row
+    two_rows = []
     for g in gens:
-        if g in words:
-            continue
-        orbit = []
-        c = g
-        while c:
-            orbit.append(c)
-            c = add(c, g)
-        grown = set(words)
-        for m in orbit:
-            grown.update(add(w, m) for w in words)
-        if len(grown) > capacity:
-            raise CapacityError(
-                f"enumeration exceeds the capacity bound {capacity}; "
-                f"raise it via {_CAPACITY_ENV} if intended"
-            )
-        words = grown
-    return frozenset(words)
+        t = tpattern(g)
+        while t:
+            lead = t.bit_length() - 1
+            u = pivots.get(lead)
+            if u is None:
+                pivots[lead] = g
+                break
+            g = add(g, u)
+            t = tpattern(g)
+        else:
+            two_rows.append(g)
+    two_rows += [tpattern(u) << hoff for u in pivots.values()]
+    basis = gf2_basis(two_rows)
+    if 1 << (len(basis) + len(pivots)) > capacity:
+        raise CapacityError(
+            f"enumeration exceeds the capacity bound {capacity}; "
+            f"raise it via {_CAPACITY_ENV} if intended"
+        )
+    reps = [0]
+    for u in pivots.values():
+        reps += [add(r, u) for r in reps]
+    sub = xor_span(basis)
+    return frozenset([r ^ w for r in reps for w in sub])
 
 
 class Code:
@@ -400,8 +477,7 @@ class Code:
 
     # -- structural queries -------------------------------------------
     def is_cyclic(self) -> bool:
-        shift, words = self.codec.shift, self.words
-        return all(shift(w) in words for w in words)
+        return self.words.issuperset(self.codec.shift_words(self.words))
 
     def cyclic_witness(self) -> tuple[MixedVector, MixedVector] | None:
         """First codeword (canonical order) whose shift leaves the code."""
@@ -484,19 +560,20 @@ def gray_is_linear_oracle(
 
 
 def gray_image_is_linear(code: Code) -> bool:
-    """Independent check: the Gray image set equals its own GF(2) span."""
-    ext = code.codec.ext_gray_bits
-    image = {ext(w) for w in code.words}
-    basis: dict[int, int] = {}
+    """Independent check: the Gray image set equals its own GF(2) span.
+
+    The span grows by doubling with each image word outside it, until it
+    has as many words as the image; then it must hold every image word.
+    The Gray map is injective, so the image has ``len(code)`` words.
+    """
+    image = code.codec.gray_words(code.words)
+    span = {0}
     for v in image:
-        while v:
-            lead = v.bit_length() - 1
-            if lead in basis:
-                v ^= basis[lead]
-            else:
-                basis[lead] = v
-                break
-    return len(image) == 1 << len(basis)
+        if len(span) >= len(image):
+            break
+        if v not in span:
+            span.update([x ^ v for x in span])
+    return len(span) == len(image) and span.issuperset(image)
 
 
 # ----------------------------------------------------------------------

@@ -86,9 +86,10 @@ def _load_matrix(path: str) -> GeneratorMatrix:
     raw = _read_file(path)
     if raw.lstrip().startswith("{"):
         try:
-            return GeneratorMatrix.from_json(json.loads(raw))
+            obj = json.loads(raw)
         except ValueError as exc:
             raise DomainError(f"bad matrix JSON: {exc}") from exc
+        return GeneratorMatrix.from_json(obj)
     return GeneratorMatrix.from_text(raw)
 
 
@@ -129,6 +130,8 @@ def cmd_gray(args) -> int:
             alpha = args.alpha
             if alpha is None:
                 raise DomainError("--alpha is required to invert an extended map")
+            if not 0 <= alpha <= len(bits):
+                raise DomainError(f"--alpha {alpha} is outside 0..{len(bits)}, the vector length")
             binpart, image = bits[:alpha], bits[alpha:]
             quat = (
                 zmaps.gray_inv(image) if name == "Phi" else zmaps.nechaev_gray_inv(image)

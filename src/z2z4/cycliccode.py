@@ -163,18 +163,31 @@ class CyclicGenerators:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CyclicGenerators":
-        try:
-            return cls(
-                int(obj["alpha"]),
-                int(obj["beta"]),
-                BinPoly.parse(obj["b"]),
-                BinPoly.parse(obj.get("ell", [])),
-                QuatPoly.parse(obj["f"]),
-                QuatPoly.parse(obj["h"]),
-                QuatPoly.parse(obj["g"]),
-            )
-        except KeyError as exc:
-            raise DomainError(f"code JSON is missing the field {exc}") from exc
+        """Schema: {"alpha": A, "beta": B, "b": ..., "ell": ..., "f": ..., "h": ..., "g": ...}.
+
+        alpha and beta must be integers.  Each polynomial is text such as
+        "x^2+x+1" or an ascending coefficient array with integer entries in
+        0..1 (b, ell) or 0..3 (f, h, g); nothing is converted or reduced,
+        so 2.9, "a" or a coefficient 7 is a DomainError.
+        """
+        if not isinstance(obj, dict):
+            raise DomainError("code JSON must be an object")
+        obj = {"ell": [], **obj}
+        missing = [k for k in ("alpha", "beta", "b", "f", "h", "g") if k not in obj]
+        if missing:
+            raise DomainError(f"code JSON is missing the field {missing[0]!r}")
+        for name in ("alpha", "beta"):
+            if type(obj[name]) is not int:
+                raise DomainError(f"code JSON field {name} = {obj[name]!r} is not an integer")
+        polys = []
+        for name, ring in (
+            ("b", BinPoly), ("ell", BinPoly), ("f", QuatPoly), ("h", QuatPoly), ("g", QuatPoly)
+        ):
+            try:
+                polys.append(ring.parse(obj[name]))
+            except DomainError as exc:
+                raise DomainError(f"code JSON field {name}: {exc}") from None
+        return cls(obj["alpha"], obj["beta"], *polys)
 
 
 def _require_checked(gens: CyclicGenerators, what: str) -> None:

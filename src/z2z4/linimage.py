@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .additive import Code, MixedVector, gray_is_linear_oracle, resolve_capacity
+from .additive import (
+    Code,
+    MixedVector,
+    PlaneShift,
+    gf2_basis,
+    gray_is_linear_oracle,
+    resolve_capacity,
+    xor_span,
+)
 from .cyclofield import tensor_square
 from .cycliccode import (
     CyclicGenerators,
@@ -136,16 +144,6 @@ class BinaryBlockCode:
         n = self.r + self.s
         return sorted(tuple((w >> i) & 1 for i in range(n)) for w in self.words)
 
-    def double_shift(self, w: int) -> int:
-        r, s = self.r, self.s
-        left = w & ((1 << r) - 1)
-        right = w >> r
-        if r > 1:
-            left = ((left << 1) | (left >> (r - 1))) & ((1 << r) - 1)
-        if s > 1:
-            right = ((right << 1) | (right >> (s - 1))) & ((1 << s) - 1)
-        return left | (right << r)
-
 
 def pack_bits(bits: Sequence[int]) -> int:
     return sum((b & 1) << i for i, b in enumerate(bits))
@@ -153,20 +151,19 @@ def pack_bits(bits: Sequence[int]) -> int:
 
 def ext_gray_image(code: Code) -> BinaryBlockCode:
     """The extended Gray image as a binary block code (r = alpha, s = 2*beta)."""
-    ext = code.codec.ext_gray_bits
-    return BinaryBlockCode(code.alpha, 2 * code.beta, frozenset(ext(w) for w in code.words))
+    words = frozenset(code.codec.gray_words(code.words))
+    return BinaryBlockCode(code.alpha, 2 * code.beta, words)
 
 
 def ext_psi_image(code: Code) -> BinaryBlockCode:
     """The extended Nechaev-Gray image; beta must be odd."""
-    ext = code.codec.ext_psi_bits
-    return BinaryBlockCode(code.alpha, 2 * code.beta, frozenset(ext(w) for w in code.words))
+    words = frozenset(code.codec.psi_words(code.words))
+    return BinaryBlockCode(code.alpha, 2 * code.beta, words)
 
 
 def is_double_cyclic(bc: BinaryBlockCode) -> bool:
     """Closure under the simultaneous cyclic shift of both coordinate blocks."""
-    words = bc.words
-    return all(bc.double_shift(w) in words for w in words)
+    return bc.words.issuperset(PlaneShift(bc.r, bc.s)(bc.words))
 
 
 @dataclass(frozen=True)
@@ -200,27 +197,27 @@ class DoubleCyclicGenerators:
 def double_cyclic_span(
     dcg: DoubleCyclicGenerators, capacity: int | None = None
 ) -> BinaryBlockCode:
-    """GF(2) span of all simultaneous shifts of the two generators."""
+    """GF(2) span of all simultaneous shifts of the two generators.
+
+    The shifts are first reduced to a GF(2) basis, so the bound is checked
+    on the span's size 2^rank before any word of it is built.
+    """
     cap = resolve_capacity(capacity)
     r, s = dcg.r, dcg.s
+    shift = PlaneShift(r, s)
+    row = [
+        pack_bits(cyclic_reduce(dcg.b, r).coeffs),
+        pack_bits(cyclic_reduce(dcg.ellp, r).coeffs)
+        | pack_bits(cyclic_reduce(dcg.a, s).coeffs) << r,
+    ]
     gens: list[int] = []
-    for i in range(r):
-        left = cyclic_reduce(BinPoly.monomial(i) * dcg.b, r)
-        gens.append(pack_bits(left.coeffs + (0,) * (r - len(left.coeffs))))
-    for i in range(lcm(r, s)):
-        left = cyclic_reduce(BinPoly.monomial(i) * dcg.ellp, r)
-        right = cyclic_reduce(BinPoly.monomial(i) * dcg.a, s)
-        w = pack_bits(left.coeffs + (0,) * (r - len(left.coeffs)))
-        w |= pack_bits(right.coeffs + (0,) * (s - len(right.coeffs))) << r
-        gens.append(w)
-    words = {0}
-    for g in gens:
-        if g in words:
-            continue
-        words |= {w ^ g for w in words}
-        if len(words) > cap:
-            raise CapacityError(f"double-cyclic span exceeds the bound {cap}")
-    return BinaryBlockCode(r, s, frozenset(words))
+    for _ in range(lcm(r, s)):
+        gens += row
+        row = shift(row)
+    basis = gf2_basis(gens)
+    if 1 << len(basis) > cap:
+        raise CapacityError(f"double-cyclic span exceeds the bound {cap}")
+    return BinaryBlockCode(r, s, frozenset(xor_span(basis)))
 
 
 # ----------------------------------------------------------------------

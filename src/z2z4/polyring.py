@@ -70,9 +70,14 @@ class _Poly:
 
     @classmethod
     def parse(cls, obj: str | Sequence[int]):
-        """Build a polynomial from human text or an ascending coefficient array."""
+        """Build a polynomial from human text or an ascending coefficient array.
+
+        Text is read with ring arithmetic ("x-1" is x+3 over Z4), but an
+        array, given as a list or as "[...]" text, must hold integers in
+        0..MOD-1: nothing is truncated or reduced.
+        """
         if isinstance(obj, (list, tuple)):
-            return cls(obj)
+            return cls._from_array(obj)
         if not isinstance(obj, str):
             raise DomainError(f"cannot parse polynomial from {type(obj).__name__}")
         text = obj.replace("−", "-").replace(" ", "")
@@ -85,9 +90,9 @@ class _Poly:
                 arr = json.loads(text)
             except ValueError as exc:
                 raise DomainError(f"bad polynomial array: {obj!r}") from exc
-            if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr):
+            if not isinstance(arr, list):
                 raise DomainError(f"bad polynomial array: {obj!r}")
-            return cls(arr)
+            return cls._from_array(arr)
         coeffs: dict[int, int] = {}
         pos = 0
         first = True
@@ -114,6 +119,15 @@ class _Poly:
         for k, c in coeffs.items():
             out[k] = c
         return cls(out)
+
+    @classmethod
+    def _from_array(cls, arr: Sequence) -> "_Poly":
+        bad = [c for c in arr if type(c) is not int or not 0 <= c < cls.MOD]
+        if bad:
+            raise DomainError(
+                f"coefficient {bad[0]!r} is not an integer in 0..{cls.MOD - 1}"
+            )
+        return cls(arr)
 
     # ------------------------------------------------------------------
     # basic queries

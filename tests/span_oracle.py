@@ -1,0 +1,115 @@
+"""Per-word reference implementations of the whole-code engines.
+
+``z2z4.additive`` builds a code coset by coset and maps whole word lists
+with precomputed masks; ``z2z4.linimage`` does the same for binary block
+codes.  The functions here are the earlier word-at-a-time versions, kept
+as differential oracles for those engines.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+from typing import Iterable
+
+from z2z4.additive import Code, WordCodec
+from z2z4.errors import CapacityError, DomainError
+from z2z4.linimage import DoubleCyclicGenerators, pack_bits
+from z2z4.polyring import BinPoly, cyclic_reduce
+
+
+def orbit_span(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozenset[int]:
+    """Every Z4-combination of ``gens``: each generator's orbit added to every word."""
+    add = codec.add
+    words = {0}
+    for g in gens:
+        if g in words:
+            continue
+        orbit = []
+        c = g
+        while c:
+            orbit.append(c)
+            c = add(c, g)
+        grown = set(words)
+        for m in orbit:
+            grown.update(add(w, m) for w in words)
+        if len(grown) > capacity:
+            raise CapacityError(f"enumeration exceeds the capacity bound {capacity}")
+        words = grown
+    return frozenset(words)
+
+
+def shift_word(codec: WordCodec, w: int) -> int:
+    """Simultaneous right cyclic shift of the three planes of one packed word."""
+    a, b = codec.alpha, codec.beta
+    bm, qm = codec.bmask, codec.qmask
+    bpart = w & bm
+    t = (w >> codec.toff) & qm
+    h = (w >> codec.hoff) & qm
+    if a > 1:
+        bpart = ((bpart << 1) | (bpart >> (a - 1))) & bm
+    if b > 1:
+        t = ((t << 1) | (t >> (b - 1))) & qm
+        h = ((h << 1) | (h >> (b - 1))) & qm
+    return bpart | (t << codec.toff) | (h << codec.hoff)
+
+
+def ext_gray_bits(codec: WordCodec, w: int) -> int:
+    """Packed extended-Gray image of one word: [binary][h-block][t+h-block]."""
+    t = (w >> codec.toff) & codec.qmask
+    h = (w >> codec.hoff) & codec.qmask
+    return (w & codec.bmask) | (h << codec.alpha) | ((t ^ h) << (codec.alpha + codec.beta))
+
+
+def ext_psi_bits(codec: WordCodec, w: int) -> int:
+    """Packed extended Nechaev-Gray image of one word; beta must be odd."""
+    if codec.beta % 2 == 0:
+        raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
+    img = ext_gray_bits(codec, w)
+    for i in range((codec.beta - 1) // 2):
+        p = codec.alpha + 2 * i + 1
+        q = p + codec.beta
+        d = ((img >> p) ^ (img >> q)) & 1
+        img ^= (d << p) | (d << q)
+    return img
+
+
+def double_shift(r: int, s: int, w: int) -> int:
+    """Simultaneous cyclic shift of the blocks of lengths r and s of one word."""
+    left = w & ((1 << r) - 1)
+    right = w >> r
+    if r > 1:
+        left = ((left << 1) | (left >> (r - 1))) & ((1 << r) - 1)
+    if s > 1:
+        right = ((right << 1) | (right >> (s - 1))) & ((1 << s) - 1)
+    return left | (right << r)
+
+
+def basis_image_is_linear(code: Code) -> bool:
+    """The Gray image is linear iff its size is 2^(rank of its GF(2) span)."""
+    image = {ext_gray_bits(code.codec, w) for w in code.words}
+    basis: dict[int, int] = {}
+    for v in image:
+        while v:
+            lead = v.bit_length() - 1
+            if lead in basis:
+                v ^= basis[lead]
+            else:
+                basis[lead] = v
+                break
+    return len(image) == 1 << len(basis)
+
+
+def shift_span(dcg: DoubleCyclicGenerators) -> frozenset[int]:
+    """GF(2) span of the shifts of (b | 0) and (ellp | a), each shift taken
+    by polynomial multiplication and the span grown word by word."""
+    r, s = dcg.r, dcg.s
+    gens = [pack_bits(cyclic_reduce(BinPoly.monomial(i) * dcg.b, r).coeffs) for i in range(r)]
+    for i in range(lcm(r, s)):
+        left = cyclic_reduce(BinPoly.monomial(i) * dcg.ellp, r)
+        right = cyclic_reduce(BinPoly.monomial(i) * dcg.a, s)
+        gens.append(pack_bits(left.coeffs) | pack_bits(right.coeffs) << r)
+    words = {0}
+    for g in gens:
+        if g not in words:
+            words |= {w ^ g for w in words}
+    return frozenset(words)

@@ -64,16 +64,17 @@ class TestCodec:
     @given(mixed_vectors(4, 3))
     def test_shift_matches(self, u):
         codec = WordCodec(4, 3)
-        assert codec.unpack(codec.shift(codec.pack(u))) == u.shift()
+        (shifted,) = codec.shift_words([codec.pack(u)])
+        assert codec.unpack(shifted) == u.shift()
 
     @given(mixed_vectors(2, 3))
     def test_images_match_reference_maps(self, u):
         codec = WordCodec(2, 3)
         w = codec.pack(u)
-        gray_bits = tuple((codec.ext_gray_bits(w) >> i) & 1 for i in range(8))
-        assert gray_bits == ext_gray(u)
-        psi_bits = tuple((codec.ext_psi_bits(w) >> i) & 1 for i in range(8))
-        assert psi_bits == ext_nechaev_gray(u)
+        (gray_word,) = codec.gray_words([w])
+        assert tuple((gray_word >> i) & 1 for i in range(8)) == ext_gray(u)
+        (psi_word,) = codec.psi_words([w])
+        assert tuple((psi_word >> i) & 1 for i in range(8)) == ext_nechaev_gray(u)
 
 
 class TestEnumeration:
@@ -107,7 +108,7 @@ class TestEnumeration:
         code = Code.from_matrix(nonlinear_image_matrix)
         shifted_rows = tuple(r.shift() for r in nonlinear_image_matrix.rows)
         shifted = Code.from_matrix(GeneratorMatrix(3, 3, shifted_rows))
-        assert shifted == Code(3, 3, frozenset(code.codec.shift(w) for w in code.words))
+        assert shifted == Code(3, 3, frozenset(code.codec.shift_words(code.words)))
 
 
 class TestStructure:
@@ -282,6 +283,11 @@ class TestMatrixIO:
     def test_json_entries_that_are_not_integers_rejected(self, row):
         with pytest.raises(DomainError):
             GeneratorMatrix.from_json({"alpha": 1, "beta": 1, "rows": [row]})
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1), (1, "1"), (True, 1)])
+    def test_json_shape_that_is_not_integers_rejected(self, alpha, beta):
+        with pytest.raises(DomainError):
+            GeneratorMatrix.from_json({"alpha": alpha, "beta": beta, "rows": [[1, "|", 1]]})
 
     @pytest.mark.parametrize("text", ["1,0|5,7", "2,0|1,1", "1,0|1,-1", "1,x|1,1"])
     def test_vector_entries_out_of_range_rejected(self, text):

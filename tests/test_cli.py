@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from z2z4.cli import main
 
 LENGTH9_JSON = (
@@ -66,6 +68,13 @@ class TestGray:
         status, _, err = run(capsys, "gray", "--map", "Phi", "0,y|1,3,1")
         assert status == 1 and err.startswith("DomainError:") and "'y'" in err
 
+    def test_extended_inverse_alpha_longer_than_vector_fails(self, capsys):
+        status, out, err = run(capsys, "gray", "--map", "Phi", "--inv", "--alpha", "5", "1,0")
+        assert status == 1 and out == ""
+        assert err.startswith("DomainError:") and "--alpha 5" in err
+        status, out, _ = run(capsys, "gray", "--map", "Phi", "--inv", "--alpha", "2", "1,0")
+        assert status == 0 and out.strip() == "1,0|"
+
 
 class TestAnalyze:
     def test_text_matrix(self, capsys, tmp_path):
@@ -86,6 +95,13 @@ class TestAnalyze:
         assert data["gray_image_linear"] is False
         assert data["gray_witness"][2] == "0,0,0|2,0,0"
         assert data["quaternary_image_linear"] is True
+
+    def test_matrix_json_without_rows(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"alpha": 1, "beta": 1}')
+        status, _, err = run(capsys, "analyze", "--matrix", str(path))
+        assert status == 1 and err.startswith("DomainError: bad matrix JSON:")
+        assert err.count("bad matrix JSON") == 1
 
     def test_missing_matrix_file(self, capsys, tmp_path):
         status, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.txt"))
@@ -128,6 +144,24 @@ class TestLinearity:
     def test_missing_code_file(self, capsys, tmp_path):
         status, _, err = run(capsys, "linearity", "--code", str(tmp_path / "absent.json"))
         assert status == 1 and err.startswith("DomainError:") and "absent.json" in err
+
+    @pytest.mark.parametrize(
+        "field, value, phrase",
+        [
+            ("alpha", 2.9, "alpha = 2.9"),
+            ("alpha", "a", "alpha = 'a'"),
+            ("f", [7], "coefficient 7"),
+            ("f", [1.5], "coefficient 1.5"),
+            ("b", [1, 2], "coefficient 2"),
+        ],
+    )
+    def test_bad_code_json_rejected(self, capsys, field, value, phrase):
+        obj = json.loads(LENGTH9_JSON)
+        obj[field] = value
+        status, out, err = run(capsys, "linearity", "--code", json.dumps(obj))
+        assert status == 1 and out == ""
+        assert err.startswith("DomainError:") and phrase in err
+        assert err.count("\n") == 1
 
 
 class TestImage:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2z4.additive import Code, GeneratorMatrix, MixedVector, gray_is_linear_oracle
+from z2z4.additive import Code, GeneratorMatrix, MixedVector, PlaneShift, gray_is_linear_oracle
 from z2z4.cycliccode import (
     code_type,
     enumerate_all_cyclic,
@@ -26,6 +26,7 @@ from z2z4.linimage import (
     z4_gray_linear_oracle,
 )
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce
+from span_oracle import double_shift
 from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin
 
 
@@ -305,9 +306,11 @@ class TestDoubleCyclic:
         assert is_double_cyclic(BinaryBlockCode(2, 3, frozenset({0})))
 
     def test_shift_structure(self):
-        bc = BinaryBlockCode(2, 2, frozenset())
         # word 0b0101 = (1,0 | 1,0): both blocks rotate to (0,1 | 0,1)
-        assert bc.double_shift(0b0101) == 0b1010
+        assert double_shift(2, 2, 0b0101) == 0b1010
+        assert PlaneShift(2, 2)([0b0101]) == [0b1010]
+        assert is_double_cyclic(BinaryBlockCode(2, 2, frozenset({0, 0b0101, 0b1010, 0b1111})))
+        assert not is_double_cyclic(BinaryBlockCode(2, 2, frozenset({0, 0b0101})))
 
     def test_generator_validation(self):
         with pytest.raises(DomainError):

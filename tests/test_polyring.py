@@ -209,6 +209,16 @@ class TestParsePrint:
         assert str(QuatPoly.parse("3+x+2x^2")) == "2x^2+x+3"
         assert str(QuatPoly.zero()) == "0"
 
+    @pytest.mark.parametrize("bad", [[7], [1.5], [True], [3, -1], "[3,4]", "[1.0]"])
+    def test_arrays_must_hold_ring_digits(self, bad):
+        with pytest.raises(DomainError):
+            QuatPoly.parse(bad)
+
+    def test_binary_arrays_must_hold_bits(self):
+        assert BinPoly.parse([1, 0, 1]) == BinPoly.parse("x^2+1")
+        with pytest.raises(DomainError):
+            BinPoly.parse([1, 2])
+
     def test_term_order_irrelevant(self):
         assert QuatPoly.parse("3+x^3+x+2x^2") == QuatPoly.parse("x^3+2x^2+x+3")
 

@@ -1,0 +1,161 @@
+"""Differential tests: the coset span engine and the whole-code word maps
+against the per-word references in ``span_oracle``."""
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from z2z4.additive import (
+    Code,
+    GeneratorMatrix,
+    MixedVector,
+    PlaneShift,
+    WordCodec,
+    gray_image_is_linear,
+)
+from z2z4.errors import CapacityError
+from z2z4.linimage import DoubleCyclicGenerators, double_cyclic_span, is_double_cyclic
+from z2z4.polyring import BinPoly
+from span_oracle import (
+    basis_image_is_linear,
+    double_shift,
+    ext_gray_bits,
+    ext_psi_bits,
+    orbit_span,
+    shift_span,
+    shift_word,
+)
+
+
+@st.composite
+def generator_matrices(draw, max_alpha=3, max_beta=4, max_rows=5):
+    """Random matrices, including empty and width-1 blocks, zero and
+    duplicate rows, all-order-two rows, and rows sharing a mod-2 pattern."""
+    alpha = draw(st.integers(0, max_alpha))
+    beta = draw(st.integers(0, max_beta))
+    bits = st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha).map(tuple)
+    halves = st.lists(st.integers(0, 1), min_size=beta, max_size=beta).map(tuple)
+    rows: list[MixedVector] = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["random", "zero", "duplicate", "order_two", "same_t"]))
+        if kind in ("duplicate", "same_t") and not rows:
+            kind = "random"
+        if kind == "zero":
+            row = MixedVector((0,) * alpha, (0,) * beta)
+        elif kind == "duplicate":
+            row = draw(st.sampled_from(rows))
+        elif kind == "order_two":
+            row = MixedVector(draw(bits), tuple(2 * c for c in draw(halves)))
+        elif kind == "same_t":
+            t = [c % 2 for c in draw(st.sampled_from(rows)).quat]
+            row = MixedVector(draw(bits), tuple(c + 2 * h for c, h in zip(t, draw(halves))))
+        else:
+            quats = st.lists(st.integers(0, 3), min_size=beta, max_size=beta).map(tuple)
+            row = MixedVector(draw(bits), draw(quats))
+        rows.append(row)
+    if draw(st.booleans()):
+        rows = [r for r in rows if r.order() != 4]  # an all-order-two matrix
+    return GeneratorMatrix(alpha, beta, tuple(rows))
+
+
+def _orbit_code(matrix: GeneratorMatrix) -> frozenset[int]:
+    codec = WordCodec(matrix.alpha, matrix.beta)
+    return orbit_span(codec, [codec.pack(r) for r in matrix.rows], 1 << 30)
+
+
+def _peak_bytes_until_capacity_error(build, source, capacity: int) -> int:
+    """Peak traced allocation of ``build(source, capacity)``, which must raise."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build(source, capacity)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCosetSpan:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    def test_matches_orbit_span(self, matrix):
+        assert Code.from_matrix(matrix).words == _orbit_code(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_matrices())
+    def test_capacity_bound_is_the_code_size(self, matrix):
+        size = len(_orbit_code(matrix))
+        assert len(Code.from_matrix(matrix, capacity=size)) == size
+        with pytest.raises(CapacityError):
+            Code.from_matrix(matrix, capacity=size - 1)
+
+    def test_over_capacity_raises_before_allocating(self):
+        # 2^20 words: four binary unit rows and eight quaternary unit rows
+        rows = tuple(
+            MixedVector(tuple(int(i == j) for i in range(4)), (0,) * 8) for j in range(4)
+        ) + tuple(
+            MixedVector((0,) * 4, tuple(int(i == j) for i in range(8))) for j in range(8)
+        )
+        matrix = GeneratorMatrix(4, 8, rows)
+        for capacity in (1 << 10, (1 << 20) - 1):
+            assert _peak_bytes_until_capacity_error(Code.from_matrix, matrix, capacity) < 1 << 20
+
+
+class TestWordMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_matrices())
+    def test_shift_matches_per_word(self, matrix):
+        code = Code.from_matrix(matrix)
+        codec = code.codec
+        words = sorted(code.words)
+        assert codec.shift_words(words) == [shift_word(codec, w) for w in words]
+        assert code.is_cyclic() == all(shift_word(codec, w) in code.words for w in words)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_matrices())
+    def test_gray_maps_match_per_word(self, matrix):
+        code = Code.from_matrix(matrix)
+        codec = code.codec
+        words = sorted(code.words)
+        assert codec.gray_words(words) == [ext_gray_bits(codec, w) for w in words]
+        if matrix.beta % 2:
+            assert codec.psi_words(words) == [ext_psi_bits(codec, w) for w in words]
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    def test_image_check_matches_basis_reduction(self, matrix):
+        code = Code.from_matrix(matrix)
+        assert gray_image_is_linear(code) == basis_image_is_linear(code)
+
+    @given(st.integers(0, 4), st.integers(0, 5), st.data())
+    def test_plane_shift_matches_double_shift(self, r, s, data):
+        words = data.draw(st.lists(st.integers(0, (1 << (r + s)) - 1), max_size=8))
+        assert PlaneShift(r, s)(words) == [double_shift(r, s, w) for w in words]
+
+
+def _divisors(n: int) -> list[BinPoly]:
+    """Every divisor of x^n - 1 over Z2."""
+    polys = (BinPoly([(k >> i) & 1 for i in range(n + 1)]) for k in range(1, 1 << (n + 1)))
+    return [p for p in polys if p.divides(BinPoly.xn_minus_1(n))]
+
+
+class TestDoubleCyclicSpan:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_matches_shift_span(self, r, s, data):
+        b = data.draw(st.sampled_from(_divisors(r)))
+        a = data.draw(st.sampled_from(_divisors(s) + [BinPoly.zero()]))
+        db = int(b.degree)
+        ellp = BinPoly(data.draw(st.lists(st.integers(0, 1), max_size=db, min_size=db)))
+        dcg = DoubleCyclicGenerators(r, s, b, ellp, a)
+        span = double_cyclic_span(dcg)
+        assert span.words == shift_span(dcg)
+        assert is_double_cyclic(span)
+
+    def test_over_capacity_raises_before_allocating(self):
+        # (0 | 1) and its shifts span all 2^20 words of the right block
+        dcg = DoubleCyclicGenerators(1, 20, BinPoly.parse("x+1"), BinPoly.zero(), BinPoly.one())
+        for capacity in (1 << 10, (1 << 20) - 1):
+            assert _peak_bytes_until_capacity_error(double_cyclic_span, dcg, capacity) < 1 << 20
+        assert len(double_cyclic_span(DoubleCyclicGenerators(
+            1, 10, BinPoly.parse("x+1"), BinPoly.zero(), BinPoly.one()))) == 1 << 10
