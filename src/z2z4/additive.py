@@ -34,16 +34,16 @@ _CAPACITY_ENV = "Z2Z4_CAPACITY"
 
 
 def resolve_capacity(capacity: int | None = None) -> int:
-    """Explicit value, else the Z2Z4_CAPACITY env var, else the default."""
+    """Explicit value, else the Z2Z4_CAPACITY env var (an integer of at
+    least 1), else the default."""
     if capacity is not None:
         return int(capacity)
     env = os.environ.get(_CAPACITY_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DomainError(f"bad {_CAPACITY_ENV} value {env!r}") from exc
-    return DEFAULT_CAPACITY
+    if not env:
+        return DEFAULT_CAPACITY
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise DomainError(f"{_CAPACITY_ENV} must be an integer of at least 1, not {env!r}")
+    return int(env)
 
 
 # ----------------------------------------------------------------------
@@ -318,27 +318,6 @@ class WordCodec:
         t1 = (w1 >> self.toff) & self.qmask
         t2 = (w2 >> self.toff) & self.qmask
         return (w1 ^ w2) ^ ((t1 & t2) << self.hoff)
-
-    def neg(self, w: int) -> int:
-        t = (w >> self.toff) & self.qmask
-        return w ^ (t << self.hoff)
-
-    def scale(self, w: int, c: int) -> int:
-        c %= 4
-        if c == 0:
-            return 0
-        if c == 1:
-            return w
-        t = (w >> self.toff) & self.qmask
-        if c == 2:
-            return t << self.hoff
-        return w ^ (t << self.hoff)
-
-    def double_star(self, w1: int, w2: int) -> int:
-        """Packed 2*(w1 star w2); only the quaternary h-plane survives."""
-        t1 = (w1 >> self.toff) & self.qmask
-        t2 = (w2 >> self.toff) & self.qmask
-        return (t1 & t2) << self.hoff
 
     def tpattern(self, w: int) -> int:
         return (w >> self.toff) & self.qmask

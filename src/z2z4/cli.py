@@ -197,33 +197,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _gens_from_args(args) -> CyclicGenerators:
-    return CyclicGenerators(
-        args.alpha,
-        args.beta,
-        BinPoly.parse(args.b),
-        BinPoly.parse(args.ell) if args.ell is not None else BinPoly.zero(),
-        QuatPoly.parse(args.f),
-        QuatPoly.parse(args.h),
-        QuatPoly.parse(args.g),
-    )
-
-
 def cmd_code(args) -> int:
-    errs = violations(
-        args.alpha,
-        args.beta,
+    polys = (
         BinPoly.parse(args.b),
         BinPoly.parse(args.ell) if args.ell is not None else BinPoly.zero(),
         QuatPoly.parse(args.f),
         QuatPoly.parse(args.h),
         QuatPoly.parse(args.g),
     )
+    errs = violations(args.alpha, args.beta, *polys)
     if errs:
         report = {"command": "code", "valid": False, "violations": errs}
         _emit(args, report, "invalid generator data:\n  " + "\n  ".join(errs))
         raise DomainError("generator data violates the canonical form")
-    gens = _gens_from_args(args)
+    gens = CyclicGenerators(args.alpha, args.beta, *polys)
     ct = code_type(gens)
     w1, w2 = order_two_generators(gens)
     t1, t2, t3 = three_generator_form(gens)

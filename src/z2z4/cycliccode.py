@@ -7,8 +7,10 @@ satisfies two divisibility conditions:
 
     b | (x^beta - 1)/f~ * gcd(b, ell)      and      b | h~ * gcd(b, ell*g~)
 
-(p~ denotes the mod-2 image of p).  ``validate`` reports violations;
-constructed instances are validated unless built with ``from_unchecked``.
+(p~ denotes the mod-2 image of p).  ``violations`` lists the conditions
+that fail, and every ``CyclicGenerators`` is validated when constructed.
+The Z2 parts b and ell are ``BinPoly`` values (int bit masks), the Z4 parts
+``QuatPoly`` coefficient tuples.
 
 Module multiplication is p star (u | v) = (p~ u mod x^alpha - 1 |
 p v mod x^beta - 1); multiplication by x is the simultaneous cyclic shift.
@@ -17,14 +19,13 @@ p v mod x^beta - 1); multiplication by x is the simultaneous cyclic shift.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from math import lcm
 from typing import Iterator
 
 from .additive import Code, CodeType, GeneratorMatrix, MixedVector
 from .cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import CapacityError, DomainError
 from .polyring import (
     BinPoly,
     QuatPoly,
@@ -52,9 +53,7 @@ class ResidueWord:
         object.__setattr__(self, "qpart", cyclic_reduce(self.qpart, self.beta))
 
     def to_vector(self) -> MixedVector:
-        b = list(self.bpart.coeffs) + [0] * (self.alpha - len(self.bpart.coeffs))
-        q = list(self.qpart.coeffs) + [0] * (self.beta - len(self.qpart.coeffs))
-        return MixedVector(tuple(b), tuple(q))
+        return MixedVector(self.bpart.padded(self.alpha), self.qpart.padded(self.beta))
 
     def __str__(self) -> str:
         return f"({self.bpart} | {self.qpart})"
@@ -117,7 +116,6 @@ class CyclicGenerators:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly
-    checked: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -129,15 +127,9 @@ class CyclicGenerators:
             ell = ell % self.b
             log.info("reduced ell modulo b to %s", ell)
             object.__setattr__(self, "ell", ell)
-        if self.checked:
-            errs = violations(self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
-            if errs:
-                raise DomainError("; ".join(errs))
-
-    @classmethod
-    def from_unchecked(cls, alpha, beta, b, ell, f, h, g) -> "CyclicGenerators":
-        """Skip canonical-form validation; type formulas refuse such data."""
-        return cls(alpha, beta, b, ell, f, h, g, checked=False)
+        errs = violations(self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
+        if errs:
+            raise DomainError("; ".join(errs))
 
     # -- derived data ---------------------------------------------------
     @property
@@ -190,11 +182,6 @@ class CyclicGenerators:
         return cls(obj["alpha"], obj["beta"], *polys)
 
 
-def _require_checked(gens: CyclicGenerators, what: str) -> None:
-    if not gens.checked:
-        raise PreconditionError(f"{what} requires validated generator data")
-
-
 def code_type(gens: CyclicGenerators) -> CodeType:
     """Type parameters from polynomial degrees.
 
@@ -203,7 +190,6 @@ def code_type(gens: CyclicGenerators) -> CodeType:
     kappa1 = alpha - deg b, kappa2 = deg b - deg gcd(b, ell*g~),
     delta1 = deg gcd(b, ell*g~) - deg gcd(b, ell), delta2 = deg g - delta1.
     """
-    _require_checked(gens, "code_type")
     db = int(gens.b.degree)
     dh = int(gens.h.degree)
     dg = int(gens.g.degree)
@@ -225,7 +211,6 @@ def code_type(gens: CyclicGenerators) -> CodeType:
 
 def order_two_generators(gens: CyclicGenerators) -> tuple[ResidueWord, ResidueWord]:
     """Generators of the order-two subcode: (b | 0) and (mu~ ell g~ | 2f)."""
-    _require_checked(gens, "order_two_generators")
     mu = bezout_lift(gens.h, gens.g).mu
     left = cyclic_reduce(reduce_mod2(mu) * gens.ell * reduce_mod2(gens.g), gens.alpha)
     two_f = cyclic_reduce(QuatPoly((2,)) * gens.f, gens.beta)
@@ -240,7 +225,6 @@ def three_generator_form(
 ) -> tuple[ResidueWord, ResidueWord, ResidueWord]:
     """Equivalent generating triple (b|0), (ell g~ | 2fg), (ell' | fh)
     with ell' = ell - mu~ ell g~."""
-    _require_checked(gens, "three_generator_form")
     mu = bezout_lift(gens.h, gens.g).mu
     gt = reduce_mod2(gens.g)
     lg = cyclic_reduce(gens.ell * gt, gens.alpha)
@@ -256,14 +240,11 @@ def three_generator_form(
 
 
 def shifts_of(word: ResidueWord, count: int) -> list[MixedVector]:
-    """The vectors x^i star word for i = 0 .. count-1."""
-    out = []
-    w = word
-    x = QuatPoly.x()
-    for _ in range(count):
-        out.append(w.to_vector())
-        w = star(x, w)
-    return out
+    """The vectors x^i star word for i = 0 .. count-1, i.e. its cyclic shifts."""
+    out = [word.to_vector()]
+    while len(out) < count:
+        out.append(out[-1].shift())
+    return out[:count]
 
 
 def span_words(
@@ -278,15 +259,10 @@ def span_words(
     return Code.from_vectors_span(words[0].alpha, words[0].beta, vecs, capacity)
 
 
-def realize(gens: CyclicGenerators, capacity: int | None = None) -> GeneratorMatrix:
-    """Generator matrix made of shifts: alpha of (b|0), beta of (ell|fh+2f).
-
-    For unchecked data the second family is extended to lcm(alpha, beta)
-    shifts, which spans the module for arbitrary inputs.
-    """
+def realize(gens: CyclicGenerators) -> GeneratorMatrix:
+    """Generator matrix made of shifts: alpha of (b|0), beta of (ell|fh+2f)."""
     g1, g2 = gens.generator_words()
-    n2 = gens.beta if gens.checked else lcm(gens.alpha, gens.beta)
-    rows = shifts_of(g1, gens.alpha) + shifts_of(g2, n2)
+    rows = shifts_of(g1, gens.alpha) + shifts_of(g2, gens.beta)
     return GeneratorMatrix(gens.alpha, gens.beta, tuple(rows))
 
 
@@ -329,7 +305,7 @@ def enumerate_all_cyclic(
     ]
     for b in divisors_of_xn_minus_1_z2(alpha):
         db = int(b.degree)
-        ells = [BinPoly([(bits >> i) & 1 for i in range(db)]) for bits in range(1 << db)]
+        ells = [BinPoly.from_bits(bits) for bits in range(1 << db)]
         for f, h, g, cof, ht, gt in triples:
             size = 1 << ((alpha - db) + 2 * int(g.degree) + int(h.degree))
             for ell in ells:

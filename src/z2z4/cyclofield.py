@@ -6,8 +6,9 @@ xi over Z2); the Z4 factorization lifts each factor.  ``tensor_square``
 computes the divisor of x^n - 1 whose roots are all products of two roots
 of the input, via the sumset of root exponents.
 
-Field elements are encoded as ints (bit i = coefficient of x^i) modulo a
-fixed irreducible polynomial: the irreducible of the right degree with the
+Field elements are ints in the ``BinPoly.bits`` encoding (bit i =
+coefficient of x^i), reduced by the ``polyring`` kernels modulo a fixed
+irreducible polynomial: the irreducible of the right degree with the
 smallest integer encoding.  Everything observable is independent of that
 choice.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import CapacityError, DomainError, InternalError
-from .polyring import BinPoly, QuatPoly, graeffe_lift
+from .polyring import BinPoly, QuatPoly, clgcd, clmod, clmul, graeffe_lift
 
 # Desk-scale bound: keeps extension degrees and coset tables small.
 MAX_MODULUS = 255
@@ -56,50 +57,19 @@ def _ord2(n: int) -> int:
     return m
 
 
-# ----------------------------------------------------------------------
-# GF(2)[x] on int encodings (bit i = coefficient of x^i)
-
-
-def _pdeg(a: int) -> int:
-    return a.bit_length() - 1
-
-
-def _pmul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _pmod(a: int, m: int) -> int:
-    dm = _pdeg(m)
-    while _pdeg(a) >= dm:
-        a ^= m << (_pdeg(a) - dm)
-    return a
-
-
-def _pgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
 def _frobenius(a: int, k: int, mod: int) -> int:
     # a^(2^k) mod `mod` by repeated squaring
     for _ in range(k):
-        a = _pmod(_pmul(a, a), mod)
+        a = clmod(clmul(a, a), mod)
     return a
 
 
 def _is_irreducible(f: int, m: int) -> bool:
-    x = _pmod(2, f)
+    x = clmod(2, f)
     if _frobenius(x, m, f) != x:
         return False
     for q in _prime_factors(m):
-        if _pgcd(_frobenius(x, m // q, f) ^ x, f) != 1:
+        if clgcd(_frobenius(x, m // q, f) ^ x, f) != 1:
             return False
     return True
 
@@ -112,7 +82,7 @@ def smallest_irreducible(m: int) -> BinPoly:
     for low in range(1 << m):
         f = (1 << m) | low
         if _is_irreducible(f, m):
-            return BinPoly([(f >> i) & 1 for i in range(m + 1)])
+            return BinPoly.from_bits(f)
     raise InternalError(f"no irreducible of degree {m} found")
 
 
@@ -126,10 +96,9 @@ class GF2Field:
             raise DomainError(f"modulus degree {modulus.degree} != {m}")
         self.m = m
         self.modulus = modulus
-        self._mod_int = sum(c << i for i, c in enumerate(modulus.coeffs))
 
     def mul(self, a: int, b: int) -> int:
-        return _pmod(_pmul(a, b), self._mod_int)
+        return clmod(clmul(a, b), self.modulus.bits)
 
     def pow(self, a: int, e: int) -> int:
         out, base = 1, a

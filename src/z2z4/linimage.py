@@ -145,10 +145,6 @@ class BinaryBlockCode:
         return sorted(tuple((w >> i) & 1 for i in range(n)) for w in self.words)
 
 
-def pack_bits(bits: Sequence[int]) -> int:
-    return sum((b & 1) << i for i, b in enumerate(bits))
-
-
 def ext_gray_image(code: Code) -> BinaryBlockCode:
     """The extended Gray image as a binary block code (r = alpha, s = 2*beta)."""
     words = frozenset(code.codec.gray_words(code.words))
@@ -206,9 +202,8 @@ def double_cyclic_span(
     r, s = dcg.r, dcg.s
     shift = PlaneShift(r, s)
     row = [
-        pack_bits(cyclic_reduce(dcg.b, r).coeffs),
-        pack_bits(cyclic_reduce(dcg.ellp, r).coeffs)
-        | pack_bits(cyclic_reduce(dcg.a, s).coeffs) << r,
+        cyclic_reduce(dcg.b, r).bits,
+        cyclic_reduce(dcg.ellp, r).bits | cyclic_reduce(dcg.a, s).bits << r,
     ]
     gens: list[int] = []
     for _ in range(lcm(r, s)):
@@ -312,9 +307,7 @@ def solve_cyclic_z4_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly 
 # Nechaev-Gray image generators
 
 
-def psi_image_generators(
-    gens: CyclicGenerators, capacity: int | None = None
-) -> DoubleCyclicGenerators:
+def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
     """Generators of the Nechaev-Gray image when the gcd criterion holds.
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
@@ -330,8 +323,7 @@ def psi_image_generators(
     beta = gens.beta
     ft, ht = reduce_mod2(gens.f), reduce_mod2(gens.h)
     a = cyclic_reduce(ft * ft * ht, 2 * beta)
-    bits = list(a.coeffs) + [0] * (2 * beta - len(a.coeffs))
-    target = QuatPoly(nechaev_gray_inv(bits))
+    target = QuatPoly(nechaev_gray_inv(a.padded(2 * beta)))
     p = solve_cyclic_z4_lexmin(gens.fh_plus_2f, target, beta)
     if p is None:
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
@@ -367,26 +359,19 @@ def z4_gray_linear_oracle(
     if mode == "auto":
         mode = "enumerate" if size <= ORACLE_ENUM_LIMIT else "algebraic"
     if mode == "enumerate":
-        cur = cyclic_reduce(f * h + QuatPoly((2,)) * f, n)
-        rows = []
-        for _ in range(n):
-            rows.append(MixedVector((), cur.coeffs + (0,) * (n - len(cur.coeffs))))
-            cur = cyclic_reduce(QuatPoly.x() * cur, n)
+        rows = [MixedVector((), cyclic_reduce(f * h + QuatPoly((2,)) * f, n).padded(n))]
+        while len(rows) < n:
+            rows.append(rows[-1].shift())
         code = Code.from_vectors_span(0, n, rows)
         return gray_is_linear_oracle(code).linear
     if mode != "algebraic":
         raise DomainError(f"unknown oracle mode {mode!r}")
     ft = reduce_mod2(f)
     fh_t = reduce_mod2(f * h)
-    basis = []
-    for i in range(dg):
-        row = BinPoly.monomial(i) * fh_t
-        basis.append(pack_bits(row.coeffs))
+    basis = [fh_t.bits << i for i in range(dg)]
     for i, s in enumerate(basis):
         for t in basis[i:]:
-            inter = s & t
-            prod = BinPoly([(inter >> k) & 1 for k in range(n)])
-            if not ft.divides(prod):
+            if not ft.divides(BinPoly.from_bits(s & t)):
                 return False
     return True
 

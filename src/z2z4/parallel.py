@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import os
 
+from .errors import DomainError
+
 
 def run_parallel(worker, items: list, jobs: int) -> list:
     """``[worker(it) for it in items]`` in order, over at most ``jobs`` forked
-    processes; ``jobs`` is clamped to the number of CPUs."""
+    processes; ``jobs`` must be at least 1 and is clamped to the number of CPUs."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, not {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) < 2:
         return [worker(it) for it in items]

@@ -1,11 +1,13 @@
 """Exact univariate polynomial arithmetic over Z2 and Z4.
 
-Polynomials are dense coefficient tuples in ascending order (index i is the
-coefficient of x^i), kept canonical: no trailing zeros, the zero polynomial
-is the empty tuple and has degree -inf.  BinPoly lives over Z2, QuatPoly
-over Z4; arithmetic never mixes the two rings.  Division over Z4 is
-restricted to monic divisors, which covers every divisor of x^n - 1 needed
-here.
+QuatPoly (over Z4) holds a dense coefficient tuple in ascending order
+(index i is the coefficient of x^i), kept canonical: no trailing zeros,
+the zero polynomial is the empty tuple and has degree -inf.  BinPoly (over
+Z2) holds the int ``bits``, bit i being the coefficient of x^i, and works
+with the carry-less int kernels below, which ``cyclofield`` also uses; its
+``coeffs`` is the tuple the dense form would hold.  Arithmetic never mixes
+the two rings.  Division over Z4 is restricted to monic divisors, which
+covers every divisor of x^n - 1 needed here.
 
 Text syntax accepted by ``parse``: a human form such as ``x^3+2x^2+x+3``
 (terms in any order, ``-`` allowed and folded into the ring) or an array
@@ -28,11 +30,50 @@ _TERM_RE = re.compile(
 )
 
 
+# ----------------------------------------------------------------------
+# GF(2)[x] on ints (bit i = coefficient of x^i)
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of a and b."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def cldivmod(a: int, m: int) -> tuple[int, int]:
+    """Quotient and remainder of a by a nonzero m, by shift-XOR."""
+    dm, q = m.bit_length(), 0
+    while (k := a.bit_length() - dm) >= 0:
+        q |= 1 << k
+        a ^= m << k
+    return q, a
+
+
+def clmod(a: int, m: int) -> int:
+    """Remainder of a by a nonzero m."""
+    dm = m.bit_length()
+    while (k := a.bit_length() - dm) >= 0:
+        a ^= m << k
+    return a
+
+
+def clgcd(a: int, b: int) -> int:
+    """Greatest common divisor by Euclid; 0 only for a = b = 0."""
+    while b:
+        a, b = b, clmod(a, b)
+    return a
+
+
 class _Poly:
-    """Shared dense-coefficient machinery for both rings."""
+    """Dense-coefficient machinery over Z/MOD; a subclass stores ``coeffs``."""
 
     MOD = 0
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int] = ()):
         mod = self.MOD
@@ -159,8 +200,10 @@ class _Poly:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+    def padded(self, n: int) -> tuple[int, ...]:
+        """The coefficients of x^0 .. x^(n-1), zero-filled."""
+        c = self.coeffs
+        return c[:n] + (0,) * (n - len(c))
 
     # ------------------------------------------------------------------
     # ring arithmetic
@@ -266,23 +309,84 @@ class _Poly:
 
 
 class BinPoly(_Poly):
-    """Polynomial over Z2."""
+    """Polynomial over Z2, stored as the int ``bits`` (bit i = coefficient of x^i)."""
 
     MOD = 2
-    __slots__ = ()
+    __slots__ = ("bits",)
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        self.bits = sum(1 << i for i, c in enumerate(coeffs) if int(c) & 1)
+
+    @classmethod
+    def from_bits(cls, bits: int) -> "BinPoly":
+        p = object.__new__(cls)
+        p.bits = bits
+        return p
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        # via a list: tuple() of a generator grows by realloc and fragments the heap
+        return tuple([(self.bits >> i) & 1 for i in range(self.bits.bit_length())])
+
+    # the queries below read ``bits``, so hot paths build no coefficient tuple
+    @property
+    def degree(self) -> int | float:
+        return self.bits.bit_length() - 1 if self.bits else NEG_INF
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.bits
+
+    @property
+    def leading(self) -> int:
+        return 1 if self.bits else 0
+
+    @property
+    def is_monic(self) -> bool:
+        return self.bits != 0
+
+    def __bool__(self) -> bool:
+        return self.bits != 0
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BinPoly and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
+
+    def __add__(self, other):
+        self._check_ring(other)
+        return BinPoly.from_bits(self.bits ^ other.bits)
+
+    def __mul__(self, other):
+        self._check_ring(other)
+        return BinPoly.from_bits(clmul(self.bits, other.bits))
+
+    def __divmod__(self, d):
+        self._check_ring(d)
+        if not d.bits:
+            raise DomainError("division by the zero polynomial")
+        q, r = cldivmod(self.bits, d.bits)
+        return BinPoly.from_bits(q), BinPoly.from_bits(r)
 
 
 class QuatPoly(_Poly):
     """Polynomial over Z4."""
 
     MOD = 4
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
 
 def cyclic_reduce(p, n: int):
     """Reduce p modulo x^n - 1 by folding exponents mod n."""
     if n <= 0:
         raise DomainError("cyclic length must be positive")
+    if isinstance(p, BinPoly):
+        b, mask, out = p.bits, (1 << n) - 1, 0
+        while b:
+            out ^= b & mask
+            b >>= n
+        return BinPoly.from_bits(out)
     if len(p.coeffs) <= n:
         return p
     out = [0] * n
@@ -310,23 +414,21 @@ def gcd2(a: BinPoly, b: BinPoly) -> BinPoly:
     """Greatest common divisor over Z2 (monic by construction)."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a
+    return BinPoly.from_bits(clgcd(a.bits, b.bits))
 
 
 def ext_gcd2(a: BinPoly, b: BinPoly) -> tuple[BinPoly, BinPoly, BinPoly]:
     """Extended Euclid over Z2: returns (g, s, t) with s*a + t*b = g."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    s, s1 = BinPoly.one(), BinPoly.zero()
-    t, t1 = BinPoly.zero(), BinPoly.one()
-    while not b.is_zero:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s, s1 = s1, s + q * s1
-        t, t1 = t1, t + q * t1
-    return a, s, t
+    x, y = a.bits, b.bits
+    s, s1, t, t1 = 1, 0, 0, 1
+    while y:
+        q, r = cldivmod(x, y)
+        x, y = y, r
+        s, s1 = s1, s ^ clmul(q, s1)
+        t, t1 = t1, t ^ clmul(q, t1)
+    return BinPoly.from_bits(x), BinPoly.from_bits(s), BinPoly.from_bits(t)
 
 
 def graeffe_lift(p2: BinPoly, n: int) -> QuatPoly:

@@ -116,7 +116,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         gens.alpha,
         0,
         [
-            MixedVector(_padded(cyclic_reduce(BinPoly.monomial(i) * px_gen, gens.alpha), gens.alpha), ())
+            MixedVector(cyclic_reduce(BinPoly.monomial(i) * px_gen, gens.alpha).padded(gens.alpha), ())
             for i in range(gens.alpha)
         ],
     )
@@ -124,7 +124,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         0,
         gens.beta,
         [
-            MixedVector((), _padded(cyclic_reduce(QuatPoly.monomial(i) * gens.fh_plus_2f, gens.beta), gens.beta))
+            MixedVector((), cyclic_reduce(QuatPoly.monomial(i) * gens.fh_plus_2f, gens.beta).padded(gens.beta))
             for i in range(gens.beta)
         ],
     )
@@ -161,10 +161,6 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         psi_double_cyclic=psi_dc,
         psi_span_ok=psi_span_ok,
     )
-
-
-def _padded(poly, n: int) -> tuple[int, ...]:
-    return poly.coeffs + (0,) * (n - len(poly.coeffs))
 
 
 def mixed_candidates(

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from z2z4.additive import Code, WordCodec
 from z2z4.errors import CapacityError, DomainError
-from z2z4.linimage import DoubleCyclicGenerators, pack_bits
+from z2z4.linimage import DoubleCyclicGenerators
 from z2z4.polyring import BinPoly, cyclic_reduce
 
 
@@ -103,11 +103,11 @@ def shift_span(dcg: DoubleCyclicGenerators) -> frozenset[int]:
     """GF(2) span of the shifts of (b | 0) and (ellp | a), each shift taken
     by polynomial multiplication and the span grown word by word."""
     r, s = dcg.r, dcg.s
-    gens = [pack_bits(cyclic_reduce(BinPoly.monomial(i) * dcg.b, r).coeffs) for i in range(r)]
+    gens = [cyclic_reduce(BinPoly.monomial(i) * dcg.b, r).bits for i in range(r)]
     for i in range(lcm(r, s)):
         left = cyclic_reduce(BinPoly.monomial(i) * dcg.ellp, r)
         right = cyclic_reduce(BinPoly.monomial(i) * dcg.a, s)
-        gens.append(pack_bits(left.coeffs) | pack_bits(right.coeffs) << r)
+        gens.append(left.bits | right.bits << r)
     words = {0}
     for g in gens:
         if g not in words:

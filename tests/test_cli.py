@@ -107,6 +107,15 @@ class TestAnalyze:
         status, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.txt"))
         assert status == 1 and err.startswith("DomainError:") and "absent.txt" in err
 
+    @pytest.mark.parametrize("value", ["-1", "0", "ten"])
+    def test_bad_capacity_setting_rejected(self, capsys, tmp_path, monkeypatch, value):
+        path = tmp_path / "m.txt"
+        path.write_text("1 | 1\n")
+        monkeypatch.setenv("Z2Z4_CAPACITY", value)
+        status, out, err = run(capsys, "analyze", "--matrix", str(path))
+        assert status == 1 and out == ""
+        assert err.startswith("DomainError: Z2Z4_CAPACITY") and err.count("\n") == 1
+
 
 class TestCode:
     def test_valid(self, capsys):
@@ -212,6 +221,12 @@ class TestSearch:
     def test_non_digit_type_spec(self, capsys):
         status, _, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--type", "a,b")
         assert status == 1 and err.startswith("DomainError:") and "'a'" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        status, out, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--jobs", jobs)
+        assert status == 1 and out == ""
+        assert err.startswith("DomainError: jobs must be at least 1") and err.count("\n") == 1
 
 
 class TestReproduce:

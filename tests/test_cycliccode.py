@@ -19,7 +19,7 @@ from z2z4.cycliccode import (
     violations,
 )
 from z2z4.cyclofield import factor_xn_minus_1_z4
-from z2z4.errors import CapacityError, DomainError, PreconditionError
+from z2z4.errors import CapacityError, DomainError
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
 from candidate_oracle import reference_cyclic_tuples
 
@@ -84,14 +84,6 @@ class TestValidate:
             length9_code.f, length9_code.h, length9_code.g,
         )
         assert enumerate_code(raised) == enumerate_code(length9_code)
-
-    def test_unchecked_disables_formulas(self):
-        gens = CyclicGenerators.from_unchecked(
-            1, 1, BinPoly.parse("x+1"), BinPoly.one(),
-            QuatPoly.parse("x+3"), QuatPoly.one(), QuatPoly.one(),
-        )
-        with pytest.raises(PreconditionError):
-            code_type(gens)
 
 
 class TestTypeFormulas:
@@ -289,17 +281,13 @@ class TestPunctureGenerators:
             px_gen = gcd2(G.b, G.ell)
             px = Code.from_vectors_span(
                 alpha, 0,
-                [MixedVector(_pad(cyclic_reduce(BinPoly.monomial(i) * px_gen, alpha), alpha), ())
+                [MixedVector(cyclic_reduce(BinPoly.monomial(i) * px_gen, alpha).padded(alpha), ())
                  for i in range(alpha)],
             )
             py = Code.from_vectors_span(
                 0, beta,
-                [MixedVector((), _pad(cyclic_reduce(QuatPoly.monomial(i) * G.fh_plus_2f, beta), beta))
+                [MixedVector((), cyclic_reduce(QuatPoly.monomial(i) * G.fh_plus_2f, beta).padded(beta))
                  for i in range(beta)],
             )
             assert code.puncture_x() == px
             assert code.puncture_y() == py
-
-
-def _pad(poly, n):
-    return poly.coeffs + (0,) * (n - len(poly.coeffs))

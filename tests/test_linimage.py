@@ -30,10 +30,6 @@ from span_oracle import double_shift
 from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin
 
 
-def _pad(p: QuatPoly, n: int) -> tuple[int, ...]:
-    return p.coeffs + (0,) * (n - len(p.coeffs))
-
-
 # factors that make p -> p * gen far from onto: x-1, 2, x^2+x+1, x^3-1, 2(x-1)
 _NON_UNITS = [(1,), (3, 1), (2,), (1, 1, 1), (3, 0, 0, 1), (2, 2)]
 
@@ -204,7 +200,7 @@ class TestSolver:
         if not sols:
             assert got is None
         else:
-            assert _pad(got, n) == min(_pad(s, n) for s in sols)
+            assert got.padded(n) == min(s.padded(n) for s in sols)
 
     @settings(max_examples=100, deadline=None)
     @given(cyclic_systems([7, 9, 15, 21]))
@@ -223,7 +219,7 @@ class TestSolver:
         p = solve_cyclic_z4_lexmin(gen, target, n)
         assert p is not None and len(p) <= n
         assert cyclic_reduce(p * gen, n) == target
-        assert _pad(p, n) <= _pad(cyclic_reduce(q, n), n)
+        assert p.padded(n) <= cyclic_reduce(q, n).padded(n)
         assert solve_cyclic_z4_lexmin(gen, QuatPoly.one(), n) is None
 
 

@@ -1,8 +1,12 @@
 import multiprocessing
+import pickle
 
 import pytest
 
 from z2z4 import parallel
+from z2z4.errors import DomainError
+from z2z4.linimage import gray_linear_criterion
+from z2z4.polyring import BinPoly, QuatPoly
 
 
 class _FakeContext:
@@ -48,3 +52,21 @@ def test_unknown_cpu_count_runs_in_process(fake, monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
     assert parallel.run_parallel(abs, [-3, 1], 4) == [3, 1]
     assert fake.sizes == []
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_rejected(fake, jobs):
+    with pytest.raises(DomainError, match="at least 1"):
+        parallel.run_parallel(abs, [-3, 1], jobs)
+    assert fake.sizes == []
+
+
+def test_pool_payloads_survive_pickling(length9_code):
+    # the pool pickles its items and results; a value that does not
+    # round-trip fails here instead of stalling Pool.map
+    report = gray_linear_criterion(length9_code)
+    for value in (BinPoly.parse("x^70+x+1"), BinPoly.zero(), QuatPoly.parse("x^3+2x+3"),
+                  length9_code, report):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+    assert pickle.loads(pickle.dumps(BinPoly.parse("x^2+1"))).bits == 0b101
