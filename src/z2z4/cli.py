@@ -210,7 +210,7 @@ def cmd_code(args) -> int:
         report = {"command": "code", "valid": False, "violations": errs}
         _emit(args, report, "invalid generator data:\n  " + "\n  ".join(errs))
         raise DomainError("generator data violates the canonical form")
-    gens = CyclicGenerators(args.alpha, args.beta, *polys)
+    gens = CyclicGenerators._trusted(args.alpha, args.beta, *polys)
     ct = code_type(gens)
     w1, w2 = order_two_generators(gens)
     t1, t2, t3 = three_generator_form(gens)

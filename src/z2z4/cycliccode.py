@@ -7,8 +7,12 @@ satisfies two divisibility conditions:
 
     b | (x^beta - 1)/f~ * gcd(b, ell)      and      b | h~ * gcd(b, ell*g~)
 
-(p~ denotes the mod-2 image of p).  ``violations`` lists the conditions
-that fail, and every ``CyclicGenerators`` is validated when constructed.
+(p~ denotes the mod-2 image of p).  Over the UFD GF(2)[x] both hold iff
+L | ell, where L1 = b / gcd(b, (x^beta-1)/f~), q = b / gcd(b, h~),
+L2 = q / gcd(q, g~) and L = lcm(L1, L2); so ``enumerate_all_cyclic`` lists
+the multiples of L and nothing else.  ``violations`` lists the conditions
+that fail, and every ``CyclicGenerators`` built by a caller is validated
+when constructed.
 The Z2 parts b and ell are ``BinPoly`` values (int bit masks), the Z4 parts
 ``QuatPoly`` coefficient tuples.
 
@@ -25,11 +29,12 @@ from typing import Iterator
 
 from .additive import Code, CodeType, GeneratorMatrix, MixedVector
 from .cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, InternalError
 from .polyring import (
     BinPoly,
     QuatPoly,
     bezout_lift,
+    clmul,
     cyclic_mul,
     cyclic_reduce,
     gcd2,
@@ -69,6 +74,34 @@ def star(p: QuatPoly, w: ResidueWord) -> ResidueWord:
     )
 
 
+def _b_violations(alpha: int, b: BinPoly) -> list[str]:
+    """The condition on b alone: b divides x^alpha - 1."""
+    if b.is_zero or not b.divides(BinPoly.xn_minus_1(alpha)):
+        return [f"b = {b} does not divide x^{alpha}-1 over Z2"]
+    return []
+
+
+def _splits(beta: int, f: QuatPoly, h: QuatPoly, g: QuatPoly) -> bool:
+    return f * h * g == QuatPoly.xn_minus_1(beta)
+
+
+def _triple_violations(beta: int, f: QuatPoly, h: QuatPoly, g: QuatPoly) -> list[str]:
+    """The conditions on (f, h, g) alone: split, monic and coprime."""
+    out = []
+    if not _splits(beta, f, h, g):
+        out.append(f"f*h*g != x^{beta}-1 over Z4")
+    for name, p in (("f", f), ("h", h), ("g", g)):
+        if not p.is_monic:
+            out.append(f"{name} = {p} is not monic")
+    ft, ht, gt = reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)
+    if not (ft.is_zero or ht.is_zero or gt.is_zero):
+        pairs = [("f", ft, "h", ht), ("f", ft, "g", gt), ("h", ht, "g", gt)]
+        for n1, p1, n2, p2 in pairs:
+            if gcd2(p1, p2) != BinPoly.one():
+                out.append(f"mod-2 images of {n1} and {n2} are not coprime")
+    return out
+
+
 def _ell_violations(
     b: BinPoly, ell: BinPoly, cof: BinPoly, ht: BinPoly, gt: BinPoly
 ) -> list[str]:
@@ -85,24 +118,23 @@ def violations(
     alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly
 ) -> list[str]:
     """All canonical-form conditions that fail for the given data."""
-    out = []
-    if b.is_zero or not b.divides(BinPoly.xn_minus_1(alpha)):
-        out.append(f"b = {b} does not divide x^{alpha}-1 over Z2")
-    splits = f * h * g == QuatPoly.xn_minus_1(beta)
-    if not splits:
-        out.append(f"f*h*g != x^{beta}-1 over Z4")
-    for name, p in (("f", f), ("h", h), ("g", g)):
-        if not p.is_monic:
-            out.append(f"{name} = {p} is not monic")
-    ft, ht, gt = reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)
-    if not (ft.is_zero or ht.is_zero or gt.is_zero):
-        pairs = [("f", ft, "h", ht), ("f", ft, "g", gt), ("h", ht, "g", gt)]
-        for n1, p1, n2, p2 in pairs:
-            if gcd2(p1, p2) != BinPoly.one():
-                out.append(f"mod-2 images of {n1} and {n2} are not coprime")
-    if not b.is_zero and splits:
+    out = _b_violations(alpha, b) + _triple_violations(beta, f, h, g)
+    if not b.is_zero and _splits(beta, f, h, g):
+        ft, ht, gt = reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)
         out.extend(_ell_violations(b, ell, BinPoly.xn_minus_1(beta) // ft, ht, gt))
     return out
+
+
+def _ell_lattice(b: BinPoly, cof: BinPoly, ht: BinPoly, gt: BinPoly) -> BinPoly:
+    """The L with: ``_ell_violations(b, ell, cof, ht, gt)`` is empty iff L | ell.
+
+    L = lcm(L1, L2) with L1 = b / gcd(b, cof), q = b / gcd(b, h~) and
+    L2 = q / gcd(q, g~); L divides b.
+    """
+    l1 = b // gcd2(b, cof)
+    q = b // gcd2(b, ht)
+    l2 = q // gcd2(q, gt)
+    return l1 * l2 // gcd2(l1, l2)
 
 
 @dataclass(frozen=True)
@@ -118,6 +150,27 @@ class CyclicGenerators:
     g: QuatPoly
 
     def __post_init__(self):
+        self._normalize()
+        errs = violations(self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
+        if errs:
+            raise DomainError("; ".join(errs))
+
+    @classmethod
+    def _trusted(
+        cls, alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly
+    ) -> "CyclicGenerators":
+        """Build from data whose ``violations`` the caller has already seen empty."""
+        gens = object.__new__(cls)
+        # field by field, as the dataclass __init__ does: touching __dict__
+        # would give every instance a full dict of its own
+        for name, value in zip(("alpha", "beta", "b", "ell", "f", "h", "g"),
+                               (alpha, beta, b, ell, f, h, g)):
+            object.__setattr__(gens, name, value)
+        gens._normalize()
+        return gens
+
+    def _normalize(self) -> None:
+        """Check the lengths and reduce ell modulo b."""
         if self.alpha < 1:
             raise DomainError("alpha must be at least 1")
         if self.beta < 1 or self.beta % 2 == 0:
@@ -127,9 +180,6 @@ class CyclicGenerators:
             ell = ell % self.b
             log.info("reduced ell modulo b to %s", ell)
             object.__setattr__(self, "ell", ell)
-        errs = violations(self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
-        if errs:
-            raise DomainError("; ".join(errs))
 
     # -- derived data ---------------------------------------------------
     @property
@@ -291,28 +341,43 @@ def enumerate_all_cyclic(
 
     b runs over divisors of x^alpha - 1 by (degree, coefficients); (f, h, g)
     over ``factor_triples(beta)``; ell over residues mod b by the integer
-    value of its bit string, filtered by the two divisibility conditions
-    (every other canonical-form condition holds by construction).  A tuple
-    whose code has more than ``capacity`` words raises CapacityError; None
-    sets no bound.
+    value of its bit string.  Only the ell that satisfy both divisibility
+    conditions are listed: they are the multiples m*L, deg m < deg b - deg L,
+    of L = lcm(L1, L2), where L1 = b / gcd(b, (x^beta-1)/f~),
+    q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
+    The conditions on b and on (f, h, g) are checked once each, the ell
+    conditions once per tuple as a guard.  A (b, f, h, g) whose code has
+    more than ``capacity`` words raises CapacityError before its first
+    tuple; None sets no bound.
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
     xb = BinPoly.xn_minus_1(beta)
-    triples = [
-        (f, h, g, xb // reduce_mod2(f), reduce_mod2(h), reduce_mod2(g))
-        for f, h, g in factor_triples(beta)
-    ]
+    triples = []
+    for f, h, g in factor_triples(beta):
+        if errs := _triple_violations(beta, f, h, g):
+            raise InternalError(f"factor triple {f}, {h}, {g}: {'; '.join(errs)}")
+        triples.append((f, h, g, xb // reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)))
     for b in divisors_of_xn_minus_1_z2(alpha):
+        if errs := _b_violations(alpha, b):
+            raise InternalError("; ".join(errs))
         db = int(b.degree)
-        ells = [BinPoly.from_bits(bits) for bits in range(1 << db)]
+        # L.bits -> its multiples, sorted; the tuples of one b share these ell
+        lattices: dict[int, list[BinPoly]] = {}
         for f, h, g, cof, ht, gt in triples:
             size = 1 << ((alpha - db) + 2 * int(g.degree) + int(h.degree))
+            if capacity is not None and size > capacity:
+                raise CapacityError(
+                    f"candidate code size {size} exceeds the bound {capacity}"
+                )
+            step = _ell_lattice(b, cof, ht, gt)
+            ells = lattices.get(step.bits)
+            if ells is None:
+                count = 1 << (db - int(step.degree))
+                ells = lattices[step.bits] = [
+                    BinPoly.from_bits(e) for e in sorted(clmul(m, step.bits) for m in range(count))
+                ]
             for ell in ells:
-                if _ell_violations(b, ell, cof, ht, gt):
-                    continue
-                if capacity is not None and size > capacity:
-                    raise CapacityError(
-                        f"candidate code size {size} exceeds the bound {capacity}"
-                    )
-                yield CyclicGenerators(alpha, beta, b, ell, f, h, g)
+                if errs := _ell_violations(b, ell, cof, ht, gt):
+                    raise InternalError(f"ell = {ell} fails: {'; '.join(errs)}")
+                yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g)

@@ -23,6 +23,8 @@ from .polyring import BinPoly, QuatPoly, clgcd, clmod, clmul, graeffe_lift
 
 # Desk-scale bound: keeps extension degrees and coset tables small.
 MAX_MODULUS = 255
+# Distinct (p, n) kept by tensor_square; a search cell has one p per divisor g~.
+TENSOR_CACHE_SIZE = 1024
 
 
 def _check_n(n: int) -> None:
@@ -232,13 +234,15 @@ def from_roots(roots: RootSet) -> BinPoly:
     return out
 
 
+@lru_cache(maxsize=TENSOR_CACHE_SIZE)
 def tensor_square(p: BinPoly, n: int) -> BinPoly:
     """Divisor of x^n - 1 whose roots are all pairwise products of roots of p.
 
     With S the root-exponent set of p, the result has exponent set
     {i + j mod n : i, j in S} (i = j allowed), which is automatically closed
     under doubling; the polynomial is the product of the matching coset
-    minimal polynomials.
+    minimal polynomials.  Results are cached, so every code of a search
+    cell with the same g~ shares one polynomial.
     """
     s = roots_of(p, n).exponents
     sums = frozenset((i + j) % n for i in s for j in s)

@@ -323,6 +323,17 @@ class BinPoly(_Poly):
         p.bits = bits
         return p
 
+    @classmethod
+    def one(cls) -> "BinPoly":
+        return cls.from_bits(1)
+
+    @classmethod
+    def xn_minus_1(cls, n: int) -> "BinPoly":
+        """x^n - 1, which is x^n + 1 over Z2."""
+        if n <= 0:
+            raise DomainError("length must be positive")
+        return cls.from_bits(1 << n | 1)
+
     @property
     def coeffs(self) -> tuple[int, ...]:
         # via a list: tuple() of a generator grows by realloc and fragments the heap
@@ -402,7 +413,10 @@ def cyclic_mul(a, b, n: int):
 
 def reduce_mod2(p: QuatPoly) -> BinPoly:
     """Coefficient-wise mod-2 image of a Z4 polynomial."""
-    return BinPoly(p.coeffs)
+    bits = 0
+    for c in reversed(p.coeffs):
+        bits = bits << 1 | (c & 1)
+    return BinPoly.from_bits(bits)
 
 
 def lift_to_quat(p: BinPoly) -> QuatPoly:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from z2z4.cyclofield import GF2Field, smallest_irreducible
 from z2z4.errors import DomainError
-from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, ext_gcd2, gcd2
+from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, ext_gcd2, gcd2, reduce_mod2
 from binpoly_oracle import TupleBinPoly, tuple_ext_gcd2, tuple_gcd2
 
 # lengths past 64 bits and lists with trailing zeros
@@ -45,6 +45,17 @@ class TestQueries:
         trailing = BinPoly(a + [0, 0])
         assert trailing == pa and hash(trailing) == hash(pa)
         assert pa != QuatPoly(a)
+
+    @given(st.integers(1, 80))
+    def test_constants_from_bits(self, n):
+        assert same(BinPoly.one(), TupleBinPoly.one())
+        assert same(BinPoly.xn_minus_1(n), TupleBinPoly.xn_minus_1(n))
+        with pytest.raises(DomainError):
+            BinPoly.xn_minus_1(1 - n)
+
+    @given(st.lists(st.integers(0, 3), max_size=80))
+    def test_reduce_mod2(self, cs):
+        assert same(reduce_mod2(QuatPoly(cs)), TupleBinPoly(cs))
 
     def test_rings_do_not_mix(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from z2z4 import cli, cycliccode
 from z2z4.cli import main
 
 LENGTH9_JSON = (
@@ -134,6 +135,32 @@ class TestCode:
         )
         assert status == 1
         assert "DomainError" in err
+
+
+    def test_valid_input_checked_once(self, capsys, monkeypatch):
+        calls = []
+        real = cycliccode.violations
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "violations", counting)
+        monkeypatch.setattr(cycliccode, "violations", counting)
+        status, out, _ = run(
+            capsys, "code", "--alpha", "3", "--beta", "3",
+            "--b", "x^2+x+1", "--ell", "x^3", "--f", "1", "--h", "x^2+x+1", "--g", "x+3",
+        )
+        assert status == 0 and "(x^2+x | 2)" in out
+        assert len(calls) == 1
+
+    def test_even_beta_still_rejected(self, capsys):
+        status, _, err = run(
+            capsys, "code", "--alpha", "1", "--beta", "2",
+            "--b", "1", "--f", "1", "--h", "1", "--g", "x^2+3",
+        )
+        assert status == 1
+        assert "beta must be odd" in err
 
 
 class TestLinearity:

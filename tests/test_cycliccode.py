@@ -1,11 +1,18 @@
 import logging
+import os
+import subprocess
+import sys
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from z2z4 import cycliccode
 from z2z4.additive import Code, MixedVector
 from z2z4.cycliccode import (
     CyclicGenerators,
+    _ell_lattice,
+    _ell_violations,
     ResidueWord,
     code_type,
     enumerate_all_cyclic,
@@ -18,8 +25,8 @@ from z2z4.cycliccode import (
     three_generator_form,
     violations,
 )
-from z2z4.cyclofield import factor_xn_minus_1_z4
-from z2z4.errors import CapacityError, DomainError
+from z2z4.cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
+from z2z4.errors import CapacityError, DomainError, InternalError
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
 from candidate_oracle import reference_cyclic_tuples
 
@@ -269,6 +276,94 @@ class TestEnumerateAll:
                 if fac.divides(G.g):
                     seen[fac].add("g")
         assert all(roles == {"f", "h", "g"} for roles in seen.values())
+
+
+class TestEllLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([1, 3, 5, 7, 9, 15]), st.data())
+    def test_conditions_hold_iff_lattice_divides(self, alpha, beta, data):
+        b = data.draw(st.sampled_from(divisors_of_xn_minus_1_z2(alpha)))
+        f, h, g = data.draw(st.sampled_from(factor_triples(beta)))
+        cof = BinPoly.xn_minus_1(beta) // reduce_mod2(f)
+        ht, gt = reduce_mod2(h), reduce_mod2(g)
+        step = _ell_lattice(b, cof, ht, gt)
+        assert step.divides(b)
+        for bits in range(1 << int(b.degree)):
+            ell = BinPoly.from_bits(bits)
+            assert (not _ell_violations(b, ell, cof, ht, gt)) == step.divides(ell)
+
+    @pytest.mark.parametrize("alpha,beta,count", [(12, 9, 2691), (2, 31, 9477)])
+    def test_large_cells_yield_only_valid_tuples(self, alpha, beta, count):
+        n, last = 0, None
+        for G in enumerate_all_cyclic(alpha, beta):
+            assert not violations(alpha, beta, G.b, G.ell, G.f, G.h, G.g)
+            # within one (b, f, h, g) the ell come by increasing bit string
+            key = (G.b, G.f, G.h, G.g)
+            if last is not None and last[0] == key:
+                assert G.ell.bits > last[1]
+            last = key, G.ell.bits
+            n += 1
+        assert n == count
+
+    @pytest.mark.parametrize("alpha,beta", [(3, 7), (4, 5), (6, 3)])
+    def test_capacity_raises_at_the_first_oversized_pair(self, alpha, beta):
+        ref = list(reference_cyclic_tuples(alpha, beta))
+        sizes = sorted({code_type(G).size for G in ref})
+        for capacity in sizes[:-1]:
+            cut = next(i for i, G in enumerate(ref) if code_type(G).size > capacity)
+            got = []
+            with pytest.raises(CapacityError):
+                for G in enumerate_all_cyclic(alpha, beta, capacity=capacity):
+                    got.append(G.to_json())
+            assert got == [G.to_json() for G in ref[:cut]]
+
+    def test_broken_triple_is_an_internal_error(self, monkeypatch):
+        f, h, g = factor_triples(3)[0]
+        monkeypatch.setattr(cycliccode, "factor_triples", lambda beta: [(f * f, h, g)])
+        with pytest.raises(InternalError):
+            next(enumerate_all_cyclic(1, 3))
+
+    def test_broken_b_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(cycliccode, "divisors_of_xn_minus_1_z2", lambda n: (BinPoly([1, 1, 1]),))
+        with pytest.raises(InternalError):
+            next(enumerate_all_cyclic(2, 3))
+
+    def test_guard_rejects_an_ell_off_the_lattice(self, monkeypatch):
+        monkeypatch.setattr(cycliccode, "_ell_lattice", lambda b, cof, ht, gt: BinPoly.one())
+        with pytest.raises(InternalError):
+            list(enumerate_all_cyclic(3, 3))
+
+    def test_yielded_tuples_skip_the_full_check(self, monkeypatch):
+        calls = []
+        real = cycliccode.violations
+        monkeypatch.setattr(cycliccode, "violations", lambda *a: calls.append(a) or real(*a))
+        assert sum(1 for _ in enumerate_all_cyclic(3, 7)) > 0
+        assert calls == []
+        CyclicGenerators(1, 1, BinPoly.one(), BinPoly.zero(), *factor_triples(1)[0])
+        assert len(calls) == 1
+
+    def test_yielded_tuples_are_as_small_as_validated_ones(self):
+        # each in a fresh interpreter: once one instance has its __dict__
+        # materialized, later instances of the class are larger too
+        def bytes_per_tuple(expr):
+            code = (
+                "import tracemalloc\n"
+                "from z2z4.cycliccode import enumerate_all_cyclic\n"
+                "from candidate_oracle import reference_cyclic_tuples\n"
+                f"tracemalloc.start(); kept = {expr}\n"
+                "print(tracemalloc.get_traced_memory()[0] / len(kept))\n"
+            )
+            here = os.path.dirname(__file__)
+            path = os.pathsep.join([os.path.join(here, "..", "src"), here])
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            return float(out.stdout)
+
+        yielded = bytes_per_tuple("list(enumerate_all_cyclic(3, 15))")
+        validated = bytes_per_tuple("list(reference_cyclic_tuples(3, 15))")
+        assert yielded <= validated
 
 
 class TestPunctureGenerators:

@@ -8,7 +8,7 @@ from z2z4.cycliccode import (
     CyclicGenerators,
     enumerate_code,
 )
-from z2z4.cyclofield import factor_xn_minus_1_z4
+from z2z4.cyclofield import TENSOR_CACHE_SIZE, factor_xn_minus_1_z4, tensor_square
 from z2z4.errors import DomainError, PreconditionError
 from z2z4.linimage import (
     BinaryBlockCode,
@@ -120,6 +120,18 @@ class TestCriterion:
                 assert seen[key] == summary
             else:
                 seen[key] = summary
+
+
+    def test_report_unchanged_by_the_tensor_cache(self):
+        codes = list(enumerate_all_cyclic(2, 9))
+        warm = [gray_linear_criterion(G) for G in codes]
+        for G, rep in zip(codes, warm):
+            tensor_square.cache_clear()
+            assert gray_linear_criterion(G).to_json() == rep.to_json()
+        # one tensor polynomial per distinct g~, bounded cache
+        tensors = {G.g: rep.tensor_poly for G, rep in zip(codes, warm)}
+        assert all(rep.tensor_poly is tensors[G.g] for G, rep in zip(codes, warm))
+        assert tensor_square.cache_info().maxsize == TENSOR_CACHE_SIZE
 
 
 class TestFamily:
