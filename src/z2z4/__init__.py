@@ -77,7 +77,6 @@ from .linimage import (
     DoubleCyclicGenerators,
     LinearityReport,
     double_cyclic_span,
-    ext_gray_image,
     ext_psi_image,
     family_g_subgroup,
     gray_linear_criterion,

@@ -6,9 +6,10 @@ into ints with three bit planes -- binary block, quaternary low bits t,
 quaternary high bits h (symbol = t + 2h) -- so that addition costs a few
 word operations and codes up to the capacity bound stay cheap to hold.
 
-The span engine splits the code as |C| = 2^(rank + delta): delta
-order-four pivots from an echelon on the t plane, over the order-two
-subcode of GF(2) rank ``rank``.  The size is therefore known, and checked
+One echelon on the t plane (``_unit_echelon``) serves both the span
+engine and the standard form.  The span engine splits the code as
+|C| = 2^(rank + delta): delta order-four pivots from that echelon, over
+the order-two subcode of GF(2) rank ``rank``.  The size is therefore known, and checked
 against the capacity bound, before any codeword is built; the words are
 then the XORs of the 2^delta coset representatives with the order-two
 subcode.  Shifts and Gray-type images map whole word lists with
@@ -322,6 +323,13 @@ class WordCodec:
     def tpattern(self, w: int) -> int:
         return (w >> self.toff) & self.qmask
 
+    def shifts(self, w: int, count: int) -> list[int]:
+        """The cyclic shifts x^i w of one word, for i = 0 .. count-1."""
+        out = [w]
+        while len(out) < count:
+            out += self.shift_words(out[-1:])
+        return out[:count]
+
     def gray_words(self, words: Iterable[int]) -> list[int]:
         """Packed extended-Gray images [binary block][h-block][t+h-block]."""
         s, bm, tp, hp = self.beta, self.bmask, self._tplane, self._hplane
@@ -362,41 +370,63 @@ def xor_span(basis: Iterable[int]) -> list[int]:
     return words
 
 
+def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Unit pivots of packed words on the quaternary mod-2 plane t.
+
+    Columns are taken right to left.  At a column where some row has an
+    odd entry, the first such row becomes the pivot, negated if that entry
+    is 3, and the column is cleared in every other row by subtracting the
+    entry times the pivot.  Returns ``(pivots, rest)``: ``pivots`` maps a
+    column to its row, which holds 1 there and 0 at every other pivot
+    column; the rows in ``rest`` have an empty t plane (order two) and
+    vanish on every pivot column.
+    """
+    toff, hoff, qmask, add = codec.toff, codec.hoff, codec.qmask, codec.add
+    rows = list(gens)
+    pivots: dict[int, int] = {}
+    for col in range(codec.beta - 1, -1, -1):
+        tbit, hbit = 1 << (toff + col), 1 << (hoff + col)
+        k = next((k for k, r in enumerate(rows) if r & tbit), None)
+        if k is None:
+            continue
+        p = rows.pop(k)
+        two = ((p >> toff) & qmask) << hoff  # 2p, also 2(-p)
+        if p & hbit:
+            p ^= two  # entry 3 -> 1
+        neg = p ^ two
+
+        def clear(r: int) -> int:  # r - e*p for the entry e of r at col
+            if r & tbit:
+                return add(r, p if r & hbit else neg)  # e = 3: + p; e = 1: - p
+            return r ^ two if r & hbit else r  # e = 2: + 2p
+
+        rows = [clear(r) for r in rows]
+        pivots = {c: clear(u) for c, u in pivots.items()}
+        pivots[col] = p
+    return pivots, rows
+
+
 def _span_packed(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozenset[int]:
     """Every Z4-combination of ``gens``, built coset by coset.
 
-    Echelon on the quaternary mod-2 plane t leaves delta order-four pivots
-    u_i.  The rows whose t plane became 0, with 2u_i for each pivot, span
-    the order-two subcode C_2 over GF(2).  The code is the union of the
-    cosets r + C_2 over the 2^delta sums r of subsets of the u_i, and
-    r + w = r ^ w because w has an empty t plane.  Its size
-    2^(rank C_2 + delta) is checked against ``capacity`` before any
-    codeword is built.
+    The unit-pivot echelon leaves delta order-four pivots u_i.  The rows
+    it leaves, with 2u_i for each pivot, span the order-two subcode C_2
+    over GF(2).  The code is the union of the cosets r + C_2 over the
+    2^delta sums r of subsets of the u_i, and r + w = r ^ w because w has
+    an empty t plane.  Its size 2^(rank C_2 + delta) is checked against
+    ``capacity`` before any codeword is built.
     """
     add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
-    pivots: dict[int, int] = {}  # leading t bit -> order-four row
-    two_rows = []
-    for g in gens:
-        t = tpattern(g)
-        while t:
-            lead = t.bit_length() - 1
-            u = pivots.get(lead)
-            if u is None:
-                pivots[lead] = g
-                break
-            g = add(g, u)
-            t = tpattern(g)
-        else:
-            two_rows.append(g)
-    two_rows += [tpattern(u) << hoff for u in pivots.values()]
-    basis = gf2_basis(two_rows)
-    if 1 << (len(basis) + len(pivots)) > capacity:
+    pivots, rest = _unit_echelon(codec, gens)
+    units = list(pivots.values())
+    basis = gf2_basis(rest + [tpattern(u) << hoff for u in units])
+    if 1 << (len(basis) + len(units)) > capacity:
         raise CapacityError(
             f"enumeration exceeds the capacity bound {capacity}; "
             f"raise it via {_CAPACITY_ENV} if intended"
         )
     reps = [0]
-    for u in pivots.values():
+    for u in units:
         reps += [add(r, u) for r in reps]
     sub = xor_span(basis)
     return frozenset([r ^ w for r in reps for w in sub])
@@ -414,19 +444,20 @@ class Code:
         self.codec = WordCodec(alpha, beta)
 
     @classmethod
+    def span(cls, codec: WordCodec, gens: Iterable[int], capacity: int | None = None) -> "Code":
+        """The code spanned by the packed words ``gens``."""
+        return cls(codec.alpha, codec.beta, _span_packed(codec, gens, resolve_capacity(capacity)))
+
+    @classmethod
     def from_matrix(cls, matrix: GeneratorMatrix, capacity: int | None = None) -> "Code":
-        codec = WordCodec(matrix.alpha, matrix.beta)
-        gens = [codec.pack(r) for r in matrix.rows]
-        words = _span_packed(codec, gens, resolve_capacity(capacity))
-        return cls(matrix.alpha, matrix.beta, words)
+        return cls.from_vectors_span(matrix.alpha, matrix.beta, matrix.rows, capacity)
 
     @classmethod
     def from_vectors_span(
         cls, alpha: int, beta: int, vectors: Iterable[MixedVector], capacity: int | None = None
     ) -> "Code":
         codec = WordCodec(alpha, beta)
-        gens = [codec.pack(v) for v in vectors]
-        return cls(alpha, beta, _span_packed(codec, gens, resolve_capacity(capacity)))
+        return cls.span(codec, [codec.pack(v) for v in vectors], capacity)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -443,6 +474,8 @@ class Code:
         return hash((self.alpha, self.beta, self.words))
 
     def __contains__(self, v: MixedVector) -> bool:
+        if v.alpha != self.alpha or v.beta != self.beta:
+            raise DomainError("the vector and the code have different shapes")
         return self.codec.pack(v) in self.words
 
     def vectors(self) -> Iterator[MixedVector]:
@@ -573,112 +606,57 @@ class StandardForm:
     quat_perm: tuple[int, ...]
 
 
-def _row_sub(r, p, c):
-    # r -= c * p on (bin list, quat list) pairs
-    if c & 1:
-        rb, pb = r[0], p[0]
-        for j in range(len(rb)):
-            rb[j] ^= pb[j]
-    rq, pq = r[1], p[1]
-    for j in range(len(rq)):
-        rq[j] = (rq[j] - c * pq[j]) % 4
-
-
 def standard_form(matrix: GeneratorMatrix) -> StandardForm:
     """Row-reduce into the block shape with identity blocks and return the
     column permutation that realizes it.
 
-    Unit pivots in the quaternary block are searched from the right so that
-    a matrix already in standard shape comes back unchanged with identity
-    permutations.
+    The unit-pivot echelon (``_unit_echelon``, columns right to left, so
+    that a matrix already in standard shape comes back unchanged with
+    identity permutations) gives the delta order-four rows.  The order-two
+    rows it leaves are brought to reduced echelon form over GF(2), binary
+    columns left to right and then the h plane right to left, and the
+    order-four rows are reduced at those pivots.  The result depends only
+    on the code and the column order, not on which rows become pivots.
     """
     alpha, beta = matrix.alpha, matrix.beta
-    rows = [[list(r.bin), list(r.quat)] for r in matrix.rows]
-    used = [False] * len(rows)
+    codec = WordCodec(alpha, beta)
+    toff, hoff = codec.toff, codec.hoff
+    units, rest = _unit_echelon(codec, [codec.pack(r) for r in matrix.rows])
 
-    # order-four pivot pass over quaternary columns, right to left
-    unit_pivots: list[tuple[int, int]] = []
-    for col in range(beta - 1, -1, -1):
-        pr = None
-        for i, r in enumerate(rows):
-            if not used[i] and r[1][col] % 2 == 1:
-                pr = i
-                break
-        if pr is None:
+    twos: list[tuple[int, int]] = []  # (pivot bit, order-two row), in pivot order
+    for bit in [1 << c for c in range(alpha)] + [1 << (hoff + c) for c in range(beta - 1, -1, -1)]:
+        k = next((k for k, r in enumerate(rest) if r & bit), None)
+        if k is None:
             continue
-        used[pr] = True
-        if rows[pr][1][col] == 3:
-            rows[pr][1] = [(3 * q) % 4 for q in rows[pr][1]]
-        for i, r in enumerate(rows):
-            if i != pr and r[1][col]:
-                _row_sub(r, rows[pr], r[1][col])
-        unit_pivots.append((pr, col))
-    unit_pivots.reverse()  # ascending pivot columns
+        p = rest.pop(k)
+        rest = [r ^ p if r & bit else r for r in rest]
+        twos = [(b, r ^ p if r & bit else r) for b, r in twos]
+        twos.append((bit, p))
+    kappa = sum(1 for bit, _ in twos if bit <= codec.bmask)
+    bins, q2 = twos[:kappa], twos[kappa:][::-1]  # q2 by ascending column
 
-    # remaining rows are order two: quaternary entries all even
-    rest = [i for i in range(len(rows)) if not used[i]]
-    bvecs = [[rows[i][0][:], [q // 2 for q in rows[i][1]]] for i in rest]
-    bin_pivots: list[tuple[int, int]] = []
-    q2_pivots: list[tuple[int, int]] = []
-    assigned = [False] * len(bvecs)
+    # order-four rows by ascending column, reduced at the order-two pivots
+    unit_cols = sorted(units)
+    delta_rows = []
+    for col in unit_cols:
+        d = units[col]
+        for bit, p in twos:
+            if d & bit:
+                d ^= p
+        delta_rows.append(d)
 
-    def _gf2_eliminate(col_block: int, col: int, pivots):
-        pr = None
-        for i, v in enumerate(bvecs):
-            if not assigned[i] and v[col_block][col]:
-                pr = i
-                break
-        if pr is None:
-            return
-        assigned[pr] = True
-        for i, v in enumerate(bvecs):
-            if i != pr and v[col_block][col]:
-                v[0] = [a ^ b for a, b in zip(v[0], bvecs[pr][0])]
-                v[1] = [a ^ b for a, b in zip(v[1], bvecs[pr][1])]
-        pivots.append((pr, col))
-
-    for col in range(alpha):
-        _gf2_eliminate(0, col, bin_pivots)
-    for col in range(beta - 1, -1, -1):
-        _gf2_eliminate(1, col, q2_pivots)
-    q2_pivots.reverse()
-
-    kappa = len(bin_pivots)
-    gamma = kappa + len(q2_pivots)
-    delta = len(unit_pivots)
-
-    # column permutations realizing the block layout
-    bin_piv_cols = [c for _, c in bin_pivots]
-    bin_perm = tuple(bin_piv_cols + [c for c in range(alpha) if c not in bin_piv_cols])
-    q2_cols = [c for _, c in q2_pivots]
-    unit_cols = [c for _, c in unit_pivots]
-    free_cols = [c for c in range(beta) if c not in q2_cols and c not in unit_cols]
+    bin_cols = [bit.bit_length() - 1 for bit, _ in bins]
+    bin_perm = tuple(bin_cols + [c for c in range(alpha) if c not in bin_cols])
+    q2_cols = [bit.bit_length() - 1 - hoff for bit, _ in q2]
+    free_cols = [c for c in range(beta) if c not in q2_cols and c not in units]
     quat_perm = tuple(free_cols + q2_cols + unit_cols)
 
-    def _permuted(bin_list, quat_list):
-        return MixedVector(
-            tuple(bin_list[c] for c in bin_perm), tuple(quat_list[c] for c in quat_perm)
+    out = [
+        MixedVector(
+            tuple(w >> c & 1 for c in bin_perm),
+            tuple(w >> (toff + c) & 1 | (w >> (hoff + c) & 1) << 1 for c in quat_perm),
         )
-
-    out_rows = [[list(bvecs[i][0]), [2 * q for q in bvecs[i][1]]] for i, _ in bin_pivots]
-    out_rows += [[list(bvecs[i][0]), [2 * q for q in bvecs[i][1]]] for i, _ in q2_pivots]
-    delta_rows = [[rows[i][0][:], rows[i][1][:]] for i, _ in unit_pivots]
-
-    # clear binary pivot columns from the order-four rows, then reduce their
-    # entries at the 2-pivot columns into {0, 1}
-    for dr in delta_rows:
-        for k, (_, col) in enumerate(bin_pivots):
-            if dr[0][col]:
-                _row_sub(dr, out_rows[k], 1)
-        for k, (_, col) in enumerate(q2_pivots):
-            e = dr[1][col]
-            if e >= 2:
-                _row_sub(dr, out_rows[kappa + k], e // 2)
-    out_rows += delta_rows
-
-    std = GeneratorMatrix(
-        alpha, beta, tuple(_permuted(r[0], r[1]) for r in out_rows)
-    )
-    ctype = CodeType(alpha, beta, gamma, delta, kappa)
-    return StandardForm(std, ctype, bin_perm, quat_perm)
-
+        for w in [p for _, p in bins + q2] + delta_rows
+    ]
+    ctype = CodeType(alpha, beta, kappa + len(q2), len(units), kappa)
+    return StandardForm(GeneratorMatrix(alpha, beta, tuple(out)), ctype, bin_perm, quat_perm)

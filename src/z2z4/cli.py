@@ -298,20 +298,19 @@ def cmd_search(args) -> int:
         args.alpha, args.beta, gamma, delta, kappa,
         linear_only=args.linear_only, jobs=args.jobs,
     )
-    rows = []
-    for gens, rep in results:
-        ct = code_type(gens)
-        rows.append(
-            {
-                "b": list(gens.b.coeffs),
-                "ell": list(gens.ell.coeffs),
-                "f": list(gens.f.coeffs),
-                "h": list(gens.h.coeffs),
-                "g": list(gens.g.coeffs),
-                "type": [ct.gamma, ct.delta, ct.kappa],
-                "linear": rep.verdict,
-            }
-        )
+    types = [code_type(gens) for gens, _ in results]
+    rows = [
+        {
+            "b": list(gens.b.coeffs),
+            "ell": list(gens.ell.coeffs),
+            "f": list(gens.f.coeffs),
+            "h": list(gens.h.coeffs),
+            "g": list(gens.g.coeffs),
+            "type": [ct.gamma, ct.delta, ct.kappa],
+            "linear": rep.verdict,
+        }
+        for (gens, rep), ct in zip(results, types)
+    ]
     report = {
         "command": "search",
         "inputs": {
@@ -324,12 +323,12 @@ def cmd_search(args) -> int:
         "results": rows,
     }
     lines = [f"{len(rows)} codes"]
-    for gens, rep in results:
-        ct = code_type(gens)
-        lines.append(
+    if not args.json:  # the listing is only printed without --json
+        lines += [
             f"b={gens.b}  ell={gens.ell}  f={gens.f}  h={gens.h}  g={gens.g}"
             f"  type=({ct.gamma},{ct.delta},{ct.kappa})  linear={'yes' if rep.verdict else 'no'}"
-        )
+            for (gens, rep), ct in zip(results, types)
+        ]
     _emit(args, report, "\n".join(lines))
     return 0
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .additive import Code, CodeType, GeneratorMatrix, MixedVector
+from .additive import Code, CodeType, GeneratorMatrix, MixedVector, WordCodec
 from .cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from .errors import CapacityError, DomainError, InternalError
 from .polyring import (
@@ -289,35 +289,36 @@ def three_generator_form(
     )
 
 
-def shifts_of(word: ResidueWord, count: int) -> list[MixedVector]:
-    """The vectors x^i star word for i = 0 .. count-1, i.e. its cyclic shifts."""
-    out = [word.to_vector()]
-    while len(out) < count:
-        out.append(out[-1].shift())
-    return out[:count]
+def _packed_shifts(
+    codec: WordCodec, words: Iterable[ResidueWord], counts: Iterable[int]
+) -> list[int]:
+    """x^i star w for i < count, for each word w and its count: each word is
+    packed once and shifted as a packed word."""
+    rows = []
+    for w, count in zip(words, counts):
+        rows += codec.shifts(codec.pack(w.to_vector()), count)
+    return rows
 
 
 def span_words(
-    words: list[ResidueWord], counts: list[int], capacity: int | None = None
+    words: Sequence[ResidueWord], counts: Sequence[int], capacity: int | None = None
 ) -> Code:
     """Enumerated additive span of the given shift families."""
     if not words:
         raise DomainError("need at least one generator word")
-    vecs = []
-    for w, c in zip(words, counts):
-        vecs.extend(shifts_of(w, c))
-    return Code.from_vectors_span(words[0].alpha, words[0].beta, vecs, capacity)
+    codec = WordCodec(words[0].alpha, words[0].beta)
+    return Code.span(codec, _packed_shifts(codec, words, counts), capacity)
 
 
 def realize(gens: CyclicGenerators) -> GeneratorMatrix:
     """Generator matrix made of shifts: alpha of (b|0), beta of (ell|fh+2f)."""
-    g1, g2 = gens.generator_words()
-    rows = shifts_of(g1, gens.alpha) + shifts_of(g2, gens.beta)
-    return GeneratorMatrix(gens.alpha, gens.beta, tuple(rows))
+    codec = WordCodec(gens.alpha, gens.beta)
+    rows = _packed_shifts(codec, gens.generator_words(), (gens.alpha, gens.beta))
+    return GeneratorMatrix(gens.alpha, gens.beta, tuple(map(codec.unpack, rows)))
 
 
 def enumerate_code(gens: CyclicGenerators, capacity: int | None = None) -> Code:
-    return Code.from_matrix(realize(gens), capacity)
+    return span_words(gens.generator_words(), (gens.alpha, gens.beta), capacity)
 
 
 def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:

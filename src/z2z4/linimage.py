@@ -24,6 +24,7 @@ from .additive import (
     Code,
     MixedVector,
     PlaneShift,
+    WordCodec,
     gf2_basis,
     gray_is_linear_oracle,
     resolve_capacity,
@@ -145,12 +146,6 @@ class BinaryBlockCode:
         return sorted(tuple((w >> i) & 1 for i in range(n)) for w in self.words)
 
 
-def ext_gray_image(code: Code) -> BinaryBlockCode:
-    """The extended Gray image as a binary block code (r = alpha, s = 2*beta)."""
-    words = frozenset(code.codec.gray_words(code.words))
-    return BinaryBlockCode(code.alpha, 2 * code.beta, words)
-
-
 def ext_psi_image(code: Code) -> BinaryBlockCode:
     """The extended Nechaev-Gray image; beta must be odd."""
     words = frozenset(code.codec.psi_words(code.words))
@@ -259,6 +254,15 @@ def solve_cyclic_z4_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly 
     any column span every row-space vector that vanishes before it, so
     reducing (-target | 0) greedily column by column reaches the smallest
     vector of its coset, and that is (0 | p) exactly when p exists.
+
+    This pass stays apart from ``additive._unit_echelon``, the echelon
+    behind the span engine and the standard form.  The lexicographic
+    minimum needs pivots taken by column from p_0 upwards, with pivots of
+    2 among the unit pivots; the unit-pivot echelon of the t plane gives
+    another form.  Over the columns (c0, c1) the code <(2, 1)> gets a unit
+    pivot at c1 from that echelon, while this pass, going from c0, meets
+    its leading 2 first.  A kernel shared by both would have to branch on
+    its caller.
     """
     tgt = cyclic_reduce(target, n)
     g_lo, g_hi = _bitsliced(cyclic_reduce(gen, n).coeffs)
@@ -359,10 +363,9 @@ def z4_gray_linear_oracle(
     if mode == "auto":
         mode = "enumerate" if size <= ORACLE_ENUM_LIMIT else "algebraic"
     if mode == "enumerate":
-        rows = [MixedVector((), cyclic_reduce(f * h + QuatPoly((2,)) * f, n).padded(n))]
-        while len(rows) < n:
-            rows.append(rows[-1].shift())
-        code = Code.from_vectors_span(0, n, rows)
+        codec = WordCodec(0, n)
+        word = codec.pack(MixedVector((), cyclic_reduce(f * h + QuatPoly((2,)) * f, n).padded(n)))
+        code = Code.span(codec, codec.shifts(word, n))
         return gray_is_linear_oracle(code).linear
     if mode != "algebraic":
         raise DomainError(f"unknown oracle mode {mode!r}")

@@ -21,6 +21,7 @@ from .additive import (
     Code,
     GeneratorMatrix,
     MixedVector,
+    WordCodec,
     gray_image_is_linear,
     gray_is_linear_oracle,
     standard_form,
@@ -98,7 +99,7 @@ class SweepRecord:
 def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     ct = code_type(gens)
     matrix = realize(gens)
-    code = Code.from_matrix(matrix)
+    code = enumerate_code(gens)
     sf = standard_form(matrix)
 
     report = gray_linear_criterion(gens)
@@ -111,23 +112,12 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     t1, t2, t3 = three_generator_form(gens)
     span3 = span_words([t1, t2, t3], [gens.alpha, gens.beta, gens.beta])
 
-    px_gen = gcd2(gens.b, gens.ell)
-    px_expect = Code.from_vectors_span(
-        gens.alpha,
-        0,
-        [
-            MixedVector(cyclic_reduce(BinPoly.monomial(i) * px_gen, gens.alpha).padded(gens.alpha), ())
-            for i in range(gens.alpha)
-        ],
-    )
-    py_expect = Code.from_vectors_span(
-        0,
-        gens.beta,
-        [
-            MixedVector((), cyclic_reduce(QuatPoly.monomial(i) * gens.fh_plus_2f, gens.beta).padded(gens.beta))
-            for i in range(gens.beta)
-        ],
-    )
+    # the punctured codes should be generated by gcd(b, ell) and fh + 2f
+    px_codec, py_codec = WordCodec(gens.alpha, 0), WordCodec(0, gens.beta)
+    px_word = cyclic_reduce(gcd2(gens.b, gens.ell), gens.alpha).bits
+    py_word = py_codec.pack(MixedVector((), gens.fh_plus_2f.padded(gens.beta)))
+    px_expect = Code.span(px_codec, px_codec.shifts(px_word, gens.alpha))
+    py_expect = Code.span(py_codec, py_codec.shifts(py_word, gens.beta))
     punctures_ok = code.puncture_x() == px_expect and code.puncture_y() == py_expect
 
     psi_dc = psi_span_ok = None

@@ -125,6 +125,16 @@ class TestStructure:
         assert not code.is_separable()
         assert MixedVector((1, 0), (0, 0, 0)) not in code
 
+    @pytest.mark.parametrize(
+        "vector", [MixedVector((1, 0, 1), (0, 0)), MixedVector((1,), (0, 0, 0, 0)), MixedVector((), ())]
+    )
+    def test_membership_needs_the_code_shape(self, vector, cyclic_projections_matrix):
+        code = Code.from_matrix(cyclic_projections_matrix)  # alpha 2, beta 3
+        # (1,0,1 | 0,0) packs to the same int as the codeword (1,0 | 1,0,0)
+        assert MixedVector((1, 0), (1, 0, 0)) in code
+        with pytest.raises(DomainError):
+            vector in code
+
     def test_zero_code_cyclic(self):
         m = GeneratorMatrix(2, 3, ())
         code = Code.from_matrix(m)

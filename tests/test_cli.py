@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from z2z4 import cli, cycliccode
+from z2z4 import cli, cycliccode, linimage
 from z2z4.cli import main
 
 LENGTH9_JSON = (
@@ -248,6 +248,27 @@ class TestSearch:
     def test_non_digit_type_spec(self, capsys):
         status, _, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--type", "a,b")
         assert status == 1 and err.startswith("DomainError:") and "'a'" in err
+
+    def test_code_type_once_per_result(self, capsys, monkeypatch):
+        calls = []
+        real = cycliccode.code_type
+
+        def counting(gens):
+            calls.append(gens)
+            return real(gens)
+
+        monkeypatch.setattr(cli, "code_type", counting)
+        monkeypatch.setattr(linimage, "code_type", counting)
+        status, out, _ = run(capsys, "search", "--alpha", "2", "--beta", "7", "--json")
+        count = json.loads(out)["count"]
+        assert status == 0 and count > 0
+        assert len(calls) <= 2 * count
+
+    def test_text_listing(self, capsys):
+        status, out, _ = run(capsys, "search", "--alpha", "1", "--beta", "3", "--type", "1,1")
+        lines = out.splitlines()
+        assert status == 0 and lines[0] == f"{len(lines) - 1} codes" and len(lines) > 1
+        assert all("  type=(1,1," in line for line in lines[1:])
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

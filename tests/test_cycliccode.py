@@ -153,6 +153,18 @@ class TestRealize:
         assert len(code) == 32
         assert code.is_cyclic()
 
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 3), (4, 7), (2, 9)])
+    def test_rows_are_the_generator_shifts(self, alpha, beta):
+        for gens in list(enumerate_all_cyclic(alpha, beta))[:40]:
+            rows = []
+            for word, count in zip(gens.generator_words(), (alpha, beta)):
+                v = word.to_vector()
+                for _ in range(count):
+                    rows.append(v)
+                    v = v.shift()
+            assert realize(gens).rows == tuple(rows)
+            assert enumerate_code(gens) == Code.from_matrix(realize(gens))
+
     def test_unit_generator_gives_full_space(self):
         gens = CyclicGenerators(
             1, 1, BinPoly.one(), BinPoly.zero(),

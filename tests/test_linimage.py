@@ -14,7 +14,6 @@ from z2z4.linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
     double_cyclic_span,
-    ext_gray_image,
     ext_psi_image,
     family_g_subgroup,
     gray_linear_criterion,
@@ -254,7 +253,8 @@ class TestPsiImage:
         code = enumerate_code(length9_code)
         assert is_double_cyclic(ext_psi_image(code))
         # frozen regression: the plain Gray image fails the double-shift test
-        assert not is_double_cyclic(ext_gray_image(code))
+        gray = BinaryBlockCode(code.alpha, 2 * code.beta, frozenset(code.codec.gray_words(code.words)))
+        assert not is_double_cyclic(gray)
 
     def test_separable_gives_zero_ellp(self):
         gens = CyclicGenerators(

@@ -1,5 +1,6 @@
 """Differential tests: the coset span engine and the whole-code word maps
-against the per-word references in ``span_oracle``."""
+against the per-word references in ``span_oracle``, and the packed
+standard form against the list reduction in ``standard_form_oracle``."""
 
 import tracemalloc
 
@@ -12,11 +13,15 @@ from z2z4.additive import (
     MixedVector,
     PlaneShift,
     WordCodec,
+    _unit_echelon,
     gray_image_is_linear,
+    standard_form,
 )
+from z2z4.cycliccode import realize
 from z2z4.errors import CapacityError
 from z2z4.linimage import DoubleCyclicGenerators, double_cyclic_span, is_double_cyclic
 from z2z4.polyring import BinPoly
+from z2z4.reproduce import mixed_candidates
 from span_oracle import (
     basis_image_is_linear,
     double_shift,
@@ -26,6 +31,7 @@ from span_oracle import (
     shift_span,
     shift_word,
 )
+from standard_form_oracle import list_standard_form
 
 
 @st.composite
@@ -99,6 +105,48 @@ class TestCosetSpan:
         matrix = GeneratorMatrix(4, 8, rows)
         for capacity in (1 << 10, (1 << 20) - 1):
             assert _peak_bytes_until_capacity_error(Code.from_matrix, matrix, capacity) < 1 << 20
+
+
+class TestUnitEchelon:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    def test_pivots_and_rest(self, matrix):
+        codec = WordCodec(matrix.alpha, matrix.beta)
+        gens = [codec.pack(r) for r in matrix.rows]
+        pivots, rest = _unit_echelon(codec, gens)
+
+        def entry(w: int, col: int) -> int:
+            return codec.unpack(w).quat[col]
+
+        for col, u in pivots.items():
+            assert entry(u, col) == 1
+            assert all(entry(u, c) == 0 for c in pivots if c != col)
+        assert all(codec.tpattern(r) == 0 for r in rest)
+        assert all(entry(r, c) == 0 for r in rest for c in pivots)
+        # every row ends up a pivot or in rest, and together they span the code
+        assert len(pivots) + len(rest) == len(gens)
+        assert Code.span(codec, [*pivots.values(), *rest]).words == _orbit_code(matrix)
+
+
+def _same_standard_form(matrix: GeneratorMatrix) -> None:
+    got, want = standard_form(matrix), list_standard_form(matrix)
+    assert got.matrix.rows == want.matrix.rows
+    assert got.code_type == want.code_type
+    assert got.bin_perm == want.bin_perm
+    assert got.quat_perm == want.quat_perm
+
+
+class TestStandardFormOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(generator_matrices(max_alpha=4, max_beta=6, max_rows=7))
+    def test_matches_list_reduction(self, matrix):
+        _same_standard_form(matrix)
+
+    def test_matches_list_reduction_on_the_mixed_sweep(self):
+        candidates = mixed_candidates()
+        assert len(candidates) == 1008
+        for gens in candidates:
+            _same_standard_form(realize(gens))
 
 
 class TestWordMaps:
