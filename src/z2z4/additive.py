@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError
@@ -347,29 +348,6 @@ class WordCodec:
         ]
 
 
-def gf2_basis(vectors: Iterable[int]) -> list[int]:
-    """A basis of the GF(2) span of ``vectors``, ints read as bit vectors."""
-    basis: dict[int, int] = {}  # leading bit -> basis vector
-    for v in vectors:
-        while v:
-            lead = v.bit_length() - 1
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = v
-                break
-            v ^= b
-    return list(basis.values())
-
-
-def xor_span(basis: Iterable[int]) -> list[int]:
-    """The XOR of every subset of ``basis``, built by doubling; the entries
-    are distinct when the basis is independent."""
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words]
-    return words
-
-
 def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """Unit pivots of packed words on the quaternary mod-2 plane t.
 
@@ -419,7 +397,14 @@ def _span_packed(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozen
     add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
     pivots, rest = _unit_echelon(codec, gens)
     units = list(pivots.values())
-    basis = gf2_basis(rest + [tpattern(u) << hoff for u in units])
+    basis: dict[int, int] = {}  # leading bit -> GF(2) basis vector of C_2
+    for v in rest + [tpattern(u) << hoff for u in units]:
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
     if 1 << (len(basis) + len(units)) > capacity:
         raise CapacityError(
             f"enumeration exceeds the capacity bound {capacity}; "
@@ -428,25 +413,40 @@ def _span_packed(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozen
     reps = [0]
     for u in units:
         reps += [add(r, u) for r in reps]
-    sub = xor_span(basis)
-    return frozenset([r ^ w for r in reps for w in sub])
+    sub = [0]
+    for v in basis.values():
+        sub += [w ^ v for w in sub]
+    # reps[0] = 0, whose coset is sub itself: reusing sub builds no new int per word
+    cosets = [sub] + [[r ^ w for w in sub] for r in reps[1:]]
+    return frozenset(chain.from_iterable(cosets))
 
 
 class Code:
-    """An exactly enumerated additive code, stored as packed words."""
+    """An exactly enumerated additive code, stored as packed words.
 
-    __slots__ = ("alpha", "beta", "words", "codec")
+    ``gens`` holds the packed words the code was spanned from, in the order
+    given to ``span``; a code built from its word set directly takes its
+    words as generators.  Queries that are linear in the codeword (the
+    shift, the projections, the doubled star product) read ``gens``
+    instead of every word.
+    """
+
+    __slots__ = ("alpha", "beta", "words", "codec", "gens")
 
     def __init__(self, alpha: int, beta: int, words: frozenset[int]):
         self.alpha = alpha
         self.beta = beta
         self.words = words
         self.codec = WordCodec(alpha, beta)
+        self.gens: tuple[int, ...] | frozenset[int] = words
 
     @classmethod
     def span(cls, codec: WordCodec, gens: Iterable[int], capacity: int | None = None) -> "Code":
         """The code spanned by the packed words ``gens``."""
-        return cls(codec.alpha, codec.beta, _span_packed(codec, gens, resolve_capacity(capacity)))
+        gens = tuple(gens)
+        code = cls(codec.alpha, codec.beta, _span_packed(codec, gens, resolve_capacity(capacity)))
+        code.gens = gens
+        return code
 
     @classmethod
     def from_matrix(cls, matrix: GeneratorMatrix, capacity: int | None = None) -> "Code":
@@ -489,7 +489,8 @@ class Code:
 
     # -- structural queries -------------------------------------------
     def is_cyclic(self) -> bool:
-        return self.words.issuperset(self.codec.shift_words(self.words))
+        """The shift is additive, so shifting the generators is enough."""
+        return self.words.issuperset(self.codec.shift_words(self.gens))
 
     def cyclic_witness(self) -> tuple[MixedVector, MixedVector] | None:
         """First codeword (canonical order) whose shift leaves the code."""
@@ -500,10 +501,14 @@ class Code:
         return None
 
     def puncture_x(self) -> "Code":
-        return Code(self.alpha, 0, frozenset(w & self.codec.bmask for w in self.words))
+        """The binary projection, spanned by the projected generators."""
+        bmask = self.codec.bmask
+        return Code.span(WordCodec(self.alpha, 0), [w & bmask for w in self.gens], len(self))
 
     def puncture_y(self) -> "Code":
-        return Code(0, self.beta, frozenset(w >> self.alpha for w in self.words))
+        """The quaternary projection, spanned by the projected generators."""
+        alpha = self.alpha
+        return Code.span(WordCodec(0, self.beta), [w >> alpha for w in self.gens], len(self))
 
     def is_separable(self) -> bool:
         return len(self.puncture_x()) * len(self.puncture_y()) == len(self)
@@ -525,31 +530,24 @@ class OracleReport:
     witness: tuple[MixedVector, MixedVector, MixedVector] | None = None
 
 
-def gray_is_linear_oracle(
-    code: Code, matrix: GeneratorMatrix | None = None, mode: str = "exhaustive"
-) -> OracleReport:
+def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     """Closure test: the extended Gray image is linear iff 2u*v stays in the code.
 
     ``exhaustive`` ranges over all codeword pairs (via their quaternary mod-2
     patterns, which determine 2u*v); ``generators`` ranges over pairs of
-    order-four rows of the supplied matrix, which suffices because the
-    doubled star product is bi-additive in the patterns.
+    the code's generators with a nonzero mod-2 pattern, which suffices
+    because the doubled star product is bi-additive in the patterns.
     """
     codec = code.codec
     words = code.words
     hoff = codec.hoff
     if mode == "generators":
-        if matrix is None:
-            raise DomainError("generator mode needs the generator matrix")
-        rows = [r for r in matrix.rows if r.order() == 4]
-        packed = [codec.pack(r) for r in rows]
-        for i, wi in enumerate(packed):
-            ti = codec.tpattern(wi)
-            for j in range(i, len(packed)):
-                tj = codec.tpattern(packed[j])
+        units = [(w, t) for w in code.gens if (t := codec.tpattern(w))]
+        for i, (wi, ti) in enumerate(units):
+            for wj, tj in units[i:]:
                 prod = (ti & tj) << hoff
                 if prod not in words:
-                    return OracleReport(False, (rows[i], rows[j], codec.unpack(prod)))
+                    return OracleReport(False, tuple(map(codec.unpack, (wi, wj, prod))))
         return OracleReport(True)
     if mode != "exhaustive":
         raise DomainError(f"unknown oracle mode {mode!r}")

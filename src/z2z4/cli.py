@@ -28,6 +28,7 @@ from .cyclofield import factor_xn_minus_1_z2, factor_xn_minus_1_z4
 from .cycliccode import (
     CyclicGenerators,
     code_type,
+    enumerate_code,
     order_two_generators,
     three_generator_form,
     violations,
@@ -159,8 +160,9 @@ def cmd_analyze(args) -> int:
     sf = standard_form(matrix)
     cyclic = code.is_cyclic()
     witness = None if cyclic else code.cyclic_witness()
-    oracle = gray_is_linear_oracle(code, matrix, mode="generators")
+    oracle = gray_is_linear_oracle(code, mode="generators")
     quat_oracle = gray_is_linear_oracle(code.puncture_y())
+    separable = code.is_separable()
     report = {
         "command": "analyze",
         "inputs": {"matrix": matrix.to_json()},
@@ -174,7 +176,7 @@ def cmd_analyze(args) -> int:
         "size": len(code),
         "cyclic": cyclic,
         "shift_witness": [str(w) for w in witness] if witness else None,
-        "separable": code.is_separable(),
+        "separable": separable,
         "gray_image_linear": oracle.linear,
         "gray_witness": [str(w) for w in oracle.witness] if oracle.witness else None,
         "quaternary_image_linear": quat_oracle.linear,
@@ -184,7 +186,7 @@ def cmd_analyze(args) -> int:
         f"|C| = {len(code)}",
         f"cyclic: {'yes' if cyclic else 'no'}"
         + (f"   witness: {witness[0]} -> {witness[1]} not in code" if witness else ""),
-        f"separable: {'yes' if code.is_separable() else 'no'}",
+        f"separable: {'yes' if separable else 'no'}",
         f"extended Gray image linear: {'yes' if oracle.linear else 'no'}"
         + (
             f"   witness: 2*({oracle.witness[0]})*({oracle.witness[1]}) = {oracle.witness[2]} not in code"
@@ -244,7 +246,7 @@ def cmd_code(args) -> int:
 
 def cmd_linearity(args) -> int:
     gens = _load_code_spec(args.code)
-    rep = gray_linear_criterion(gens, with_oracle=args.oracle)
+    rep = gray_linear_criterion(gens)
     report = {
         "command": "linearity",
         "inputs": gens.to_json(),
@@ -256,8 +258,12 @@ def cmd_linearity(args) -> int:
         f"gcd: {rep.gcd_value}",
         f"extended Gray image linear: {'yes' if rep.verdict else 'no'}",
     ]
-    if rep.oracle_verdict is not None:
-        lines.append(f"oracle agrees: {'yes' if rep.oracle_verdict == rep.verdict else 'NO'}")
+    if args.oracle:
+        oracle = gray_is_linear_oracle(enumerate_code(gens))
+        report["report"]["oracle_linear"] = oracle.linear
+        if oracle.witness is not None:
+            report["report"]["witness"] = [str(v) for v in oracle.witness]
+        lines.append(f"oracle agrees: {'yes' if oracle.linear == rep.verdict else 'NO'}")
     _emit(args, report, "\n".join(lines))
     return 0
 
@@ -295,8 +301,7 @@ def cmd_search(args) -> int:
         gamma, delta, *rest = parse_ints(parts)
         kappa = rest[0] if rest else None
     results = search_by_type(
-        args.alpha, args.beta, gamma, delta, kappa,
-        linear_only=args.linear_only, jobs=args.jobs,
+        args.alpha, args.beta, gamma, delta, kappa, linear_only=args.linear_only
     )
     types = [code_type(gens) for gens, _ in results]
     rows = [
@@ -403,7 +408,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--type", default=None, help="gamma,delta[,kappa]")
     p.add_argument("--linear-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("reproduce", help="run the cross-validation checklist")

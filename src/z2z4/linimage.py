@@ -20,25 +20,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .additive import (
-    Code,
-    MixedVector,
-    PlaneShift,
-    WordCodec,
-    gf2_basis,
-    gray_is_linear_oracle,
-    resolve_capacity,
-    xor_span,
-)
+from .additive import Code, MixedVector, PlaneShift, WordCodec, gray_is_linear_oracle
 from .cyclofield import tensor_square
-from .cycliccode import (
-    CyclicGenerators,
-    code_type,
-    enumerate_all_cyclic,
-    enumerate_code,
-)
-from .errors import CapacityError, DomainError, InternalError, PreconditionError
-from .parallel import run_parallel
+from .cycliccode import CyclicGenerators, code_type, enumerate_all_cyclic
+from .errors import DomainError, InternalError, PreconditionError
 from .polyring import (
     BinPoly,
     QuatPoly,
@@ -61,21 +46,14 @@ class LinearityReport:
     tensor_poly: BinPoly
     gcd_value: BinPoly
     verdict: bool
-    oracle_verdict: bool | None = None
-    witness: tuple[MixedVector, MixedVector, MixedVector] | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "criterion_poly_a": list(self.criterion_poly_a.coeffs),
             "tensor_poly": list(self.tensor_poly.coeffs),
             "gcd": list(self.gcd_value.coeffs),
             "linear": self.verdict,
         }
-        if self.oracle_verdict is not None:
-            out["oracle_linear"] = self.oracle_verdict
-        if self.witness is not None:
-            out["witness"] = [str(v) for v in self.witness]
-        return out
 
 
 def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
@@ -87,9 +65,7 @@ def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
     return gcd2(reduce_mod2(f), tensor_square(reduce_mod2(g), n)) == BinPoly.one()
 
 
-def gray_linear_criterion(
-    gens: CyclicGenerators, with_oracle: bool = False, capacity: int | None = None
-) -> LinearityReport:
+def gray_linear_criterion(gens: CyclicGenerators) -> LinearityReport:
     """The gcd criterion for the extended Gray image of a mixed cyclic code."""
     ft = reduce_mod2(gens.f)
     gt = reduce_mod2(gens.g)
@@ -100,14 +76,7 @@ def gray_linear_criterion(
         raise InternalError("gcd(b, ell*g~) failed to divide f~*b")
     tensor = tensor_square(gt, gens.beta)
     gcd_val = gcd2(quot, tensor)
-    verdict = gcd_val == BinPoly.one()
-    oracle_verdict = None
-    witness = None
-    if with_oracle:
-        rep = gray_is_linear_oracle(enumerate_code(gens, capacity))
-        oracle_verdict = rep.linear
-        witness = rep.witness
-    return LinearityReport(quot, tensor, gcd_val, verdict, oracle_verdict, witness)
+    return LinearityReport(quot, tensor, gcd_val, gcd_val == BinPoly.one())
 
 
 def family_g_subgroup(gens: CyclicGenerators) -> bool:
@@ -190,24 +159,20 @@ def double_cyclic_span(
 ) -> BinaryBlockCode:
     """GF(2) span of all simultaneous shifts of the two generators.
 
-    The shifts are first reduced to a GF(2) basis, so the bound is checked
-    on the span's size 2^rank before any word of it is built.
+    The span engine builds it as a binary code of length r + s, so the
+    bound is checked on the span's size before any word of it is built.
     """
-    cap = resolve_capacity(capacity)
     r, s = dcg.r, dcg.s
     shift = PlaneShift(r, s)
     row = [
         cyclic_reduce(dcg.b, r).bits,
         cyclic_reduce(dcg.ellp, r).bits | cyclic_reduce(dcg.a, s).bits << r,
     ]
-    gens: list[int] = []
+    shifts: list[int] = []
     for _ in range(lcm(r, s)):
-        gens += row
+        shifts += row
         row = shift(row)
-    basis = gf2_basis(gens)
-    if 1 << len(basis) > cap:
-        raise CapacityError(f"double-cyclic span exceeds the bound {cap}")
-    return BinaryBlockCode(r, s, frozenset(xor_span(basis)))
+    return BinaryBlockCode(r, s, Code.span(WordCodec(r + s, 0), shifts, capacity).words)
 
 
 # ----------------------------------------------------------------------
@@ -383,10 +348,6 @@ def z4_gray_linear_oracle(
 # search
 
 
-def _analyze_candidate(gens: CyclicGenerators) -> tuple[CyclicGenerators, LinearityReport]:
-    return gens, gray_linear_criterion(gens)
-
-
 def search_by_type(
     alpha: int,
     beta: int,
@@ -394,15 +355,14 @@ def search_by_type(
     delta: int | None = None,
     kappa: int | None = None,
     linear_only: bool = False,
-    jobs: int = 1,
 ) -> list[tuple[CyclicGenerators, LinearityReport]]:
     """Every valid cyclic code of the requested type, with its criterion report.
 
     ``None`` acts as a wildcard; results keep the deterministic order of
-    the candidate stream regardless of ``jobs``.  No code is enumerated,
-    so no capacity bound applies.
+    the candidate stream.  No code is enumerated, so no capacity bound
+    applies.
     """
-    matching = []
+    analyzed = []
     for gens in enumerate_all_cyclic(alpha, beta):
         ct = code_type(gens)
         if gamma is not None and ct.gamma != gamma:
@@ -411,8 +371,7 @@ def search_by_type(
             continue
         if kappa is not None and ct.kappa != kappa:
             continue
-        matching.append(gens)
-    analyzed = run_parallel(_analyze_candidate, matching, jobs)
-    if linear_only:
-        analyzed = [(g, rep) for g, rep in analyzed if rep.verdict]
+        rep = gray_linear_criterion(gens)
+        if rep.verdict or not linear_only:
+            analyzed.append((gens, rep))
     return analyzed

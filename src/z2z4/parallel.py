@@ -1,4 +1,4 @@
-"""One process-pool helper for the sweeps and the search."""
+"""One process-pool helper for the sweeps of ``reproduce --jobs``."""
 
 from __future__ import annotations
 

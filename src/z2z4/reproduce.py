@@ -104,7 +104,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
 
     report = gray_linear_criterion(gens)
     oracle = gray_is_linear_oracle(code)
-    oracle_gen = gray_is_linear_oracle(code, matrix, mode="generators")
+    oracle_gen = gray_is_linear_oracle(code, mode="generators")
     image_direct = gray_image_is_linear(code)
 
     w1, w2 = order_two_generators(gens)
@@ -279,9 +279,8 @@ def _check_shift_counterexample() -> CheckResult:
 
 
 def _check_image_separation() -> CheckResult:
-    matrix = nonlinear_image_matrix()
-    code = Code.from_matrix(matrix)
-    whole = gray_is_linear_oracle(code, matrix, mode="generators")
+    code = Code.from_matrix(nonlinear_image_matrix())
+    whole = gray_is_linear_oracle(code, mode="generators")
     quat = gray_is_linear_oracle(code.puncture_y())
     ok = (
         not whole.linear

@@ -1,9 +1,11 @@
 """Per-word reference implementations of the whole-code engines.
 
-``z2z4.additive`` builds a code coset by coset and maps whole word lists
-with precomputed masks; ``z2z4.linimage`` does the same for binary block
-codes.  The functions here are the earlier word-at-a-time versions, kept
-as differential oracles for those engines.
+``z2z4.additive`` builds a code coset by coset, maps whole word lists
+with precomputed masks and answers the shift, projection and
+doubled-product queries from a code's generators; ``z2z4.linimage`` does
+the same for binary block codes.  The functions here are the earlier
+word-at-a-time and matrix-driven versions, kept as differential oracles
+for those engines.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from z2z4.additive import Code, WordCodec
+from z2z4.additive import Code, GeneratorMatrix, OracleReport, WordCodec
 from z2z4.errors import CapacityError, DomainError
 from z2z4.linimage import DoubleCyclicGenerators
 from z2z4.polyring import BinPoly, cyclic_reduce
@@ -113,3 +115,32 @@ def shift_span(dcg: DoubleCyclicGenerators) -> frozenset[int]:
         if g not in words:
             words |= {w ^ g for w in words}
     return frozenset(words)
+
+
+def word_is_cyclic(code: Code) -> bool:
+    """Whether the shift of every codeword stays in the code."""
+    return code.words.issuperset(code.codec.shift_words(code.words))
+
+
+def word_puncture_x(code: Code) -> frozenset[int]:
+    """The binary block of every codeword."""
+    return frozenset(w & code.codec.bmask for w in code.words)
+
+
+def word_puncture_y(code: Code) -> frozenset[int]:
+    """The quaternary block of every codeword."""
+    return frozenset(w >> code.alpha for w in code.words)
+
+
+def matrix_generator_oracle(code: Code, matrix: GeneratorMatrix) -> OracleReport:
+    """The ``generators`` closure test over the order-four rows of a matrix
+    that spans ``code``, packed row by row."""
+    codec = code.codec
+    rows = [r for r in matrix.rows if r.order() == 4]
+    packed = [codec.pack(r) for r in rows]
+    for i, wi in enumerate(packed):
+        for j in range(i, len(packed)):
+            prod = (codec.tpattern(wi) & codec.tpattern(packed[j])) << codec.hoff
+            if prod not in code.words:
+                return OracleReport(False, (rows[i], rows[j], codec.unpack(prod)))
+    return OracleReport(True)

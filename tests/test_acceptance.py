@@ -90,9 +90,8 @@ def test_criterion_04_no_linear_type_2_7_2_3(capsys):
 
 
 def test_criterion_05_nonlinear_image_with_linear_projection():
-    matrix = nonlinear_image_matrix()
-    code = Code.from_matrix(matrix)
-    whole = gray_is_linear_oracle(code, matrix, mode="generators")
+    code = Code.from_matrix(nonlinear_image_matrix())
+    whole = gray_is_linear_oracle(code, mode="generators")
     quat = gray_is_linear_oracle(code.puncture_y())
     assert not whole.linear and quat.linear
     assert whole.witness[2] == MixedVector((0, 0, 0), (2, 0, 0))

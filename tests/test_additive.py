@@ -221,7 +221,7 @@ class TestStandardForm:
 class TestOracle:
     def test_nonlinear_witness_product(self, nonlinear_image_matrix):
         code = Code.from_matrix(nonlinear_image_matrix)
-        rep = gray_is_linear_oracle(code, nonlinear_image_matrix, mode="generators")
+        rep = gray_is_linear_oracle(code, mode="generators")
         assert not rep.linear
         assert rep.witness[2] == MixedVector((0, 0, 0), (2, 0, 0))
         rep2 = gray_is_linear_oracle(code)
@@ -253,7 +253,7 @@ class TestOracle:
         m = GeneratorMatrix(2, 3, tuple(rows))
         code = Code.from_matrix(m)
         a = gray_is_linear_oracle(code).linear
-        b = gray_is_linear_oracle(code, m, mode="generators").linear
+        b = gray_is_linear_oracle(code, mode="generators").linear
         c = gray_image_is_linear(code)
         assert a == b == c
 

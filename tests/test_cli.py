@@ -270,12 +270,6 @@ class TestSearch:
         assert status == 0 and lines[0] == f"{len(lines) - 1} codes" and len(lines) > 1
         assert all("  type=(1,1," in line for line in lines[1:])
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_rejected(self, capsys, jobs):
-        status, out, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--jobs", jobs)
-        assert status == 1 and out == ""
-        assert err.startswith("DomainError: jobs must be at least 1") and err.count("\n") == 1
-
 
 class TestReproduce:
     def test_quick_all_pass(self, capsys):
@@ -303,3 +297,9 @@ class TestReproduce:
             return json.dumps(data, sort_keys=True)
 
         assert normalized("1") == normalized("2")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        status, out, err = run(capsys, "reproduce", "--quick", "--jobs", jobs)
+        assert status == 1 and out == ""
+        assert err.startswith("DomainError: jobs must be at least 1") and err.count("\n") == 1

@@ -84,11 +84,11 @@ class TestWolfmann:
 
 class TestCriterion:
     def test_length9_report(self, length9_code):
-        rep = gray_linear_criterion(length9_code, with_oracle=True)
+        rep = gray_linear_criterion(length9_code)
         assert rep.criterion_poly_a == BinPoly.parse("x^2+x+1")
         assert rep.tensor_poly == BinPoly.parse("x+1")
         assert rep.gcd_value == BinPoly.one()
-        assert rep.verdict and rep.oracle_verdict
+        assert rep.verdict and gray_is_linear_oracle(enumerate_code(length9_code)).linear
 
     def test_g_one_always_linear(self):
         for G in enumerate_all_cyclic(3, 3):

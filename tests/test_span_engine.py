@@ -1,11 +1,12 @@
-"""Differential tests: the coset span engine and the whole-code word maps
-against the per-word references in ``span_oracle``, and the packed
-standard form against the list reduction in ``standard_form_oracle``."""
+"""Differential tests: the coset span engine, the whole-code word maps and
+the generator-level queries against the per-word references in
+``span_oracle``, and the packed standard form against the list reduction
+in ``standard_form_oracle``."""
 
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from z2z4.additive import (
     Code,
@@ -15,21 +16,26 @@ from z2z4.additive import (
     WordCodec,
     _unit_echelon,
     gray_image_is_linear,
+    gray_is_linear_oracle,
     standard_form,
 )
-from z2z4.cycliccode import realize
+from z2z4.cycliccode import enumerate_code, realize
 from z2z4.errors import CapacityError
 from z2z4.linimage import DoubleCyclicGenerators, double_cyclic_span, is_double_cyclic
 from z2z4.polyring import BinPoly
-from z2z4.reproduce import mixed_candidates
+from z2z4.reproduce import cyclic_projections_matrix, mixed_candidates, nonlinear_image_matrix
 from span_oracle import (
     basis_image_is_linear,
     double_shift,
     ext_gray_bits,
     ext_psi_bits,
+    matrix_generator_oracle,
     orbit_span,
     shift_span,
     shift_word,
+    word_is_cyclic,
+    word_puncture_x,
+    word_puncture_y,
 )
 from standard_form_oracle import list_standard_form
 
@@ -179,6 +185,56 @@ class TestWordMaps:
     def test_plane_shift_matches_double_shift(self, r, s, data):
         words = data.draw(st.lists(st.integers(0, (1 << (r + s)) - 1), max_size=8))
         assert PlaneShift(r, s)(words) == [double_shift(r, s, w) for w in words]
+
+
+def _same_generator_queries(code: Code) -> None:
+    """Generator-level shift and projections equal their per-word versions."""
+    assert code.is_cyclic() == word_is_cyclic(code)
+    assert code.puncture_x().words == word_puncture_x(code)
+    assert code.puncture_y().words == word_puncture_y(code)
+
+
+_EDGE_MATRICES = [
+    GeneratorMatrix.from_text("| 1 0 3\n| 0 0 0\n| 1 0 3\n| 0 1 0"),  # alpha = 0
+    GeneratorMatrix.from_text("1 0 1 |\n0 0 0 |\n1 0 1 |\n0 1 1 |"),  # beta = 0
+    GeneratorMatrix.from_text("1 0 | 2 1\n0 0 | 0 0\n1 0 | 2 1"),  # zero and duplicate rows
+]
+
+
+class TestGeneratorQueries:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[1])
+    @example(_EDGE_MATRICES[2])
+    def test_match_per_word(self, matrix):
+        code = Code.from_matrix(matrix)
+        assert code.gens == tuple(code.codec.pack(r) for r in matrix.rows)
+        _same_generator_queries(code)
+        # a code built from its word set takes its words as generators
+        _same_generator_queries(Code(code.alpha, code.beta, code.words))
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[2])
+    def test_generator_oracle_matches_matrix_rows(self, matrix):
+        code = Code.from_matrix(matrix)
+        assert gray_is_linear_oracle(code, mode="generators") == matrix_generator_oracle(
+            code, matrix
+        )
+
+    def test_on_the_mixed_sweep_and_worked_examples(self):
+        candidates = mixed_candidates()
+        assert len(candidates) == 1008
+        pairs = [(enumerate_code(gens), realize(gens)) for gens in candidates]
+        examples = (nonlinear_image_matrix(), cyclic_projections_matrix())
+        pairs += [(Code.from_matrix(m), m) for m in examples]
+        for code, matrix in pairs:
+            _same_generator_queries(code)
+            assert gray_is_linear_oracle(code, mode="generators") == matrix_generator_oracle(
+                code, matrix
+            )
 
 
 def _divisors(n: int) -> list[BinPoly]:
