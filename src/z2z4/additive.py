@@ -9,11 +9,17 @@ word operations and codes up to the capacity bound stay cheap to hold.
 One echelon on the t plane (``_unit_echelon``) serves both the span
 engine and the standard form.  The span engine splits the code as
 |C| = 2^(rank + delta): delta order-four pivots from that echelon, over
-the order-two subcode of GF(2) rank ``rank``.  The size is therefore known, and checked
-against the capacity bound, before any codeword is built; the words are
-then the XORs of the 2^delta coset representatives with the order-two
-subcode.  Shifts and Gray-type images map whole word lists with
-precomputed masks, without a Python call per word.
+the order-two subcode C_2 of GF(2) rank ``rank``.  A ``Code`` keeps that
+split, its 2^delta coset representatives and a basis of C_2, so its size
+is known, and checked against the capacity bound, before any codeword
+is built.  The word set is built only when it is asked for, as the XORs
+of the representatives with C_2.  Two codes are equal iff they have the
+same shape and size and the generators of one lie in the other, so a
+comparison builds at most one word set.  The shift and the Gray-type
+maps are XOR-linear on packed words, so the image of a code is built
+coset by coset from the mapped representatives and basis, one XOR per
+word, and the Gray image's rank needs no image word at all.  Word lists
+are mapped with precomputed masks, without a Python call per word.
 
 The Gray-linearity oracle uses the identity 2u*v = (0 | 2(t_u & t_v)):
 the doubled star product of two codewords depends only on the mod-2
@@ -26,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, DomainError
 from .zmaps import _as_bits, _as_quat
@@ -384,27 +390,36 @@ def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int]
     return pivots, rows
 
 
-def _span_packed(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozenset[int]:
-    """Every Z4-combination of ``gens``, built coset by coset.
-
-    The unit-pivot echelon leaves delta order-four pivots u_i.  The rows
-    it leaves, with 2u_i for each pivot, span the order-two subcode C_2
-    over GF(2).  The code is the union of the cosets r + C_2 over the
-    2^delta sums r of subsets of the u_i, and r + w = r ^ w because w has
-    an empty t plane.  Its size 2^(rank C_2 + delta) is checked against
-    ``capacity`` before any codeword is built.
-    """
-    add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
-    pivots, rest = _unit_echelon(codec, gens)
-    units = list(pivots.values())
-    basis: dict[int, int] = {}  # leading bit -> GF(2) basis vector of C_2
-    for v in rest + [tpattern(u) << hoff for u in units]:
+def _gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """A GF(2) basis of the span of ``vectors``, one vector per leading bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
         while v:
             lead = v.bit_length() - 1
             if lead not in basis:
                 basis[lead] = v
                 break
             v ^= basis[lead]
+    return list(basis.values())
+
+
+def _span_cosets(
+    codec: WordCodec, gens: Iterable[int], capacity: int
+) -> tuple[list[int], list[int]]:
+    """The coset structure ``(reps, basis)`` of the Z4-span of ``gens``.
+
+    The unit-pivot echelon leaves delta order-four pivots u_i.  The rows
+    it leaves, with 2u_i for each pivot, span the order-two subcode C_2
+    over GF(2); ``basis`` is a basis of it.  ``reps`` holds the 2^delta
+    sums of subsets of the u_i, 0 first.  The code is the union of the
+    cosets r + C_2 = r ^ C_2 (a word of C_2 has an empty t plane), so it
+    has ``len(reps) << len(basis)`` words; that size is checked against
+    ``capacity`` before ``reps`` is built.
+    """
+    add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
+    pivots, rest = _unit_echelon(codec, gens)
+    units = list(pivots.values())
+    basis = _gf2_basis(rest + [tpattern(u) << hoff for u in units])
     if 1 << (len(basis) + len(units)) > capacity:
         raise CapacityError(
             f"enumeration exceeds the capacity bound {capacity}; "
@@ -413,40 +428,50 @@ def _span_packed(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozen
     reps = [0]
     for u in units:
         reps += [add(r, u) for r in reps]
+    return reps, basis
+
+
+def _coset_words(reps: list[int], basis: list[int]) -> frozenset[int]:
+    """The union of the cosets r ^ span(basis), one XOR per word; reps[0] = 0."""
     sub = [0]
-    for v in basis.values():
+    for v in basis:
         sub += [w ^ v for w in sub]
-    # reps[0] = 0, whose coset is sub itself: reusing sub builds no new int per word
+    # the coset of reps[0] = 0 is sub itself: reusing it builds no new int per word
     cosets = [sub] + [[r ^ w for w in sub] for r in reps[1:]]
     return frozenset(chain.from_iterable(cosets))
 
 
 class Code:
-    """An exactly enumerated additive code, stored as packed words.
+    """An additive code, kept as its coset structure over C_2.
 
     ``gens`` holds the packed words the code was spanned from, in the order
-    given to ``span``; a code built from its word set directly takes its
-    words as generators.  Queries that are linear in the codeword (the
-    shift, the projections, the doubled star product) read ``gens``
+    given; ``reps`` and ``basis`` are the coset representatives and the
+    GF(2) basis of the order-two subcode from ``_span_cosets``.  The size
+    is ``len(reps) << len(basis)``, and the word set ``words`` is built
+    only on first access.  Queries that are linear in the codeword (the
+    shift, the projections, the doubled star product) read ``gens``, and
+    XOR-linear word maps (the Gray-type images) map ``reps`` and ``basis``
     instead of every word.
     """
 
-    __slots__ = ("alpha", "beta", "words", "codec", "gens")
+    __slots__ = ("alpha", "beta", "codec", "gens", "reps", "basis", "_words")
 
-    def __init__(self, alpha: int, beta: int, words: frozenset[int]):
+    def __init__(
+        self, alpha: int, beta: int, gens: Iterable[int], capacity: int | None = None
+    ):
+        """The code spanned by the packed words ``gens``; given a code's
+        word set, it is that code."""
         self.alpha = alpha
         self.beta = beta
-        self.words = words
         self.codec = WordCodec(alpha, beta)
-        self.gens: tuple[int, ...] | frozenset[int] = words
+        self.gens = tuple(gens)
+        self.reps, self.basis = _span_cosets(self.codec, self.gens, resolve_capacity(capacity))
+        self._words: frozenset[int] | None = None
 
     @classmethod
     def span(cls, codec: WordCodec, gens: Iterable[int], capacity: int | None = None) -> "Code":
         """The code spanned by the packed words ``gens``."""
-        gens = tuple(gens)
-        code = cls(codec.alpha, codec.beta, _span_packed(codec, gens, resolve_capacity(capacity)))
-        code.gens = gens
-        return code
+        return cls(codec.alpha, codec.beta, gens, capacity)
 
     @classmethod
     def from_matrix(cls, matrix: GeneratorMatrix, capacity: int | None = None) -> "Code":
@@ -459,19 +484,39 @@ class Code:
         codec = WordCodec(alpha, beta)
         return cls.span(codec, [codec.pack(v) for v in vectors], capacity)
 
+    @property
+    def words(self) -> frozenset[int]:
+        """Every codeword, built coset by coset on first access."""
+        if self._words is None:
+            self._words = _coset_words(self.reps, self.basis)
+        return self._words
+
+    def image(self, wordmap: Callable[[list[int]], list[int]]) -> frozenset[int]:
+        """The codewords under an XOR-linear map of packed word lists (the
+        shift, ``gray_words``, ``psi_words``): the union of the cosets
+        L(r) ^ span(L(basis)), built without mapping every word."""
+        return _coset_words(wordmap(self.reps), wordmap(self.basis))
+
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.reps) << len(self.basis)
 
     def __eq__(self, other) -> bool:
-        return (
+        """Same shape and size, and the generators of one side lie in the
+        other; exact because both are groups.  At most one word set is
+        built, an already built one first."""
+        if not (
             isinstance(other, Code)
             and self.alpha == other.alpha
             and self.beta == other.beta
-            and self.words == other.words
-        )
+            and len(self) == len(other)
+        ):
+            return False
+        if self._words is None and other._words is not None:
+            return other._words.issuperset(self.gens)
+        return self.words.issuperset(other.gens)
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.words))
+        return hash((self.alpha, self.beta, len(self)))
 
     def __contains__(self, v: MixedVector) -> bool:
         if v.alpha != self.alpha or v.beta != self.beta:
@@ -514,10 +559,8 @@ class Code:
         return len(self.puncture_x()) * len(self.puncture_y()) == len(self)
 
     def order_two_subcode(self) -> "Code":
-        qm, toff = self.codec.qmask, self.codec.toff
-        return Code(
-            self.alpha, self.beta, frozenset(w for w in self.words if (w >> toff) & qm == 0)
-        )
+        """The words of order at most two, spanned by the basis of C_2."""
+        return Code.span(self.codec, self.basis, len(self))
 
 
 # ----------------------------------------------------------------------
@@ -570,20 +613,16 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
 
 
 def gray_image_is_linear(code: Code) -> bool:
-    """Independent check: the Gray image set equals its own GF(2) span.
+    """Independent check: the Gray image has as many words as its GF(2) span.
 
-    The span grows by doubling with each image word outside it, until it
-    has as many words as the image; then it must hold every image word.
-    The Gray map is injective, so the image has ``len(code)`` words.
+    The Gray map is injective, so the image has ``len(code)`` words, and
+    XOR-linear on packed words, so the image is the union of the cosets
+    gray(r) ^ span(gray(basis)) and spans what gray(reps) and gray(basis)
+    span.  The image lies in that span; it is linear iff the span is no
+    larger.  No image word is built.
     """
-    image = code.codec.gray_words(code.words)
-    span = {0}
-    for v in image:
-        if len(span) >= len(image):
-            break
-        if v not in span:
-            span.update([x ^ v for x in span])
-    return len(span) == len(image) and span.issuperset(image)
+    gray = code.codec.gray_words
+    return 1 << len(_gf2_basis(gray(code.reps) + gray(code.basis))) == len(code)
 
 
 # ----------------------------------------------------------------------
@@ -616,10 +655,28 @@ def standard_form(matrix: GeneratorMatrix) -> StandardForm:
     order-four rows are reduced at those pivots.  The result depends only
     on the code and the column order, not on which rows become pivots.
     """
-    alpha, beta = matrix.alpha, matrix.beta
-    codec = WordCodec(alpha, beta)
+    codec = WordCodec(matrix.alpha, matrix.beta)
     toff, hoff = codec.toff, codec.hoff
-    units, rest = _unit_echelon(codec, [codec.pack(r) for r in matrix.rows])
+    rows, ctype, bin_perm, quat_perm = _standard_form(codec, [codec.pack(r) for r in matrix.rows])
+    out = [
+        MixedVector(
+            tuple(w >> c & 1 for c in bin_perm),
+            tuple(w >> (toff + c) & 1 | (w >> (hoff + c) & 1) << 1 for c in quat_perm),
+        )
+        for w in rows
+    ]
+    return StandardForm(
+        GeneratorMatrix(matrix.alpha, matrix.beta, tuple(out)), ctype, bin_perm, quat_perm
+    )
+
+
+def _standard_form(
+    codec: WordCodec, gens: Iterable[int]
+) -> tuple[list[int], CodeType, tuple[int, ...], tuple[int, ...]]:
+    """``standard_form`` on packed rows: the reduced rows, still packed in
+    the original column order, the type and the two permutations."""
+    alpha, beta, hoff = codec.alpha, codec.beta, codec.hoff
+    units, rest = _unit_echelon(codec, gens)
 
     twos: list[tuple[int, int]] = []  # (pivot bit, order-two row), in pivot order
     for bit in [1 << c for c in range(alpha)] + [1 << (hoff + c) for c in range(beta - 1, -1, -1)]:
@@ -649,12 +706,5 @@ def standard_form(matrix: GeneratorMatrix) -> StandardForm:
     free_cols = [c for c in range(beta) if c not in q2_cols and c not in units]
     quat_perm = tuple(free_cols + q2_cols + unit_cols)
 
-    out = [
-        MixedVector(
-            tuple(w >> c & 1 for c in bin_perm),
-            tuple(w >> (toff + c) & 1 | (w >> (hoff + c) & 1) << 1 for c in quat_perm),
-        )
-        for w in [p for _, p in bins + q2] + delta_rows
-    ]
-    ctype = CodeType(alpha, beta, kappa + len(q2), len(units), kappa)
-    return StandardForm(GeneratorMatrix(alpha, beta, tuple(out)), ctype, bin_perm, quat_perm)
+    rows = [p for _, p in bins + q2] + delta_rows
+    return rows, CodeType(alpha, beta, kappa + len(q2), len(units), kappa), bin_perm, quat_perm

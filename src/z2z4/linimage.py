@@ -116,9 +116,9 @@ class BinaryBlockCode:
 
 
 def ext_psi_image(code: Code) -> BinaryBlockCode:
-    """The extended Nechaev-Gray image; beta must be odd."""
-    words = frozenset(code.codec.psi_words(code.words))
-    return BinaryBlockCode(code.alpha, 2 * code.beta, words)
+    """The extended Nechaev-Gray image; beta must be odd.  The map is
+    XOR-linear on packed words, so the image is built coset by coset."""
+    return BinaryBlockCode(code.alpha, 2 * code.beta, code.image(code.codec.psi_words))
 
 
 def is_double_cyclic(bc: BinaryBlockCode) -> bool:

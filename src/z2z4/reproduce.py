@@ -22,9 +22,9 @@ from .additive import (
     GeneratorMatrix,
     MixedVector,
     WordCodec,
+    _standard_form,
     gray_image_is_linear,
     gray_is_linear_oracle,
-    standard_form,
 )
 from .cyclofield import factor_xn_minus_1_z4
 from .cycliccode import (
@@ -34,7 +34,6 @@ from .cycliccode import (
     enumerate_code,
     factor_triples,
     order_two_generators,
-    realize,
     span_words,
     three_generator_form,
 )
@@ -98,9 +97,9 @@ class SweepRecord:
 
 def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     ct = code_type(gens)
-    matrix = realize(gens)
     code = enumerate_code(gens)
-    sf = standard_form(matrix)
+    # code.gens are the packed rows of realize(gens), in the same order
+    type_standard = _standard_form(code.codec, code.gens)[1]
 
     report = gray_linear_criterion(gens)
     oracle = gray_is_linear_oracle(code)
@@ -137,7 +136,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         g=gens.g.coeffs,
         size=len(code),
         type_formula=ct.triple,
-        type_standard=sf.code_type.triple,
+        type_standard=type_standard.triple,
         size_ok=len(code) == ct.size,
         cyclic_ok=code.is_cyclic(),
         criterion_linear=report.verdict,

@@ -1,11 +1,11 @@
 """Per-word reference implementations of the whole-code engines.
 
 ``z2z4.additive`` builds a code coset by coset, maps whole word lists
-with precomputed masks and answers the shift, projection and
-doubled-product queries from a code's generators; ``z2z4.linimage`` does
-the same for binary block codes.  The functions here are the earlier
-word-at-a-time and matrix-driven versions, kept as differential oracles
-for those engines.
+with precomputed masks, answers the shift, projection and
+doubled-product queries from a code's generators and spans the order-two
+subcode from its basis; ``z2z4.linimage`` does the same for binary block
+codes.  The functions here are the earlier word-at-a-time and
+matrix-driven versions, kept as differential oracles for those engines.
 """
 
 from __future__ import annotations
@@ -130,6 +130,11 @@ def word_puncture_x(code: Code) -> frozenset[int]:
 def word_puncture_y(code: Code) -> frozenset[int]:
     """The quaternary block of every codeword."""
     return frozenset(w >> code.alpha for w in code.words)
+
+
+def word_order_two_subcode(code: Code) -> frozenset[int]:
+    """The codewords with an empty t plane, that is of order at most two."""
+    return frozenset(w for w in code.words if code.codec.tpattern(w) == 0)
 
 
 def matrix_generator_oracle(code: Code, matrix: GeneratorMatrix) -> OracleReport:

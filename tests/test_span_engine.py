@@ -1,5 +1,6 @@
-"""Differential tests: the coset span engine, the whole-code word maps and
-the generator-level queries against the per-word references in
+"""Differential tests: the coset span engine, the coset structure a code
+keeps (size, equality, images, order-two subcode), the whole-code word
+maps and the generator-level queries against the per-word references in
 ``span_oracle``, and the packed standard form against the list reduction
 in ``standard_form_oracle``."""
 
@@ -21,7 +22,12 @@ from z2z4.additive import (
 )
 from z2z4.cycliccode import enumerate_code, realize
 from z2z4.errors import CapacityError
-from z2z4.linimage import DoubleCyclicGenerators, double_cyclic_span, is_double_cyclic
+from z2z4.linimage import (
+    DoubleCyclicGenerators,
+    double_cyclic_span,
+    ext_psi_image,
+    is_double_cyclic,
+)
 from z2z4.polyring import BinPoly
 from z2z4.reproduce import cyclic_projections_matrix, mixed_candidates, nonlinear_image_matrix
 from span_oracle import (
@@ -34,6 +40,7 @@ from span_oracle import (
     shift_span,
     shift_word,
     word_is_cyclic,
+    word_order_two_subcode,
     word_puncture_x,
     word_puncture_y,
 )
@@ -46,6 +53,12 @@ def generator_matrices(draw, max_alpha=3, max_beta=4, max_rows=5):
     duplicate rows, all-order-two rows, and rows sharing a mod-2 pattern."""
     alpha = draw(st.integers(0, max_alpha))
     beta = draw(st.integers(0, max_beta))
+    return draw(matrices_of_shape(alpha, beta, max_rows))
+
+
+@st.composite
+def matrices_of_shape(draw, alpha, beta, max_rows=5):
+    """``generator_matrices`` with the block lengths given."""
     bits = st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha).map(tuple)
     halves = st.lists(st.integers(0, 1), min_size=beta, max_size=beta).map(tuple)
     rows: list[MixedVector] = []
@@ -188,16 +201,19 @@ class TestWordMaps:
 
 
 def _same_generator_queries(code: Code) -> None:
-    """Generator-level shift and projections equal their per-word versions."""
+    """Generator-level shift, projections and order-two subcode equal
+    their per-word versions."""
     assert code.is_cyclic() == word_is_cyclic(code)
     assert code.puncture_x().words == word_puncture_x(code)
     assert code.puncture_y().words == word_puncture_y(code)
+    assert code.order_two_subcode().words == word_order_two_subcode(code)
 
 
 _EDGE_MATRICES = [
     GeneratorMatrix.from_text("| 1 0 3\n| 0 0 0\n| 1 0 3\n| 0 1 0"),  # alpha = 0
     GeneratorMatrix.from_text("1 0 1 |\n0 0 0 |\n1 0 1 |\n0 1 1 |"),  # beta = 0
     GeneratorMatrix.from_text("1 0 | 2 1\n0 0 | 0 0\n1 0 | 2 1"),  # zero and duplicate rows
+    GeneratorMatrix.from_text("1 0 | 2 0 2\n0 1 | 0 2 2\n1 1 | 2 2 0"),  # all order two
 ]
 
 
@@ -235,6 +251,109 @@ class TestGeneratorQueries:
             assert gray_is_linear_oracle(code, mode="generators") == matrix_generator_oracle(
                 code, matrix
             )
+
+
+def _shifted_rows(matrix: GeneratorMatrix) -> GeneratorMatrix:
+    return GeneratorMatrix(matrix.alpha, matrix.beta, tuple(r.shift() for r in matrix.rows))
+
+
+class TestCosetStructure:
+    """Size, equality, images and the order-two subcode from ``reps`` and
+    ``basis``, against the enumerated words."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[1])
+    @example(_EDGE_MATRICES[2])
+    @example(_EDGE_MATRICES[3])
+    def test_size_without_words(self, matrix):
+        code = Code.from_matrix(matrix)
+        size = len(code)
+        assert code._words is None
+        assert size == len(code.words) == len(_orbit_code(matrix))
+
+    @staticmethod
+    def _same_equality(first: GeneratorMatrix, second: GeneratorMatrix) -> None:
+        want = Code.from_matrix(first).words == Code.from_matrix(second).words
+        for built in ((), (0,), (1,), (0, 1)):
+            codes = Code.from_matrix(first), Code.from_matrix(second)
+            for k in built:
+                codes[k].words
+            a, b = codes
+            assert (a == b) == want and (b == a) == want
+            # at most one word set is built, and an already built one is used
+            assert sum(c._words is not None for c in codes) <= max(1, len(built))
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices(), st.data())
+    def test_equality_matches_word_sets(self, first, data):
+        # the shifted rows and a reordered copy give equal-size codes, equal or not
+        second = data.draw(
+            st.one_of(
+                matrices_of_shape(first.alpha, first.beta),
+                st.just(_shifted_rows(first)),
+                st.just(GeneratorMatrix(first.alpha, first.beta, first.rows[::-1])),
+            )
+        )
+        self._same_equality(first, second)
+
+    def test_equal_size_codes_that_differ(self):
+        first = cyclic_projections_matrix()
+        second = _shifted_rows(first)
+        assert len(Code.from_matrix(first)) == len(Code.from_matrix(second))
+        assert Code.from_matrix(first) != Code.from_matrix(second)
+        self._same_equality(first, second)
+        for matrix in _EDGE_MATRICES:
+            self._same_equality(matrix, matrix)
+            self._same_equality(matrix, _shifted_rows(matrix))
+
+    def test_other_shapes_differ(self):
+        zero = GeneratorMatrix.from_text("0 0 | 0")
+        assert Code.from_matrix(zero) != Code.from_matrix(GeneratorMatrix.from_text("0 | 0 0"))
+        assert Code.from_matrix(zero) != frozenset({0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices(max_beta=5))
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[1])
+    @example(_EDGE_MATRICES[2])
+    @example(_EDGE_MATRICES[3])
+    def test_images_match_per_word(self, matrix):
+        code = Code.from_matrix(matrix)
+        codec = code.codec
+        maps = [codec.shift_words, codec.gray_words]
+        if matrix.beta % 2:
+            maps.append(codec.psi_words)
+            assert ext_psi_image(code).words == frozenset(codec.psi_words(code.words))
+        for wordmap in maps:
+            assert code.image(wordmap) == frozenset(wordmap(code.words))
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[1])
+    @example(_EDGE_MATRICES[2])
+    @example(_EDGE_MATRICES[3])
+    def test_order_two_subcode_matches_word_filter(self, matrix):
+        code = Code.from_matrix(matrix)
+        sub = code.order_two_subcode()
+        assert sub.gens == tuple(code.basis)
+        assert sub.words == word_order_two_subcode(code)
+
+    @pytest.mark.parametrize("alpha, beta", [(22, 0), (0, 11), (10, 6)])
+    def test_size_of_a_large_code_builds_no_word(self, alpha, beta):
+        # unit rows: 2^alpha * 4^beta = 2^22 words
+        codec = WordCodec(alpha, beta)
+        rows = [1 << i for i in range(alpha)] + [1 << (codec.toff + i) for i in range(beta)]
+        tracemalloc.start()
+        try:
+            size = len(Code.span(codec, rows, capacity=1 << 22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == 1 << 22
+        assert peak < 1 << 20
 
 
 def _divisors(n: int) -> list[BinPoly]:
