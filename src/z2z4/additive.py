@@ -12,14 +12,16 @@ engine and the standard form.  The span engine splits the code as
 the order-two subcode C_2 of GF(2) rank ``rank``.  A ``Code`` keeps that
 split, its 2^delta coset representatives and a basis of C_2, so its size
 is known, and checked against the capacity bound, before any codeword
-is built.  The word set is built only when it is asked for, as the XORs
-of the representatives with C_2.  Two codes are equal iff they have the
-same shape and size and the generators of one lie in the other, so a
-comparison builds at most one word set.  The shift and the Gray-type
-maps are XOR-linear on packed words, so the image of a code is built
-coset by coset from the mapped representatives and basis, one XOR per
-word, and the Gray image's rank needs no image word at all.  Word lists
-are mapped with precomputed masks, without a Python call per word.
+is built.  Membership is decided by reduction: a word lies in C iff
+subtracting the pivots at its odd quaternary entries leaves a word of
+C_2, which the GF(2) basis then reduces to 0.  Equality, the shift test
+and the generator closure ask only that, so they build no word set; the
+word set is built only when it is asked for, as the XORs of the
+representatives with C_2.  The shift and the Gray-type maps are
+XOR-linear on packed words, so the image of a code is built coset by
+coset from the mapped representatives and basis, one XOR per word, and
+the Gray image's rank needs no image word at all.  Word lists are mapped
+with precomputed masks, without a Python call per word.
 
 The Gray-linearity oracle uses the identity 2u*v = (0 | 2(t_u & t_v)):
 the doubled star product of two codewords depends only on the mod-2
@@ -32,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError
 from .zmaps import _as_bits, _as_quat
@@ -390,30 +392,38 @@ def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int]
     return pivots, rows
 
 
-def _gf2_basis(vectors: Iterable[int]) -> list[int]:
-    """A GF(2) basis of the span of ``vectors``, one vector per leading bit."""
+def _gf2_reduce(basis: dict[int, int], v: int) -> int:
+    """What is left of ``v`` after reduction by a GF(2) basis keyed by
+    leading bit: 0 iff ``v`` lies in its span."""
+    while v:
+        b = basis.get(v.bit_length() - 1)
+        if b is None:
+            return v
+        v ^= b
+    return 0
+
+
+def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
+    """A GF(2) basis of the span of ``vectors``, keyed by leading bit."""
     basis: dict[int, int] = {}
     for v in vectors:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                break
-            v ^= basis[lead]
-    return list(basis.values())
+        if v := _gf2_reduce(basis, v):
+            basis[v.bit_length() - 1] = v
+    return basis
 
 
 def _span_cosets(
     codec: WordCodec, gens: Iterable[int], capacity: int
-) -> tuple[list[int], list[int]]:
-    """The coset structure ``(reps, basis)`` of the Z4-span of ``gens``.
+) -> tuple[dict[int, int], list[int], dict[int, int]]:
+    """The coset structure ``(pivots, reps, basis)`` of the Z4-span of ``gens``.
 
-    The unit-pivot echelon leaves delta order-four pivots u_i.  The rows
-    it leaves, with 2u_i for each pivot, span the order-two subcode C_2
-    over GF(2); ``basis`` is a basis of it.  ``reps`` holds the 2^delta
-    sums of subsets of the u_i, 0 first.  The code is the union of the
-    cosets r + C_2 = r ^ C_2 (a word of C_2 has an empty t plane), so it
-    has ``len(reps) << len(basis)`` words; that size is checked against
+    The unit-pivot echelon leaves delta order-four pivots u_i, kept in
+    ``pivots`` by column.  The rows it leaves, with 2u_i for each pivot,
+    span the order-two subcode C_2 over GF(2); ``basis`` is a basis of it,
+    keyed by leading bit.  ``reps`` holds the 2^delta sums of subsets of
+    the u_i, 0 first.  The code is the union of the cosets
+    r + C_2 = r ^ C_2 (a word of C_2 has an empty t plane), so it has
+    ``len(reps) << len(basis)`` words; that size is checked against
     ``capacity`` before ``reps`` is built.
     """
     add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
@@ -428,50 +438,61 @@ def _span_cosets(
     reps = [0]
     for u in units:
         reps += [add(r, u) for r in reps]
-    return reps, basis
+    return pivots, reps, basis
 
 
-def _coset_words(reps: list[int], basis: list[int]) -> frozenset[int]:
-    """The union of the cosets r ^ span(basis), one XOR per word; reps[0] = 0."""
+def _coset_words(reps: Iterable[int], basis: Iterable[int]) -> frozenset[int]:
+    """The union of the cosets r ^ span(basis), one XOR per word."""
     sub = [0]
     for v in basis:
         sub += [w ^ v for w in sub]
-    # the coset of reps[0] = 0 is sub itself: reusing it builds no new int per word
-    cosets = [sub] + [[r ^ w for w in sub] for r in reps[1:]]
-    return frozenset(chain.from_iterable(cosets))
+    if len(sub) == 1:
+        return frozenset(reps)
+    # the coset of r = 0 is sub itself: reusing it builds no new int per word
+    return frozenset(chain.from_iterable([r ^ w for w in sub] if r else sub for r in reps))
 
 
 class Code:
-    """An additive code, kept as its coset structure over C_2.
+    """An additive code, kept as its echelon and coset structure over C_2.
 
     ``gens`` holds the packed words the code was spanned from, in the order
-    given; ``reps`` and ``basis`` are the coset representatives and the
-    GF(2) basis of the order-two subcode from ``_span_cosets``.  The size
-    is ``len(reps) << len(basis)``, and the word set ``words`` is built
-    only on first access.  Queries that are linear in the codeword (the
-    shift, the projections, the doubled star product) read ``gens``, and
-    XOR-linear word maps (the Gray-type images) map ``reps`` and ``basis``
-    instead of every word.
+    given; ``pivots`` (the order-four unit pivots by column), ``reps`` (the
+    coset representatives) and ``basis`` (a GF(2) basis of the order-two
+    subcode, keyed by leading bit) come from ``_span_cosets``.  The size is
+    ``len(reps) << len(basis)``.  Membership is by reduction
+    (``has_word``), so equality and the shift test build no word set; the
+    word set ``words`` is built only on first access, for the exhaustive
+    closure oracle and for listing codewords.  Queries that are linear in
+    the codeword (the shift, the projections, the doubled star product)
+    read ``gens``, and XOR-linear word maps (the Gray-type images) map
+    ``reps`` and ``basis`` instead of every word.
     """
 
-    __slots__ = ("alpha", "beta", "codec", "gens", "reps", "basis", "_words")
+    __slots__ = ("alpha", "beta", "codec", "gens", "pivots", "reps", "basis", "_words")
 
     def __init__(
         self, alpha: int, beta: int, gens: Iterable[int], capacity: int | None = None
     ):
         """The code spanned by the packed words ``gens``; given a code's
         word set, it is that code."""
-        self.alpha = alpha
-        self.beta = beta
-        self.codec = WordCodec(alpha, beta)
-        self.gens = tuple(gens)
-        self.reps, self.basis = _span_cosets(self.codec, self.gens, resolve_capacity(capacity))
-        self._words: frozenset[int] | None = None
+        self._build(WordCodec(alpha, beta), gens, capacity)
 
     @classmethod
     def span(cls, codec: WordCodec, gens: Iterable[int], capacity: int | None = None) -> "Code":
-        """The code spanned by the packed words ``gens``."""
-        return cls(codec.alpha, codec.beta, gens, capacity)
+        """The code spanned by the packed words ``gens``, sharing ``codec``."""
+        code = cls.__new__(cls)
+        code._build(codec, gens, capacity)
+        return code
+
+    def _build(self, codec: WordCodec, gens: Iterable[int], capacity: int | None) -> None:
+        self.alpha = codec.alpha
+        self.beta = codec.beta
+        self.codec = codec
+        self.gens = tuple(gens)
+        self.pivots, self.reps, self.basis = _span_cosets(
+            codec, self.gens, resolve_capacity(capacity)
+        )
+        self._words: frozenset[int] | None = None
 
     @classmethod
     def from_matrix(cls, matrix: GeneratorMatrix, capacity: int | None = None) -> "Code":
@@ -488,32 +509,38 @@ class Code:
     def words(self) -> frozenset[int]:
         """Every codeword, built coset by coset on first access."""
         if self._words is None:
-            self._words = _coset_words(self.reps, self.basis)
+            self._words = _coset_words(self.reps, self.basis.values())
         return self._words
 
-    def image(self, wordmap: Callable[[list[int]], list[int]]) -> frozenset[int]:
-        """The codewords under an XOR-linear map of packed word lists (the
-        shift, ``gray_words``, ``psi_words``): the union of the cosets
-        L(r) ^ span(L(basis)), built without mapping every word."""
-        return _coset_words(wordmap(self.reps), wordmap(self.basis))
+    def has_word(self, w: int) -> bool:
+        """Whether the packed word ``w`` is a codeword, by reduction.
+
+        The pivots at the odd quaternary entries of ``w`` sum to a codeword
+        r; ``w`` is in the code iff r has the same t plane and the
+        difference w - r, which is then w ^ r, lies in C_2.  Both hold iff
+        w ^ r GF(2)-reduces to 0 by ``basis``: no vector of C_2 has a t bit
+        to clear the t plane of w ^ r with.
+        """
+        t, add = self.codec.tpattern(w), self.codec.add
+        r = 0
+        for col, u in self.pivots.items():
+            if t >> col & 1:
+                r = add(r, u)
+        return not _gf2_reduce(self.basis, w ^ r)
 
     def __len__(self) -> int:
         return len(self.reps) << len(self.basis)
 
     def __eq__(self, other) -> bool:
-        """Same shape and size, and the generators of one side lie in the
-        other; exact because both are groups.  At most one word set is
-        built, an already built one first."""
-        if not (
+        """Same shape and size, and the generators of ``other`` lie in this
+        code; exact because both are groups.  No word set is built."""
+        return (
             isinstance(other, Code)
             and self.alpha == other.alpha
             and self.beta == other.beta
             and len(self) == len(other)
-        ):
-            return False
-        if self._words is None and other._words is not None:
-            return other._words.issuperset(self.gens)
-        return self.words.issuperset(other.gens)
+            and all(map(self.has_word, other.gens))
+        )
 
     def __hash__(self) -> int:
         return hash((self.alpha, self.beta, len(self)))
@@ -521,7 +548,7 @@ class Code:
     def __contains__(self, v: MixedVector) -> bool:
         if v.alpha != self.alpha or v.beta != self.beta:
             raise DomainError("the vector and the code have different shapes")
-        return self.codec.pack(v) in self.words
+        return self.has_word(self.codec.pack(v))
 
     def vectors(self) -> Iterator[MixedVector]:
         unpack = self.codec.unpack
@@ -535,7 +562,7 @@ class Code:
     # -- structural queries -------------------------------------------
     def is_cyclic(self) -> bool:
         """The shift is additive, so shifting the generators is enough."""
-        return self.words.issuperset(self.codec.shift_words(self.gens))
+        return all(map(self.has_word, self.codec.shift_words(self.gens)))
 
     def cyclic_witness(self) -> tuple[MixedVector, MixedVector] | None:
         """First codeword (canonical order) whose shift leaves the code."""
@@ -560,7 +587,7 @@ class Code:
 
     def order_two_subcode(self) -> "Code":
         """The words of order at most two, spanned by the basis of C_2."""
-        return Code.span(self.codec, self.basis, len(self))
+        return Code.span(self.codec, self.basis.values(), len(self))
 
 
 # ----------------------------------------------------------------------
@@ -577,23 +604,24 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     """Closure test: the extended Gray image is linear iff 2u*v stays in the code.
 
     ``exhaustive`` ranges over all codeword pairs (via their quaternary mod-2
-    patterns, which determine 2u*v); ``generators`` ranges over pairs of
-    the code's generators with a nonzero mod-2 pattern, which suffices
-    because the doubled star product is bi-additive in the patterns.
+    patterns, which determine 2u*v) and builds the word set; ``generators``
+    ranges over pairs of the code's generators with a nonzero mod-2
+    pattern, which suffices because the doubled star product is
+    bi-additive in the patterns, and tests membership by reduction.
     """
     codec = code.codec
-    words = code.words
     hoff = codec.hoff
     if mode == "generators":
         units = [(w, t) for w in code.gens if (t := codec.tpattern(w))]
         for i, (wi, ti) in enumerate(units):
             for wj, tj in units[i:]:
                 prod = (ti & tj) << hoff
-                if prod not in words:
+                if not code.has_word(prod):
                     return OracleReport(False, tuple(map(codec.unpack, (wi, wj, prod))))
         return OracleReport(True)
     if mode != "exhaustive":
         raise DomainError(f"unknown oracle mode {mode!r}")
+    words = code.words
     reps: dict[int, int] = {}
     toff, qmask = codec.toff, codec.qmask
     for w in words:
@@ -622,7 +650,7 @@ def gray_image_is_linear(code: Code) -> bool:
     larger.  No image word is built.
     """
     gray = code.codec.gray_words
-    return 1 << len(_gf2_basis(gray(code.reps) + gray(code.basis))) == len(code)
+    return 1 << len(_gf2_basis(gray(code.reps) + gray(code.basis.values()))) == len(code)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,21 @@ solution with the lexicographically smallest coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from math import lcm
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
-from .additive import Code, MixedVector, PlaneShift, WordCodec, gray_is_linear_oracle
+from .additive import (
+    Code,
+    MixedVector,
+    PlaneShift,
+    WordCodec,
+    _coset_words,
+    _gf2_basis,
+    _gf2_reduce,
+    gray_is_linear_oracle,
+)
 from .cyclofield import tensor_square
 from .cycliccode import CyclicGenerators, code_type, enumerate_all_cyclic
 from .errors import DomainError, InternalError, PreconditionError
@@ -99,16 +110,59 @@ def family_g_subgroup(gens: CyclicGenerators) -> bool:
 # binary codes with a two-block cyclic structure
 
 
-@dataclass(frozen=True)
 class BinaryBlockCode:
-    """A set of binary words of length r + s, packed little-endian into ints."""
+    """A set of binary words of length r + s, packed little-endian into ints.
 
-    r: int
-    s: int
-    words: frozenset[int]
+    The set is kept as the union of the cosets rep ^ span(basis) over
+    ``reps``, which lie in distinct cosets, and the independent vectors
+    ``basis``; ``BinaryBlockCode(r, s, words)`` is the word set itself,
+    with an empty basis.  It has ``len(reps) << len(basis)`` words, and is
+    linear iff its GF(2) span is no larger, that is iff
+    ``2^rank(reps + basis)`` equals that size.  A linear set answers
+    membership, equality and the double-cyclic test by reducing vectors
+    by its span's basis; the word set ``words`` is built only on first
+    access.
+    """
+
+    def __init__(self, r: int, s: int, reps: Collection[int], basis: Collection[int] = ()):
+        self.r = r
+        self.s = s
+        self.reps = reps
+        self.basis = basis
+
+    @cached_property
+    def words(self) -> frozenset[int]:
+        """Every word, built coset by coset on first access."""
+        return _coset_words(self.reps, self.basis)
+
+    @cached_property
+    def linear_basis(self) -> dict[int, int] | None:
+        """A GF(2) basis of the set, keyed by leading bit, if the set is
+        linear, else None."""
+        span = _gf2_basis(chain(self.reps, self.basis))
+        return span if 1 << len(span) == len(self) else None
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.reps) << len(self.basis)
+
+    def __eq__(self, other) -> bool:
+        """Equal shapes and word sets.  Two linear sets of one size are equal
+        iff the basis of one reduces to 0 by the other's; a linear set never
+        equals a nonlinear one; two nonlinear sets compare their words."""
+        if not (
+            isinstance(other, BinaryBlockCode)
+            and (self.r, self.s, len(self)) == (other.r, other.s, len(other))
+        ):
+            return False
+        mine, theirs = self.linear_basis, other.linear_basis
+        if mine is None and theirs is None:
+            return self.words == other.words
+        if mine is None or theirs is None:
+            return False
+        return not any(_gf2_reduce(mine, v) for v in theirs.values())
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.s, len(self)))
 
     def to_tuples(self) -> list[tuple[int, ...]]:
         n = self.r + self.s
@@ -117,13 +171,23 @@ class BinaryBlockCode:
 
 def ext_psi_image(code: Code) -> BinaryBlockCode:
     """The extended Nechaev-Gray image; beta must be odd.  The map is
-    XOR-linear on packed words, so the image is built coset by coset."""
-    return BinaryBlockCode(code.alpha, 2 * code.beta, code.image(code.codec.psi_words))
+    injective and XOR-linear on packed words, so the image is kept as the
+    images of the code's coset representatives and of its C_2 basis."""
+    psi = code.codec.psi_words
+    return BinaryBlockCode(code.alpha, 2 * code.beta, psi(code.reps), psi(code.basis.values()))
 
 
 def is_double_cyclic(bc: BinaryBlockCode) -> bool:
-    """Closure under the simultaneous cyclic shift of both coordinate blocks."""
-    return bc.words.issuperset(PlaneShift(bc.r, bc.s)(bc.words))
+    """Closure under the simultaneous cyclic shift of both coordinate blocks.
+
+    A linear set is closed iff the shifts of its basis reduce to 0 by that
+    basis; a nonlinear set shifts every word.
+    """
+    shift = PlaneShift(bc.r, bc.s)
+    span = bc.linear_basis
+    if span is None:
+        return bc.words.issuperset(shift(bc.words))
+    return not any(_gf2_reduce(span, v) for v in shift(span.values()))
 
 
 @dataclass(frozen=True)
@@ -172,7 +236,8 @@ def double_cyclic_span(
     for _ in range(lcm(r, s)):
         shifts += row
         row = shift(row)
-    return BinaryBlockCode(r, s, Code.span(WordCodec(r + s, 0), shifts, capacity).words)
+    span = Code.span(WordCodec(r + s, 0), shifts, capacity)
+    return BinaryBlockCode(r, s, span.reps, list(span.basis.values()))
 
 
 # ----------------------------------------------------------------------

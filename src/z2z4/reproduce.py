@@ -124,7 +124,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         img = ext_psi_image(code)
         psi_dc = is_double_cyclic(img)
         dcg = psi_image_generators(gens)
-        psi_span_ok = double_cyclic_span(dcg).words == img.words
+        psi_span_ok = double_cyclic_span(dcg) == img
 
     return SweepRecord(
         alpha=gens.alpha,
@@ -316,7 +316,7 @@ def _check_length9_image() -> CheckResult:
         and dcg.a == BinPoly.parse("x^2+x+1")
         and len(img) == 32
         and img.r + img.s == 9
-        and span.words == img.words
+        and span == img
         and is_double_cyclic(img)
     )
     return CheckResult(

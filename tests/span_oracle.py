@@ -2,9 +2,10 @@
 
 ``z2z4.additive`` builds a code coset by coset, maps whole word lists
 with precomputed masks, answers the shift, projection and
-doubled-product queries from a code's generators and spans the order-two
-subcode from its basis; ``z2z4.linimage`` does the same for binary block
-codes.  The functions here are the earlier word-at-a-time and
+doubled-product queries from a code's generators, spans the order-two
+subcode from its basis and decides membership, equality and the shift
+test by reduction; ``z2z4.linimage`` does the same for binary block
+codes.  The functions here are the earlier word-at-a-time, word-set and
 matrix-driven versions, kept as differential oracles for those engines.
 """
 
@@ -13,9 +14,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from z2z4.additive import Code, GeneratorMatrix, OracleReport, WordCodec
+from z2z4.additive import Code, GeneratorMatrix, OracleReport, PlaneShift, WordCodec
 from z2z4.errors import CapacityError, DomainError
-from z2z4.linimage import DoubleCyclicGenerators
+from z2z4.linimage import BinaryBlockCode, DoubleCyclicGenerators
 from z2z4.polyring import BinPoly, cyclic_reduce
 
 
@@ -120,6 +121,35 @@ def shift_span(dcg: DoubleCyclicGenerators) -> frozenset[int]:
 def word_is_cyclic(code: Code) -> bool:
     """Whether the shift of every codeword stays in the code."""
     return code.words.issuperset(code.codec.shift_words(code.words))
+
+
+def word_set_is_cyclic(code: Code) -> bool:
+    """Whether the shifts of the generators lie in the code's word set."""
+    return code.words.issuperset(code.codec.shift_words(code.gens))
+
+
+def word_set_contains(code: Code, w: int) -> bool:
+    """Whether the packed word ``w`` is in the code's word set."""
+    return w in code.words
+
+
+def word_set_equal(first: Code, second: Code) -> bool:
+    """Same shape and size, and the generators of ``second`` lie in the
+    word set of ``first``."""
+    return (
+        (first.alpha, first.beta, len(first)) == (second.alpha, second.beta, len(second))
+        and first.words.issuperset(second.gens)
+    )
+
+
+def word_is_double_cyclic(bc: BinaryBlockCode) -> bool:
+    """Whether the double shift of every word stays in the word set."""
+    return bc.words.issuperset(PlaneShift(bc.r, bc.s)(bc.words))
+
+
+def word_block_equal(first: BinaryBlockCode, second: BinaryBlockCode) -> bool:
+    """Equal block lengths and equal word sets."""
+    return (first.r, first.s, first.words) == (second.r, second.s, second.words)
 
 
 def word_puncture_x(code: Code) -> frozenset[int]:

@@ -1,8 +1,9 @@
 """Differential tests: the coset span engine, the coset structure a code
-keeps (size, equality, images, order-two subcode), the whole-code word
-maps and the generator-level queries against the per-word references in
-``span_oracle``, and the packed standard form against the list reduction
-in ``standard_form_oracle``."""
+keeps (size, equality, images, order-two subcode), membership by
+reduction in codes and binary block codes, the whole-code word maps and
+the generator-level queries against the per-word and word-set references
+in ``span_oracle``, and the packed standard form against the list
+reduction in ``standard_form_oracle``."""
 
 import tracemalloc
 
@@ -20,16 +21,25 @@ from z2z4.additive import (
     gray_is_linear_oracle,
     standard_form,
 )
+from z2z4 import additive, linimage
 from z2z4.cycliccode import enumerate_code, realize
 from z2z4.errors import CapacityError
 from z2z4.linimage import (
+    BinaryBlockCode,
     DoubleCyclicGenerators,
     double_cyclic_span,
     ext_psi_image,
     is_double_cyclic,
+    psi_image_generators,
 )
 from z2z4.polyring import BinPoly
-from z2z4.reproduce import cyclic_projections_matrix, mixed_candidates, nonlinear_image_matrix
+from z2z4.reproduce import (
+    check_candidate,
+    cyclic_projections_matrix,
+    length9_generators,
+    mixed_candidates,
+    nonlinear_image_matrix,
+)
 from span_oracle import (
     basis_image_is_linear,
     double_shift,
@@ -39,10 +49,15 @@ from span_oracle import (
     orbit_span,
     shift_span,
     shift_word,
+    word_block_equal,
     word_is_cyclic,
+    word_is_double_cyclic,
     word_order_two_subcode,
     word_puncture_x,
     word_puncture_y,
+    word_set_contains,
+    word_set_equal,
+    word_set_is_cyclic,
 )
 from standard_form_oracle import list_standard_form
 
@@ -282,8 +297,9 @@ class TestCosetStructure:
                 codes[k].words
             a, b = codes
             assert (a == b) == want and (b == a) == want
-            # at most one word set is built, and an already built one is used
-            assert sum(c._words is not None for c in codes) <= max(1, len(built))
+            # the comparison builds no word set
+            assert sum(c._words is not None for c in codes) == len(built)
+            assert (a == b) == word_set_equal(a, b) and (b == a) == word_set_equal(b, a)
 
     @settings(max_examples=300, deadline=None)
     @given(generator_matrices(), st.data())
@@ -327,7 +343,9 @@ class TestCosetStructure:
             maps.append(codec.psi_words)
             assert ext_psi_image(code).words == frozenset(codec.psi_words(code.words))
         for wordmap in maps:
-            assert code.image(wordmap) == frozenset(wordmap(code.words))
+            # an XOR-linear map takes the cosets r ^ C_2 to L(r) ^ span(L(basis))
+            image = additive._coset_words(wordmap(code.reps), wordmap(code.basis.values()))
+            assert image == frozenset(wordmap(code.words))
 
     @settings(max_examples=300, deadline=None)
     @given(generator_matrices())
@@ -338,7 +356,7 @@ class TestCosetStructure:
     def test_order_two_subcode_matches_word_filter(self, matrix):
         code = Code.from_matrix(matrix)
         sub = code.order_two_subcode()
-        assert sub.gens == tuple(code.basis)
+        assert sub.gens == tuple(code.basis.values())
         assert sub.words == word_order_two_subcode(code)
 
     @pytest.mark.parametrize("alpha, beta", [(22, 0), (0, 11), (10, 6)])
@@ -354,6 +372,133 @@ class TestCosetStructure:
             tracemalloc.stop()
         assert size == 1 << 22
         assert peak < 1 << 20
+
+
+def _count_word_sets(monkeypatch) -> list:
+    """Record every word-set build, in both modules that build word sets."""
+    built = []
+    real = additive._coset_words
+
+    def counting(reps, basis):
+        built.append(None)
+        return real(reps, basis)
+
+    monkeypatch.setattr(additive, "_coset_words", counting)
+    monkeypatch.setattr(linimage, "_coset_words", counting)
+    return built
+
+
+class TestMembership:
+    """``Code.has_word`` and the queries built on it against the word set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices(), st.data())
+    @example(_EDGE_MATRICES[0], None)
+    @example(_EDGE_MATRICES[1], None)
+    @example(_EDGE_MATRICES[2], None)
+    @example(_EDGE_MATRICES[3], None)
+    def test_reduction_matches_word_set(self, matrix, data):
+        code = Code.from_matrix(matrix)
+        codec = code.codec
+        width = matrix.alpha + 2 * matrix.beta
+        words = sorted(code.words)
+        # members, their shifts, and one-bit changes of a few members
+        queries = words + codec.shift_words(words)
+        queries += [w ^ 1 << i for w in words[:8] for i in range(width)]
+        if data is not None:
+            queries += data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30))
+        assert [code.has_word(w) for w in queries] == [word_set_contains(code, w) for w in queries]
+        for v in map(codec.unpack, queries[:: max(1, len(queries) // 20)]):
+            assert (v in code) == (codec.pack(v) in code.words)
+        assert code.is_cyclic() == word_set_is_cyclic(code) == word_is_cyclic(code)
+
+    def test_queries_build_no_word_set(self, monkeypatch):
+        built = _count_word_sets(monkeypatch)
+        answers = []
+        matrices = [nonlinear_image_matrix(), cyclic_projections_matrix(), *_EDGE_MATRICES]
+        for matrix in matrices:
+            code, other = Code.from_matrix(matrix), Code.from_matrix(_shifted_rows(matrix))
+            zero = MixedVector((0,) * matrix.alpha, (0,) * matrix.beta)
+            answers += [code == other, other == code, code.is_cyclic(), zero in code]
+            answers.append(gray_is_linear_oracle(code, mode="generators").linear)
+        for gens in mixed_candidates((1, 2), (1, 3, 5)):
+            if linimage.gray_linear_criterion(gens).verdict:
+                img = ext_psi_image(enumerate_code(gens))
+                span = double_cyclic_span(psi_image_generators(gens))
+                answers += [span == img, img == span, is_double_cyclic(img), hash(img)]
+        assert built == [] and answers
+
+    def test_check_candidate_builds_one_word_set_per_code(self, monkeypatch):
+        built = _count_word_sets(monkeypatch)
+        candidates = mixed_candidates((1, 2, 3), (1, 3, 5)) + [length9_generators()]
+        for k, gens in enumerate(candidates, 1):
+            check_candidate(gens)
+            assert len(built) == k
+
+
+def _block_codes(code: Code) -> list[BinaryBlockCode]:
+    """The code's Nechaev-Gray image in coset form (linear or not), its
+    word set as a block code, and the word set of its Gray image (often
+    not double-cyclic) as one of the same lengths."""
+    img = ext_psi_image(code)
+    gray = frozenset(code.codec.gray_words(code.words))
+    return [img, BinaryBlockCode(img.r, img.s, img.words), BinaryBlockCode(img.r, img.s, gray)]
+
+
+class TestBlockCodes:
+    """``BinaryBlockCode`` equality, hash and the double-cyclic test against
+    the word-set versions."""
+
+    @staticmethod
+    def _same_as_word_sets(codes: list[BinaryBlockCode]) -> None:
+        for bc in codes:
+            assert len(bc) == len(bc.words)
+            rank = len(additive._gf2_basis(bc.words))
+            assert (bc.linear_basis is not None) == (len(bc.words) == 1 << rank)
+            assert is_double_cyclic(bc) == word_is_double_cyclic(bc)
+            for other in codes:
+                assert (bc == other) == word_block_equal(bc, other)
+                if bc == other:
+                    assert hash(bc) == hash(other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 3), st.sampled_from([1, 3, 5])).flatmap(
+            lambda shape: matrices_of_shape(*shape)
+        ),
+        st.data(),
+    )
+    @example(_EDGE_MATRICES[0], None)
+    @example(nonlinear_image_matrix(), None)
+    def test_matches_word_sets(self, matrix, data):
+        code = Code.from_matrix(matrix)
+        codes = _block_codes(code)
+        if data is not None:
+            other = data.draw(st.one_of(
+                matrices_of_shape(matrix.alpha, matrix.beta),
+                st.just(_shifted_rows(matrix)),
+            ))
+            codes += _block_codes(Code.from_matrix(other))
+        self._same_as_word_sets(codes)
+
+    def test_linear_images_of_the_mixed_sweep(self):
+        for gens in mixed_candidates((1, 2, 3, 4), (1, 3, 5)):
+            if not linimage.gray_linear_criterion(gens).verdict:
+                continue
+            img = ext_psi_image(enumerate_code(gens))
+            span = double_cyclic_span(psi_image_generators(gens))
+            assert img.linear_basis is not None and span.linear_basis is not None
+            self._same_as_word_sets([img, span, BinaryBlockCode(span.r, span.s, span.words)])
+            assert span == img
+
+    def test_hash_matches_equality(self):
+        code = enumerate_code(length9_generators())
+        img = ext_psi_image(code)
+        span = double_cyclic_span(psi_image_generators(length9_generators()))
+        words = BinaryBlockCode(img.r, img.s, img.words)
+        assert len({img, span, words}) == 1
+        gray = BinaryBlockCode(img.r, img.s, frozenset(code.codec.gray_words(code.words)))
+        assert gray != img and len({img, gray}) == 2
 
 
 def _divisors(n: int) -> list[BinPoly]:
