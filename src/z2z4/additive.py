@@ -15,8 +15,8 @@ is known, and checked against the capacity bound, before any codeword
 is built.  Membership is decided by reduction: a word lies in C iff
 subtracting the pivots at its odd quaternary entries leaves a word of
 C_2, which the GF(2) basis then reduces to 0.  Equality, the shift test
-and the generator closure ask only that, so they build no word set; the
-word set is built only when it is asked for, as the XORs of the
+and both closure oracles ask only that, so they build no word set; the
+word set is built only when codewords are listed, as the XORs of the
 representatives with C_2.  The shift and the Gray-type maps are
 XOR-linear on packed words, so the image of a code is built coset by
 coset from the mapped representatives and basis, one XOR per word, and
@@ -26,7 +26,9 @@ with precomputed masks, without a Python call per word.
 The Gray-linearity oracle uses the identity 2u*v = (0 | 2(t_u & t_v)):
 the doubled star product of two codewords depends only on the mod-2
 patterns of their quaternary blocks, so checking all codeword pairs
-reduces to checking all pairs of distinct patterns.
+reduces to checking all pairs of distinct patterns.  Those patterns are
+the t planes of the coset representatives, and the smallest word with a
+given pattern is the minimum of its coset.
 """
 
 from __future__ import annotations
@@ -403,6 +405,16 @@ def _gf2_reduce(basis: dict[int, int], v: int) -> int:
     return 0
 
 
+def _coset_min(basis: dict[int, int], r: int) -> int:
+    """The smallest word of the coset ``r ^ span(basis)``: each lead bit,
+    from high to low, is cleared where it is set.  A basis vector has no
+    bit above its lead, so the bits already decided stay as they are."""
+    for lead in sorted(basis, reverse=True):
+        if r >> lead & 1:
+            r ^= basis[lead]
+    return r
+
+
 def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
     """A GF(2) basis of the span of ``vectors``, keyed by leading bit."""
     basis: dict[int, int] = {}
@@ -460,9 +472,9 @@ class Code:
     coset representatives) and ``basis`` (a GF(2) basis of the order-two
     subcode, keyed by leading bit) come from ``_span_cosets``.  The size is
     ``len(reps) << len(basis)``.  Membership is by reduction
-    (``has_word``), so equality and the shift test build no word set; the
-    word set ``words`` is built only on first access, for the exhaustive
-    closure oracle and for listing codewords.  Queries that are linear in
+    (``has_word``), so equality, the shift test and both closure oracles
+    build no word set; the word set ``words`` is built only on first
+    access, for listing codewords.  Queries that are linear in
     the codeword (the shift, the projections, the doubled star product)
     read ``gens``, and XOR-linear word maps (the Gray-type images) map
     ``reps`` and ``basis`` instead of every word.
@@ -603,11 +615,13 @@ class OracleReport:
 def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     """Closure test: the extended Gray image is linear iff 2u*v stays in the code.
 
-    ``exhaustive`` ranges over all codeword pairs (via their quaternary mod-2
-    patterns, which determine 2u*v) and builds the word set; ``generators``
-    ranges over pairs of the code's generators with a nonzero mod-2
-    pattern, which suffices because the doubled star product is
-    bi-additive in the patterns, and tests membership by reduction.
+    ``exhaustive`` ranges over all codeword pairs via their quaternary mod-2
+    patterns, which determine 2u*v: the nonzero t planes of ``reps``, each
+    witnessed by its smallest word, the minimum of its coset.
+    ``generators`` ranges over pairs of the code's generators with a
+    nonzero mod-2 pattern, which suffices because the doubled star product
+    is bi-additive in the patterns.  Both test membership by reduction and
+    build no word set.
     """
     codec = code.codec
     hoff = codec.hoff
@@ -621,21 +635,17 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
         return OracleReport(True)
     if mode != "exhaustive":
         raise DomainError(f"unknown oracle mode {mode!r}")
-    words = code.words
-    reps: dict[int, int] = {}
-    toff, qmask = codec.toff, codec.qmask
-    for w in words:
-        t = (w >> toff) & qmask
-        if t and (t not in reps or w < reps[t]):
-            reps[t] = w
-    patterns = sorted(reps)
+    # the words with t plane t(r) form the coset r ^ C_2; its minimum is
+    # the pattern's witness
+    witness = {t: _coset_min(code.basis, r) for r in code.reps if (t := codec.tpattern(r))}
+    patterns = sorted(witness)
     for i, s in enumerate(patterns):
         for t in patterns[i:]:
             prod = (s & t) << hoff
-            if prod not in words:
+            if _gf2_reduce(code.basis, prod):  # has_word, for an empty t plane
                 return OracleReport(
                     False,
-                    (codec.unpack(reps[s]), codec.unpack(reps[t]), codec.unpack(prod)),
+                    (codec.unpack(witness[s]), codec.unpack(witness[t]), codec.unpack(prod)),
                 )
     return OracleReport(True)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -42,6 +43,10 @@ from .polyring import (
 )
 
 log = logging.getLogger("z2z4")
+
+# Distinct (h, g) kept by _mu_tilde; a sweep or search cell has one per
+# factor triple.
+MU_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -259,10 +264,17 @@ def code_type(gens: CyclicGenerators) -> CodeType:
     )
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _mu_tilde(h: QuatPoly, g: QuatPoly) -> BinPoly:
+    """mu~, the mod-2 image of mu in lam*h + mu*g = 1; cached, so the
+    order-two generators and the three-generator form of a code, and every
+    code with the same (h, g), share one Bezout lift."""
+    return reduce_mod2(bezout_lift(h, g).mu)
+
+
 def order_two_generators(gens: CyclicGenerators) -> tuple[ResidueWord, ResidueWord]:
     """Generators of the order-two subcode: (b | 0) and (mu~ ell g~ | 2f)."""
-    mu = bezout_lift(gens.h, gens.g).mu
-    left = cyclic_reduce(reduce_mod2(mu) * gens.ell * reduce_mod2(gens.g), gens.alpha)
+    left = cyclic_reduce(_mu_tilde(gens.h, gens.g) * gens.ell * reduce_mod2(gens.g), gens.alpha)
     two_f = cyclic_reduce(QuatPoly((2,)) * gens.f, gens.beta)
     return (
         ResidueWord(gens.alpha, gens.beta, gens.b, QuatPoly.zero()),
@@ -275,11 +287,10 @@ def three_generator_form(
 ) -> tuple[ResidueWord, ResidueWord, ResidueWord]:
     """Equivalent generating triple (b|0), (ell g~ | 2fg), (ell' | fh)
     with ell' = ell - mu~ ell g~."""
-    mu = bezout_lift(gens.h, gens.g).mu
     gt = reduce_mod2(gens.g)
     lg = cyclic_reduce(gens.ell * gt, gens.alpha)
     two_fg = cyclic_reduce(QuatPoly((2,)) * gens.f * gens.g, gens.beta)
-    ellp = cyclic_reduce(gens.ell + reduce_mod2(mu) * gens.ell * gt, gens.alpha)
+    ellp = cyclic_reduce(gens.ell + _mu_tilde(gens.h, gens.g) * gens.ell * gt, gens.alpha)
     fh = cyclic_reduce(gens.f * gens.h, gens.beta)
     a, b_ = gens.alpha, gens.beta
     return (

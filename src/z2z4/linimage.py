@@ -341,14 +341,19 @@ def solve_cyclic_z4_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly 
 # Nechaev-Gray image generators
 
 
-def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
+def psi_image_generators(
+    gens: CyclicGenerators, *, report: LinearityReport | None = None
+) -> DoubleCyclicGenerators:
     """Generators of the Nechaev-Gray image when the gcd criterion holds.
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
     ell' = p~ * ell mod b for the lexicographically smallest p solving
-    p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).
+    p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).  ``report``,
+    if given, is the code's ``gray_linear_criterion`` report, which is then
+    not computed again.
     """
-    report = gray_linear_criterion(gens)
+    if report is None:
+        report = gray_linear_criterion(gens)
     if not report.verdict:
         raise PreconditionError(
             "the Gray image is not linear; the Nechaev-Gray image has no "
@@ -372,6 +377,14 @@ def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
 # quaternary-only oracle that scales past enumeration
 
 
+def _z4_code(f: QuatPoly, h: QuatPoly, n: int) -> Code:
+    """The quaternary cyclic code <fh + 2f> of length n, spanned by the
+    shifts of its generator."""
+    codec = WordCodec(0, n)
+    word = codec.pack(MixedVector((), cyclic_reduce(f * h + QuatPoly((2,)) * f, n).padded(n)))
+    return Code.span(codec, codec.shifts(word, n))
+
+
 def z4_gray_linear_oracle(
     f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int, mode: str = "auto"
 ) -> bool:
@@ -393,10 +406,7 @@ def z4_gray_linear_oracle(
     if mode == "auto":
         mode = "enumerate" if size <= ORACLE_ENUM_LIMIT else "algebraic"
     if mode == "enumerate":
-        codec = WordCodec(0, n)
-        word = codec.pack(MixedVector((), cyclic_reduce(f * h + QuatPoly((2,)) * f, n).padded(n)))
-        code = Code.span(codec, codec.shifts(word, n))
-        return gray_is_linear_oracle(code).linear
+        return gray_is_linear_oracle(_z4_code(f, h, n)).linear
     if mode != "algebraic":
         raise DomainError(f"unknown oracle mode {mode!r}")
     ft = reduce_mod2(f)

@@ -3,10 +3,11 @@
 ``z2z4.additive`` builds a code coset by coset, maps whole word lists
 with precomputed masks, answers the shift, projection and
 doubled-product queries from a code's generators, spans the order-two
-subcode from its basis and decides membership, equality and the shift
-test by reduction; ``z2z4.linimage`` does the same for binary block
-codes.  The functions here are the earlier word-at-a-time, word-set and
-matrix-driven versions, kept as differential oracles for those engines.
+subcode from its basis and decides membership, equality, the shift test
+and the exhaustive closure by reduction; ``z2z4.linimage`` does the same
+for binary block codes.  The functions here are the earlier
+word-at-a-time, word-set and matrix-driven versions, kept as
+differential oracles for those engines.
 """
 
 from __future__ import annotations
@@ -178,4 +179,26 @@ def matrix_generator_oracle(code: Code, matrix: GeneratorMatrix) -> OracleReport
             prod = (codec.tpattern(wi) & codec.tpattern(packed[j])) << codec.hoff
             if prod not in code.words:
                 return OracleReport(False, (rows[i], rows[j], codec.unpack(prod)))
+    return OracleReport(True)
+
+
+def word_set_closure(code: Code) -> OracleReport:
+    """The ``exhaustive`` closure test over the word set: every nonzero
+    mod-2 pattern of a codeword, witnessed by its smallest word, and every
+    pair of patterns s <= t, with 2(s & t) looked up among the words."""
+    codec = code.codec
+    words = code.words
+    smallest: dict[int, int] = {}
+    for w in words:
+        t = codec.tpattern(w)
+        if t and (t not in smallest or w < smallest[t]):
+            smallest[t] = w
+    patterns = sorted(smallest)
+    for i, s in enumerate(patterns):
+        for t in patterns[i:]:
+            prod = (s & t) << codec.hoff
+            if prod not in words:
+                return OracleReport(
+                    False, tuple(map(codec.unpack, (smallest[s], smallest[t], prod)))
+                )
     return OracleReport(True)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from z2z4 import cli, cycliccode, linimage
+from z2z4 import __version__, cli, cycliccode, linimage
 from z2z4.cli import main
 
 LENGTH9_JSON = (
@@ -170,6 +170,27 @@ class TestLinearity:
         assert status == 0
         assert data["report"]["linear"] is True
         assert data["report"]["oracle_linear"] is True
+
+    def test_nonlinear_oracle_output(self, capsys):
+        code = '{"alpha":1,"beta":3,"b":"1","ell":"0","f":"x+3","h":"1","g":"x^2+x+1"}'
+        status, out, _ = run(capsys, "linearity", "--code", code, "--oracle", "--json")
+        data = json.loads(out)
+        assert status == 0 and isinstance(data.pop("elapsed_s"), float)
+        assert data == {
+            "command": "linearity",
+            "inputs": {
+                "alpha": 1, "beta": 3, "b": [1], "ell": [], "f": [3, 1], "h": [1], "g": [1, 1, 1],
+            },
+            "report": {
+                "criterion_poly_a": [1, 1],
+                "tensor_poly": [1, 0, 0, 1],
+                "gcd": [1, 1],
+                "linear": False,
+                "oracle_linear": False,
+                "witness": ["0|3,1,0", "0|3,0,1", "0|2,0,0"],
+            },
+            "version": __version__,
+        }
 
     def test_file(self, capsys, tmp_path):
         path = tmp_path / "c.json"

@@ -1,9 +1,9 @@
 """Differential tests: the coset span engine, the coset structure a code
 keeps (size, equality, images, order-two subcode), membership by
-reduction in codes and binary block codes, the whole-code word maps and
-the generator-level queries against the per-word and word-set references
-in ``span_oracle``, and the packed standard form against the list
-reduction in ``standard_form_oracle``."""
+reduction in codes and binary block codes, the exhaustive closure oracle,
+the whole-code word maps and the generator-level queries against the
+per-word and word-set references in ``span_oracle``, and the packed
+standard form against the list reduction in ``standard_form_oracle``."""
 
 import tracemalloc
 
@@ -16,6 +16,8 @@ from z2z4.additive import (
     MixedVector,
     PlaneShift,
     WordCodec,
+    _coset_min,
+    _coset_words,
     _unit_echelon,
     gray_image_is_linear,
     gray_is_linear_oracle,
@@ -27,6 +29,7 @@ from z2z4.errors import CapacityError
 from z2z4.linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
+    _z4_code,
     double_cyclic_span,
     ext_psi_image,
     is_double_cyclic,
@@ -39,6 +42,7 @@ from z2z4.reproduce import (
     length9_generators,
     mixed_candidates,
     nonlinear_image_matrix,
+    z4_candidates,
 )
 from span_oracle import (
     basis_image_is_linear,
@@ -55,6 +59,7 @@ from span_oracle import (
     word_order_two_subcode,
     word_puncture_x,
     word_puncture_y,
+    word_set_closure,
     word_set_contains,
     word_set_equal,
     word_set_is_cyclic,
@@ -421,6 +426,7 @@ class TestMembership:
             zero = MixedVector((0,) * matrix.alpha, (0,) * matrix.beta)
             answers += [code == other, other == code, code.is_cyclic(), zero in code]
             answers.append(gray_is_linear_oracle(code, mode="generators").linear)
+            answers.append(gray_is_linear_oracle(code).linear)
         for gens in mixed_candidates((1, 2), (1, 3, 5)):
             if linimage.gray_linear_criterion(gens).verdict:
                 img = ext_psi_image(enumerate_code(gens))
@@ -428,12 +434,56 @@ class TestMembership:
                 answers += [span == img, img == span, is_double_cyclic(img), hash(img)]
         assert built == [] and answers
 
-    def test_check_candidate_builds_one_word_set_per_code(self, monkeypatch):
+    def test_check_candidate_builds_no_word_set(self, monkeypatch):
         built = _count_word_sets(monkeypatch)
         candidates = mixed_candidates((1, 2, 3), (1, 3, 5)) + [length9_generators()]
-        for k, gens in enumerate(candidates, 1):
+        for gens in candidates:
             check_candidate(gens)
-            assert len(built) == k
+        assert built == []
+
+
+def _z4_sweep_codes() -> list[Code]:
+    """The codes <fh + 2f> that ``z4_gray_linear_oracle`` enumerates: every
+    quaternary sweep code of at most ``ORACLE_ENUM_LIMIT`` words."""
+    return [
+        _z4_code(f, h, n)
+        for n, f, h, g in z4_candidates()
+        if 1 << (2 * int(g.degree) + int(h.degree)) <= linimage.ORACLE_ENUM_LIMIT
+    ]
+
+
+class TestExhaustiveOracle:
+    """The ``exhaustive`` closure on the echelon against the word-set scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[1])
+    @example(_EDGE_MATRICES[2])
+    @example(_EDGE_MATRICES[3])
+    def test_coset_min_is_the_coset_minimum(self, matrix):
+        code = Code.from_matrix(matrix)
+        for r in code.reps:
+            assert _coset_min(code.basis, r) == min(_coset_words([r], code.basis.values()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    @example(_EDGE_MATRICES[0])
+    @example(_EDGE_MATRICES[1])
+    @example(_EDGE_MATRICES[2])
+    @example(_EDGE_MATRICES[3])
+    def test_modes_agree(self, matrix):
+        code = Code.from_matrix(matrix)
+        exhaustive = gray_is_linear_oracle(code)
+        assert exhaustive == word_set_closure(code)
+        assert exhaustive.linear == gray_is_linear_oracle(code, mode="generators").linear
+
+    def test_matches_word_set_scan_on_every_enumerated_sweep_code(self):
+        mixed = [enumerate_code(gens) for gens in mixed_candidates()]
+        quaternary = _z4_sweep_codes()
+        assert len(mixed) == 1008 and len(quaternary) == 252
+        for code in mixed + quaternary:
+            assert gray_is_linear_oracle(code) == word_set_closure(code)
 
 
 def _block_codes(code: Code) -> list[BinaryBlockCode]:
