@@ -621,7 +621,7 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     ``generators`` ranges over pairs of the code's generators with a
     nonzero mod-2 pattern, which suffices because the doubled star product
     is bi-additive in the patterns.  Both test membership by reduction and
-    build no word set.
+    build no word set; ``exhaustive`` reduces each distinct product once.
     """
     codec = code.codec
     hoff = codec.hoff
@@ -639,14 +639,19 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     # the pattern's witness
     witness = {t: _coset_min(code.basis, r) for r in code.reps if (t := codec.tpattern(r))}
     patterns = sorted(witness)
+    in_code = set()  # the products s & t already reduced to 0
     for i, s in enumerate(patterns):
         for t in patterns[i:]:
-            prod = (s & t) << hoff
+            st = s & t
+            if st in in_code:
+                continue
+            prod = st << hoff
             if _gf2_reduce(code.basis, prod):  # has_word, for an empty t plane
                 return OracleReport(
                     False,
                     (codec.unpack(witness[s]), codec.unpack(witness[t]), codec.unpack(prod)),
                 )
+            in_code.add(st)
     return OracleReport(True)
 
 

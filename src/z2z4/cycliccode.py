@@ -13,8 +13,14 @@ L2 = q / gcd(q, g~) and L = lcm(L1, L2); so ``enumerate_all_cyclic`` lists
 the multiples of L and nothing else.  ``violations`` lists the conditions
 that fail, and every ``CyclicGenerators`` built by a caller is validated
 when constructed.
+
 The Z2 parts b and ell are ``BinPoly`` values (int bit masks), the Z4 parts
 ``QuatPoly`` coefficient tuples.
+
+The pair gcd(b, ell), gcd(b, ell*g~) decides both ell conditions, the type
+(``code_type``) and the linearity criterion (``linimage``); a tuple keeps
+it as ``ell_gcds``.  ``enumerate_all_cyclic`` computes it once per tuple on
+the int kernels, checks the conditions from it and hands it to the tuple.
 
 Module multiplication is p star (u | v) = (p~ u mod x^alpha - 1 |
 p v mod x^beta - 1); multiplication by x is the simultaneous cyclic shift.
@@ -24,8 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .additive import Code, CodeType, GeneratorMatrix, MixedVector, WordCodec
@@ -35,6 +40,9 @@ from .polyring import (
     BinPoly,
     QuatPoly,
     bezout_lift,
+    cldivmod,
+    clgcd,
+    clmod,
     clmul,
     cyclic_mul,
     cyclic_reduce,
@@ -107,16 +115,23 @@ def _triple_violations(beta: int, f: QuatPoly, h: QuatPoly, g: QuatPoly) -> list
     return out
 
 
+def _gcd_violations(b: int, cof: int, ht: int, gbl: int, gblg: int) -> list[str]:
+    """The two conditions that depend on ell, on bit masks, given
+    gbl = gcd(b, ell) and gblg = gcd(b, ell*g~); cof = (x^beta-1)/f~."""
+    out = []
+    if clmod(clmul(cof, gbl), b):
+        out.append("b does not divide (x^beta-1)/f~ * gcd(b, ell)")
+    if clmod(clmul(ht, gblg), b):
+        out.append("b does not divide h~ * gcd(b, ell*g~)")
+    return out
+
+
 def _ell_violations(
     b: BinPoly, ell: BinPoly, cof: BinPoly, ht: BinPoly, gt: BinPoly
 ) -> list[str]:
     """The two conditions that depend on ell; cof = (x^beta-1)/f~."""
-    out = []
-    if not b.divides(cof * gcd2(b, ell)):
-        out.append("b does not divide (x^beta-1)/f~ * gcd(b, ell)")
-    if not b.divides(ht * gcd2(b, ell * gt)):
-        out.append("b does not divide h~ * gcd(b, ell*g~)")
-    return out
+    gbl, gblg = gcd2(b, ell), gcd2(b, ell * gt)
+    return _gcd_violations(b.bits, cof.bits, ht.bits, gbl.bits, gblg.bits)
 
 
 def violations(
@@ -136,10 +151,11 @@ def _ell_lattice(b: BinPoly, cof: BinPoly, ht: BinPoly, gt: BinPoly) -> BinPoly:
     L = lcm(L1, L2) with L1 = b / gcd(b, cof), q = b / gcd(b, h~) and
     L2 = q / gcd(q, g~); L divides b.
     """
-    l1 = b // gcd2(b, cof)
-    q = b // gcd2(b, ht)
-    l2 = q // gcd2(q, gt)
-    return l1 * l2 // gcd2(l1, l2)
+    bb = b.bits
+    l1 = cldivmod(bb, clgcd(bb, cof.bits))[0]
+    q = cldivmod(bb, clgcd(bb, ht.bits))[0]
+    l2 = cldivmod(q, clgcd(q, gt.bits))[0]
+    return BinPoly.from_bits(cldivmod(clmul(l1, l2), clgcd(l1, l2))[0])
 
 
 @dataclass(frozen=True)
@@ -162,9 +178,11 @@ class CyclicGenerators:
 
     @classmethod
     def _trusted(
-        cls, alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly
+        cls, alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly,
+        ell_gcds: tuple[BinPoly, BinPoly] | None = None,
     ) -> "CyclicGenerators":
-        """Build from data whose ``violations`` the caller has already seen empty."""
+        """Build from data whose ``violations`` the caller has already seen
+        empty; ``ell_gcds``, if given, seeds the property of that name."""
         gens = object.__new__(cls)
         # field by field, as the dataclass __init__ does: touching __dict__
         # would give every instance a full dict of its own
@@ -172,6 +190,8 @@ class CyclicGenerators:
                                (alpha, beta, b, ell, f, h, g)):
             object.__setattr__(gens, name, value)
         gens._normalize()
+        if ell_gcds is not None:
+            object.__setattr__(gens, "ell_gcds", ell_gcds)
         return gens
 
     def _normalize(self) -> None:
@@ -187,6 +207,11 @@ class CyclicGenerators:
             object.__setattr__(self, "ell", ell)
 
     # -- derived data ---------------------------------------------------
+    @cached_property
+    def ell_gcds(self) -> tuple[BinPoly, BinPoly]:
+        """(gcd(b, ell), gcd(b, ell*g~)); gcd(b, 0) is b."""
+        return gcd2(self.b, self.ell), gcd2(self.b, self.ell * reduce_mod2(self.g))
+
     @property
     def fh_plus_2f(self) -> QuatPoly:
         return cyclic_reduce(self.f * self.h + QuatPoly((2,)) * self.f, self.beta)
@@ -248,9 +273,8 @@ def code_type(gens: CyclicGenerators) -> CodeType:
     db = int(gens.b.degree)
     dh = int(gens.h.degree)
     dg = int(gens.g.degree)
-    lg = gens.ell * reduce_mod2(gens.g)
-    d_blg = int(gcd2(gens.b, lg).degree) if not lg.is_zero else db
-    d_bl = int(gcd2(gens.b, gens.ell).degree) if not gens.ell.is_zero else db
+    gbl, gblg = gens.ell_gcds
+    d_bl, d_blg = int(gbl.degree), int(gblg.degree)
     return CodeType(
         alpha=gens.alpha,
         beta=gens.beta,
@@ -335,13 +359,12 @@ def enumerate_code(gens: CyclicGenerators, capacity: int | None = None) -> Code:
 def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
     """Every (f, h, g) that splits the basic irreducible factors of x^beta - 1
     among the three roles, ordered by the coefficients of h then g."""
-    factors = factor_xn_minus_1_z4(beta)
-    triples = []
-    for assign in product(range(3), repeat=len(factors)):
-        parts = [QuatPoly.one(), QuatPoly.one(), QuatPoly.one()]
-        for fac, slot in zip(factors, assign):
-            parts[slot] = parts[slot] * fac
-        triples.append(tuple(parts))
+    one = QuatPoly.one()
+    triples = [(one, one, one)]
+    # each factor extends the products built from the factors before it
+    for fac in factor_xn_minus_1_z4(beta):
+        triples = [t for f, h, g in triples
+                   for t in ((f * fac, h, g), (f, h * fac, g), (f, h, g * fac))]
     triples.sort(key=lambda t: (t[1].coeffs, t[2].coeffs))
     return triples
 
@@ -357,9 +380,11 @@ def enumerate_all_cyclic(
     conditions are listed: they are the multiples m*L, deg m < deg b - deg L,
     of L = lcm(L1, L2), where L1 = b / gcd(b, (x^beta-1)/f~),
     q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
-    The conditions on b and on (f, h, g) are checked once each, the ell
-    conditions once per tuple as a guard.  A (b, f, h, g) whose code has
-    more than ``capacity`` words raises CapacityError before its first
+    The conditions on b and on (f, h, g) are checked once each.  Per tuple,
+    the pair gcd(b, ell), gcd(b, ell*g~) is computed once on the int
+    kernels (gcd(b, ell) once per listed ell of b), checks the ell conditions
+    as a guard and seeds the tuple's ``ell_gcds``.  A (b, f, h, g) whose code
+    has more than ``capacity`` words raises CapacityError before its first
     tuple; None sets no bound.
     """
     if beta % 2 == 0:
@@ -373,9 +398,12 @@ def enumerate_all_cyclic(
     for b in divisors_of_xn_minus_1_z2(alpha):
         if errs := _b_violations(alpha, b):
             raise InternalError("; ".join(errs))
-        db = int(b.degree)
-        # L.bits -> its multiples, sorted; the tuples of one b share these ell
-        lattices: dict[int, list[BinPoly]] = {}
+        db, bb = int(b.degree), b.bits
+        # L.bits -> its multiples, sorted, each with gcd(b, ell); the tuples
+        # of one b share these ell
+        lattices: dict[int, list[tuple[BinPoly, int]]] = {}
+        # the gcd pairs of one b, as bit masks -> the ell_gcds its tuples share
+        pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]] = {}
         for f, h, g, cof, ht, gt in triples:
             size = 1 << ((alpha - db) + 2 * int(g.degree) + int(h.degree))
             if capacity is not None and size > capacity:
@@ -387,9 +415,15 @@ def enumerate_all_cyclic(
             if ells is None:
                 count = 1 << (db - int(step.degree))
                 ells = lattices[step.bits] = [
-                    BinPoly.from_bits(e) for e in sorted(clmul(m, step.bits) for m in range(count))
+                    (BinPoly.from_bits(e), clgcd(bb, e))
+                    for e in sorted(clmul(m, step.bits) for m in range(count))
                 ]
-            for ell in ells:
-                if errs := _ell_violations(b, ell, cof, ht, gt):
+            cofb, htb, gtb = cof.bits, ht.bits, gt.bits
+            for ell, gbl in ells:
+                gblg = clgcd(bb, clmul(ell.bits, gtb))
+                if errs := _gcd_violations(bb, cofb, htb, gbl, gblg):
                     raise InternalError(f"ell = {ell} fails: {'; '.join(errs)}")
-                yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g)
+                gcds = pairs.get((gbl, gblg))
+                if gcds is None:
+                    gcds = pairs[gbl, gblg] = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
+                yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)

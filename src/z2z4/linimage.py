@@ -38,6 +38,9 @@ from .errors import DomainError, InternalError, PreconditionError
 from .polyring import (
     BinPoly,
     QuatPoly,
+    cldivmod,
+    clgcd,
+    clmul,
     cyclic_reduce,
     gcd2,
     reduce_mod2,
@@ -76,18 +79,22 @@ def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
     return gcd2(reduce_mod2(f), tensor_square(reduce_mod2(g), n)) == BinPoly.one()
 
 
+def _criterion(b: BinPoly, ft: BinPoly, denom: BinPoly, tensor: BinPoly) -> LinearityReport:
+    """gcd(f~ * b / denom, tensor) = 1, on the int kernels; denom is
+    gcd(b, ell*g~) and tensor is g~ (x) g~."""
+    quot, rem = cldivmod(clmul(ft.bits, b.bits), denom.bits)
+    if rem:
+        raise InternalError("gcd(b, ell*g~) failed to divide f~*b")
+    gcd_val = clgcd(quot, tensor.bits)
+    return LinearityReport(
+        BinPoly.from_bits(quot), tensor, BinPoly.from_bits(gcd_val), gcd_val == 1
+    )
+
+
 def gray_linear_criterion(gens: CyclicGenerators) -> LinearityReport:
     """The gcd criterion for the extended Gray image of a mixed cyclic code."""
-    ft = reduce_mod2(gens.f)
-    gt = reduce_mod2(gens.g)
-    denom = gcd2(gens.b, gens.ell * gt)
-    num = ft * gens.b
-    quot, rem = divmod(num, denom)
-    if not rem.is_zero:
-        raise InternalError("gcd(b, ell*g~) failed to divide f~*b")
-    tensor = tensor_square(gt, gens.beta)
-    gcd_val = gcd2(quot, tensor)
-    return LinearityReport(quot, tensor, gcd_val, gcd_val == BinPoly.one())
+    tensor = tensor_square(reduce_mod2(gens.g), gens.beta)
+    return _criterion(gens.b, reduce_mod2(gens.f), gens.ell_gcds[1], tensor)
 
 
 def family_g_subgroup(gens: CyclicGenerators) -> bool:
@@ -435,18 +442,31 @@ def search_by_type(
 
     ``None`` acts as a wildcard; results keep the deterministic order of
     the candidate stream.  No code is enumerated, so no capacity bound
-    applies.
+    applies.  The tuples of one (b, f, h, g) run share f~, the tensor of g~
+    and one report per value of gcd(b, ell*g~), which decides the criterion.
     """
+    typed = gamma is not None or delta is not None or kappa is not None
     analyzed = []
+    b = f = g = None
     for gens in enumerate_all_cyclic(alpha, beta):
-        ct = code_type(gens)
-        if gamma is not None and ct.gamma != gamma:
-            continue
-        if delta is not None and ct.delta != delta:
-            continue
-        if kappa is not None and ct.kappa != kappa:
-            continue
-        rep = gray_linear_criterion(gens)
+        if typed:
+            ct = code_type(gens)
+            if gamma is not None and ct.gamma != gamma:
+                continue
+            if delta is not None and ct.delta != delta:
+                continue
+            if kappa is not None and ct.kappa != kappa:
+                continue
+        # the candidate loop hands every tuple of a run the same objects
+        if gens.b is not b or gens.f is not f or gens.g is not g:
+            b, f, g = gens.b, gens.f, gens.g
+            ft = reduce_mod2(f)
+            tensor = tensor_square(reduce_mod2(g), beta)
+            reports: dict[int, LinearityReport] = {}
+        denom = gens.ell_gcds[1]
+        rep = reports.get(denom.bits)
+        if rep is None:
+            rep = reports[denom.bits] = _criterion(b, ft, denom, tensor)
         if rep.verdict or not linear_only:
             analyzed.append((gens, rep))
     return analyzed

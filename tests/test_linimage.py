@@ -24,7 +24,8 @@ from z2z4.linimage import (
     wolfmann_linear,
     z4_gray_linear_oracle,
 )
-from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce
+from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, gcd2, reduce_mod2
+from candidate_oracle import reference_code_type, reference_criterion
 from span_oracle import double_shift
 from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin
 
@@ -353,3 +354,59 @@ class TestSearch:
         a = [(G.to_json(), rep.verdict) for G, rep in search_by_type(2, 3)]
         b = [(G.to_json(), rep.verdict) for G, rep in search_by_type(2, 3)]
         assert a == b
+
+
+# the search workload's four cells and one with many divisors of x^alpha - 1
+SHARED_GCD_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9)]
+
+
+def _gcd_pair(G):
+    return gcd2(G.b, G.ell), gcd2(G.b, G.ell * reduce_mod2(G.g))
+
+
+class TestSharedGcds:
+    """The gcd pair the candidate loop hands each tuple, and the type,
+    criterion and search that read it, against the from-scratch formulas."""
+
+    @pytest.mark.parametrize("alpha,beta", SHARED_GCD_CELLS)
+    def test_every_tuple_matches_the_reference(self, alpha, beta):
+        for G in enumerate_all_cyclic(alpha, beta):
+            assert "ell_gcds" in vars(G)  # seeded, not computed on access
+            assert G.ell_gcds == _gcd_pair(G)
+            assert code_type(G) == reference_code_type(G)
+            assert gray_linear_criterion(G) == reference_criterion(G)
+
+    @pytest.mark.parametrize("alpha,beta", SHARED_GCD_CELLS)
+    def test_search_is_the_filtered_reference(self, alpha, beta):
+        ref = [(G, reference_code_type(G), reference_criterion(G))
+               for G in enumerate_all_cyclic(alpha, beta)]
+        gamma, delta, kappa = ref[len(ref) // 2][1].triple
+        filters = [
+            (None, None, None, False),
+            (None, None, None, True),
+            (gamma, delta, kappa, False),
+            (gamma, delta, kappa, True),
+            (None, delta, None, False),
+            (gamma, None, None, True),
+            (None, None, kappa, False),
+        ]
+        for g_, d_, k_, linear_only in filters:
+            want = [
+                (G, rep) for G, ct, rep in ref
+                if g_ in (None, ct.gamma) and d_ in (None, ct.delta) and k_ in (None, ct.kappa)
+                and (rep.verdict or not linear_only)
+            ]
+            assert search_by_type(alpha, beta, g_, d_, k_, linear_only) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(1, 1), (3, 3), (2, 7), (4, 5), (6, 9), (5, 15)]), st.data())
+    def test_validated_tuples_compute_the_pair(self, cell, data):
+        alpha, beta = cell
+        seeded = data.draw(st.sampled_from(list(enumerate_all_cyclic(alpha, beta))))
+        # an ell given past deg b is reduced, which leaves both gcds as they are
+        pad = BinPoly.from_bits(data.draw(st.integers(0, 7))) * seeded.b
+        G = CyclicGenerators(alpha, beta, seeded.b, seeded.ell + pad, seeded.f, seeded.h, seeded.g)
+        assert G == seeded and "ell_gcds" not in vars(G)
+        assert G.ell_gcds == _gcd_pair(G) == seeded.ell_gcds
+        assert code_type(G) == reference_code_type(G) == code_type(seeded)
+        assert gray_linear_criterion(G) == reference_criterion(G) == gray_linear_criterion(seeded)

@@ -485,6 +485,21 @@ class TestExhaustiveOracle:
         for code in mixed + quaternary:
             assert gray_is_linear_oracle(code) == word_set_closure(code)
 
+    def test_reduces_each_product_once(self, monkeypatch):
+        reduced = []
+        real = additive._gf2_reduce
+
+        def counting(basis, v):
+            reduced.append(v)
+            return real(basis, v)
+
+        monkeypatch.setattr(additive, "_gf2_reduce", counting)
+        for gens in mixed_candidates((2, 3), (3, 5, 7)):
+            code = enumerate_code(gens)
+            reduced.clear()
+            gray_is_linear_oracle(code)
+            assert len(reduced) == len(set(reduced))
+
 
 def _block_codes(code: Code) -> list[BinaryBlockCode]:
     """The code's Nechaev-Gray image in coset form (linear or not), its
