@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .additive import Code, CodeType, GeneratorMatrix, MixedVector, WordCodec
@@ -39,7 +39,6 @@ from .errors import CapacityError, DomainError, InternalError
 from .polyring import (
     BinPoly,
     QuatPoly,
-    bezout_lift,
     cldivmod,
     clgcd,
     clmod,
@@ -47,14 +46,11 @@ from .polyring import (
     cyclic_mul,
     cyclic_reduce,
     gcd2,
+    gf2_bezout,
     reduce_mod2,
 )
 
 log = logging.getLogger("z2z4")
-
-# Distinct (h, g) kept by _mu_tilde; a sweep or search cell has one per
-# factor triple.
-MU_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -288,17 +284,11 @@ def code_type(gens: CyclicGenerators) -> CodeType:
     )
 
 
-@lru_cache(maxsize=MU_CACHE_SIZE)
-def _mu_tilde(h: QuatPoly, g: QuatPoly) -> BinPoly:
-    """mu~, the mod-2 image of mu in lam*h + mu*g = 1; cached, so the
-    order-two generators and the three-generator form of a code, and every
-    code with the same (h, g), share one Bezout lift."""
-    return reduce_mod2(bezout_lift(h, g).mu)
-
-
 def order_two_generators(gens: CyclicGenerators) -> tuple[ResidueWord, ResidueWord]:
-    """Generators of the order-two subcode: (b | 0) and (mu~ ell g~ | 2f)."""
-    left = cyclic_reduce(_mu_tilde(gens.h, gens.g) * gens.ell * reduce_mod2(gens.g), gens.alpha)
+    """Generators of the order-two subcode: (b | 0) and (mu~ ell g~ | 2f),
+    with mu~ from lam~ h~ + mu~ g~ = 1 over Z2."""
+    mu_t = gf2_bezout(gens.h, gens.g)[1]
+    left = cyclic_reduce(mu_t * gens.ell * reduce_mod2(gens.g), gens.alpha)
     two_f = cyclic_reduce(QuatPoly((2,)) * gens.f, gens.beta)
     return (
         ResidueWord(gens.alpha, gens.beta, gens.b, QuatPoly.zero()),
@@ -314,7 +304,8 @@ def three_generator_form(
     gt = reduce_mod2(gens.g)
     lg = cyclic_reduce(gens.ell * gt, gens.alpha)
     two_fg = cyclic_reduce(QuatPoly((2,)) * gens.f * gens.g, gens.beta)
-    ellp = cyclic_reduce(gens.ell + _mu_tilde(gens.h, gens.g) * gens.ell * gt, gens.alpha)
+    mu_t = gf2_bezout(gens.h, gens.g)[1]
+    ellp = cyclic_reduce(gens.ell + mu_t * gens.ell * gt, gens.alpha)
     fh = cyclic_reduce(gens.f * gens.h, gens.beta)
     a, b_ = gens.alpha, gens.beta
     return (

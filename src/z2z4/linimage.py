@@ -43,6 +43,7 @@ from .polyring import (
     clmul,
     cyclic_reduce,
     gcd2,
+    gf2_bezout,
     reduce_mod2,
 )
 from .zmaps import nechaev_gray_inv
@@ -248,7 +249,7 @@ def double_cyclic_span(
 
 
 # ----------------------------------------------------------------------
-# solving p * gen = target in Z4[x]/(x^n - 1)
+# solving p * (fh + 2f) = target in Z4[x]/(x^n - 1)
 #
 # A Z4 vector is held bit-sliced as a pair of ints (lo, hi): entry k is bit k
 # of lo plus twice bit k of hi.  Adding two rows is then an xor plus a carry,
@@ -268,80 +269,143 @@ def _z4_add(a: Z4Row, b: Z4Row) -> Z4Row:
     return a[0] ^ b[0], a[1] ^ b[1] ^ (a[0] & b[0])
 
 
+def _z4_neg(a: Z4Row) -> Z4Row:
+    return a[0], a[1] ^ a[0]
+
+
 def _clear_by_unit(row: Z4Row, piv: Z4Row, bit: int) -> Z4Row:
     """row - e * piv, where e is the entry of row at ``bit`` and piv's is 1."""
     lo, hi = row
     if lo & bit:
         if hi & bit:  # e = 3
             return _z4_add(row, piv)
-        return _z4_add(row, (piv[0], piv[1] ^ piv[0]))  # e = 1: add -piv
+        return _z4_add(row, _z4_neg(piv))  # e = 1
     if hi & bit:  # e = 2: add 2 * piv = (0, piv.lo)
         return lo, hi ^ piv[0]
     return row
 
 
-def solve_cyclic_z4_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
-    """The p with p * gen = target whose coefficient vector is smallest, or None.
+def _cyclic_row(p: QuatPoly, n: int) -> Z4Row:
+    return _bitsliced(cyclic_reduce(p, n).coeffs)
 
-    Vectors compare lexicographically from p_0.  The rows (x^i gen | e_i)
-    span the pairs (p gen | p).  One column-by-column pass brings them to
-    Howell form over Z4: a unit pivot is normalised to 1 and clears its
-    column; a pivot of 2 clears the other 2s and appends twice its row,
-    which vanishes on its own column.  Afterwards the pivots at or after
-    any column span every row-space vector that vanishes before it, so
-    reducing (-target | 0) greedily column by column reaches the smallest
-    vector of its coset, and that is (0 | p) exactly when p exists.
 
-    This pass stays apart from ``additive._unit_echelon``, the echelon
+def _z4_cyclic_mul(a: Z4Row, b: Z4Row, n: int) -> Z4Row:
+    """a * b mod x^n - 1 for rows of n entries: one rotated add of b for
+    each nonzero entry of a."""
+    mask = (1 << n) - 1
+    b_lo, b_hi = b
+    a_lo, a_hi = a
+    lo = hi = 0
+    rest = a_lo | a_hi
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        k = bit.bit_length() - 1
+        r_lo = ((b_lo << k) | (b_lo >> (n - k))) & mask
+        if a_lo & bit:
+            r_hi = ((b_hi << k) | (b_hi >> (n - k))) & mask
+            if a_hi & bit:  # entry 3: add -rot(b)
+                r_hi ^= r_lo
+            hi ^= r_hi ^ (lo & r_lo)
+            lo ^= r_lo
+        else:  # entry 2: add 2 * rot(b) = (0, rot(b).lo)
+            hi ^= r_lo
+    return lo, hi
+
+
+def _howell_reduce(
+    v: Z4Row, unit: Z4Row, two: Z4Row, k: int, m: int
+) -> tuple[Z4Row, Z4Row, int]:
+    """Reduce v greedily from column 0 by the Howell basis of <unit, 2*two>:
+    the rows x^i * c*unit for i < k, with c = unit(0) so that their pivots
+    are 1, and the rows 2x^j * two for k <= j < k + m.  ``unit`` has degree
+    n - k and ``two`` degree n - k - m, so no row wraps round.
+
+    Returns the rest r and the multipliers (A, B), with
+    v = r + A*unit + 2B*two and B a 0/1 vector given as bits.
+    """
+    neg = unit[1] & 1  # c = 3
+    piv = _z4_neg(unit) if neg else unit
+    a_lo = a_hi = 0
+    for i in range(k):
+        bit = 1 << i
+        a_lo |= v[0] & bit
+        a_hi |= v[1] & bit
+        v = _clear_by_unit(v, (piv[0] << i, piv[1] << i), bit)
+    b = 0
+    for j in range(k, k + m):
+        bit = 1 << j
+        if v[1] & bit:  # 2 -> 0, 3 -> 1
+            v = v[0], v[1] ^ two[0] << j
+            b |= bit
+    a = _z4_neg((a_lo, a_hi)) if neg else (a_lo, a_hi)
+    return v, a, b
+
+
+def solve_cyclic_z4_lexmin(
+    f: QuatPoly, h: QuatPoly, g: QuatPoly, target: QuatPoly, n: int
+) -> QuatPoly | None:
+    """The p with p * (fh + 2f) = target whose coefficient vector is
+    smallest, or None; f*h*g = x^n - 1 with pairwise coprime mod-2 images.
+
+    Vectors compare lexicographically from p_0.  The code <fh + 2f> is
+    <fh, 2f>, and its annihilator is <gh, 2g> (Pless and Qian, IEEE Trans.
+    IT 42, 1996).  (f, h, g) give a Howell basis of each:
+
+    - the code: x^i * fh for i < deg g, and 2x^j * f for
+      deg g <= j < deg g + deg h;
+    - the annihilator: x^i * gh for i < deg f, and 2x^j * g for
+      deg f <= j < deg f + deg h.
+
+    Row x^i * fh, times fh(0) (a unit), has its lowest entry 1 at column
+    i; row 2x^j * f has its lowest entry 2 at column j.  For every column
+    j, the rows from column j on span every element that vanishes before
+    j: an element of the code that vanishes on the first deg g columns is
+    0 mod 2, since the unit rows mod 2 are an echelon basis of <f~h~>, so
+    it is 2u with u~ in <f~>, and the x^j f~ for j < deg g + deg h are an
+    echelon basis of <f~>.  The annihilator's basis is the same with f and
+    g swapped.  So:
+
+    1. Reducing the target greedily from column 0 by the code's basis
+       writes it as A*fh + 2B*f, or leaves a rest, and then there is no p.
+    2. With lam~ h~ + mu~ g~ = 1 over Z2 (lifted as 0/1 vectors), the
+       vector P2 = g*mu~ + 2*lam~ has P2 * (fh + 2f) = 2f, since fgh = 0
+       and g*mu~ + h*lam~ is odd; so (1 + P2) * (fh + 2f) = fh, and
+       p0 = A + (A + B) * P2 is one solution.
+    3. The solutions are p0 + Ann.  Reducing p0 greedily from column 0 by
+       the annihilator's basis takes each column to the smallest value
+       the solutions allow, given the columns before it: 0 at a unit
+       pivot, 0 or 1 at a pivot of 2.  That is the lexicographic minimum.
+
+    Each step is a bit-sliced row operation, and there are O(n) of them.
+    ``tests/z4_oracles.howell_lexmin``, the generic Howell echelon of the
+    rows (x^i gen | e_i) over 2n columns, is the differential oracle.
+
+    The reductions stay apart from ``additive._unit_echelon``, the echelon
     behind the span engine and the standard form.  The lexicographic
     minimum needs pivots taken by column from p_0 upwards, with pivots of
     2 among the unit pivots; the unit-pivot echelon of the t plane gives
     another form.  Over the columns (c0, c1) the code <(2, 1)> gets a unit
-    pivot at c1 from that echelon, while this pass, going from c0, meets
-    its leading 2 first.  A kernel shared by both would have to branch on
-    its caller.
+    pivot at c1 from that echelon, while a pass from c0 meets its leading
+    2 first.  A kernel shared by both would have to branch on its caller.
     """
-    tgt = cyclic_reduce(target, n)
-    g_lo, g_hi = _bitsliced(cyclic_reduce(gen, n).coeffs)
-    mask = (1 << n) - 1
-    rows = [
-        (
-            ((g_lo << i) | (g_lo >> (n - i))) & mask | 1 << (n + i),
-            ((g_hi << i) | (g_hi >> (n - i))) & mask,
-        )
-        for i in range(n)
-    ]
-    pivots: list[tuple[int, Z4Row, bool]] = []  # (column bit, row, pivot is 2)
-    for j in range(2 * n):
-        bit = 1 << j
-        k = next((k for k, r in enumerate(rows) if r[0] & bit), None)
-        if k is not None:
-            lo, hi = rows.pop(k)
-            piv = (lo, hi ^ lo) if hi & bit else (lo, hi)  # 3 -> 1 by negation
-            rows = [_clear_by_unit(r, piv, bit) for r in rows]
-            pivots.append((bit, piv, False))
-            continue
-        k = next((k for k, r in enumerate(rows) if r[1] & bit), None)
-        if k is None:
-            continue
-        piv = rows.pop(k)
-        rows = [_z4_add(r, piv) if r[1] & bit else r for r in rows]
-        if piv[0]:
-            rows.append((0, piv[0]))
-        pivots.append((bit, piv, True))
-    t_lo, t_hi = _bitsliced(tgt.coeffs)
-    v = (t_lo, t_hi ^ t_lo)
-    for bit, piv, two in pivots:
-        if not two:
-            v = _clear_by_unit(v, piv, bit)
-        elif v[1] & bit:  # 2 -> 0, 3 -> 1
-            v = _z4_add(v, piv)
-    if (v[0] | v[1]) & mask:
+    df, dh, dg = (len(p.coeffs) - 1 for p in (f, h, g))
+    lam, mu = gf2_bezout(h, g)
+    f_row, h_row, g_row = (_cyclic_row(p, n) for p in (f, h, g))
+    fh = _z4_cyclic_mul(f_row, h_row, n)
+    tgt = _cyclic_row(target, n)
+    rest, a, b = _howell_reduce(tgt, fh, f_row, dg, dh)
+    if rest[0] | rest[1]:
         return None
-    p = QuatPoly(((v[0] >> k) & 1) | ((v[1] >> k) & 1) << 1 for k in range(n, 2 * n))
-    if cyclic_reduce(p * gen, n) != tgt:
-        raise InternalError("the echelon solution does not solve p * gen = target")
-    return p
+    p2 = _z4_cyclic_mul((mu.bits, 0), g_row, n)
+    p2 = p2[0], p2[1] ^ lam.bits
+    p0 = _z4_add(a, _z4_cyclic_mul(_z4_add(a, (b, 0)), p2, n))
+    gh = _z4_cyclic_mul(g_row, h_row, n)
+    (lo, hi), _, _ = _howell_reduce(p0, gh, g_row, df, dh)
+    gen = fh[0], fh[1] ^ f_row[0]  # fh + 2f
+    if _z4_cyclic_mul((lo, hi), gen, n) != tgt:
+        raise InternalError("the Howell-basis solution does not solve p * (fh + 2f) = target")
+    return QuatPoly(((lo >> k) & 1) | ((hi >> k) & 1) << 1 for k in range(n))
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +434,7 @@ def psi_image_generators(
     ft, ht = reduce_mod2(gens.f), reduce_mod2(gens.h)
     a = cyclic_reduce(ft * ft * ht, 2 * beta)
     target = QuatPoly(nechaev_gray_inv(a.padded(2 * beta)))
-    p = solve_cyclic_z4_lexmin(gens.fh_plus_2f, target, beta)
+    p = solve_cyclic_z4_lexmin(gens.f, gens.h, gens.g, target, beta)
     if p is None:
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
     if gens.b == BinPoly.one():

@@ -476,17 +476,22 @@ class BezoutPair:
     mu: QuatPoly
 
 
+def gf2_bezout(h: QuatPoly, g: QuatPoly) -> tuple[BinPoly, BinPoly]:
+    """(lam~, mu~) with lam~ h~ + mu~ g~ = 1 over Z2, by extended Euclid:
+    the mod-2 images of the pair that ``bezout_lift`` lifts to Z4."""
+    d, s, t = ext_gcd2(reduce_mod2(h), reduce_mod2(g))
+    if d != BinPoly.one():
+        raise DomainError(f"mod-2 images share the factor {d}")
+    return s, t
+
+
 def bezout_lift(h: QuatPoly, g: QuatPoly) -> BezoutPair:
     """Solve lam*h + mu*g = 1 in Z4[x] for h, g with coprime mod-2 images.
 
     Extended Euclid over Z2 gives the identity up to an even error 2r;
     multiplying both cofactors by 1 + 2r repairs it since (1+2r)^2 = 1.
     """
-    ht, gt = reduce_mod2(h), reduce_mod2(g)
-    d, s, t = ext_gcd2(ht, gt)
-    if d != BinPoly.one():
-        raise DomainError(f"mod-2 images share the factor {d}")
-    lam0, mu0 = lift_to_quat(s), lift_to_quat(t)
+    lam0, mu0 = (lift_to_quat(c) for c in gf2_bezout(h, g))
     unit = lam0 * h + mu0 * g  # equals 1 + 2r, a square root of itself's inverse
     lam, mu = unit * lam0, unit * mu0
     if lam * h + mu * g != QuatPoly.one():

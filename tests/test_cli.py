@@ -10,6 +10,18 @@ LENGTH9_JSON = (
     ' "f": "1", "h": "x^2+x+1", "g": "x+3"}'
 )
 
+BETA63_JSON = (
+    '{"alpha": 6, "beta": 63, "b": [1, 0, 1, 0, 1], "ell": [1, 0, 0, 1],'
+    ' "f": [1, 1, 3, 3, 2, 0, 0, 2, 3, 0, 3, 1, 0, 2, 2, 0, 3, 1, 1,'
+    ' 1, 2, 2, 0, 2, 1, 1, 3, 2, 1, 0, 0, 2, 2, 0, 0, 3, 1],'
+    ' "h": [3, 2, 3, 3, 0, 2, 3, 2, 3, 0, 0, 1, 2, 1, 3, 3, 2, 3, 1, 1, 3, 0, 3, 1],'
+    ' "g": [1, 1, 3, 2, 1]}'
+)
+BETA63_A = [int(c) for c in (
+    "100101111101000100110100111010001100011010001101000110100011010"
+    "101000111011100111100101010010111"
+)]
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -228,6 +240,23 @@ class TestImage:
         assert status == 0
         assert data["generators"] == {
             "r": 3, "s": 6, "b": [1, 1, 1], "ellp": [0, 1], "a": [1, 1, 1]
+        }
+
+    def test_beta63_output_pinned(self, capsys):
+        # a pool code whose ell' = p~ ell mod b needs the smallest p
+        status, out, _ = run(capsys, "image", "--code", BETA63_JSON, "--json")
+        data = json.loads(out)
+        assert status == 0
+        del data["elapsed_s"]
+        assert data == {
+            "command": "image",
+            "inputs": json.loads(BETA63_JSON),
+            "map": "Psi",
+            "generators": {
+                "r": 6, "s": 126, "b": [1, 0, 1, 0, 1], "ellp": [0, 1, 1, 1],
+                "a": BETA63_A,
+            },
+            "version": __version__,
         }
 
     def test_dump(self, capsys):

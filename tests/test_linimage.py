@@ -1,12 +1,16 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from z2z4 import linimage
 from z2z4.additive import Code, GeneratorMatrix, MixedVector, PlaneShift, gray_is_linear_oracle
 from z2z4.cycliccode import (
     code_type,
     enumerate_all_cyclic,
     CyclicGenerators,
     enumerate_code,
+    factor_triples,
 )
 from z2z4.cyclofield import TENSOR_CACHE_SIZE, factor_xn_minus_1_z4, tensor_square
 from z2z4.errors import DomainError, PreconditionError
@@ -25,9 +29,10 @@ from z2z4.linimage import (
     z4_gray_linear_oracle,
 )
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, gcd2, reduce_mod2
+from z2z4.reproduce import mixed_candidates
 from candidate_oracle import reference_code_type, reference_criterion
 from span_oracle import double_shift
-from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin
+from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin, howell_lexmin
 
 
 # factors that make p -> p * gen far from onto: x-1, 2, x^2+x+1, x^3-1, 2(x-1)
@@ -192,23 +197,53 @@ class TestImplicationCheck:
             assert gray_is_linear_oracle(code.puncture_y()).linear
 
 
+def _gen(f, h):
+    return f * h + QuatPoly((2,)) * f
+
+
+@st.composite
+def code_systems(draw):
+    """(f, h, g, target, n) for a factor triple of x^n - 1, often with f, h
+    or g = 1, and a target inside <fh + 2f> about half of the time."""
+    n = draw(st.sampled_from([1, 3, 5, 7, 9, 15, 21, 31]))
+    triples = factor_triples(n)
+    unit_role = draw(st.sampled_from([None, 0, 1, 2]))
+    if unit_role is not None:
+        triples = [t for t in triples if t[unit_role] == QuatPoly.one()]
+    f, h, g = draw(st.sampled_from(triples))
+    target = QuatPoly(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        target = cyclic_reduce(target * _gen(f, h), n)
+    return f, h, g, target, n
+
+
 class TestSolver:
     def test_known_solution(self, length9_code):
         # p = x + 2x^2 is the smallest solution sending fh+2f to (3,1,3)
+        G = length9_code
         target = QuatPoly((3, 1, 3))
-        p = solve_cyclic_z4_lexmin(length9_code.fh_plus_2f, target, 3)
+        p = solve_cyclic_z4_lexmin(G.f, G.h, G.g, target, 3)
         assert p == QuatPoly((0, 1, 2))
-        assert cyclic_reduce(p * length9_code.fh_plus_2f, 3) == target
+        assert cyclic_reduce(p * G.fh_plus_2f, 3) == target
 
     def test_unsolvable_returns_none(self):
-        assert solve_cyclic_z4_lexmin(QuatPoly((2,)), QuatPoly.one(), 3) is None
+        # f = g = 1, h = x^3 - 1: the code is <2>
+        h = QuatPoly.xn_minus_1(3)
+        assert solve_cyclic_z4_lexmin(QuatPoly.one(), h, QuatPoly.one(), QuatPoly.one(), 3) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(code_systems())
+    def test_matches_the_generic_howell_pass(self, system):
+        f, h, g, target, n = system
+        want = howell_lexmin(_gen(f, h), target, n)
+        assert solve_cyclic_z4_lexmin(f, h, g, target, n) == want
 
     @settings(max_examples=60, deadline=None)
     @given(cyclic_systems([1, 3, 5]))
     def test_matches_exhaustive(self, system):
         gen, target, n = system
         sols = all_cyclic_solutions(gen, target, n)
-        got = solve_cyclic_z4_lexmin(gen, target, n)
+        got = howell_lexmin(gen, target, n)
         if not sols:
             assert got is None
         else:
@@ -218,21 +253,23 @@ class TestSolver:
     @given(cyclic_systems([7, 9, 15, 21]))
     def test_matches_digit_fixing_lexmin(self, system):
         gen, target, n = system
-        assert solve_cyclic_z4_lexmin(gen, target, n) == digit_fixing_lexmin(gen, target, n)
+        assert howell_lexmin(gen, target, n) == digit_fixing_lexmin(gen, target, n)
 
     def test_beta_255(self):
-        # gen = fh + 2f with f = x^5 - 1, h = x^10 + x^5 + 1, so fh = x^15 - 1
+        # f = x^5 - 1 and h = x^10 + x^5 + 1, so fh = x^15 - 1 and
+        # g = (x^255 - 1)/(x^15 - 1)
         n = 255
         f = QuatPoly.xn_minus_1(5)
         h = QuatPoly.monomial(10) + QuatPoly.monomial(5) + QuatPoly.one()
-        gen = f * h + QuatPoly((2,)) * f
+        g = QuatPoly.xn_minus_1(n) // QuatPoly.xn_minus_1(15)
+        gen = _gen(f, h)
         q = QuatPoly([(7 * k * k + 3 * k + 1) % 4 for k in range(n)])
         target = cyclic_reduce(q * gen, n)
-        p = solve_cyclic_z4_lexmin(gen, target, n)
-        assert p is not None and len(p) <= n
+        p = solve_cyclic_z4_lexmin(f, h, g, target, n)
+        assert p == howell_lexmin(gen, target, n)
         assert cyclic_reduce(p * gen, n) == target
         assert p.padded(n) <= cyclic_reduce(q, n).padded(n)
-        assert solve_cyclic_z4_lexmin(gen, QuatPoly.one(), n) is None
+        assert solve_cyclic_z4_lexmin(f, h, g, QuatPoly.one(), n) is None
 
 
 class TestPsiImage:
@@ -308,6 +345,34 @@ class TestPsiImage:
         code = enumerate_code(length9_code)
         word = nechaev_gray_inv((1, 1, 1, 0, 0, 0))
         assert MixedVector((), word) in code.puncture_y()
+
+
+def _psi_with_howell_oracle(gens):
+    """psi_image_generators with the generic Howell pass as its solver."""
+    def oracle(f, h, g, target, n):
+        return howell_lexmin(_gen(f, h), target, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linimage, "solve_cyclic_z4_lexmin", oracle)
+        return psi_image_generators(gens)
+
+
+@functools.cache
+def _linear_beta31_codes():
+    return [G for G in enumerate_all_cyclic(3, 31) if gray_linear_criterion(G).verdict]
+
+
+class TestPsiImageOracle:
+    def test_every_linear_sweep_code(self):
+        codes = [G for G in mixed_candidates() if gray_linear_criterion(G).verdict]
+        assert len(codes) == 810
+        for G in codes:
+            assert psi_image_generators(G) == _psi_with_howell_oracle(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.deferred(lambda: st.sampled_from(_linear_beta31_codes())))
+    def test_beta_31_sample(self, G):
+        assert psi_image_generators(G) == _psi_with_howell_oracle(G)
 
 
 class TestDoubleCyclic:

@@ -10,6 +10,7 @@ from z2z4.polyring import (
     cyclic_reduce,
     ext_gcd2,
     gcd2,
+    gf2_bezout,
     graeffe_lift,
     lift_to_quat,
     reduce_mod2,
@@ -197,6 +198,14 @@ class TestBezout:
         for h, g in permutations(factor_xn_minus_1_z4(n), 2):
             pair = bezout_lift(h, g)
             assert pair.lam * h + pair.mu * g == QuatPoly.one()
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 21])
+    def test_gf2_pair_is_the_reduced_lift(self, n):
+        from z2z4.cycliccode import factor_triples
+
+        for _, h, g in factor_triples(n):
+            pair = bezout_lift(h, g)
+            assert gf2_bezout(h, g) == (reduce_mod2(pair.lam), reduce_mod2(pair.mu))
 
 
 class TestParsePrint:

@@ -1,8 +1,10 @@
-"""Slow reference solvers for p * gen = target in Z4[x]/(x^n - 1).
+"""Reference solvers for p * gen = target in Z4[x]/(x^n - 1).
 
-They are the oracles for the Howell-echelon solver in ``z2z4.linimage``:
-``digit_fixing_lexmin`` fixes the coefficients of p one at a time, smallest
-digit first, with a Smith-form solvability test per digit (about 4n
+They are the oracles for ``z2z4.linimage.solve_cyclic_z4_lexmin``, which
+reads the Howell bases of the code and of its annihilator off (f, h, g):
+``howell_lexmin`` echelons the rows (x^i gen | e_i) over 2n columns for any
+gen; ``digit_fixing_lexmin`` fixes the coefficients of p one at a time,
+smallest digit first, with a Smith-form solvability test per digit (about 4n
 eliminations), and ``all_cyclic_solutions`` tries all 4^n vectors.
 """
 
@@ -11,7 +13,63 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from z2z4.errors import InternalError
+from z2z4.linimage import Z4Row, _bitsliced, _clear_by_unit, _z4_add
 from z2z4.polyring import QuatPoly, cyclic_reduce
+
+
+def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
+    """The p with p * gen = target whose coefficient vector is smallest, or None.
+
+    Vectors compare lexicographically from p_0.  The rows (x^i gen | e_i)
+    span the pairs (p gen | p).  One column-by-column pass brings them to
+    Howell form over Z4: a unit pivot is normalised to 1 and clears its
+    column; a pivot of 2 clears the other 2s and appends twice its row,
+    which vanishes on its own column.  Afterwards the pivots at or after
+    any column span every row-space vector that vanishes before it, so
+    reducing (-target | 0) greedily column by column reaches the smallest
+    vector of its coset, and that is (0 | p) exactly when p exists.
+    """
+    tgt = cyclic_reduce(target, n)
+    g_lo, g_hi = _bitsliced(cyclic_reduce(gen, n).coeffs)
+    mask = (1 << n) - 1
+    rows = [
+        (
+            ((g_lo << i) | (g_lo >> (n - i))) & mask | 1 << (n + i),
+            ((g_hi << i) | (g_hi >> (n - i))) & mask,
+        )
+        for i in range(n)
+    ]
+    pivots: list[tuple[int, Z4Row, bool]] = []  # (column bit, row, pivot is 2)
+    for j in range(2 * n):
+        bit = 1 << j
+        k = next((k for k, r in enumerate(rows) if r[0] & bit), None)
+        if k is not None:
+            lo, hi = rows.pop(k)
+            piv = (lo, hi ^ lo) if hi & bit else (lo, hi)  # 3 -> 1 by negation
+            rows = [_clear_by_unit(r, piv, bit) for r in rows]
+            pivots.append((bit, piv, False))
+            continue
+        k = next((k for k, r in enumerate(rows) if r[1] & bit), None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        rows = [_z4_add(r, piv) if r[1] & bit else r for r in rows]
+        if piv[0]:
+            rows.append((0, piv[0]))
+        pivots.append((bit, piv, True))
+    t_lo, t_hi = _bitsliced(tgt.coeffs)
+    v = (t_lo, t_hi ^ t_lo)
+    for bit, piv, two in pivots:
+        if not two:
+            v = _clear_by_unit(v, piv, bit)
+        elif v[1] & bit:  # 2 -> 0, 3 -> 1
+            v = _z4_add(v, piv)
+    if (v[0] | v[1]) & mask:
+        return None
+    p = QuatPoly(((v[0] >> k) & 1) | ((v[1] >> k) & 1) << 1 for k in range(n, 2 * n))
+    if cyclic_reduce(p * gen, n) != tgt:
+        raise InternalError("the echelon solution does not solve p * gen = target")
+    return p
 
 
 def smith_solve_z4(m: list[list[int]], t: list[int]) -> list[int] | None:
