@@ -2,9 +2,10 @@
 """Census of cyclic codes by type: how many exist, how many have linear
 Gray images, and which types admit none.
 
-Every valid canonical tuple is counted.  The criterion decides linearity
-from the polynomials alone and no code is enumerated, so the
-Z2Z4_CAPACITY bound does not apply.
+Every valid canonical tuple is counted, with the criterion report that
+``search_by_type`` gives it.  The criterion decides linearity from the
+polynomials alone and no code is enumerated, so the Z2Z4_CAPACITY bound
+does not apply.
 
 Example:
     python3 scripts/linear_image_census.py --alphas 1 2 3 4 --betas 1 3 5 7
@@ -13,8 +14,8 @@ Example:
 import argparse
 from collections import defaultdict
 
-from z2z4.cycliccode import code_type, enumerate_all_cyclic
-from z2z4.linimage import gray_linear_criterion
+from z2z4.cycliccode import code_type
+from z2z4.linimage import search_by_type
 
 
 def main() -> None:
@@ -26,11 +27,11 @@ def main() -> None:
     rows = defaultdict(lambda: [0, 0])  # type -> [total, linear]
     for alpha in args.alphas:
         for beta in args.betas:
-            for gens in enumerate_all_cyclic(alpha, beta):
+            for gens, report in search_by_type(alpha, beta):
                 ct = code_type(gens)
                 key = (alpha, beta, ct.gamma, ct.delta, ct.kappa)
                 rows[key][0] += 1
-                if gray_linear_criterion(gens).verdict:
+                if report.verdict:
                     rows[key][1] += 1
 
     print(f"{'type':>22}  {'codes':>6}  {'linear':>6}")

@@ -360,6 +360,27 @@ def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
     return triples
 
 
+def _check_factors(beta: int, factors: Sequence[QuatPoly]) -> None:
+    """Raise InternalError unless the factors are monic, multiply to
+    x^beta - 1 over Z4 and have pairwise coprime mod-2 images.
+
+    Every triple of ``factor_triples`` multiplies disjoint sets of these
+    factors, so this proves the split, monic and coprime conditions of all
+    of them at once.
+    """
+    prod = QuatPoly.one()
+    for p in factors:
+        if not p.is_monic:
+            raise InternalError(f"factor {p} of x^{beta}-1 is not monic")
+        prod = prod * p
+    if prod != QuatPoly.xn_minus_1(beta):
+        raise InternalError(f"the factors of x^{beta}-1 multiply to {prod} over Z4")
+    images = [reduce_mod2(p).bits for p in factors]
+    for i, a in enumerate(images):
+        if any(clgcd(a, c) != 1 for c in images[i + 1:]):
+            raise InternalError(f"the factors of x^{beta}-1 are not coprime mod 2")
+
+
 def enumerate_all_cyclic(
     alpha: int, beta: int, capacity: int | None = None
 ) -> Iterator[CyclicGenerators]:
@@ -371,28 +392,38 @@ def enumerate_all_cyclic(
     conditions are listed: they are the multiples m*L, deg m < deg b - deg L,
     of L = lcm(L1, L2), where L1 = b / gcd(b, (x^beta-1)/f~),
     q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
-    The conditions on b and on (f, h, g) are checked once each.  Per tuple,
-    the pair gcd(b, ell), gcd(b, ell*g~) is computed once on the int
-    kernels (gcd(b, ell) once per listed ell of b), checks the ell conditions
-    as a guard and seeds the tuple's ``ell_gcds``.  A (b, f, h, g) whose code
-    has more than ``capacity`` words raises CapacityError before its first
-    tuple; None sets no bound.
+
+    Each piece of work is done once per call, at the level its result
+    varies on.  The Z4 factors of x^beta - 1 are checked once
+    (``_check_factors``); each triple then only checks that f, h, g are
+    monic and that f~ h~ g~ = x^beta - 1 on bit masks, which, x^beta - 1
+    being squarefree over Z2, also makes them coprime; (x^beta-1)/f~ is
+    h~ g~.  The condition on b is checked once per b.  Within one b, the
+    multiples of L are listed once per (L, g~), each with the pair
+    gcd(b, ell), gcd(b, ell*g~) computed on the int kernels and the
+    ``ell_gcds`` it seeds; the tuples of every (f, h, g) with that L and g~
+    share them.  The pair checks the ell conditions as a guard on every
+    tuple.  A (b, f, h, g) whose code has more than ``capacity`` words
+    raises CapacityError before its first tuple; None sets no bound.
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
-    xb = BinPoly.xn_minus_1(beta)
+    _check_factors(beta, factor_xn_minus_1_z4(beta))
+    xb = BinPoly.xn_minus_1(beta).bits
     triples = []
     for f, h, g in factor_triples(beta):
-        if errs := _triple_violations(beta, f, h, g):
-            raise InternalError(f"factor triple {f}, {h}, {g}: {'; '.join(errs)}")
-        triples.append((f, h, g, xb // reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)))
+        ft, ht, gt = reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)
+        cof = clmul(ht.bits, gt.bits)
+        if clmul(ft.bits, cof) != xb or not (f.is_monic and h.is_monic and g.is_monic):
+            raise InternalError(f"factor triple {f}, {h}, {g} does not split x^{beta}-1")
+        triples.append((f, h, g, BinPoly.from_bits(cof), ht, gt))
     for b in divisors_of_xn_minus_1_z2(alpha):
         if errs := _b_violations(alpha, b):
             raise InternalError("; ".join(errs))
         db, bb = int(b.degree), b.bits
-        # L.bits -> its multiples, sorted, each with gcd(b, ell); the tuples
-        # of one b share these ell
-        lattices: dict[int, list[tuple[BinPoly, int]]] = {}
+        # (L, g~) as bit masks -> the multiples ell of L, sorted, each with
+        # gcd(b, ell), gcd(b, ell*g~) and the ell_gcds they seed
+        rows: dict[tuple[int, int], list[tuple[BinPoly, int, int, tuple]]] = {}
         # the gcd pairs of one b, as bit masks -> the ell_gcds its tuples share
         pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]] = {}
         for f, h, g, cof, ht, gt in triples:
@@ -402,19 +433,18 @@ def enumerate_all_cyclic(
                     f"candidate code size {size} exceeds the bound {capacity}"
                 )
             step = _ell_lattice(b, cof, ht, gt)
-            ells = lattices.get(step.bits)
-            if ells is None:
-                count = 1 << (db - int(step.degree))
-                ells = lattices[step.bits] = [
-                    (BinPoly.from_bits(e), clgcd(bb, e))
-                    for e in sorted(clmul(m, step.bits) for m in range(count))
-                ]
             cofb, htb, gtb = cof.bits, ht.bits, gt.bits
-            for ell, gbl in ells:
-                gblg = clgcd(bb, clmul(ell.bits, gtb))
+            ells = rows.get((step.bits, gtb))
+            if ells is None:
+                ells = rows[step.bits, gtb] = []
+                count = 1 << (db - int(step.degree))
+                for e in sorted(clmul(m, step.bits) for m in range(count)):
+                    gbl, gblg = clgcd(bb, e), clgcd(bb, clmul(e, gtb))
+                    gcds = pairs.get((gbl, gblg))
+                    if gcds is None:
+                        gcds = pairs[gbl, gblg] = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
+                    ells.append((BinPoly.from_bits(e), gbl, gblg, gcds))
+            for ell, gbl, gblg, gcds in ells:
                 if errs := _gcd_violations(bb, cofb, htb, gbl, gblg):
                     raise InternalError(f"ell = {ell} fails: {'; '.join(errs)}")
-                gcds = pairs.get((gbl, gblg))
-                if gcds is None:
-                    gcds = pairs[gbl, gblg] = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
                 yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)

@@ -506,11 +506,20 @@ def search_by_type(
 
     ``None`` acts as a wildcard; results keep the deterministic order of
     the candidate stream.  No code is enumerated, so no capacity bound
-    applies.  The tuples of one (b, f, h, g) run share f~, the tensor of g~
-    and one report per value of gcd(b, ell*g~), which decides the criterion.
+    applies.  A report depends only on f~, the tensor g~ (x) g~ and
+    b / gcd(b, ell*g~), since its criterion polynomial is f~ times that
+    quotient; the tuples of one (b, f, h, g) run look their report up by
+    gcd(b, ell*g~), and on a miss by that key, in a dict kept for this
+    call only, so each report is evaluated once per call.  The quotient
+    is taken once per (b, gcd(b, ell*g~)), with an exact check that the
+    gcd divides b.
     """
     typed = gamma is not None or delta is not None or kappa is not None
     analyzed = []
+    # (b, gcd(b, ell*g~)) -> b / gcd(b, ell*g~), and (f~, g~ (x) g~, that
+    # quotient) -> the report, all as bit masks
+    quotients: dict[tuple[int, int], int] = {}
+    shared: dict[tuple[int, int, int], LinearityReport] = {}
     b = f = g = None
     for gens in enumerate_all_cyclic(alpha, beta):
         if typed:
@@ -530,7 +539,17 @@ def search_by_type(
         denom = gens.ell_gcds[1]
         rep = reports.get(denom.bits)
         if rep is None:
-            rep = reports[denom.bits] = _criterion(b, ft, denom, tensor)
+            quot = quotients.get((b.bits, denom.bits))
+            if quot is None:
+                quot, rem = cldivmod(b.bits, denom.bits)
+                if rem:
+                    raise InternalError("gcd(b, ell*g~) failed to divide b")
+                quotients[b.bits, denom.bits] = quot
+            key = (ft.bits, tensor.bits, quot)
+            rep = shared.get(key)
+            if rep is None:
+                rep = shared[key] = _criterion(b, ft, denom, tensor)
+            reports[denom.bits] = rep
         if rep.verdict or not linear_only:
             analyzed.append((gens, rep))
     return analyzed

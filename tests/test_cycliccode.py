@@ -13,6 +13,7 @@ from z2z4.cycliccode import (
     CyclicGenerators,
     _ell_lattice,
     _ell_violations,
+    _triple_violations,
     ResidueWord,
     code_type,
     enumerate_all_cyclic,
@@ -334,6 +335,40 @@ class TestEllLattice:
         monkeypatch.setattr(cycliccode, "factor_triples", lambda beta: [(f * f, h, g)])
         with pytest.raises(InternalError):
             next(enumerate_all_cyclic(1, 3))
+
+    @pytest.mark.parametrize("beta", [1, 3, 5, 7, 9, 15, 21, 31, 45])
+    def test_every_triple_passes_the_full_check(self, beta):
+        # the candidate loop checks the factors once per call and each
+        # triple only on bit masks; the full per-triple check is the oracle
+        for f, h, g in factor_triples(beta):
+            assert _triple_violations(beta, f, h, g) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=13, max_size=13))
+    def test_sampled_triples_at_63_pass_the_full_check(self, roles):
+        # x^63 - 1 has 13 factors, so 3^13 triples: build a sample of them
+        # the way factor_triples does, from a role for each factor
+        parts = [QuatPoly.one()] * 3
+        for fac, role in zip(factor_xn_minus_1_z4(63), roles, strict=True):
+            parts[role] = parts[role] * fac
+        assert _triple_violations(63, *parts) == []
+
+    def test_wrong_z4_lift_is_an_internal_error(self, monkeypatch):
+        factors = list(factor_xn_minus_1_z4(7))
+        good = factors[-1]
+        bad = QuatPoly(((good.coeffs[0] + 2) % 4,) + good.coeffs[1:])
+        # the mod-2 images agree, so only the check of the Z4 factors sees it
+        assert bad != good and reduce_mod2(bad) == reduce_mod2(good)
+        factors[-1] = bad
+        monkeypatch.setattr(cycliccode, "factor_xn_minus_1_z4", lambda n: tuple(factors))
+        with pytest.raises(InternalError):
+            next(enumerate_all_cyclic(1, 7))
+
+    def test_repeated_factor_is_an_internal_error(self, monkeypatch):
+        factors = factor_xn_minus_1_z4(7)
+        monkeypatch.setattr(cycliccode, "factor_xn_minus_1_z4", lambda n: factors + factors[-1:])
+        with pytest.raises(InternalError):
+            next(enumerate_all_cyclic(1, 7))
 
     def test_broken_b_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(cycliccode, "divisors_of_xn_minus_1_z2", lambda n: (BinPoly([1, 1, 1]),))

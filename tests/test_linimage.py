@@ -421,8 +421,9 @@ class TestSearch:
         assert a == b
 
 
-# the search workload's four cells and one with many divisors of x^alpha - 1
-SHARED_GCD_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9)]
+# the search workload's four cells, one with many divisors of x^alpha - 1
+# and the largest search cell
+SHARED_GCD_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9), (2, 31)]
 
 
 def _gcd_pair(G):
@@ -462,6 +463,22 @@ class TestSharedGcds:
                 and (rep.verdict or not linear_only)
             ]
             assert search_by_type(alpha, beta, g_, d_, k_, linear_only) == want
+
+    @pytest.mark.parametrize("alpha,beta", [(4, 15), (2, 21), (2, 31)])
+    def test_one_report_per_criterion_input(self, alpha, beta, monkeypatch):
+        # a report depends only on (f~, g~, b / gcd(b, ell*g~)); the search
+        # evaluates each such input at most once
+        seen = []
+        real = linimage._criterion
+
+        def counted(b, ft, denom, tensor):
+            seen.append((ft, tensor, b // denom))
+            return real(b, ft, denom, tensor)
+
+        monkeypatch.setattr(linimage, "_criterion", counted)
+        results = search_by_type(alpha, beta)
+        inputs = {(reduce_mod2(G.f), reduce_mod2(G.g), G.b // _gcd_pair(G)[1]) for G, _ in results}
+        assert len(seen) == len(set(seen)) <= len(inputs)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([(1, 1), (3, 3), (2, 7), (4, 5), (6, 9), (5, 15)]), st.data())

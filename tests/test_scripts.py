@@ -1,0 +1,41 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
+
+
+def trajectory(*argv):
+    out = subprocess.run(
+        [sys.executable, str(TRAJECTORY), *argv], capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()
+
+
+class TestBenchTrajectory:
+    def test_every_bench_summary_is_listed(self):
+        lines = trajectory()
+        for path in ROOT.glob("BENCH_*.json"):
+            bench = json.loads(path.read_text())
+            for name, entry in bench.items():
+                if isinstance(entry, dict) and "codes_per_s" in entry.get("summary", {}):
+                    row = [ln.split() for ln in lines if ln.split()[:1] == [path.name]]
+                    assert any(r[2] == name for r in row), (path.name, name)
+        assert lines[-1].startswith("skipped")
+
+    def test_both_summary_shapes_and_a_skipped_file(self, tmp_path):
+        (tmp_path / "BENCH_1.json").write_text(json.dumps({
+            "search": {"summary": {"codes_per_s": {"parent_median": 10.0, "change_median": 20.0}}},
+        }))
+        (tmp_path / "BENCH_2.json").write_text(json.dumps({
+            "search": {"summary": {"codes_per_s": {
+                "parent_q1_median_q3": [1.0, 30.0, 40.0], "change_q1_median_q3": [1.0, 15.0, 40.0],
+            }}},
+        }))
+        (tmp_path / "BENCH_3.json").write_text(json.dumps({"what": "no workload summary"}))
+        lines = trajectory("--dir", str(tmp_path))
+        assert lines[1].split() == ["BENCH_1.json", "search", "10.0", "20.0", "2.00"]
+        assert lines[2].split() == ["BENCH_2.json", "search", "30.0", "15.0", "0.50"]
+        assert lines[-1] == "skipped (no codes_per_s summary): BENCH_3.json"
