@@ -357,6 +357,21 @@ class WordCodec:
             for d in ((g ^ (g >> s)) & pm,)
         ]
 
+    def psi_inv_words(self, images: Iterable[int]) -> list[int]:
+        """Packed preimages [binary block][t][h] of packed extended
+        Nechaev-Gray images; beta must be odd.  The swaps are an involution,
+        so they are undone as in ``psi_words``; the Gray blocks are then h
+        and t + h."""
+        if self.beta % 2 == 0:
+            raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
+        s, bm, tp, hp, pm = self.beta, self.bmask, self._tplane, self._hplane, self._psi_mask
+        return [
+            (v & bm) | ((v ^ (v >> s)) & tp) | ((v << s) & hp)
+            for g in images
+            for d in ((g ^ (g >> s)) & pm,)
+            for v in (g ^ d ^ (d << s),)
+        ]
+
 
 def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """Unit pivots of packed words on the quaternary mod-2 plane t.

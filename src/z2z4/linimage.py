@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 from .additive import (
     Code,
@@ -46,7 +46,6 @@ from .polyring import (
     gf2_bezout,
     reduce_mod2,
 )
-from .zmaps import nechaev_gray_inv
 
 # Codes at most this large are enumerated for oracle cross-checks; bigger
 # quaternary codes use the algebraic membership test instead.
@@ -258,40 +257,25 @@ def double_cyclic_span(
 Z4Row = tuple[int, int]
 
 
-def _bitsliced(coeffs: Sequence[int]) -> Z4Row:
-    return (
-        sum((c & 1) << k for k, c in enumerate(coeffs)),
-        sum((c >> 1) << k for k, c in enumerate(coeffs)),
-    )
-
-
 def _z4_add(a: Z4Row, b: Z4Row) -> Z4Row:
     return a[0] ^ b[0], a[1] ^ b[1] ^ (a[0] & b[0])
 
 
-def _z4_neg(a: Z4Row) -> Z4Row:
-    return a[0], a[1] ^ a[0]
-
-
-def _clear_by_unit(row: Z4Row, piv: Z4Row, bit: int) -> Z4Row:
-    """row - e * piv, where e is the entry of row at ``bit`` and piv's is 1."""
-    lo, hi = row
-    if lo & bit:
-        if hi & bit:  # e = 3
-            return _z4_add(row, piv)
-        return _z4_add(row, _z4_neg(piv))  # e = 1
-    if hi & bit:  # e = 2: add 2 * piv = (0, piv.lo)
-        return lo, hi ^ piv[0]
-    return row
-
-
 def _cyclic_row(p: QuatPoly, n: int) -> Z4Row:
-    return _bitsliced(cyclic_reduce(p, n).coeffs)
+    """p mod x^n - 1 as a row, both planes from one pass over its
+    coefficients."""
+    lo = hi = 0
+    for c in reversed(cyclic_reduce(p, n).coeffs):
+        lo = lo << 1 | c & 1
+        hi = hi << 1 | c >> 1
+    return lo, hi
 
 
 def _z4_cyclic_mul(a: Z4Row, b: Z4Row, n: int) -> Z4Row:
-    """a * b mod x^n - 1 for rows of n entries: one rotated add of b for
-    each nonzero entry of a."""
+    """a * b mod x^n - 1 for rows of n entries: one rotated add of one
+    row for each nonzero entry of the other, the sparser."""
+    if (a[0] | a[1]).bit_count() > (b[0] | b[1]).bit_count():
+        a, b = b, a
     mask = (1 << n) - 1
     b_lo, b_hi = b
     a_lo, a_hi = a
@@ -324,29 +308,43 @@ def _howell_reduce(
     Returns the rest r and the multipliers (A, B), with
     v = r + A*unit + 2B*two and B a 0/1 vector given as bits.
     """
-    neg = unit[1] & 1  # c = 3
-    piv = _z4_neg(unit) if neg else unit
+    lo, hi = v
+    u_lo, u_hi = unit
+    neg = u_hi & 1  # c = 3: the pivot row is -unit
+    if neg:
+        u_hi ^= u_lo
     a_lo = a_hi = 0
-    for i in range(k):
+    for i in range(k):  # v -= e * x^i piv for the entry e of v at column i
         bit = 1 << i
-        a_lo |= v[0] & bit
-        a_hi |= v[1] & bit
-        v = _clear_by_unit(v, (piv[0] << i, piv[1] << i), bit)
+        if lo & bit:  # e = 1 or 3: add -piv or piv
+            a_lo |= bit
+            p_lo, p_hi = u_lo << i, u_hi << i
+            if hi & bit:
+                a_hi |= bit
+            else:
+                p_hi ^= p_lo
+            hi ^= p_hi ^ (lo & p_lo)
+            lo ^= p_lo
+        elif hi & bit:  # e = 2: add 2 * piv = (0, piv.lo)
+            a_hi |= bit
+            hi ^= u_lo << i
     b = 0
     for j in range(k, k + m):
         bit = 1 << j
-        if v[1] & bit:  # 2 -> 0, 3 -> 1
-            v = v[0], v[1] ^ two[0] << j
+        if hi & bit:  # 2 -> 0, 3 -> 1
+            hi ^= two[0] << j
             b |= bit
-    a = _z4_neg((a_lo, a_hi)) if neg else (a_lo, a_hi)
-    return v, a, b
+    a = (a_lo, a_hi ^ a_lo) if neg else (a_lo, a_hi)
+    return (lo, hi), a, b
 
 
 def solve_cyclic_z4_lexmin(
-    f: QuatPoly, h: QuatPoly, g: QuatPoly, target: QuatPoly, n: int
-) -> QuatPoly | None:
+    f: QuatPoly, h: QuatPoly, g: QuatPoly, target: Z4Row, n: int
+) -> Z4Row | None:
     """The p with p * (fh + 2f) = target whose coefficient vector is
     smallest, or None; f*h*g = x^n - 1 with pairwise coprime mod-2 images.
+    ``target`` and the returned p are bit-sliced rows (lo, hi) of n
+    entries, so p mod 2 is the int ``lo``.
 
     Vectors compare lexicographically from p_0.  The code <fh + 2f> is
     <fh, 2f>, and its annihilator is <gh, 2g> (Pless and Qian, IEEE Trans.
@@ -377,7 +375,8 @@ def solve_cyclic_z4_lexmin(
        the solutions allow, given the columns before it: 0 at a unit
        pivot, 0 or 1 at a pivot of 2.  That is the lexicographic minimum.
 
-    Each step is a bit-sliced row operation, and there are O(n) of them.
+    Each step is a bit-sliced row operation, and there are O(n) of them;
+    no coefficient tuple is built past the rows of f, h and g.
     ``tests/z4_oracles.howell_lexmin``, the generic Howell echelon of the
     rows (x^i gen | e_i) over 2n columns, is the differential oracle.
 
@@ -393,19 +392,18 @@ def solve_cyclic_z4_lexmin(
     lam, mu = gf2_bezout(h, g)
     f_row, h_row, g_row = (_cyclic_row(p, n) for p in (f, h, g))
     fh = _z4_cyclic_mul(f_row, h_row, n)
-    tgt = _cyclic_row(target, n)
-    rest, a, b = _howell_reduce(tgt, fh, f_row, dg, dh)
+    rest, a, b = _howell_reduce(target, fh, f_row, dg, dh)
     if rest[0] | rest[1]:
         return None
     p2 = _z4_cyclic_mul((mu.bits, 0), g_row, n)
     p2 = p2[0], p2[1] ^ lam.bits
     p0 = _z4_add(a, _z4_cyclic_mul(_z4_add(a, (b, 0)), p2, n))
     gh = _z4_cyclic_mul(g_row, h_row, n)
-    (lo, hi), _, _ = _howell_reduce(p0, gh, g_row, df, dh)
+    p, _, _ = _howell_reduce(p0, gh, g_row, df, dh)
     gen = fh[0], fh[1] ^ f_row[0]  # fh + 2f
-    if _z4_cyclic_mul((lo, hi), gen, n) != tgt:
+    if _z4_cyclic_mul(p, gen, n) != target:
         raise InternalError("the Howell-basis solution does not solve p * (fh + 2f) = target")
-    return QuatPoly(((lo >> k) & 1) | ((hi >> k) & 1) << 1 for k in range(n))
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -419,9 +417,11 @@ def psi_image_generators(
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
     ell' = p~ * ell mod b for the lexicographically smallest p solving
-    p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).  ``report``,
-    if given, is the code's ``gray_linear_criterion`` report, which is then
-    not computed again.
+    p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).  The preimage
+    is taken on the packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``
+    and goes to the solver as a bit-sliced row; p comes back as one, and
+    p~ is its ``lo`` int.  ``report``, if given, is the code's
+    ``gray_linear_criterion`` report, which is then not computed again.
     """
     if report is None:
         report = gray_linear_criterion(gens)
@@ -433,14 +433,15 @@ def psi_image_generators(
     beta = gens.beta
     ft, ht = reduce_mod2(gens.f), reduce_mod2(gens.h)
     a = cyclic_reduce(ft * ft * ht, 2 * beta)
-    target = QuatPoly(nechaev_gray_inv(a.padded(2 * beta)))
+    (word,) = WordCodec(0, beta).psi_inv_words((a.bits,))
+    target = word & ((1 << beta) - 1), word >> beta
     p = solve_cyclic_z4_lexmin(gens.f, gens.h, gens.g, target, beta)
     if p is None:
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
     if gens.b == BinPoly.one():
         ellp = BinPoly.zero()
     else:
-        ellp = (reduce_mod2(p) * gens.ell) % gens.b
+        ellp = (BinPoly.from_bits(p[0]) * gens.ell) % gens.b
     return DoubleCyclicGenerators(gens.alpha, 2 * beta, gens.b, ellp, a)
 
 

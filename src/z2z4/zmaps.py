@@ -41,11 +41,39 @@ def _as_bits(v: Sequence[int]) -> BitVector:
     return out
 
 
+# The public maps check their input once and then call these unchecked
+# kernels, which take tuples of valid entries.
+
+
+def _gray(u: QuatVector) -> BitVector:
+    return tuple(c >> 1 for c in u) + tuple((c & 1) ^ (c >> 1) for c in u)
+
+
+def _gray_inv(v: BitVector) -> QuatVector:
+    n = len(v) // 2
+    return tuple((s ^ h) + 2 * h for h, s in zip(v[:n], v[n:]))
+
+
+def _odd_length(n: int) -> int:
+    if n < 1 or n % 2 == 0:
+        raise DomainError("the permutation is defined for odd n only")
+    return n
+
+
+def _nechaev_perm(v: BitVector, n: int) -> BitVector:
+    out = list(v)
+    for a in range(1, n - 1, 2):
+        out[a], out[n + a] = out[n + a], out[a]
+    return tuple(out)
+
+
+def _nechaev_gray(u: QuatVector) -> BitVector:
+    return _nechaev_perm(_gray(u), _odd_length(len(u)))
+
+
 def gray(u: Sequence[int]) -> BitVector:
     """Gray image of a quaternary vector; doubles the length."""
-    u = _as_quat(u)
-    hats = tuple(c >> 1 for c in u)
-    return hats + tuple((c & 1) ^ (c >> 1) for c in u)
+    return _gray(_as_quat(u))
 
 
 def gray_inv(v: Sequence[int]) -> QuatVector:
@@ -53,29 +81,21 @@ def gray_inv(v: Sequence[int]) -> QuatVector:
     v = _as_bits(v)
     if len(v) % 2:
         raise DomainError("Gray preimage needs an even-length vector")
-    n = len(v) // 2
-    hats, sums = v[:n], v[n:]
-    return tuple((s ^ h) + 2 * h for h, s in zip(hats, sums))
+    return _gray_inv(v)
 
 
 def nechaev_perm(v: Sequence[int], n: int) -> BitVector:
     """Apply the involution (1, n+1)(3, n+3)...(n-2, 2n-2); n must be odd."""
     v = _as_bits(v)
-    if n < 1 or n % 2 == 0:
-        raise DomainError("the permutation is defined for odd n only")
+    _odd_length(n)
     if len(v) != 2 * n:
         raise DomainError(f"expected a vector of length {2 * n}, got {len(v)}")
-    out = list(v)
-    for i in range((n - 1) // 2):
-        a, b = 2 * i + 1, n + 2 * i + 1
-        out[a], out[b] = out[b], out[a]
-    return tuple(out)
+    return _nechaev_perm(v, n)
 
 
 def nechaev_gray(u: Sequence[int]) -> BitVector:
     """Nechaev-Gray image sigma(gray(u)); the length of u must be odd."""
-    u = _as_quat(u)
-    return nechaev_perm(gray(u), len(u))
+    return _nechaev_gray(_as_quat(u))
 
 
 def nechaev_gray_inv(v: Sequence[int]) -> QuatVector:
@@ -83,7 +103,7 @@ def nechaev_gray_inv(v: Sequence[int]) -> QuatVector:
     v = _as_bits(v)
     if len(v) % 2:
         raise DomainError("Nechaev-Gray preimage needs an even-length vector")
-    return gray_inv(nechaev_perm(v, len(v) // 2))
+    return _gray_inv(_nechaev_perm(v, _odd_length(len(v) // 2)))
 
 
 def _split(w) -> tuple[BitVector, QuatVector]:
@@ -99,11 +119,11 @@ def ext_gray(w) -> BitVector:
     Accepts a MixedVector-like object or a (bits, quats) pair.
     """
     b, q = _split(w)
-    return b + gray(q)
+    return b + _gray(q)
 
 
 def ext_nechaev_gray(w) -> BitVector:
     """Extended Nechaev-Gray map; the quaternary block length must be odd."""
     b, q = _split(w)
-    return b + nechaev_gray(q)
+    return b + _nechaev_gray(q)
 

@@ -12,7 +12,7 @@ from z2z4.additive import (
     standard_form,
 )
 from z2z4.errors import CapacityError, DomainError
-from z2z4.zmaps import ext_gray, ext_nechaev_gray
+from z2z4.zmaps import ext_gray, ext_nechaev_gray, nechaev_gray_inv
 
 
 def mixed_vectors(alpha, beta):
@@ -71,6 +71,36 @@ class TestCodec:
         assert tuple((gray_word >> i) & 1 for i in range(8)) == ext_gray(u)
         (psi_word,) = codec.psi_words([w])
         assert tuple((psi_word >> i) & 1 for i in range(8)) == ext_nechaev_gray(u)
+        assert codec.psi_inv_words([psi_word]) == [w]
+
+
+def _check_psi_inverse(beta, images):
+    """psi_inv_words agrees with zmaps.nechaev_gray_inv on each packed image,
+    and psi_words maps its preimages back."""
+    codec = WordCodec(0, beta)
+    pre = codec.psi_inv_words(images)
+    for v, w in zip(images, pre):
+        bits = tuple((v >> i) & 1 for i in range(2 * beta))
+        assert codec.unpack(w).quat == nechaev_gray_inv(bits)
+    assert codec.psi_words(pre) == list(images)
+
+
+class TestPsiInverse:
+    @pytest.mark.parametrize("beta", [1, 3, 5, 7])
+    def test_every_word(self, beta):
+        _check_psi_inverse(beta, range(1 << (2 * beta)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 127).flatmap(
+        lambda k: st.tuples(st.just(2 * k + 1), st.integers(0, (1 << (4 * k + 2)) - 1))
+    ))
+    def test_odd_beta_to_255(self, case):
+        beta, v = case
+        _check_psi_inverse(beta, [v])
+
+    def test_even_beta_rejected(self):
+        with pytest.raises(DomainError):
+            WordCodec(1, 4).psi_inv_words([0])
 
 
 class TestEnumeration:

@@ -32,7 +32,7 @@ from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, gcd2, reduce_mod2
 from z2z4.reproduce import mixed_candidates
 from candidate_oracle import reference_code_type, reference_criterion
 from span_oracle import double_shift
-from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin, howell_lexmin
+from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin, from_row, howell_lexmin, to_row
 
 
 # factors that make p -> p * gen far from onto: x-1, 2, x^2+x+1, x^3-1, 2(x-1)
@@ -217,26 +217,33 @@ def code_systems(draw):
     return f, h, g, target, n
 
 
+def _solve(f, h, g, target, n):
+    """solve_cyclic_z4_lexmin on QuatPoly input and output, through rows."""
+    p = solve_cyclic_z4_lexmin(f, h, g, to_row(target, n), n)
+    return None if p is None else from_row(p, n)
+
+
 class TestSolver:
     def test_known_solution(self, length9_code):
         # p = x + 2x^2 is the smallest solution sending fh+2f to (3,1,3)
         G = length9_code
         target = QuatPoly((3, 1, 3))
-        p = solve_cyclic_z4_lexmin(G.f, G.h, G.g, target, 3)
+        assert solve_cyclic_z4_lexmin(G.f, G.h, G.g, (0b111, 0b101), 3) == (0b010, 0b100)
+        p = _solve(G.f, G.h, G.g, target, 3)
         assert p == QuatPoly((0, 1, 2))
         assert cyclic_reduce(p * G.fh_plus_2f, 3) == target
 
     def test_unsolvable_returns_none(self):
         # f = g = 1, h = x^3 - 1: the code is <2>
         h = QuatPoly.xn_minus_1(3)
-        assert solve_cyclic_z4_lexmin(QuatPoly.one(), h, QuatPoly.one(), QuatPoly.one(), 3) is None
+        assert _solve(QuatPoly.one(), h, QuatPoly.one(), QuatPoly.one(), 3) is None
 
     @settings(max_examples=200, deadline=None)
     @given(code_systems())
     def test_matches_the_generic_howell_pass(self, system):
         f, h, g, target, n = system
         want = howell_lexmin(_gen(f, h), target, n)
-        assert solve_cyclic_z4_lexmin(f, h, g, target, n) == want
+        assert _solve(f, h, g, target, n) == want
 
     @settings(max_examples=60, deadline=None)
     @given(cyclic_systems([1, 3, 5]))
@@ -265,11 +272,11 @@ class TestSolver:
         gen = _gen(f, h)
         q = QuatPoly([(7 * k * k + 3 * k + 1) % 4 for k in range(n)])
         target = cyclic_reduce(q * gen, n)
-        p = solve_cyclic_z4_lexmin(f, h, g, target, n)
+        p = _solve(f, h, g, target, n)
         assert p == howell_lexmin(gen, target, n)
         assert cyclic_reduce(p * gen, n) == target
         assert p.padded(n) <= cyclic_reduce(q, n).padded(n)
-        assert solve_cyclic_z4_lexmin(f, h, g, QuatPoly.one(), n) is None
+        assert _solve(f, h, g, QuatPoly.one(), n) is None
 
 
 class TestPsiImage:
@@ -350,7 +357,8 @@ class TestPsiImage:
 def _psi_with_howell_oracle(gens):
     """psi_image_generators with the generic Howell pass as its solver."""
     def oracle(f, h, g, target, n):
-        return howell_lexmin(_gen(f, h), target, n)
+        p = howell_lexmin(_gen(f, h), from_row(target, n), n)
+        return None if p is None else to_row(p, n)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linimage, "solve_cyclic_z4_lexmin", oracle)

@@ -13,8 +13,37 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from z2z4.errors import InternalError
-from z2z4.linimage import Z4Row, _bitsliced, _clear_by_unit, _z4_add
+from z2z4.linimage import Z4Row, _z4_add
 from z2z4.polyring import QuatPoly, cyclic_reduce
+
+
+def to_row(p: QuatPoly, n: int) -> Z4Row:
+    """p mod x^n - 1 as a row of n entries: entry k is bit k of lo plus
+    twice bit k of hi, the form ``solve_cyclic_z4_lexmin`` takes and
+    returns."""
+    coeffs = cyclic_reduce(p, n).coeffs
+    return (
+        sum((c & 1) << k for k, c in enumerate(coeffs)),
+        sum((c >> 1) << k for k, c in enumerate(coeffs)),
+    )
+
+
+def from_row(row: Z4Row, n: int) -> QuatPoly:
+    """The polynomial whose first n coefficients are the row's entries."""
+    lo, hi = row
+    return QuatPoly(((lo >> k) & 1) | ((hi >> k) & 1) << 1 for k in range(n))
+
+
+def _clear_by_unit(row: Z4Row, piv: Z4Row, bit: int) -> Z4Row:
+    """row - e * piv, where e is the entry of row at ``bit`` and piv's is 1."""
+    lo, hi = row
+    if lo & bit:
+        if hi & bit:  # e = 3
+            return _z4_add(row, piv)
+        return _z4_add(row, (piv[0], piv[1] ^ piv[0]))  # e = 1: add -piv
+    if hi & bit:  # e = 2: add 2 * piv = (0, piv.lo)
+        return lo, hi ^ piv[0]
+    return row
 
 
 def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
@@ -30,7 +59,7 @@ def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
     vector of its coset, and that is (0 | p) exactly when p exists.
     """
     tgt = cyclic_reduce(target, n)
-    g_lo, g_hi = _bitsliced(cyclic_reduce(gen, n).coeffs)
+    g_lo, g_hi = to_row(gen, n)
     mask = (1 << n) - 1
     rows = [
         (
@@ -57,7 +86,7 @@ def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
         if piv[0]:
             rows.append((0, piv[0]))
         pivots.append((bit, piv, True))
-    t_lo, t_hi = _bitsliced(tgt.coeffs)
+    t_lo, t_hi = to_row(tgt, n)
     v = (t_lo, t_hi ^ t_lo)
     for bit, piv, two in pivots:
         if not two:
