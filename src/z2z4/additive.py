@@ -285,18 +285,30 @@ class PlaneShift:
         (s1, m1), (s2, m2) = self.wraps
         return [((w << 1) & keep) | ((w >> s1) & m1) | ((w >> s2) & m2) for w in words]
 
+    def orbit(self, w: int, count: int) -> list[int]:
+        """The shifts x^i w of one word, for i = 0 .. count-1, each taken
+        from the one before in the loop, with no call per shift."""
+        keep = self.keep
+        (s1, m1), (s2, m2) = self.wraps
+        out = []
+        for _ in range(count):
+            out.append(w)
+            w = ((w << 1) & keep) | ((w >> s1) & m1) | ((w >> s2) & m2)
+        return out
+
 
 class WordCodec:
     """Bit-plane packing of mixed words for a fixed (alpha, beta).
 
     Besides the per-word arithmetic it maps whole word lists at once (the
     cyclic shift and the two Gray-type images), with the masks computed
-    here, so that no Python function is called per word.
+    here, so that no Python function is called per word.  The shift's
+    ``PlaneShift`` is built on first use: most codecs never shift.
     """
 
     __slots__ = (
         "alpha", "beta", "bmask", "qmask", "toff", "hoff",
-        "shift_words", "_tplane", "_hplane", "_psi_mask",
+        "_shift", "_tplane", "_hplane", "_psi_mask",
     )
 
     def __init__(self, alpha: int, beta: int):
@@ -306,17 +318,32 @@ class WordCodec:
         self.qmask = (1 << beta) - 1
         self.toff = alpha
         self.hoff = alpha + beta
-        self.shift_words = PlaneShift(alpha, beta, beta)
+        self._shift: PlaneShift | None = None
         self._tplane = self.qmask << alpha
         self._hplane = self.qmask << (alpha + beta)
         # positions alpha + 1, alpha + 3, ..., alpha + beta - 2: the Nechaev
-        # permutation swaps each with the position beta above it
-        self._psi_mask = sum(1 << (alpha + p) for p in range(1, beta - 1, 2))
+        # permutation swaps each with the position beta above it.  With
+        # k = (beta - 1) // 2 such positions that is (4^k - 1) / 3 = 0b0101..01
+        # shifted up to alpha + 1.
+        self._psi_mask = ((1 << (max(beta - 1, 0) // 2 * 2)) - 1) // 3 << (alpha + 1)
+
+    @property
+    def shift_words(self) -> PlaneShift:
+        """The simultaneous cyclic shift of both blocks, over word lists."""
+        if self._shift is None:
+            self._shift = PlaneShift(self.alpha, self.beta, self.beta)
+        return self._shift
 
     def pack(self, v: MixedVector) -> int:
         b = sum(bit << i for i, bit in enumerate(v.bin))
         t = sum((c & 1) << i for i, c in enumerate(v.quat))
         h = sum((c >> 1) << i for i, c in enumerate(v.quat))
+        return self.pack_planes(b, t, h)
+
+    def pack_planes(self, b: int, t: int, h: int) -> int:
+        """The word with binary block ``b`` and quaternary planes ``t`` and
+        ``h`` (entry i is bit i of t plus twice bit i of h), given as ints
+        of at most alpha, beta and beta bits."""
         return b | (t << self.toff) | (h << self.hoff)
 
     def unpack(self, w: int) -> MixedVector:
@@ -335,11 +362,9 @@ class WordCodec:
         return (w >> self.toff) & self.qmask
 
     def shifts(self, w: int, count: int) -> list[int]:
-        """The cyclic shifts x^i w of one word, for i = 0 .. count-1."""
-        out = [w]
-        while len(out) < count:
-            out += self.shift_words(out[-1:])
-        return out[:count]
+        """The cyclic shifts x^i w of one word, for i = 0 .. count-1, built
+        in one loop over the shift's masks (``PlaneShift.orbit``)."""
+        return self.shift_words.orbit(w, count)
 
     def gray_words(self, words: Iterable[int]) -> list[int]:
         """Packed extended-Gray images [binary block][h-block][t+h-block]."""
@@ -383,28 +408,37 @@ def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int]
     column to its row, which holds 1 there and 0 at every other pivot
     column; the rows in ``rest`` have an empty t plane (order two) and
     vanish on every pivot column.
+
+    The column is cleared in the rows and the earlier pivots by one list
+    comprehension, with the codec's add written out: p and -p share the
+    t plane pt, so r + (+-p) is r ^ (+-p) ^ ((t(r) & pt) << hoff).
     """
-    toff, hoff, qmask, add = codec.toff, codec.hoff, codec.qmask, codec.add
+    toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
     rows = list(gens)
     pivots: dict[int, int] = {}
     for col in range(codec.beta - 1, -1, -1):
         tbit, hbit = 1 << (toff + col), 1 << (hoff + col)
-        k = next((k for k, r in enumerate(rows) if r & tbit), None)
-        if k is None:
+        for k, p in enumerate(rows):
+            if p & tbit:
+                break
+        else:
             continue
-        p = rows.pop(k)
-        two = ((p >> toff) & qmask) << hoff  # 2p, also 2(-p)
+        del rows[k]
+        pt = (p >> toff) & qmask
+        two = pt << hoff  # 2p, also 2(-p)
         if p & hbit:
             p ^= two  # entry 3 -> 1
         neg = p ^ two
-
-        def clear(r: int) -> int:  # r - e*p for the entry e of r at col
-            if r & tbit:
-                return add(r, p if r & hbit else neg)  # e = 3: + p; e = 1: - p
-            return r ^ two if r & hbit else r  # e = 2: + 2p
-
-        rows = [clear(r) for r in rows]
-        pivots = {c: clear(u) for c, u in pivots.items()}
+        # r - e*p for the entry e of r at col: e = 3 adds p, e = 1 adds -p,
+        # e = 2 adds 2p
+        cleared = [
+            r ^ (p if r & hbit else neg) ^ ((r >> toff & pt) << hoff) if r & tbit
+            else r ^ two if r & hbit else r
+            for r in (*rows, *pivots.values())
+        ]
+        n = len(rows)
+        rows = cleared[:n]
+        pivots = dict(zip(pivots, cleared[n:]))
         pivots[col] = p
     return pivots, rows
 
@@ -431,11 +465,19 @@ def _coset_min(basis: dict[int, int], r: int) -> int:
 
 
 def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
-    """A GF(2) basis of the span of ``vectors``, keyed by leading bit."""
+    """A GF(2) basis of the span of ``vectors``, keyed by leading bit:
+    each vector is reduced as in ``_gf2_reduce``, in line, and what is
+    left of it joins the basis at its leading bit."""
     basis: dict[int, int] = {}
+    get = basis.get
     for v in vectors:
-        if v := _gf2_reduce(basis, v):
-            basis[v.bit_length() - 1] = v
+        while v:
+            lead = v.bit_length() - 1
+            b = get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
     return basis
 
 
@@ -453,18 +495,18 @@ def _span_cosets(
     ``len(reps) << len(basis)`` words; that size is checked against
     ``capacity`` before ``reps`` is built.
     """
-    add, tpattern, hoff = codec.add, codec.tpattern, codec.hoff
+    toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
     pivots, rest = _unit_echelon(codec, gens)
-    units = list(pivots.values())
-    basis = _gf2_basis(rest + [tpattern(u) << hoff for u in units])
+    units = [(u, (u >> toff) & qmask) for u in pivots.values()]
+    basis = _gf2_basis(rest + [ut << hoff for _, ut in units])
     if 1 << (len(basis) + len(units)) > capacity:
         raise CapacityError(
             f"enumeration exceeds the capacity bound {capacity}; "
             f"raise it via {_CAPACITY_ENV} if intended"
         )
     reps = [0]
-    for u in units:
-        reps += [add(r, u) for r in reps]
+    for u, ut in units:  # r + u, with the codec's add written out
+        reps += [r ^ u ^ ((r >> toff & ut) << hoff) for r in reps]
     return pivots, reps, basis
 
 
@@ -548,11 +590,12 @@ class Code:
         w ^ r GF(2)-reduces to 0 by ``basis``: no vector of C_2 has a t bit
         to clear the t plane of w ^ r with.
         """
-        t, add = self.codec.tpattern(w), self.codec.add
+        toff, hoff, qmask = self.codec.toff, self.codec.hoff, self.codec.qmask
+        t = (w >> toff) & qmask
         r = 0
         for col, u in self.pivots.items():
-            if t >> col & 1:
-                r = add(r, u)
+            if t >> col & 1:  # r + u, with the codec's add written out
+                r ^= u ^ ((r >> toff & u >> toff & qmask) << hoff)
         return not _gf2_reduce(self.basis, w ^ r)
 
     def __len__(self) -> int:

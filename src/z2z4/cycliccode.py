@@ -15,7 +15,8 @@ that fail, and every ``CyclicGenerators`` built by a caller is validated
 when constructed.
 
 The Z2 parts b and ell are ``BinPoly`` values (int bit masks), the Z4 parts
-``QuatPoly`` coefficient tuples.
+``QuatPoly`` values (pairs of bit planes), so a residue word packs into a
+codeword straight from their ints.
 
 The pair gcd(b, ell), gcd(b, ell*g~) decides both ell conditions, the type
 (``code_type``) and the linearity criterion (``linimage``); a tuple keeps
@@ -319,10 +320,11 @@ def _packed_shifts(
     codec: WordCodec, words: Iterable[ResidueWord], counts: Iterable[int]
 ) -> list[int]:
     """x^i star w for i < count, for each word w and its count: each word is
-    packed once and shifted as a packed word."""
+    packed once, from the bits of its residues, and shifted as a packed
+    word."""
     rows = []
     for w, count in zip(words, counts):
-        rows += codec.shifts(codec.pack(w.to_vector()), count)
+        rows += codec.shifts(codec.pack_planes(w.bpart.bits, w.qpart.lo, w.qpart.hi), count)
     return rows
 
 

@@ -24,7 +24,6 @@ from typing import Collection, Iterable
 
 from .additive import (
     Code,
-    MixedVector,
     PlaneShift,
     WordCodec,
     _coset_words,
@@ -234,15 +233,10 @@ def double_cyclic_span(
     bound is checked on the span's size before any word of it is built.
     """
     r, s = dcg.r, dcg.s
-    shift = PlaneShift(r, s)
-    row = [
-        cyclic_reduce(dcg.b, r).bits,
-        cyclic_reduce(dcg.ellp, r).bits | cyclic_reduce(dcg.a, s).bits << r,
-    ]
-    shifts: list[int] = []
-    for _ in range(lcm(r, s)):
-        shifts += row
-        row = shift(row)
+    orbit, count = PlaneShift(r, s).orbit, lcm(r, s)
+    b_rows = orbit(cyclic_reduce(dcg.b, r).bits, count)
+    e_rows = orbit(cyclic_reduce(dcg.ellp, r).bits | cyclic_reduce(dcg.a, s).bits << r, count)
+    shifts = [w for pair in zip(b_rows, e_rows) for w in pair]
     span = Code.span(WordCodec(r + s, 0), shifts, capacity)
     return BinaryBlockCode(r, s, span.reps, list(span.basis.values()))
 
@@ -259,16 +253,6 @@ Z4Row = tuple[int, int]
 
 def _z4_add(a: Z4Row, b: Z4Row) -> Z4Row:
     return a[0] ^ b[0], a[1] ^ b[1] ^ (a[0] & b[0])
-
-
-def _cyclic_row(p: QuatPoly, n: int) -> Z4Row:
-    """p mod x^n - 1 as a row, both planes from one pass over its
-    coefficients."""
-    lo = hi = 0
-    for c in reversed(cyclic_reduce(p, n).coeffs):
-        lo = lo << 1 | c & 1
-        hi = hi << 1 | c >> 1
-    return lo, hi
 
 
 def _z4_cyclic_mul(a: Z4Row, b: Z4Row, n: int) -> Z4Row:
@@ -375,8 +359,9 @@ def solve_cyclic_z4_lexmin(
        the solutions allow, given the columns before it: 0 at a unit
        pivot, 0 or 1 at a pivot of 2.  That is the lexicographic minimum.
 
-    Each step is a bit-sliced row operation, and there are O(n) of them;
-    no coefficient tuple is built past the rows of f, h and g.
+    Each step is a bit-sliced row operation, and there are O(n) of them.
+    The rows of f, h and g are the planes ``(lo, hi)`` of the polynomials
+    reduced mod x^n - 1, so no coefficient tuple is built.
     ``tests/z4_oracles.howell_lexmin``, the generic Howell echelon of the
     rows (x^i gen | e_i) over 2n columns, is the differential oracle.
 
@@ -388,9 +373,9 @@ def solve_cyclic_z4_lexmin(
     pivot at c1 from that echelon, while a pass from c0 meets its leading
     2 first.  A kernel shared by both would have to branch on its caller.
     """
-    df, dh, dg = (len(p.coeffs) - 1 for p in (f, h, g))
+    df, dh, dg = (len(p) - 1 for p in (f, h, g))
     lam, mu = gf2_bezout(h, g)
-    f_row, h_row, g_row = (_cyclic_row(p, n) for p in (f, h, g))
+    f_row, h_row, g_row = ((r.lo, r.hi) for r in (cyclic_reduce(p, n) for p in (f, h, g)))
     fh = _z4_cyclic_mul(f_row, h_row, n)
     rest, a, b = _howell_reduce(target, fh, f_row, dg, dh)
     if rest[0] | rest[1]:
@@ -453,7 +438,8 @@ def _z4_code(f: QuatPoly, h: QuatPoly, n: int) -> Code:
     """The quaternary cyclic code <fh + 2f> of length n, spanned by the
     shifts of its generator."""
     codec = WordCodec(0, n)
-    word = codec.pack(MixedVector((), cyclic_reduce(f * h + QuatPoly((2,)) * f, n).padded(n)))
+    gen = cyclic_reduce(f * h + QuatPoly((2,)) * f, n)
+    word = codec.pack_planes(0, gen.lo, gen.hi)
     return Code.span(codec, codec.shifts(word, n))
 
 

@@ -1,13 +1,16 @@
 """Exact univariate polynomial arithmetic over Z2 and Z4.
 
-QuatPoly (over Z4) holds a dense coefficient tuple in ascending order
-(index i is the coefficient of x^i), kept canonical: no trailing zeros,
-the zero polynomial is the empty tuple and has degree -inf.  BinPoly (over
-Z2) holds the int ``bits``, bit i being the coefficient of x^i, and works
-with the carry-less int kernels below, which ``cyclofield`` also uses; its
-``coeffs`` is the tuple the dense form would hold.  Arithmetic never mixes
-the two rings.  Division over Z4 is restricted to monic divisors, which
-covers every divisor of x^n - 1 needed here.
+Both rings keep their coefficients on ints, bit i for the coefficient of
+x^i.  BinPoly (over Z2) holds the int ``bits`` and works with the
+carry-less int kernels below, which ``cyclofield`` also uses.  QuatPoly
+(over Z4) holds two bit planes, the ints ``lo`` and ``hi``: the
+coefficient of x^i is bit i of ``lo`` plus twice bit i of ``hi``, so a sum
+is an XOR per plane plus a carry and the mod-2 image is ``lo``.  Either
+gives ``coeffs``, the ascending coefficient tuple with no trailing zeros
+(the zero polynomial is the empty tuple and has degree -inf), for
+printing, JSON and sorting.  Arithmetic never mixes the two rings.
+Division over Z4 is restricted to monic divisors, which covers every
+divisor of x^n - 1 needed here.
 
 Text syntax accepted by ``parse``: a human form such as ``x^3+2x^2+x+3``
 (terms in any order, ``-`` allowed and folded into the ring) or an array
@@ -70,17 +73,12 @@ def clgcd(a: int, b: int) -> int:
 
 
 class _Poly:
-    """Dense-coefficient machinery over Z/MOD; a subclass stores ``coeffs``."""
+    """Constructors, parsing and printing shared by the two rings; a
+    subclass stores its coefficients and supplies the queries, ``coeffs``
+    (the ascending tuple) and the ring arithmetic."""
 
     MOD = 0
     __slots__ = ()
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        mod = self.MOD
-        cs = [int(c) % mod for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
 
     # ------------------------------------------------------------------
     # constructors
@@ -170,78 +168,18 @@ class _Poly:
             )
         return cls(arr)
 
-    # ------------------------------------------------------------------
-    # basic queries
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coeffs))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def padded(self, n: int) -> tuple[int, ...]:
         """The coefficients of x^0 .. x^(n-1), zero-filled."""
         c = self.coeffs
         return c[:n] + (0,) * (n - len(c))
 
     # ------------------------------------------------------------------
-    # ring arithmetic
+    # arithmetic on top of the subclass's +, * and divmod
     def _check_ring(self, other):
         if type(self) is not type(other):
             raise DomainError(
                 f"mixed-ring arithmetic: {type(self).__name__} and {type(other).__name__}"
             )
-
-    def __add__(self, other):
-        self._check_ring(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.MOD
-        return type(self)(out)
-
-    def __neg__(self):
-        return type(self)(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        self._check_ring(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check_ring(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return type(self)()
-        out = [0] * (len(a) + len(b) - 1)
-        mod = self.MOD
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % mod
-        return type(self)(out)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -254,27 +192,6 @@ class _Poly:
             base = base * base
             e >>= 1
         return out
-
-    def __divmod__(self, d):
-        self._check_ring(d)
-        if d.is_zero:
-            raise DomainError("division by the zero polynomial")
-        if self.MOD == 4 and not d.is_monic:
-            raise DomainError("Z4 division requires a monic divisor")
-        mod = self.MOD
-        rem = list(self.coeffs)
-        dd = len(d.coeffs) - 1
-        if len(rem) - 1 < dd:
-            return type(self)(), self
-        q = [0] * (len(rem) - dd)
-        # over Z2 the leading coefficient is always 1, over Z4 monic is enforced
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                q[k - dd] = c
-                for j, cd in enumerate(d.coeffs):
-                    rem[k - dd + j] = (rem[k - dd + j] - c * cd) % mod
-        return type(self)(q), type(self)(rem)
 
     def __mod__(self, d):
         return divmod(self, d)[1]
@@ -290,11 +207,12 @@ class _Poly:
     # ------------------------------------------------------------------
     # printing
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:
@@ -339,7 +257,6 @@ class BinPoly(_Poly):
         # via a list: tuple() of a generator grows by realloc and fragments the heap
         return tuple([(self.bits >> i) & 1 for i in range(self.bits.bit_length())])
 
-    # the queries below read ``bits``, so hot paths build no coefficient tuple
     @property
     def degree(self) -> int | float:
         return self.bits.bit_length() - 1 if self.bits else NEG_INF
@@ -365,9 +282,17 @@ class BinPoly(_Poly):
     def __hash__(self) -> int:
         return hash(self.bits)
 
+    def __len__(self) -> int:
+        return self.bits.bit_length()
+
     def __add__(self, other):
         self._check_ring(other)
         return BinPoly.from_bits(self.bits ^ other.bits)
+
+    __sub__ = __add__
+
+    def __neg__(self):
+        return self
 
     def __mul__(self, other):
         self._check_ring(other)
@@ -382,28 +307,156 @@ class BinPoly(_Poly):
 
 
 class QuatPoly(_Poly):
-    """Polynomial over Z4."""
+    """Polynomial over Z4, stored bit-sliced as the ints ``lo`` and ``hi``:
+    the coefficient of x^i is bit i of ``lo`` plus twice bit i of ``hi``.
+    A sum is (a.lo ^ b.lo, a.hi ^ b.hi ^ (a.lo & b.lo)), a negation
+    (lo, hi ^ lo)."""
 
     MOD = 4
-    __slots__ = ("coeffs",)
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        lo = hi = 0
+        for i, c in enumerate(coeffs):
+            c = int(c)  # two's complement: c & 3 is c mod 4
+            lo |= (c & 1) << i
+            hi |= (c >> 1 & 1) << i
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def from_planes(cls, lo: int, hi: int) -> "QuatPoly":
+        p = object.__new__(cls)
+        p.lo = lo
+        p.hi = hi
+        return p
+
+    @classmethod
+    def xn_minus_1(cls, n: int) -> "QuatPoly":
+        """x^n - 1, which is x^n + 3 over Z4."""
+        if n <= 0:
+            raise DomainError("length must be positive")
+        return cls.from_planes(1 << n | 1, 1)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        lo, hi = self.lo, self.hi
+        return tuple([(lo >> i & 1) | (hi >> i & 1) << 1 for i in range((lo | hi).bit_length())])
+
+    @property
+    def degree(self) -> int | float:
+        return (self.lo | self.hi).bit_length() - 1 if self.lo | self.hi else NEG_INF
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self.lo | self.hi)
+
+    @property
+    def leading(self) -> int:
+        top = (self.lo | self.hi).bit_length() - 1
+        return (self.lo >> top & 1) | (self.hi >> top & 1) << 1 if top >= 0 else 0
+
+    @property
+    def is_monic(self) -> bool:
+        top = (self.lo | self.hi).bit_length() - 1
+        return top >= 0 and not self.hi >> top
+
+    def __bool__(self) -> bool:
+        return (self.lo | self.hi) != 0
+
+    def __eq__(self, other) -> bool:
+        return type(other) is QuatPoly and self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __len__(self) -> int:
+        return (self.lo | self.hi).bit_length()
+
+    def __add__(self, other):
+        self._check_ring(other)
+        a, b = self.lo, other.lo
+        return QuatPoly.from_planes(a ^ b, self.hi ^ other.hi ^ (a & b))
+
+    def __neg__(self):
+        return QuatPoly.from_planes(self.lo, self.hi ^ self.lo)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        """One shifted add of the denser factor per nonzero entry of the
+        sparser: entry 1 adds it, 3 adds its negation, 2 adds its ``lo``
+        into ``hi``."""
+        self._check_ring(other)
+        a_lo, a_hi, b_lo, b_hi = self.lo, self.hi, other.lo, other.hi
+        if (a_lo | a_hi).bit_count() > (b_lo | b_hi).bit_count():
+            a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+        lo = hi = 0
+        rest = a_lo | a_hi
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            k = bit.bit_length() - 1
+            r_lo = b_lo << k
+            if a_lo & bit:
+                r_hi = b_hi << k
+                if a_hi & bit:
+                    r_hi ^= r_lo
+                hi ^= r_hi ^ (lo & r_lo)
+                lo ^= r_lo
+            else:
+                hi ^= r_lo
+        return QuatPoly.from_planes(lo, hi)
+
+    def __divmod__(self, d):
+        """Shift-and-subtract by a monic divisor: the leading entry c of
+        the remainder goes into the quotient and c x^k d is subtracted."""
+        self._check_ring(d)
+        d_lo, d_hi = d.lo, d.hi
+        if not d_lo | d_hi:
+            raise DomainError("division by the zero polynomial")
+        if not d.is_monic:
+            raise DomainError("Z4 division requires a monic divisor")
+        width = (d_lo | d_hi).bit_length()  # deg d + 1
+        lo, hi, q_lo, q_hi = self.lo, self.hi, 0, 0
+        while (k := (lo | hi).bit_length() - width) >= 0:
+            top = 1 << (k + width - 1)
+            if lo & top:  # c = 1 adds -x^k d, c = 3 adds x^k d
+                q_lo |= 1 << k
+                r_lo, r_hi = d_lo << k, d_hi << k
+                if hi & top:
+                    q_hi |= 1 << k
+                else:
+                    r_hi ^= r_lo
+                hi ^= r_hi ^ (lo & r_lo)
+                lo ^= r_lo
+            else:  # c = 2 adds 2 x^k d
+                q_hi |= 1 << k
+                hi ^= d_lo << k
+        return QuatPoly.from_planes(q_lo, q_hi), QuatPoly.from_planes(lo, hi)
 
 
 def cyclic_reduce(p, n: int):
-    """Reduce p modulo x^n - 1 by folding exponents mod n."""
+    """Reduce p modulo x^n - 1 by folding n-bit blocks of its planes."""
     if n <= 0:
         raise DomainError("cyclic length must be positive")
+    mask = (1 << n) - 1
     if isinstance(p, BinPoly):
-        b, mask, out = p.bits, (1 << n) - 1, 0
+        b, out = p.bits, 0
         while b:
             out ^= b & mask
             b >>= n
         return BinPoly.from_bits(out)
-    if len(p.coeffs) <= n:
+    lo, hi = p.lo, p.hi
+    if not (lo | hi) >> n:
         return p
-    out = [0] * n
-    for i, c in enumerate(p.coeffs):
-        out[i % n] = (out[i % n] + c) % p.MOD
-    return type(p)(out)
+    out_lo, out_hi = lo & mask, hi & mask
+    while (lo := lo >> n) | (hi := hi >> n):  # the Z4 add of the next block
+        a = lo & mask
+        out_hi ^= (hi & mask) ^ (out_lo & a)
+        out_lo ^= a
+    return QuatPoly.from_planes(out_lo, out_hi)
 
 
 def cyclic_mul(a, b, n: int):
@@ -412,16 +465,13 @@ def cyclic_mul(a, b, n: int):
 
 
 def reduce_mod2(p: QuatPoly) -> BinPoly:
-    """Coefficient-wise mod-2 image of a Z4 polynomial."""
-    bits = 0
-    for c in reversed(p.coeffs):
-        bits = bits << 1 | (c & 1)
-    return BinPoly.from_bits(bits)
+    """Coefficient-wise mod-2 image of a Z4 polynomial: its ``lo`` plane."""
+    return BinPoly.from_bits(p.lo)
 
 
 def lift_to_quat(p: BinPoly) -> QuatPoly:
     """The 0/1-coefficient lift of a Z2 polynomial into Z4[x]."""
-    return QuatPoly(p.coeffs)
+    return QuatPoly.from_planes(p.bits, 0)
 
 
 def gcd2(a: BinPoly, b: BinPoly) -> BinPoly:

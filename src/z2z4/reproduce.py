@@ -114,7 +114,8 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     # the punctured codes should be generated by gcd(b, ell) and fh + 2f
     px_codec, py_codec = WordCodec(gens.alpha, 0), WordCodec(0, gens.beta)
     px_word = cyclic_reduce(gcd2(gens.b, gens.ell), gens.alpha).bits
-    py_word = py_codec.pack(MixedVector((), gens.fh_plus_2f.padded(gens.beta)))
+    py_gen = gens.fh_plus_2f
+    py_word = py_codec.pack_planes(0, py_gen.lo, py_gen.hi)
     px_expect = Code.span(px_codec, px_codec.shifts(px_word, gens.alpha))
     py_expect = Code.span(py_codec, py_codec.shifts(py_word, gens.beta))
     punctures_ok = code.puncture_x() == px_expect and code.puncture_y() == py_expect

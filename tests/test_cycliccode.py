@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2z4 import cycliccode
-from z2z4.additive import Code, MixedVector
+from z2z4.additive import Code, MixedVector, WordCodec
 from z2z4.cycliccode import (
     CyclicGenerators,
     _ell_lattice,
+    _packed_shifts,
     _ell_violations,
     _triple_violations,
     ResidueWord,
@@ -29,6 +30,7 @@ from z2z4.cycliccode import (
 from z2z4.cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from z2z4.errors import CapacityError, DomainError, InternalError
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
+from z2z4.reproduce import mixed_candidates
 from candidate_oracle import reference_cyclic_tuples
 
 
@@ -165,6 +167,19 @@ class TestRealize:
                     v = v.shift()
             assert realize(gens).rows == tuple(rows)
             assert enumerate_code(gens) == Code.from_matrix(realize(gens))
+
+    def test_plane_packing_matches_vector_packing(self):
+        """Every generator word of the sweep codes (the pair, the order-two
+        pair and the three-generator form), packed from its residues' bits,
+        is the packed vector of its coefficients."""
+        for gens in mixed_candidates():
+            codec = WordCodec(gens.alpha, gens.beta)
+            words = [
+                *gens.generator_words(), *order_two_generators(gens), *three_generator_form(gens)
+            ]
+            assert _packed_shifts(codec, words, [1] * len(words)) == [
+                codec.pack(w.to_vector()) for w in words
+            ]
 
     def test_unit_generator_gives_full_space(self):
         gens = CyclicGenerators(

@@ -5,6 +5,7 @@ the whole-code word maps and the generator-level queries against the
 per-word and word-set references in ``span_oracle``, and the packed
 standard form against the list reduction in ``standard_form_oracle``."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -218,6 +219,27 @@ class TestWordMaps:
     def test_plane_shift_matches_double_shift(self, r, s, data):
         words = data.draw(st.lists(st.integers(0, (1 << (r + s)) - 1), max_size=8))
         assert PlaneShift(r, s)(words) == [double_shift(r, s, w) for w in words]
+
+    @pytest.mark.parametrize("alpha", range(5))
+    def test_shifts_match_iterated_shift_words(self, alpha):
+        """``shifts`` against one ``shift_words`` call per shift, for plane
+        widths 0 and 1 too and counts past one period of either block."""
+        rng = random.Random(alpha)
+        for beta in range(10):
+            codec = WordCodec(alpha, beta)
+            for _ in range(6):
+                w = rng.getrandbits(alpha + 2 * beta)
+                want = [w]
+                for _ in range(2 * max(alpha, beta) + 1):
+                    want += codec.shift_words(want[-1:])
+                for count in range(len(want) + 1):
+                    assert codec.shifts(w, count) == want[:count]
+
+    def test_psi_mask_closed_form(self):
+        for alpha in range(5):
+            for beta in range(300):
+                want = sum(1 << (alpha + p) for p in range(1, beta - 1, 2))
+                assert WordCodec(alpha, beta)._psi_mask == want
 
 
 def _same_generator_queries(code: Code) -> None:
