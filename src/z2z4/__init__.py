@@ -20,7 +20,6 @@ from .polyring import (
     BinPoly,
     QuatPoly,
     bezout_lift,
-    cyclic_mul,
     cyclic_reduce,
     ext_gcd2,
     gcd2,
@@ -38,15 +37,6 @@ from .cyclofield import (
     factor_xn_minus_1_z4,
     roots_of,
     tensor_square,
-)
-from .zmaps import (
-    ext_gray,
-    ext_nechaev_gray,
-    gray,
-    gray_inv,
-    nechaev_gray,
-    nechaev_gray_inv,
-    nechaev_perm,
 )
 from .additive import (
     Code,
@@ -68,7 +58,6 @@ from .cycliccode import (
     enumerate_code,
     order_two_generators,
     realize,
-    star,
     three_generator_form,
     violations,
 )

@@ -36,10 +36,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
-from .zmaps import _as_bits, _as_quat
 
 DEFAULT_CAPACITY = 1 << 24
 _CAPACITY_ENV = "Z2Z4_CAPACITY"
@@ -73,6 +72,20 @@ def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _as_quat(u: Sequence[int]) -> tuple[int, ...]:
+    out = tuple(int(c) for c in u)
+    if any(c < 0 or c > 3 for c in out):
+        raise DomainError("quaternary entries must be in 0..3")
+    return out
+
+
+def _as_bits(v: Sequence[int]) -> tuple[int, ...]:
+    out = tuple(int(c) for c in v)
+    if any(c not in (0, 1) for c in out):
+        raise DomainError("binary entries must be 0 or 1")
+    return out
+
+
 @dataclass(frozen=True)
 class MixedVector:
     """A word (u | u') with binary block u and quaternary block u'."""
@@ -92,41 +105,10 @@ class MixedVector:
     def beta(self) -> int:
         return len(self.quat)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.bin) and not any(self.quat)
-
-    def __add__(self, other: "MixedVector") -> "MixedVector":
-        self._check_shape(other)
-        return MixedVector(
-            tuple(a ^ b for a, b in zip(self.bin, other.bin)),
-            tuple((a + b) % 4 for a, b in zip(self.quat, other.quat)),
-        )
-
-    def scale(self, c: int) -> "MixedVector":
-        return MixedVector(tuple(c * b for b in self.bin), tuple(c * q for q in self.quat))
-
-    def star(self, other: "MixedVector") -> "MixedVector":
-        """Componentwise product (u*v | u'*v')."""
-        self._check_shape(other)
-        return MixedVector(
-            tuple(a & b for a, b in zip(self.bin, other.bin)),
-            tuple(a * b for a, b in zip(self.quat, other.quat)),
-        )
-
     def shift(self) -> "MixedVector":
         """Simultaneous right cyclic shift of both blocks."""
         b, q = self.bin, self.quat
         return MixedVector(b[-1:] + b[:-1], q[-1:] + q[:-1])
-
-    def order(self) -> int:
-        if self.is_zero:
-            return 1
-        return 4 if any(c % 2 for c in self.quat) else 2
-
-    def _check_shape(self, other: "MixedVector") -> None:
-        if self.alpha != other.alpha or self.beta != other.beta:
-            raise DomainError("mixed vectors have different shapes")
 
     def __str__(self) -> str:
         return ",".join(map(str, self.bin)) + "|" + ",".join(map(str, self.quat))
@@ -301,9 +283,20 @@ class WordCodec:
     """Bit-plane packing of mixed words for a fixed (alpha, beta).
 
     Besides the per-word arithmetic it maps whole word lists at once (the
-    cyclic shift and the two Gray-type images), with the masks computed
-    here, so that no Python function is called per word.  The shift's
-    ``PlaneShift`` is built on first use: most codecs never shift.
+    cyclic shift, the two Gray-type images and their inverses), with the
+    masks computed here, so that no Python function is called per word.
+    The shift's ``PlaneShift`` is built on first use: most codecs never
+    shift.
+
+    These are the package's only Gray maps.  The Gray map sends the
+    quaternary block u = t + 2h to (h | t + h), per symbol 0 -> 00,
+    1 -> 01, 2 -> 11, 3 -> 10 with the h-block first; the binary block
+    passes through.  The Nechaev permutation (beta odd) swaps positions
+    1, 3, ..., beta - 2 of the image of the quaternary block with the
+    positions beta above them.  Some published displays of worked vectors
+    disagree with that transposition list by a cyclic shift.  The swaps
+    are applied literally, so cross-checks elsewhere in the package are
+    made on generated codes (sets), never on single displayed vectors.
     """
 
     __slots__ = (
@@ -382,20 +375,23 @@ class WordCodec:
             for d in ((g ^ (g >> s)) & pm,)
         ]
 
+    def gray_inv_words(self, images: Iterable[int]) -> list[int]:
+        """Packed preimages [binary block][t][h] of packed extended-Gray
+        images: the Gray blocks h and t + h give t = h ^ (t + h)."""
+        s, bm, tp, hp = self.beta, self.bmask, self._tplane, self._hplane
+        return [(v & bm) | ((v ^ (v >> s)) & tp) | ((v << s) & hp) for v in images]
+
     def psi_inv_words(self, images: Iterable[int]) -> list[int]:
         """Packed preimages [binary block][t][h] of packed extended
         Nechaev-Gray images; beta must be odd.  The swaps are an involution,
-        so they are undone as in ``psi_words``; the Gray blocks are then h
-        and t + h."""
+        so they are undone as in ``psi_words``, and ``gray_inv_words`` then
+        inverts the Gray map."""
         if self.beta % 2 == 0:
             raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
-        s, bm, tp, hp, pm = self.beta, self.bmask, self._tplane, self._hplane, self._psi_mask
-        return [
-            (v & bm) | ((v ^ (v >> s)) & tp) | ((v << s) & hp)
-            for g in images
-            for d in ((g ^ (g >> s)) & pm,)
-            for v in (g ^ d ^ (d << s),)
-        ]
+        s, pm = self.beta, self._psi_mask
+        return self.gray_inv_words(
+            g ^ d ^ (d << s) for g in images for d in ((g ^ (g >> s)) & pm,)
+        )
 
 
 def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], list[int]]:

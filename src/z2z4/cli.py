@@ -20,6 +20,9 @@ from .additive import (
     Code,
     GeneratorMatrix,
     MixedVector,
+    WordCodec,
+    _as_bits,
+    _as_quat,
     gray_is_linear_oracle,
     parse_ints,
     standard_form,
@@ -43,7 +46,6 @@ from .linimage import (
 )
 from .polyring import BinPoly, QuatPoly
 from .reproduce import run_checks
-from . import zmaps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,37 +116,52 @@ def cmd_factor(args) -> int:
 
 
 def cmd_gray(args) -> int:
+    """Gray map (phi, Phi) or Nechaev-Gray map (psi, Psi), or the inverse.
+
+    phi and psi take a quaternary vector, Phi and Psi a mixed one whose
+    binary block passes through; an inverse takes bits, of which the first
+    --alpha form that block.  The input is checked here, then packed and
+    mapped by the ``WordCodec`` word maps.
+    """
     name = args.map
     vec = args.vector
-    if name in ("phi", "psi"):
-        if args.inv:
-            bits = _parse_vector_csv(vec)
-            out = zmaps.gray_inv(bits) if name == "phi" else zmaps.nechaev_gray_inv(bits)
-        else:
-            quats = _parse_vector_csv(vec)
-            out = zmaps.gray(quats) if name == "phi" else zmaps.nechaev_gray(quats)
-        text = ",".join(map(str, out))
-        result = list(out)
-    else:
-        if args.inv:
-            bits = _parse_vector_csv(vec)
+    psi = name in ("psi", "Psi")
+    extended = name in ("Phi", "Psi")
+    if args.inv:
+        bits = _parse_vector_csv(vec)
+        alpha = 0
+        if extended:
             alpha = args.alpha
             if alpha is None:
                 raise DomainError("--alpha is required to invert an extended map")
             if not 0 <= alpha <= len(bits):
                 raise DomainError(f"--alpha {alpha} is outside 0..{len(bits)}, the vector length")
-            binpart, image = bits[:alpha], bits[alpha:]
-            quat = (
-                zmaps.gray_inv(image) if name == "Phi" else zmaps.nechaev_gray_inv(image)
-            )
-            mv = MixedVector(binpart, quat)
-            text = str(mv)
-            result = {"bin": list(mv.bin), "quat": list(mv.quat)}
-        else:
+        bits = _as_bits(bits)
+        if (len(bits) - alpha) % 2:
+            raise DomainError(f"{'Nechaev-' if psi else ''}Gray preimage needs an even-length vector")
+        codec = WordCodec(alpha, (len(bits) - alpha) // 2)
+        word = sum(c << i for i, c in enumerate(bits))
+        word_map = codec.psi_inv_words if psi else codec.gray_inv_words
+    else:
+        if extended:
             mv = MixedVector.parse(vec, alpha=args.alpha, beta=args.beta)
-            out = zmaps.ext_gray(mv) if name == "Phi" else zmaps.ext_nechaev_gray(mv)
-            text = ",".join(map(str, out))
-            result = list(out)
+        else:
+            mv = MixedVector((), _as_quat(_parse_vector_csv(vec)))
+        codec = WordCodec(mv.alpha, mv.beta)
+        word = codec.pack(mv)
+        word_map = codec.psi_words if psi else codec.gray_words
+    if psi and codec.beta % 2 == 0:
+        raise DomainError("the permutation is defined for odd n only")
+    (word,) = word_map([word])
+    if not args.inv:
+        result = [(word >> i) & 1 for i in range(codec.alpha + 2 * codec.beta)]
+        text = ",".join(map(str, result))
+    elif extended:
+        mv = codec.unpack(word)
+        text, result = str(mv), {"bin": list(mv.bin), "quat": list(mv.quat)}
+    else:
+        quat = codec.unpack(word).quat
+        text, result = ",".join(map(str, quat)), list(quat)
     report = {
         "command": "gray",
         "inputs": {"map": name, "inv": bool(args.inv), "vector": vec},

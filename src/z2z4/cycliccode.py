@@ -23,8 +23,10 @@ The pair gcd(b, ell), gcd(b, ell*g~) decides both ell conditions, the type
 it as ``ell_gcds``.  ``enumerate_all_cyclic`` computes it once per tuple on
 the int kernels, checks the conditions from it and hands it to the tuple.
 
-Module multiplication is p star (u | v) = (p~ u mod x^alpha - 1 |
-p v mod x^beta - 1); multiplication by x is the simultaneous cyclic shift.
+The code is a Z4[x]-module under p star (u | v) = (p~ u mod x^alpha - 1 |
+p v mod x^beta - 1).  Multiplication by x is the simultaneous cyclic
+shift, so a code is spanned by the shifts of its generator words, taken
+on packed words.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .additive import Code, CodeType, GeneratorMatrix, MixedVector, WordCodec
+from .additive import Code, CodeType, GeneratorMatrix, WordCodec
 from .cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from .errors import CapacityError, DomainError, InternalError
 from .polyring import (
@@ -44,7 +46,6 @@ from .polyring import (
     clgcd,
     clmod,
     clmul,
-    cyclic_mul,
     cyclic_reduce,
     gcd2,
     gf2_bezout,
@@ -67,21 +68,8 @@ class ResidueWord:
         object.__setattr__(self, "bpart", cyclic_reduce(self.bpart, self.alpha))
         object.__setattr__(self, "qpart", cyclic_reduce(self.qpart, self.beta))
 
-    def to_vector(self) -> MixedVector:
-        return MixedVector(self.bpart.padded(self.alpha), self.qpart.padded(self.beta))
-
     def __str__(self) -> str:
         return f"({self.bpart} | {self.qpart})"
-
-
-def star(p: QuatPoly, w: ResidueWord) -> ResidueWord:
-    """Module multiplication: mod-2 image acts on the binary residue."""
-    return ResidueWord(
-        w.alpha,
-        w.beta,
-        cyclic_mul(reduce_mod2(p), w.bpart, w.alpha),
-        cyclic_mul(p, w.qpart, w.beta),
-    )
 
 
 def _b_violations(alpha: int, b: BinPoly) -> list[str]:

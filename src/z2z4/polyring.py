@@ -459,11 +459,6 @@ def cyclic_reduce(p, n: int):
     return QuatPoly.from_planes(out_lo, out_hi)
 
 
-def cyclic_mul(a, b, n: int):
-    """Product of a and b in the quotient ring modulo x^n - 1."""
-    return cyclic_reduce(a * b, n)
-
-
 def reduce_mod2(p: QuatPoly) -> BinPoly:
     """Coefficient-wise mod-2 image of a Z4 polynomial: its ``lo`` plane."""
     return BinPoly.from_bits(p.lo)

@@ -19,6 +19,7 @@ from z2z4.additive import Code, GeneratorMatrix, OracleReport, PlaneShift, WordC
 from z2z4.errors import CapacityError, DomainError
 from z2z4.linimage import BinaryBlockCode, DoubleCyclicGenerators
 from z2z4.polyring import BinPoly, cyclic_reduce
+from word_oracle import order
 
 
 def orbit_span(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozenset[int]:
@@ -172,7 +173,7 @@ def matrix_generator_oracle(code: Code, matrix: GeneratorMatrix) -> OracleReport
     """The ``generators`` closure test over the order-four rows of a matrix
     that spans ``code``, packed row by row."""
     codec = code.codec
-    rows = [r for r in matrix.rows if r.order() == 4]
+    rows = [r for r in matrix.rows if order(r) == 4]
     packed = [codec.pack(r) for r in rows]
     for i, wi in enumerate(packed):
         for j in range(i, len(packed)):

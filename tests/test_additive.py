@@ -12,7 +12,7 @@ from z2z4.additive import (
     standard_form,
 )
 from z2z4.errors import CapacityError, DomainError
-from z2z4.zmaps import ext_gray, ext_nechaev_gray, nechaev_gray_inv
+from word_oracle import add, ext_gray, ext_nechaev_gray, nechaev_gray_inv, order, scale, star
 
 
 def mixed_vectors(alpha, beta):
@@ -30,32 +30,28 @@ class TestMixedVector:
         assert zero.shift() == zero
 
     def test_orders(self):
-        assert MixedVector((), ()).order() == 1
-        assert MixedVector((1,), (2,)).order() == 2
-        assert MixedVector((0,), (3,)).order() == 4
+        assert order(MixedVector((), ())) == 1
+        assert order(MixedVector((1,), (2,))) == 2
+        assert order(MixedVector((0,), (3,))) == 4
 
     def test_parse_round_trip(self):
         v = MixedVector.parse("1,0|2,3,1")
         assert v == MixedVector((1, 0), (2, 3, 1))
         assert MixedVector.parse(str(v)) == v
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            MixedVector((1,), (0,)) + MixedVector((1, 0), (0,))
-
 
 class TestCodec:
     @given(mixed_vectors(3, 3), mixed_vectors(3, 3))
     def test_add_matches_vectors(self, u, v):
         codec = WordCodec(3, 3)
-        assert codec.unpack(codec.add(codec.pack(u), codec.pack(v))) == u + v
+        assert codec.unpack(codec.add(codec.pack(u), codec.pack(v))) == add(u, v)
 
     @given(mixed_vectors(3, 3), mixed_vectors(3, 3))
     def test_double_star(self, u, v):
         # 2u*v = (0 | 2(t_u & t_v)), which gray_is_linear_oracle relies on
         codec = WordCodec(3, 3)
         tu, tv = codec.tpattern(codec.pack(u)), codec.tpattern(codec.pack(v))
-        assert codec.unpack((tu & tv) << codec.hoff) == u.star(v).scale(2)
+        assert codec.unpack((tu & tv) << codec.hoff) == scale(star(u, v), 2)
 
     @given(mixed_vectors(4, 3))
     def test_shift_matches(self, u):
@@ -75,8 +71,8 @@ class TestCodec:
 
 
 def _check_psi_inverse(beta, images):
-    """psi_inv_words agrees with zmaps.nechaev_gray_inv on each packed image,
-    and psi_words maps its preimages back."""
+    """psi_inv_words agrees with word_oracle.nechaev_gray_inv on each packed
+    image, and psi_words maps its preimages back."""
     codec = WordCodec(0, beta)
     pre = codec.psi_inv_words(images)
     for v, w in zip(images, pre):

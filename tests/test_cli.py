@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z2z4 import __version__, cli, cycliccode, linimage
+from z2z4.additive import MixedVector, _as_bits
 from z2z4.cli import main
+from z2z4.errors import DomainError
+import word_oracle
 
 LENGTH9_JSON = (
     '{"alpha": 3, "beta": 3, "b": "x^2+x+1", "ell": "1",'
@@ -87,6 +93,147 @@ class TestGray:
         assert err.startswith("DomainError:") and "--alpha 5" in err
         status, out, _ = run(capsys, "gray", "--map", "Phi", "--inv", "--alpha", "2", "1,0")
         assert status == 0 and out.strip() == "1,0|"
+
+
+    @pytest.mark.parametrize("name, vector", [("Phi", "5,0,1"), ("Psi", "7,0,1")])
+    def test_extended_inverse_checks_the_binary_block(self, capsys, name, vector):
+        status, out, err = run(capsys, "gray", "--map", name, "--inv", "--alpha", "1", vector)
+        assert (status, out, err) == (1, "", "DomainError: binary entries must be 0 or 1\n")
+
+
+def run_quiet(*argv):
+    """``main`` on argv, with its stdout and stderr captured (no fixture, so
+    that hypothesis can call it once per example)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+def _csv(vals):
+    return ",".join(map(str, vals))
+
+
+def oracle_gray(name, inv, vals, alpha):
+    """What ``z2z4 gray`` computes, by the tuple maps: (text, result)."""
+    if inv:
+        ext = name in ("Phi", "Psi")
+        pre = word_oracle.nechaev_gray_inv if name in ("psi", "Psi") else word_oracle.gray_inv
+        b = _as_bits(vals[:alpha]) if ext else ()
+        q = pre(vals[alpha:] if ext else vals)
+        if not ext:
+            return _csv(q), list(q)
+        return str(MixedVector(b, q)), {"bin": list(b), "quat": list(q)}
+    if name in ("phi", "psi"):
+        out = (word_oracle.gray if name == "phi" else word_oracle.nechaev_gray)(vals[1])
+    else:
+        out = (word_oracle.ext_gray if name == "Phi" else word_oracle.ext_nechaev_gray)(vals)
+    return _csv(out), list(out)
+
+
+@st.composite
+def gray_calls(draw):
+    """A valid-entry call of every map and direction, alpha 0..3, beta
+    0..9; a preimage is sometimes one bit too long, and psi gets even
+    lengths as often as odd ones."""
+    name = draw(st.sampled_from(["phi", "psi", "Phi", "Psi"]))
+    inv = draw(st.booleans())
+    ext = name in ("Phi", "Psi")
+    alpha = draw(st.integers(0, 3)) if ext else 0
+    beta = draw(st.integers(0, 9))
+    argv = ["gray", "--map", name]
+    if inv:
+        n = alpha + 2 * beta + draw(st.sampled_from([0, 0, 0, 1]))
+        vals = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        argv += ["--inv"] + (["--alpha", str(alpha)] if ext else []) + [_csv(vals)]
+    else:
+        b = tuple(draw(st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha)))
+        q = tuple(draw(st.lists(st.integers(0, 3), min_size=beta, max_size=beta)))
+        vals = (b, q)
+        if ext and draw(st.booleans()):
+            argv += ["--alpha", str(alpha), "--beta", str(beta)]
+        argv.append(f"{_csv(b)}|{_csv(q)}" if ext else _csv(q))
+    as_json = draw(st.booleans())
+    return argv + (["--json"] if as_json else []), name, inv, vals, alpha, as_json
+
+
+class TestGrayDifferential:
+    """``z2z4 gray`` runs on packed words; the tuple maps are its oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(gray_calls())
+    def test_matches_the_tuple_maps(self, call):
+        argv, name, inv, vals, alpha, as_json = call
+        status, out, err = run_quiet(*argv)
+        try:
+            text, result = oracle_gray(name, inv, vals, alpha)
+        except DomainError as exc:
+            assert (status, out, err) == (1, "", f"DomainError: {exc}\n")
+            return
+        assert (status, err) == (0, "")
+        if not as_json:
+            assert out == text + "\n"
+            return
+        report = json.loads(out)
+        assert report.pop("elapsed_s") >= 0
+        assert report == {
+            "command": "gray",
+            "inputs": {"map": name, "inv": inv, "vector": argv[-2]},
+            "result": result,
+            "version": __version__,
+        }
+
+
+# Each bad input and the one stderr line it gives, with exit code 1.
+GRAY_ERRORS = [
+    (["--map", "phi", "4"], "quaternary entries must be in 0..3"),
+    (["--map", "phi", "-1"], "quaternary entries must be in 0..3"),
+    (["--map", "psi", "1,4,1"], "quaternary entries must be in 0..3"),
+    (["--map", "Phi", "0|4"], "quaternary entries must be in 0..3"),
+    (["--map", "Phi", "2|1"], "binary entries must be 0 or 1"),
+    (["--map", "Psi", "0|1,9,1"], "quaternary entries must be in 0..3"),
+    (["--map", "phi", "--inv", "2,0"], "binary entries must be 0 or 1"),
+    (["--map", "psi", "--inv", "0,0,0,3,0,0"], "binary entries must be 0 or 1"),
+    (["--map", "Phi", "--inv", "--alpha", "1", "1,0,2"], "binary entries must be 0 or 1"),
+    (["--map", "Psi", "--inv", "--alpha", "1", "1,0,0,0,0,0,-1"], "binary entries must be 0 or 1"),
+    (["--map", "phi", "1,2,x"], "'x' is not an integer"),
+    (["--map", "psi", "1.5"], "'1.5' is not an integer"),
+    (["--map", "Phi", "0,y|1,3,1"], "'y' is not an integer"),
+    (["--map", "Psi", "0|1,z,1"], "'z' is not an integer"),
+    (["--map", "phi", "--inv", "1,a"], "'a' is not an integer"),
+    (["--map", "Phi", "--inv", "--alpha", "1", "1,b"], "'b' is not an integer"),
+    (["--map", "phi", "--inv", "1,0,1"], "Gray preimage needs an even-length vector"),
+    (["--map", "psi", "--inv", "1,0,1"], "Nechaev-Gray preimage needs an even-length vector"),
+    (["--map", "Phi", "--inv", "--alpha", "1", "1,0,1,1"], "Gray preimage needs an even-length vector"),
+    (["--map", "Psi", "--inv", "--alpha", "1", "1,0,1,1"],
+     "Nechaev-Gray preimage needs an even-length vector"),
+    (["--map", "psi", "1,2"], "the permutation is defined for odd n only"),
+    (["--map", "psi", ""], "the permutation is defined for odd n only"),
+    (["--map", "Psi", "0|1,2"], "the permutation is defined for odd n only"),
+    (["--map", "Psi", "0|"], "the permutation is defined for odd n only"),
+    (["--map", "psi", "--inv", "0,0,0,0"], "the permutation is defined for odd n only"),
+    (["--map", "psi", "--inv", ""], "the permutation is defined for odd n only"),
+    (["--map", "Psi", "--inv", "--alpha", "1", "1"], "the permutation is defined for odd n only"),
+    (["--map", "Psi", "--inv", "--alpha", "1", "1,0,0,0,0"],
+     "the permutation is defined for odd n only"),
+    (["--map", "Phi", "--beta", "2", "0|1,3,1"], "expected quaternary block of length 2"),
+    (["--map", "Psi", "--beta", "2", "0|1,3,1"], "expected quaternary block of length 2"),
+    (["--map", "Phi", "--alpha", "2", "0|1"], "expected binary block of length 2"),
+    (["--map", "Phi", "1,0,1"], "mixed vector text needs a '|' separator"),
+    (["--map", "Phi", "--inv", "1,0"], "--alpha is required to invert an extended map"),
+    (["--map", "Psi", "--inv", "1,0"], "--alpha is required to invert an extended map"),
+    (["--map", "Phi", "--inv", "--alpha", "5", "1,0"], "--alpha 5 is outside 0..2, the vector length"),
+    (["--map", "Psi", "--inv", "--alpha", "-1", "1,0"],
+     "--alpha -1 is outside 0..2, the vector length"),
+]
+
+
+class TestGrayErrors:
+    @pytest.mark.parametrize("argv, message", GRAY_ERRORS)
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_error_line_and_exit_code(self, argv, message, as_json):
+        argv = ["gray", *argv] + (["--json"] if as_json else [])
+        assert run_quiet(*argv) == (1, "", f"DomainError: {message}\n")
 
 
 class TestAnalyze:

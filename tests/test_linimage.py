@@ -330,7 +330,7 @@ class TestPsiImage:
     def test_every_solution_gives_the_same_image_span(self, length9_code):
         # the defining equation does not pin p down; all solutions must
         # produce generators spanning the same image
-        from z2z4.zmaps import nechaev_gray_inv
+        from word_oracle import nechaev_gray_inv
         from z2z4.polyring import reduce_mod2
 
         G = length9_code
@@ -347,7 +347,7 @@ class TestPsiImage:
             assert span.words == img
 
     def test_psi_inverse_of_a_lands_in_quaternary_code(self, length9_code):
-        from z2z4.zmaps import nechaev_gray_inv
+        from word_oracle import nechaev_gray_inv
 
         code = enumerate_code(length9_code)
         word = nechaev_gray_inv((1, 1, 1, 0, 0, 0))

@@ -6,7 +6,6 @@ from z2z4.polyring import (
     BinPoly,
     QuatPoly,
     bezout_lift,
-    cyclic_mul,
     cyclic_reduce,
     ext_gcd2,
     gcd2,
@@ -15,6 +14,7 @@ from z2z4.polyring import (
     lift_to_quat,
     reduce_mod2,
 )
+from word_oracle import cyclic_mul
 
 bin_polys = st.lists(st.integers(0, 1), max_size=9).map(BinPoly)
 quat_polys = st.lists(st.integers(0, 3), max_size=9).map(QuatPoly)

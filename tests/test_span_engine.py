@@ -66,6 +66,7 @@ from span_oracle import (
     word_set_is_cyclic,
 )
 from standard_form_oracle import list_standard_form
+from word_oracle import order
 
 
 @st.composite
@@ -101,7 +102,7 @@ def matrices_of_shape(draw, alpha, beta, max_rows=5):
             row = MixedVector(draw(bits), draw(quats))
         rows.append(row)
     if draw(st.booleans()):
-        rows = [r for r in rows if r.order() != 4]  # an all-order-two matrix
+        rows = [r for r in rows if order(r) != 4]  # an all-order-two matrix
     return GeneratorMatrix(alpha, beta, tuple(rows))
 
 

@@ -1,8 +1,16 @@
+"""The tuple Gray-type maps of ``word_oracle`` (symbol table, layout,
+worked vectors, round trips, rejections), its word arithmetic, and the
+packed ``WordCodec`` maps against them."""
+
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from z2z4.additive import MixedVector, WordCodec
 from z2z4.errors import DomainError
-from z2z4.zmaps import (
+from word_oracle import (
+    add,
     ext_gray,
     ext_nechaev_gray,
     gray,
@@ -10,6 +18,8 @@ from z2z4.zmaps import (
     nechaev_gray,
     nechaev_gray_inv,
     nechaev_perm,
+    scale,
+    star,
 )
 
 quat_vectors = st.lists(st.integers(0, 3), min_size=0, max_size=8).map(tuple)
@@ -104,8 +114,6 @@ class TestExtendedMaps:
         assert ext_nechaev_gray(((0, 0), (0, 0, 0))) == (0,) * 8
 
     def test_accepts_mixed_vector(self):
-        from z2z4.additive import MixedVector
-
         v = MixedVector((1, 0), (2, 3, 0))
         assert ext_gray(v) == (1, 0) + gray((2, 3, 0))
         assert ext_nechaev_gray(v) == (1, 0) + nechaev_gray((2, 3, 0))
@@ -114,8 +122,6 @@ class TestExtendedMaps:
         # Phi(v + w) = Phi(v) + Phi(w) + Phi(2 v*w) for every pair with
         # alpha <= 2, beta <= 2
         from itertools import product
-
-        from z2z4.additive import MixedVector
 
         for alpha in range(3):
             for beta in range(3):
@@ -126,13 +132,56 @@ class TestExtendedMaps:
                 ]
                 for v in words:
                     for w in words:
-                        left = ext_gray(v + w)
+                        left = ext_gray(add(v, w))
                         right = tuple(
                             a ^ b ^ c
                             for a, b, c in zip(
                                 ext_gray(v),
                                 ext_gray(w),
-                                ext_gray(v.star(w).scale(2)),
+                                ext_gray(scale(star(v, w), 2)),
                             )
                         )
                         assert left == right
+
+
+class TestWordArithmetic:
+    def test_shape_mismatch(self):
+        with pytest.raises(DomainError):
+            add(MixedVector((1,), (0,)), MixedVector((1, 0), (0,)))
+
+
+def _images(alpha, beta):
+    """Every packed word of alpha + 2*beta bits when beta <= 3, else a
+    fixed sample of 256."""
+    n = alpha + 2 * beta
+    if beta <= 3:
+        return range(1 << n)
+    return random.Random(16 * alpha + beta).sample(range(1 << n), 256)
+
+
+def _bits(v, n):
+    return tuple((v >> i) & 1 for i in range(n))
+
+
+class TestPackedMaps:
+    @pytest.mark.parametrize("alpha", range(4))
+    @pytest.mark.parametrize("beta", range(10))
+    def test_gray_inv_words_matches_oracle(self, alpha, beta):
+        codec = WordCodec(alpha, beta)
+        images = list(_images(alpha, beta))
+        pre = codec.gray_inv_words(images)
+        for v, w in zip(images, pre):
+            bits = _bits(v, alpha + 2 * beta)
+            assert codec.unpack(w) == MixedVector(bits[:alpha], gray_inv(bits[alpha:]))
+        assert codec.gray_words(pre) == images
+
+    @pytest.mark.parametrize("alpha", range(4))
+    @pytest.mark.parametrize("beta", [1, 3, 5, 7, 9])
+    def test_psi_inv_words_matches_oracle(self, alpha, beta):
+        codec = WordCodec(alpha, beta)
+        images = list(_images(alpha, beta))
+        pre = codec.psi_inv_words(images)
+        for v, w in zip(images, pre):
+            bits = _bits(v, alpha + 2 * beta)
+            assert codec.unpack(w) == MixedVector(bits[:alpha], nechaev_gray_inv(bits[alpha:]))
+        assert codec.psi_words(pre) == images
