@@ -9,19 +9,20 @@ word operations and codes up to the capacity bound stay cheap to hold.
 One echelon on the t plane (``_unit_echelon``) serves both the span
 engine and the standard form.  The span engine splits the code as
 |C| = 2^(rank + delta): delta order-four pivots from that echelon, over
-the order-two subcode C_2 of GF(2) rank ``rank``.  A ``Code`` keeps that
-split, its 2^delta coset representatives and a basis of C_2, so its size
-is known, and checked against the capacity bound, before any codeword
-is built.  Membership is decided by reduction: a word lies in C iff
-subtracting the pivots at its odd quaternary entries leaves a word of
-C_2, which the GF(2) basis then reduces to 0.  Equality, the shift test
-and both closure oracles ask only that, so they build no word set; the
-word set is built only when codewords are listed, as the XORs of the
-representatives with C_2.  The shift and the Gray-type maps are
-XOR-linear on packed words, so the image of a code is built coset by
-coset from the mapped representatives and basis, one XOR per word, and
-the Gray image's rank needs no image word at all.  Word lists are mapped
-with precomputed masks, without a Python call per word.
+the order-two subcode C_2 of GF(2) rank ``rank``.  A ``Code`` keeps the
+pivots and a basis of C_2, so its size is known without any codeword.
+Membership is decided by reduction: a word lies in C iff subtracting the
+pivots at its odd quaternary entries leaves a word of C_2, which the
+GF(2) basis then reduces to 0.  Size, equality, the shift test, the
+projections and the ``generators`` closure ask only that, so they work
+at any size.  The 2^delta coset representatives are built on first read,
+and that read is where the capacity bound is checked: every word list
+(the codewords, the images, the ``exhaustive`` closure) is built from
+them, as the XORs of the representatives with C_2.  The shift and the
+Gray-type maps are XOR-linear on packed words, so the image of a code is
+built coset by coset from the mapped representatives and basis, one XOR
+per word, and the Gray image's rank needs no image word at all.  Word
+lists are mapped with precomputed masks, without a Python call per word.
 
 The Gray-linearity oracle uses the identity 2u*v = (0 | 2(t_u & t_v)):
 the doubled star product of two codewords depends only on the mod-2
@@ -44,11 +45,9 @@ DEFAULT_CAPACITY = 1 << 24
 _CAPACITY_ENV = "Z2Z4_CAPACITY"
 
 
-def resolve_capacity(capacity: int | None = None) -> int:
-    """Explicit value, else the Z2Z4_CAPACITY env var (an integer of at
-    least 1), else the default."""
-    if capacity is not None:
-        return int(capacity)
+def resolve_capacity() -> int:
+    """The Z2Z4_CAPACITY env var (an integer of at least 1), else the
+    default."""
     env = os.environ.get(_CAPACITY_ENV)
     if not env:
         return DEFAULT_CAPACITY
@@ -477,33 +476,20 @@ def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _span_cosets(
-    codec: WordCodec, gens: Iterable[int], capacity: int
-) -> tuple[dict[int, int], list[int], dict[int, int]]:
-    """The coset structure ``(pivots, reps, basis)`` of the Z4-span of ``gens``.
+def _span_cosets(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """The coset structure ``(pivots, basis)`` of the Z4-span of ``gens``.
 
     The unit-pivot echelon leaves delta order-four pivots u_i, kept in
     ``pivots`` by column.  The rows it leaves, with 2u_i for each pivot,
     span the order-two subcode C_2 over GF(2); ``basis`` is a basis of it,
-    keyed by leading bit.  ``reps`` holds the 2^delta sums of subsets of
-    the u_i, 0 first.  The code is the union of the cosets
-    r + C_2 = r ^ C_2 (a word of C_2 has an empty t plane), so it has
-    ``len(reps) << len(basis)`` words; that size is checked against
-    ``capacity`` before ``reps`` is built.
+    keyed by leading bit.  The code is the union of the cosets
+    r + C_2 = r ^ C_2 over the 2^delta sums r of subsets of the u_i (a
+    word of C_2 has an empty t plane), so it has
+    ``1 << (len(pivots) + len(basis))`` words.
     """
-    toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
     pivots, rest = _unit_echelon(codec, gens)
-    units = [(u, (u >> toff) & qmask) for u in pivots.values()]
-    basis = _gf2_basis(rest + [ut << hoff for _, ut in units])
-    if 1 << (len(basis) + len(units)) > capacity:
-        raise CapacityError(
-            f"enumeration exceeds the capacity bound {capacity}; "
-            f"raise it via {_CAPACITY_ENV} if intended"
-        )
-    reps = [0]
-    for u, ut in units:  # r + u, with the codec's add written out
-        reps += [r ^ u ^ ((r >> toff & ut) << hoff) for r in reps]
-    return pivots, reps, basis
+    toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
+    return pivots, _gf2_basis(rest + [(u >> toff & qmask) << hoff for u in pivots.values()])
 
 
 def _coset_words(reps: Iterable[int], basis: Iterable[int]) -> frozenset[int]:
@@ -518,57 +504,65 @@ def _coset_words(reps: Iterable[int], basis: Iterable[int]) -> frozenset[int]:
 
 
 class Code:
-    """An additive code, kept as its echelon and coset structure over C_2.
+    """An additive code, kept as its echelon over the order-two subcode C_2.
 
     ``gens`` holds the packed words the code was spanned from, in the order
-    given; ``pivots`` (the order-four unit pivots by column), ``reps`` (the
-    coset representatives) and ``basis`` (a GF(2) basis of the order-two
-    subcode, keyed by leading bit) come from ``_span_cosets``.  The size is
-    ``len(reps) << len(basis)``.  Membership is by reduction
-    (``has_word``), so equality, the shift test and both closure oracles
-    build no word set; the word set ``words`` is built only on first
-    access, for listing codewords.  Queries that are linear in
-    the codeword (the shift, the projections, the doubled star product)
+    given; ``pivots`` (the order-four unit pivots by column) and ``basis``
+    (a GF(2) basis of C_2, keyed by leading bit) come from
+    ``_span_cosets``, so the size is ``1 << (len(pivots) + len(basis))``.
+    Membership is by reduction (``has_word``), so equality, the shift test
+    and the ``generators`` closure work at any size.  The coset
+    representatives ``reps`` are built on first read, after the size is
+    checked against the capacity bound, and the word set ``words`` from
+    them on first access, for listing codewords.  Queries that are linear
+    in the codeword (the shift, the projections, the doubled star product)
     read ``gens``, and XOR-linear word maps (the Gray-type images) map
     ``reps`` and ``basis`` instead of every word.
     """
 
-    __slots__ = ("alpha", "beta", "codec", "gens", "pivots", "reps", "basis", "_words")
-
-    def __init__(
-        self, alpha: int, beta: int, gens: Iterable[int], capacity: int | None = None
-    ):
-        """The code spanned by the packed words ``gens``; given a code's
-        word set, it is that code."""
-        self._build(WordCodec(alpha, beta), gens, capacity)
+    __slots__ = ("alpha", "beta", "codec", "gens", "pivots", "basis", "_reps", "_words")
 
     @classmethod
-    def span(cls, codec: WordCodec, gens: Iterable[int], capacity: int | None = None) -> "Code":
-        """The code spanned by the packed words ``gens``, sharing ``codec``."""
+    def span(cls, codec: WordCodec, gens: Iterable[int]) -> "Code":
+        """The code spanned by the packed words ``gens``, sharing ``codec``;
+        given a code's word set, it is that code."""
         code = cls.__new__(cls)
-        code._build(codec, gens, capacity)
+        code.alpha = codec.alpha
+        code.beta = codec.beta
+        code.codec = codec
+        code.gens = tuple(gens)
+        code.pivots, code.basis = _span_cosets(codec, code.gens)
+        code._reps = code._words = None
         return code
 
-    def _build(self, codec: WordCodec, gens: Iterable[int], capacity: int | None) -> None:
-        self.alpha = codec.alpha
-        self.beta = codec.beta
-        self.codec = codec
-        self.gens = tuple(gens)
-        self.pivots, self.reps, self.basis = _span_cosets(
-            codec, self.gens, resolve_capacity(capacity)
-        )
-        self._words: frozenset[int] | None = None
+    @classmethod
+    def from_matrix(cls, matrix: GeneratorMatrix) -> "Code":
+        return cls.from_vectors_span(matrix.alpha, matrix.beta, matrix.rows)
 
     @classmethod
-    def from_matrix(cls, matrix: GeneratorMatrix, capacity: int | None = None) -> "Code":
-        return cls.from_vectors_span(matrix.alpha, matrix.beta, matrix.rows, capacity)
-
-    @classmethod
-    def from_vectors_span(
-        cls, alpha: int, beta: int, vectors: Iterable[MixedVector], capacity: int | None = None
-    ) -> "Code":
+    def from_vectors_span(cls, alpha: int, beta: int, vectors: Iterable[MixedVector]) -> "Code":
         codec = WordCodec(alpha, beta)
-        return cls.span(codec, [codec.pack(v) for v in vectors], capacity)
+        return cls.span(codec, [codec.pack(v) for v in vectors])
+
+    @property
+    def reps(self) -> list[int]:
+        """The 2^delta coset representatives, the sums of subsets of the
+        pivots, 0 first; built on first read, where the code's size is
+        checked against the capacity bound before any of them exists."""
+        if self._reps is None:
+            capacity = resolve_capacity()
+            if len(self) > capacity:
+                raise CapacityError(
+                    f"enumeration exceeds the capacity bound {capacity}; "
+                    f"raise it via {_CAPACITY_ENV} if intended"
+                )
+            toff, hoff, qmask = self.codec.toff, self.codec.hoff, self.codec.qmask
+            reps = [0]
+            for u in self.pivots.values():  # r + u, with the codec's add written out
+                ut = (u >> toff) & qmask
+                reps += [r ^ u ^ ((r >> toff & ut) << hoff) for r in reps]
+            self._reps = reps
+        return self._reps
 
     @property
     def words(self) -> frozenset[int]:
@@ -595,7 +589,7 @@ class Code:
         return not _gf2_reduce(self.basis, w ^ r)
 
     def __len__(self) -> int:
-        return len(self.reps) << len(self.basis)
+        return 1 << (len(self.pivots) + len(self.basis))
 
     def __eq__(self, other) -> bool:
         """Same shape and size, and the generators of ``other`` lie in this
@@ -641,19 +635,19 @@ class Code:
     def puncture_x(self) -> "Code":
         """The binary projection, spanned by the projected generators."""
         bmask = self.codec.bmask
-        return Code.span(WordCodec(self.alpha, 0), [w & bmask for w in self.gens], len(self))
+        return Code.span(WordCodec(self.alpha, 0), [w & bmask for w in self.gens])
 
     def puncture_y(self) -> "Code":
         """The quaternary projection, spanned by the projected generators."""
         alpha = self.alpha
-        return Code.span(WordCodec(0, self.beta), [w >> alpha for w in self.gens], len(self))
+        return Code.span(WordCodec(0, self.beta), [w >> alpha for w in self.gens])
 
     def is_separable(self) -> bool:
         return len(self.puncture_x()) * len(self.puncture_y()) == len(self)
 
     def order_two_subcode(self) -> "Code":
         """The words of order at most two, spanned by the basis of C_2."""
-        return Code.span(self.codec, self.basis.values(), len(self))
+        return Code.span(self.codec, self.basis.values())
 
 
 # ----------------------------------------------------------------------
@@ -676,6 +670,8 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     nonzero mod-2 pattern, which suffices because the doubled star product
     is bi-additive in the patterns.  Both test membership by reduction and
     build no word set; ``exhaustive`` reduces each distinct product once.
+    Only ``exhaustive`` reads ``reps``, so only it meets the capacity
+    bound; ``generators`` works at any size.
     """
     codec = code.codec
     hoff = codec.hoff

@@ -4,14 +4,18 @@ Subcommands: factor, gray, analyze, code, linearity, image, search,
 reproduce.  ``--json`` switches any of them to machine output with a
 stable schema; identical inputs produce byte-identical output except for
 the elapsed-time field.  Exit codes: 0 ok, 1 error, 2 precondition
-failure.  The Z2Z4_CAPACITY environment variable overrides the
-enumeration bound.
+failure.  The Z2Z4_CAPACITY environment variable overrides the bound on
+the codewords a command lists; it is checked when the command starts.
+A code's size, type, cyclicity, punctures and Gray-image closure need no
+codeword, so ``analyze`` answers past the bound, except for a shift
+witness, which is a listed codeword.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -25,6 +29,7 @@ from .additive import (
     _as_quat,
     gray_is_linear_oracle,
     parse_ints,
+    resolve_capacity,
     standard_form,
 )
 from .cyclofield import factor_xn_minus_1_z2, factor_xn_minus_1_z4
@@ -49,6 +54,12 @@ from .reproduce import run_checks
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with a digit, so a vector such as "-1,2" is an
+        # argument, whose entries are then range-checked
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     # argparse exits with status 2 on usage errors, which this tool
     # reserves for precondition failures; route through DomainError instead
     def error(self, message):
@@ -442,6 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args._t0 = time.time()
+        resolve_capacity()  # a bad setting fails every command, listing or not
         return args.func(args)
     except PreconditionError as exc:
         print(f"PreconditionError: {exc}", file=sys.stderr)

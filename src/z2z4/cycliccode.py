@@ -316,14 +316,9 @@ def _packed_shifts(
     return rows
 
 
-def span_words(
-    words: Sequence[ResidueWord], counts: Sequence[int], capacity: int | None = None
-) -> Code:
-    """Enumerated additive span of the given shift families."""
-    if not words:
-        raise DomainError("need at least one generator word")
-    codec = WordCodec(words[0].alpha, words[0].beta)
-    return Code.span(codec, _packed_shifts(codec, words, counts), capacity)
+def span_words(codec: WordCodec, words: Sequence[ResidueWord], counts: Sequence[int]) -> Code:
+    """Enumerated additive span of the given shift families, on ``codec``."""
+    return Code.span(codec, _packed_shifts(codec, words, counts))
 
 
 def realize(gens: CyclicGenerators) -> GeneratorMatrix:
@@ -333,8 +328,9 @@ def realize(gens: CyclicGenerators) -> GeneratorMatrix:
     return GeneratorMatrix(gens.alpha, gens.beta, tuple(map(codec.unpack, rows)))
 
 
-def enumerate_code(gens: CyclicGenerators, capacity: int | None = None) -> Code:
-    return span_words(gens.generator_words(), (gens.alpha, gens.beta), capacity)
+def enumerate_code(gens: CyclicGenerators) -> Code:
+    codec = WordCodec(gens.alpha, gens.beta)
+    return span_words(codec, gens.generator_words(), (gens.alpha, gens.beta))
 
 
 def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:

@@ -46,8 +46,8 @@ from .polyring import (
     reduce_mod2,
 )
 
-# Codes at most this large are enumerated for oracle cross-checks; bigger
-# quaternary codes use the algebraic membership test instead.
+# ``z4_gray_linear_oracle`` runs the exhaustive closure on codes of at most
+# this many words and the generators closure on bigger ones.
 ORACLE_ENUM_LIMIT = 1 << 18
 
 
@@ -224,20 +224,19 @@ class DoubleCyclicGenerators:
         }
 
 
-def double_cyclic_span(
-    dcg: DoubleCyclicGenerators, capacity: int | None = None
-) -> BinaryBlockCode:
+def double_cyclic_span(dcg: DoubleCyclicGenerators) -> BinaryBlockCode:
     """GF(2) span of all simultaneous shifts of the two generators.
 
-    The span engine builds it as a binary code of length r + s, so the
-    bound is checked on the span's size before any word of it is built.
+    The span engine builds it as a binary code of length r + s, whose
+    coset representatives check the bound on its size before any word of
+    it is built.
     """
     r, s = dcg.r, dcg.s
     orbit, count = PlaneShift(r, s).orbit, lcm(r, s)
     b_rows = orbit(cyclic_reduce(dcg.b, r).bits, count)
     e_rows = orbit(cyclic_reduce(dcg.ellp, r).bits | cyclic_reduce(dcg.a, s).bits << r, count)
     shifts = [w for pair in zip(b_rows, e_rows) for w in pair]
-    span = Code.span(WordCodec(r + s, 0), shifts, capacity)
+    span = Code.span(WordCodec(r + s, 0), shifts)
     return BinaryBlockCode(r, s, span.reps, list(span.basis.values()))
 
 
@@ -431,7 +430,7 @@ def psi_image_generators(
 
 
 # ----------------------------------------------------------------------
-# quaternary-only oracle that scales past enumeration
+# quaternary-only oracle
 
 
 def _z4_code(f: QuatPoly, h: QuatPoly, n: int) -> Code:
@@ -443,38 +442,17 @@ def _z4_code(f: QuatPoly, h: QuatPoly, n: int) -> Code:
     return Code.span(codec, codec.shifts(word, n))
 
 
-def z4_gray_linear_oracle(
-    f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int, mode: str = "auto"
-) -> bool:
-    """Closure verdict for the quaternary cyclic code <fh + 2f>.
-
-    ``enumerate`` builds the code and runs the generic pattern-pair oracle.
-    ``algebraic`` checks the generator-pattern pairs only, using the fact
-    that the order-two subcode is exactly 2 * <f~>: a doubled product
-    2(s & t) lies in the code iff f~ divides the polynomial with
-    coefficient vector s & t.  Both modes implement the same predicate.
-    """
+def z4_gray_linear_oracle(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
+    """Closure verdict for the quaternary cyclic code <fh + 2f>: the
+    ``exhaustive`` closure up to ``ORACLE_ENUM_LIMIT`` words, the
+    ``generators`` closure above it."""
     if n < 1 or n % 2 == 0:
         raise DomainError("length must be odd")
     if f * h * g != QuatPoly.xn_minus_1(n):
         raise DomainError(f"f*h*g != x^{n}-1 over Z4")
-    dg = int(g.degree) if not g.is_zero else 0
-    dh = int(h.degree)
-    size = 1 << (2 * dg + dh)
-    if mode == "auto":
-        mode = "enumerate" if size <= ORACLE_ENUM_LIMIT else "algebraic"
-    if mode == "enumerate":
-        return gray_is_linear_oracle(_z4_code(f, h, n)).linear
-    if mode != "algebraic":
-        raise DomainError(f"unknown oracle mode {mode!r}")
-    ft = reduce_mod2(f)
-    fh_t = reduce_mod2(f * h)
-    basis = [fh_t.bits << i for i in range(dg)]
-    for i, s in enumerate(basis):
-        for t in basis[i:]:
-            if not ft.divides(BinPoly.from_bits(s & t)):
-                return False
-    return True
+    code = _z4_code(f, h, n)
+    mode = "exhaustive" if len(code) <= ORACLE_ENUM_LIMIT else "generators"
+    return gray_is_linear_oracle(code, mode).linear
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .additive import (
     Code,
     GeneratorMatrix,
     MixedVector,
-    WordCodec,
     _standard_form,
     gray_image_is_linear,
     gray_is_linear_oracle,
@@ -106,19 +105,21 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     oracle_gen = gray_is_linear_oracle(code, mode="generators")
     image_direct = gray_image_is_linear(code)
 
+    # every span of this shape shares the code's codec
     w1, w2 = order_two_generators(gens)
-    cb = span_words([w1, w2], [gens.alpha, gens.beta])
+    cb = span_words(code.codec, [w1, w2], [gens.alpha, gens.beta])
     t1, t2, t3 = three_generator_form(gens)
-    span3 = span_words([t1, t2, t3], [gens.alpha, gens.beta, gens.beta])
+    span3 = span_words(code.codec, [t1, t2, t3], [gens.alpha, gens.beta, gens.beta])
 
-    # the punctured codes should be generated by gcd(b, ell) and fh + 2f
-    px_codec, py_codec = WordCodec(gens.alpha, 0), WordCodec(0, gens.beta)
+    # the punctured codes should be generated by gcd(b, ell) and fh + 2f,
+    # spanned here on the punctured codes' own codecs
+    px, py = code.puncture_x(), code.puncture_y()
     px_word = cyclic_reduce(gcd2(gens.b, gens.ell), gens.alpha).bits
     py_gen = gens.fh_plus_2f
-    py_word = py_codec.pack_planes(0, py_gen.lo, py_gen.hi)
-    px_expect = Code.span(px_codec, px_codec.shifts(px_word, gens.alpha))
-    py_expect = Code.span(py_codec, py_codec.shifts(py_word, gens.beta))
-    punctures_ok = code.puncture_x() == px_expect and code.puncture_y() == py_expect
+    py_word = py.codec.pack_planes(0, py_gen.lo, py_gen.hi)
+    px_expect = Code.span(px.codec, px.codec.shifts(px_word, gens.alpha))
+    py_expect = Code.span(py.codec, py.codec.shifts(py_word, gens.beta))
+    punctures_ok = px == px_expect and py == py_expect
 
     psi_dc = psi_span_ok = None
     if report.verdict:

@@ -111,14 +111,18 @@ class TestEnumeration:
     def test_nonlinear_image_matrix_size(self, nonlinear_image_matrix):
         assert len(Code.from_matrix(nonlinear_image_matrix)) == 128
 
-    def test_capacity_enforced(self):
+    def test_capacity_enforced(self, monkeypatch):
         rows = tuple(
             MixedVector(tuple(1 if i == j else 0 for i in range(8)), (0,) * 4)
             for j in range(8)
         )
         m = GeneratorMatrix(8, 4, rows)
+        monkeypatch.setenv("Z2Z4_CAPACITY", "100")
+        # the code is built and sized past the bound; listing its words raises
+        code = Code.from_matrix(m)
+        assert len(code) == 256
         with pytest.raises(CapacityError):
-            Code.from_matrix(m, capacity=100)
+            code.words
 
     def test_capacity_env_override(self, monkeypatch):
         monkeypatch.setenv("Z2Z4_CAPACITY", "17")
@@ -130,7 +134,7 @@ class TestEnumeration:
         code = Code.from_matrix(nonlinear_image_matrix)
         shifted_rows = tuple(r.shift() for r in nonlinear_image_matrix.rows)
         shifted = Code.from_matrix(GeneratorMatrix(3, 3, shifted_rows))
-        assert shifted == Code(3, 3, frozenset(code.codec.shift_words(code.words)))
+        assert shifted == Code.span(code.codec, code.codec.shift_words(code.words))
 
 
 class TestStructure:

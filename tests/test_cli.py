@@ -228,12 +228,35 @@ GRAY_ERRORS = [
 ]
 
 
+# a vector whose first entry is negative, for each map and its inverse
+NEGATIVE_VECTORS = [
+    (["--map", "phi", "-1,2"], "quaternary entries must be in 0..3"),
+    (["--map", "psi", "-1,2,0"], "quaternary entries must be in 0..3"),
+    (["--map", "Phi", "-1,0|1"], "binary entries must be 0 or 1"),
+    (["--map", "Psi", "-1|1,2,0"], "binary entries must be 0 or 1"),
+    (["--map", "phi", "--inv", "-1,2"], "binary entries must be 0 or 1"),
+    (["--map", "psi", "--inv", "-1,0,0,0,0,0"], "binary entries must be 0 or 1"),
+    (["--map", "Phi", "--inv", "--alpha", "1", "-1,0,1"], "binary entries must be 0 or 1"),
+    (["--map", "Psi", "--inv", "--alpha", "1", "-1,0,0,0,0,0,0"], "binary entries must be 0 or 1"),
+]
+
+
 class TestGrayErrors:
     @pytest.mark.parametrize("argv, message", GRAY_ERRORS)
     @pytest.mark.parametrize("as_json", [False, True])
     def test_error_line_and_exit_code(self, argv, message, as_json):
         argv = ["gray", *argv] + (["--json"] if as_json else [])
         assert run_quiet(*argv) == (1, "", f"DomainError: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", NEGATIVE_VECTORS)
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_negative_entry_is_a_range_error(self, argv, message, as_json):
+        """A leading '-' makes no option of the vector: the range error is
+        the one given after '--'."""
+        *opts, vector = ["gray", *argv[:-1]] + (["--json"] if as_json else []) + argv[-1:]
+        got = run_quiet(*opts, vector)
+        assert got == (1, "", f"DomainError: {message}\n")
+        assert got == run_quiet(*opts, "--", vector)
 
 
 class TestAnalyze:
@@ -275,6 +298,56 @@ class TestAnalyze:
         status, out, err = run(capsys, "analyze", "--matrix", str(path))
         assert status == 1 and out == ""
         assert err.startswith("DomainError: Z2Z4_CAPACITY") and err.count("\n") == 1
+
+
+def _capacity_line(bound: int) -> str:
+    return (
+        f"CapacityError: enumeration exceeds the capacity bound {bound}; "
+        "raise it via Z2Z4_CAPACITY if intended\n"
+    )
+
+
+class TestPastTheBound:
+    """A code larger than the capacity bound: what needs no codeword is
+    answered, and a command that lists words fails with the error line
+    and exit code it has always had."""
+
+    def test_analyze_answers(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("Z2Z4_CAPACITY", raising=False)
+        path = tmp_path / "id26.txt"
+        path.write_text("".join(
+            " ".join("1" if i == j else "0" for i in range(26)) + " |\n" for j in range(26)
+        ))
+        status, out, err = run(capsys, "analyze", "--matrix", str(path), "--json")
+        data = json.loads(out)
+        assert (status, err) == (0, "")
+        assert data["size"] == 67108864
+        assert data["cyclic"] is True and data["shift_witness"] is None
+        assert data["type"] == {"alpha": 26, "beta": 0, "gamma": 26, "delta": 0, "kappa": 26}
+        assert data["separable"] is True and data["gray_image_linear"] is True
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_shift_witness_needs_the_words(self, capsys, tmp_path, monkeypatch, as_json):
+        # the 64-word non-cyclic code with cyclic projections
+        path = tmp_path / "m.txt"
+        path.write_text("1 0 | 1 0 0\n0 1 | 0 1 0\n0 0 | 0 0 1\n")
+        monkeypatch.setenv("Z2Z4_CAPACITY", "63")
+        argv = ["analyze", "--matrix", str(path)] + (["--json"] if as_json else [])
+        assert run(capsys, *argv) == (1, "", _capacity_line(63))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linearity", "--code", LENGTH9_JSON, "--oracle"],
+            ["image", "--code", LENGTH9_JSON, "--dump"],
+        ],
+    )
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_listing_commands_fail(self, capsys, monkeypatch, argv, as_json):
+        # the length-9 code and its image have 32 words
+        monkeypatch.setenv("Z2Z4_CAPACITY", "31")
+        argv = argv + (["--json"] if as_json else [])
+        assert run(capsys, *argv) == (1, "", _capacity_line(31))
 
 
 class TestCode:

@@ -128,7 +128,7 @@ class TestOrderTwoGenerators:
         w1, w2 = order_two_generators(length9_code)
         assert w1 == ResidueWord(3, 3, length9_code.b, QuatPoly.zero())
         assert w2 == ResidueWord(3, 3, BinPoly.parse("x^2+x"), QuatPoly((2,)))
-        span = span_words([w1, w2], [3, 3])
+        span = span_words(WordCodec(3, 3), [w1, w2], [3, 3])
         assert span == enumerate_code(length9_code).order_two_subcode()
 
 
@@ -144,7 +144,7 @@ class TestThreeGeneratorForm:
 
     def test_span_equality(self, length9_code):
         t1, t2, t3 = three_generator_form(length9_code)
-        span = span_words([t1, t2, t3], [3, 3, 3])
+        span = span_words(WordCodec(3, 3), [t1, t2, t3], [3, 3, 3])
         assert span == enumerate_code(length9_code)
 
 
@@ -199,7 +199,7 @@ class TestRealize:
         # the second family needs only beta shifts once the divisibility
         # conditions hold; lcm-many shifts give the same span
         g1, g2 = length9_code.generator_words()
-        full = span_words([g1, g2], [3, lcm(3, 3)])
+        full = span_words(WordCodec(3, 3), [g1, g2], [3, lcm(3, 3)])
         assert full == enumerate_code(length9_code)
 
 

@@ -17,6 +17,7 @@ from z2z4.errors import DomainError, PreconditionError
 from z2z4.linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
+    _z4_code,
     double_cyclic_span,
     ext_psi_image,
     family_g_subgroup,
@@ -32,7 +33,14 @@ from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, gcd2, reduce_mod2
 from z2z4.reproduce import mixed_candidates
 from candidate_oracle import reference_code_type, reference_criterion
 from span_oracle import double_shift
-from z4_oracles import all_cyclic_solutions, digit_fixing_lexmin, from_row, howell_lexmin, to_row
+from z4_oracles import (
+    all_cyclic_solutions,
+    digit_fixing_lexmin,
+    divisibility_gray_linear,
+    from_row,
+    howell_lexmin,
+    to_row,
+)
 
 
 # factors that make p -> p * gen far from onto: x-1, 2, x^2+x+1, x^3-1, 2(x-1)
@@ -76,16 +84,28 @@ class TestWolfmann:
         from z2z4.reproduce import z4_candidates
 
         for _, f, h, g in z4_candidates([n]):
-            assert wolfmann_linear(f, h, g, n) == z4_gray_linear_oracle(f, h, g, n, "enumerate")
+            assert wolfmann_linear(f, h, g, n) == gray_is_linear_oracle(_z4_code(f, h, n)).linear
 
     @pytest.mark.parametrize("n", [7, 9])
     def test_oracle_modes_agree(self, n):
         from z2z4.reproduce import z4_candidates
 
         for _, f, h, g in z4_candidates([n]):
-            assert z4_gray_linear_oracle(f, h, g, n, "enumerate") == z4_gray_linear_oracle(
-                f, h, g, n, "algebraic"
+            assert gray_is_linear_oracle(_z4_code(f, h, n)).linear == divisibility_gray_linear(
+                f, h, g, n
             )
+
+    def test_divisibility_oracle_on_the_z4_sweep(self):
+        """The divisibility test against ``z4_gray_linear_oracle`` on every
+        quaternary sweep code of length 7, 9 and 15, the 66 codes above
+        ``ORACLE_ENUM_LIMIT`` (the ``generators`` closure) included."""
+        from z2z4.reproduce import z4_candidates
+
+        above = 0
+        for n, f, h, g in z4_candidates([7, 9, 15]):
+            above += len(_z4_code(f, h, n)) > linimage.ORACLE_ENUM_LIMIT
+            assert z4_gray_linear_oracle(f, h, g, n) == divisibility_gray_linear(f, h, g, n)
+        assert above == 66
 
 
 class TestCriterion:

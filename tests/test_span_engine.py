@@ -9,7 +9,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from z2z4.additive import (
     Code,
@@ -25,7 +25,7 @@ from z2z4.additive import (
     standard_form,
 )
 from z2z4 import additive, linimage
-from z2z4.cycliccode import enumerate_code, realize
+from z2z4.cycliccode import code_type, enumerate_all_cyclic, enumerate_code, realize
 from z2z4.errors import CapacityError
 from z2z4.linimage import (
     BinaryBlockCode,
@@ -111,15 +111,18 @@ def _orbit_code(matrix: GeneratorMatrix) -> frozenset[int]:
     return orbit_span(codec, [codec.pack(r) for r in matrix.rows], 1 << 30)
 
 
-def _peak_bytes_until_capacity_error(build, source, capacity: int) -> int:
-    """Peak traced allocation of ``build(source, capacity)``, which must raise."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            build(source, capacity)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _peak_bytes_until_capacity_error(build, capacity: int) -> int:
+    """Peak traced allocation of ``build()`` with Z2Z4_CAPACITY set to
+    ``capacity``; the call must raise CapacityError."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("Z2Z4_CAPACITY", str(capacity))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 class TestCosetSpan:
@@ -132,9 +135,19 @@ class TestCosetSpan:
     @given(generator_matrices())
     def test_capacity_bound_is_the_code_size(self, matrix):
         size = len(_orbit_code(matrix))
-        assert len(Code.from_matrix(matrix, capacity=size)) == size
-        with pytest.raises(CapacityError):
-            Code.from_matrix(matrix, capacity=size - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("Z2Z4_CAPACITY", str(size))
+            assert len(Code.from_matrix(matrix).words) == size
+            if size == 1:  # 0 is not a valid setting: lower the default instead
+                mp.delenv("Z2Z4_CAPACITY")
+                mp.setattr(additive, "DEFAULT_CAPACITY", 0)
+            else:
+                mp.setenv("Z2Z4_CAPACITY", str(size - 1))
+            # past the bound the code is built and sized; its word list raises
+            code = Code.from_matrix(matrix)
+            assert len(code) == size
+            with pytest.raises(CapacityError):
+                code.words
 
     def test_over_capacity_raises_before_allocating(self):
         # 2^20 words: four binary unit rows and eight quaternary unit rows
@@ -145,7 +158,65 @@ class TestCosetSpan:
         )
         matrix = GeneratorMatrix(4, 8, rows)
         for capacity in (1 << 10, (1 << 20) - 1):
-            assert _peak_bytes_until_capacity_error(Code.from_matrix, matrix, capacity) < 1 << 20
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("Z2Z4_CAPACITY", str(capacity))
+                assert len(Code.from_matrix(matrix)) == 1 << 20
+            peak = _peak_bytes_until_capacity_error(lambda: Code.from_matrix(matrix).words, capacity)
+            assert peak < 1 << 20
+
+
+class TestPastTheBound:
+    """A code past the capacity bound is built and sized, and answers
+    membership, equality, the shift test and the ``generators`` closure,
+    without building a coset representative; only listing raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices(), st.data())
+    def test_matches_orbit_span(self, matrix, data):
+        codec = WordCodec(matrix.alpha, matrix.beta)
+        words = _orbit_code(matrix)
+        assume(len(words) > 1)
+        other = data.draw(st.one_of(
+            matrices_of_shape(matrix.alpha, matrix.beta),
+            st.just(_shifted_rows(matrix)),
+        ))
+        members = sorted(words)
+        width = matrix.alpha + 2 * matrix.beta
+        queries = members + codec.shift_words(members)
+        queries += data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30))
+        patterns = {codec.tpattern(w) for w in words}
+        closed = all((s & t) << codec.hoff in words for s in patterns for t in patterns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("Z2Z4_CAPACITY", str(len(words) - 1))
+            code = Code.from_matrix(matrix)
+            assert len(code) == len(words)
+            assert [code.has_word(w) for w in queries] == [w in words for w in queries]
+            assert (code == Code.from_matrix(other)) == (words == _orbit_code(other))
+            assert code.is_cyclic() == words.issuperset(codec.shift_words(members))
+            assert gray_is_linear_oracle(code, mode="generators").linear == closed
+            assert code._reps is None
+            with pytest.raises(CapacityError):
+                code.words
+
+    def test_sweep_codes_past_the_default_bound(self, monkeypatch):
+        """Every code of alpha 1..4 and beta 15 with more than 2^24 words
+        has the size of its type and is cyclic, and its ``generators``
+        closure agrees with the gcd criterion."""
+        monkeypatch.delenv("Z2Z4_CAPACITY", raising=False)
+        big = [
+            gens
+            for alpha in (1, 2, 3, 4)
+            for gens in enumerate_all_cyclic(alpha, 15)
+            if code_type(gens).size > additive.DEFAULT_CAPACITY
+        ]
+        assert len(big) == 590
+        for gens in big:
+            code = enumerate_code(gens)
+            assert len(code) == code_type(gens).size
+            assert code.is_cyclic()
+            oracle = gray_is_linear_oracle(code, mode="generators")
+            assert oracle.linear == linimage.gray_linear_criterion(gens).verdict
+            assert code._reps is None
 
 
 class TestUnitEchelon:
@@ -271,7 +342,7 @@ class TestGeneratorQueries:
         assert code.gens == tuple(code.codec.pack(r) for r in matrix.rows)
         _same_generator_queries(code)
         # a code built from its word set takes its words as generators
-        _same_generator_queries(Code(code.alpha, code.beta, code.words))
+        _same_generator_queries(Code.span(code.codec, code.words))
 
     @settings(max_examples=300, deadline=None)
     @given(generator_matrices())
@@ -392,13 +463,19 @@ class TestCosetStructure:
         # unit rows: 2^alpha * 4^beta = 2^22 words
         codec = WordCodec(alpha, beta)
         rows = [1 << i for i in range(alpha)] + [1 << (codec.toff + i) for i in range(beta)]
-        tracemalloc.start()
-        try:
-            size = len(Code.span(codec, rows, capacity=1 << 22))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert size == 1 << 22
+        for capacity in (1 << 22, (1 << 22) - 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("Z2Z4_CAPACITY", str(capacity))
+                tracemalloc.start()
+                try:
+                    size = len(Code.span(codec, rows))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert size == 1 << 22
+            assert peak < 1 << 20
+        # past the bound the word build raises, before it allocates
+        peak = _peak_bytes_until_capacity_error(lambda: Code.span(codec, rows).words, (1 << 22) - 1)
         assert peak < 1 << 20
 
 
@@ -612,6 +689,8 @@ class TestDoubleCyclicSpan:
         # (0 | 1) and its shifts span all 2^20 words of the right block
         dcg = DoubleCyclicGenerators(1, 20, BinPoly.parse("x+1"), BinPoly.zero(), BinPoly.one())
         for capacity in (1 << 10, (1 << 20) - 1):
-            assert _peak_bytes_until_capacity_error(double_cyclic_span, dcg, capacity) < 1 << 20
+            # the span's word build is its coset representatives, which raise
+            peak = _peak_bytes_until_capacity_error(lambda: double_cyclic_span(dcg), capacity)
+            assert peak < 1 << 20
         assert len(double_cyclic_span(DoubleCyclicGenerators(
             1, 10, BinPoly.parse("x+1"), BinPoly.zero(), BinPoly.one()))) == 1 << 10

@@ -6,6 +6,10 @@ reads the Howell bases of the code and of its annihilator off (f, h, g):
 gen; ``digit_fixing_lexmin`` fixes the coefficients of p one at a time,
 smallest digit first, with a Smith-form solvability test per digit (about 4n
 eliminations), and ``all_cyclic_solutions`` tries all 4^n vectors.
+
+``divisibility_gray_linear`` is a cross-check for
+``z2z4.linimage.z4_gray_linear_oracle``: it decides the Gray-image
+closure of <fh + 2f> from the order-two subcode alone, without the code.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import product as iproduct
 
 from z2z4.errors import InternalError
 from z2z4.linimage import Z4Row, _z4_add
-from z2z4.polyring import QuatPoly, cyclic_reduce
+from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
 
 
 def to_row(p: QuatPoly, n: int) -> Z4Row:
@@ -238,3 +242,20 @@ def all_cyclic_solutions(gen: QuatPoly, target: QuatPoly, n: int) -> list[QuatPo
         if cyclic_reduce(p * gen, n) == tgt:
             out.append(p)
     return out
+
+
+def divisibility_gray_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
+    """The closure verdict for the quaternary cyclic code <fh + 2f> of
+    length n, with f h g = x^n - 1, from its order-two subcode 2<f~>.
+
+    The mod-2 patterns of the code are spanned by the deg g shifts of
+    (fh)~, and the doubled star product is bi-additive in the patterns, so
+    the pairs of those shifts suffice: 2(s & t) lies in the code iff f~
+    divides the polynomial with coefficient vector s & t.
+    """
+    ft = reduce_mod2(f)
+    fh = reduce_mod2(f * h).bits
+    basis = [fh << i for i in range(int(g.degree) if not g.is_zero else 0)]
+    return all(
+        ft.divides(BinPoly.from_bits(s & t)) for i, s in enumerate(basis) for t in basis[i:]
+    )
