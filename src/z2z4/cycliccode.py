@@ -20,8 +20,11 @@ codeword straight from their ints.
 
 The pair gcd(b, ell), gcd(b, ell*g~) decides both ell conditions, the type
 (``code_type``) and the linearity criterion (``linimage``); a tuple keeps
-it as ``ell_gcds``.  ``enumerate_all_cyclic`` computes it once per tuple on
-the int kernels, checks the conditions from it and hands it to the tuple.
+it as ``ell_gcds``.  L and the pair see (f, h, g) only through its
+signature, how h~ and g~ split the factors of gcd(x^alpha - 1, x^beta - 1);
+so ``enumerate_all_cyclic`` builds one row of ell per (b, signature), each
+ell with its pair computed on the int kernels and the conditions checked
+from it, and every triple of that signature shares the row.
 
 The code is a Z4[x]-module under p star (u | v) = (p~ u mod x^alpha - 1 |
 p v mod x^beta - 1).  Multiplication by x is the simultaneous cyclic
@@ -102,7 +105,8 @@ def _triple_violations(beta: int, f: QuatPoly, h: QuatPoly, g: QuatPoly) -> list
 
 def _gcd_violations(b: int, cof: int, ht: int, gbl: int, gblg: int) -> list[str]:
     """The two conditions that depend on ell, on bit masks, given
-    gbl = gcd(b, ell) and gblg = gcd(b, ell*g~); cof = (x^beta-1)/f~."""
+    gbl = gcd(b, ell) and gblg = gcd(b, ell*g~); cof = (x^beta-1)/f~, or
+    any p with gcd(b, p) = gcd(b, cof), and likewise ht for h~."""
     out = []
     if clmod(clmul(cof, gbl), b):
         out.append("b does not divide (x^beta-1)/f~ * gcd(b, ell)")
@@ -167,16 +171,24 @@ class CyclicGenerators:
         ell_gcds: tuple[BinPoly, BinPoly] | None = None,
     ) -> "CyclicGenerators":
         """Build from data whose ``violations`` the caller has already seen
-        empty; ``ell_gcds``, if given, seeds the property of that name."""
+        empty.  Given ``ell_gcds``, the caller has also checked the lengths
+        and deg ell < deg b, and the pair seeds the property of that name;
+        without it, the lengths are checked and ell is reduced modulo b."""
         gens = object.__new__(cls)
-        # field by field, as the dataclass __init__ does: touching __dict__
-        # would give every instance a full dict of its own
-        for name, value in zip(("alpha", "beta", "b", "ell", "f", "h", "g"),
-                               (alpha, beta, b, ell, f, h, g)):
-            object.__setattr__(gens, name, value)
-        gens._normalize()
-        if ell_gcds is not None:
-            object.__setattr__(gens, "ell_gcds", ell_gcds)
+        # field by field, in the order of the dataclass __init__: touching
+        # __dict__ would give every instance a full dict of its own
+        setattr_ = object.__setattr__
+        setattr_(gens, "alpha", alpha)
+        setattr_(gens, "beta", beta)
+        setattr_(gens, "b", b)
+        setattr_(gens, "ell", ell)
+        setattr_(gens, "f", f)
+        setattr_(gens, "h", h)
+        setattr_(gens, "g", g)
+        if ell_gcds is None:
+            gens._normalize()
+        else:
+            setattr_(gens, "ell_gcds", ell_gcds)
         return gens
 
     def _normalize(self) -> None:
@@ -367,6 +379,34 @@ def _check_factors(beta: int, factors: Sequence[QuatPoly]) -> None:
             raise InternalError(f"the factors of x^{beta}-1 are not coprime mod 2")
 
 
+def _ell_row(
+    b: BinPoly, hs: int, gs: int, pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]]
+) -> list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]:
+    """The ell of every triple whose signature is (hs, gs), with b: the
+    multiples of L = ``_ell_lattice(b, hs*gs, hs, gs)`` sorted by bit
+    string, each with the ``ell_gcds`` pair (gcd(b, ell), gcd(b, ell*gs)).
+
+    ``pairs`` maps the gcd pairs of one b, as bit masks, to the ell_gcds
+    its tuples share.  Each entry passes the guard on the pair, and the
+    row checks deg ell < deg b once, on its last entry.
+    """
+    bb, db = b.bits, int(b.degree)
+    cof = clmul(hs, gs)
+    step = _ell_lattice(b, *map(BinPoly.from_bits, (cof, hs, gs)))
+    row = []
+    for e in sorted(clmul(m, step.bits) for m in range(1 << (db - int(step.degree)))):
+        gbl, gblg = clgcd(bb, e), clgcd(bb, clmul(e, gs))
+        if errs := _gcd_violations(bb, cof, hs, gbl, gblg):
+            raise InternalError(f"ell = {BinPoly.from_bits(e)} fails: {'; '.join(errs)}")
+        gcds = pairs.get((gbl, gblg))
+        if gcds is None:
+            gcds = pairs[gbl, gblg] = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
+        row.append((BinPoly.from_bits(e), gcds))
+    if row[-1][0].bits.bit_length() > db:
+        raise InternalError(f"ell = {row[-1][0]} is not reduced modulo b = {b}")
+    return row
+
+
 def enumerate_all_cyclic(
     alpha: int, beta: int, capacity: int | None = None
 ) -> Iterator[CyclicGenerators]:
@@ -380,57 +420,55 @@ def enumerate_all_cyclic(
     q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
 
     Each piece of work is done once per call, at the level its result
-    varies on.  The Z4 factors of x^beta - 1 are checked once
-    (``_check_factors``); each triple then only checks that f, h, g are
-    monic and that f~ h~ g~ = x^beta - 1 on bit masks, which, x^beta - 1
-    being squarefree over Z2, also makes them coprime; (x^beta-1)/f~ is
-    h~ g~.  The condition on b is checked once per b.  Within one b, the
-    multiples of L are listed once per (L, g~), each with the pair
-    gcd(b, ell), gcd(b, ell*g~) computed on the int kernels and the
-    ``ell_gcds`` it seeds; the tuples of every (f, h, g) with that L and g~
-    share them.  The pair checks the ell conditions as a guard on every
-    tuple.  A (b, f, h, g) whose code has more than ``capacity`` words
-    raises CapacityError before its first tuple; None sets no bound.
+    varies on.  The lengths are checked once: beta odd here, beta positive
+    where x^beta - 1 is factored and alpha positive where S is built.  The
+    Z4 factors of x^beta - 1 are checked once (``_check_factors``); each
+    triple then only checks that f, h, g are monic and that
+    f~ h~ g~ = x^beta - 1 on bit masks, which, x^beta - 1 being squarefree
+    over Z2, also makes them coprime; (x^beta-1)/f~ is h~ g~.  The
+    condition on b is checked once per b.
+
+    The ell conditions see a triple only through its signature
+    (hs, gs) = (gcd(h~, S), gcd(g~, S)), S = gcd(x^alpha - 1, x^beta - 1):
+    b divides x^alpha - 1 and x^beta - 1 is squarefree, so
+    gcd(b, p) = gcd(b, gcd(p, S)) for every p dividing x^beta - 1, and
+    gcd(b, e*g~) = gcd(b, e*gs).  So L, the gcd pair gcd(b, ell),
+    gcd(b, ell*g~) and the guard's verdict depend on (b, hs, gs) alone,
+    and S has at most 3^k signatures for its k factors.  Within one b,
+    ``_ell_row`` lists the multiples of L once per signature, each with
+    its pair, its ``ell_gcds`` and the two ell conditions checked from it
+    as a guard; every triple of that signature yields that row.  A
+    (b, f, h, g) whose code has more than ``capacity`` words raises
+    CapacityError before its first tuple; None sets no bound.
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
     _check_factors(beta, factor_xn_minus_1_z4(beta))
     xb = BinPoly.xn_minus_1(beta).bits
+    shared = clgcd(BinPoly.xn_minus_1(alpha).bits, xb)
+    # (f, h, g, 2 deg g + deg h, its signature (hs, gs) as bit masks)
     triples = []
     for f, h, g in factor_triples(beta):
-        ft, ht, gt = reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)
-        cof = clmul(ht.bits, gt.bits)
-        if clmul(ft.bits, cof) != xb or not (f.is_monic and h.is_monic and g.is_monic):
+        ft, ht, gt = f.lo, h.lo, g.lo
+        if clmul(ft, clmul(ht, gt)) != xb or not (f.is_monic and h.is_monic and g.is_monic):
             raise InternalError(f"factor triple {f}, {h}, {g} does not split x^{beta}-1")
-        triples.append((f, h, g, BinPoly.from_bits(cof), ht, gt))
+        sig = (clgcd(ht, shared), clgcd(gt, shared))
+        triples.append((f, h, g, 2 * int(g.degree) + int(h.degree), sig))
     for b in divisors_of_xn_minus_1_z2(alpha):
         if errs := _b_violations(alpha, b):
             raise InternalError("; ".join(errs))
-        db, bb = int(b.degree), b.bits
-        # (L, g~) as bit masks -> the multiples ell of L, sorted, each with
-        # gcd(b, ell), gcd(b, ell*g~) and the ell_gcds they seed
-        rows: dict[tuple[int, int], list[tuple[BinPoly, int, int, tuple]]] = {}
+        free = alpha - int(b.degree)
+        # the signature (hs, gs) as bit masks -> the row of ell it yields
+        rows: dict[tuple[int, int], list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]] = {}
         # the gcd pairs of one b, as bit masks -> the ell_gcds its tuples share
         pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]] = {}
-        for f, h, g, cof, ht, gt in triples:
-            size = 1 << ((alpha - db) + 2 * int(g.degree) + int(h.degree))
-            if capacity is not None and size > capacity:
+        for f, h, g, weight, sig in triples:
+            if capacity is not None and (size := 1 << (free + weight)) > capacity:
                 raise CapacityError(
                     f"candidate code size {size} exceeds the bound {capacity}"
                 )
-            step = _ell_lattice(b, cof, ht, gt)
-            cofb, htb, gtb = cof.bits, ht.bits, gt.bits
-            ells = rows.get((step.bits, gtb))
-            if ells is None:
-                ells = rows[step.bits, gtb] = []
-                count = 1 << (db - int(step.degree))
-                for e in sorted(clmul(m, step.bits) for m in range(count)):
-                    gbl, gblg = clgcd(bb, e), clgcd(bb, clmul(e, gtb))
-                    gcds = pairs.get((gbl, gblg))
-                    if gcds is None:
-                        gcds = pairs[gbl, gblg] = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
-                    ells.append((BinPoly.from_bits(e), gbl, gblg, gcds))
-            for ell, gbl, gblg, gcds in ells:
-                if errs := _gcd_violations(bb, cofb, htb, gbl, gblg):
-                    raise InternalError(f"ell = {ell} fails: {'; '.join(errs)}")
+            row = rows.get(sig)
+            if row is None:
+                row = rows[sig] = _ell_row(b, *sig, pairs)
+            for ell, gcds in row:
                 yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)

@@ -471,13 +471,15 @@ def search_by_type(
 
     ``None`` acts as a wildcard; results keep the deterministic order of
     the candidate stream.  No code is enumerated, so no capacity bound
-    applies.  A report depends only on f~, the tensor g~ (x) g~ and
+    applies.  ``enumerate_all_cyclic`` yields the tuples of one
+    (b, f, h, g) as a run, each with its gcd(b, ell*g~) taken from the ell
+    row of the triple's signature, which every triple of that signature
+    shares.  A report depends only on f~, the tensor g~ (x) g~ and
     b / gcd(b, ell*g~), since its criterion polynomial is f~ times that
-    quotient; the tuples of one (b, f, h, g) run look their report up by
-    gcd(b, ell*g~), and on a miss by that key, in a dict kept for this
-    call only, so each report is evaluated once per call.  The quotient
-    is taken once per (b, gcd(b, ell*g~)), with an exact check that the
-    gcd divides b.
+    quotient; the tuples of a run look their report up by gcd(b, ell*g~),
+    and on a miss by that key, in a dict kept for this call only, so each
+    report is evaluated once per call.  The quotient is taken once per
+    (b, gcd(b, ell*g~)), with an exact check that the gcd divides b.
     """
     typed = gamma is not None or delta is not None or kappa is not None
     analyzed = []

@@ -519,6 +519,14 @@ class TestSearch:
         status, _, err = run(capsys, "search", "--alpha", "2", "--beta", "3", "--type", "a,b")
         assert status == 1 and err.startswith("DomainError:") and "'a'" in err
 
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ("0", "3", "length must be positive"),
+        ("1", "2", "beta must be odd"),
+    ])
+    def test_bad_lengths_give_one_error_line(self, alpha, beta, message):
+        got = run_quiet("search", "--alpha", alpha, "--beta", beta, "--json")
+        assert got == (1, "", f"DomainError: {message}\n")
+
     def test_code_type_once_per_result(self, capsys, monkeypatch):
         calls = []
         real = cycliccode.code_type

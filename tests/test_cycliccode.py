@@ -12,6 +12,7 @@ from z2z4.additive import Code, MixedVector, WordCodec
 from z2z4.cycliccode import (
     CyclicGenerators,
     _ell_lattice,
+    _gcd_violations,
     _packed_shifts,
     _ell_violations,
     _triple_violations,
@@ -28,9 +29,9 @@ from z2z4.cycliccode import (
 )
 from z2z4.cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from z2z4.errors import CapacityError, DomainError, InternalError
-from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
+from z2z4.polyring import BinPoly, QuatPoly, clgcd, clmul, cyclic_reduce, reduce_mod2
 from z2z4.reproduce import mixed_candidates
-from candidate_oracle import reference_cyclic_tuples
+from candidate_oracle import per_triple_cyclic_tuples, reference_cyclic_tuples
 from word_oracle import poly_star, to_vector
 
 
@@ -426,6 +427,71 @@ class TestEllLattice:
         yielded = bytes_per_tuple("list(enumerate_all_cyclic(3, 15))")
         validated = bytes_per_tuple("list(reference_cyclic_tuples(3, 15))")
         assert yielded <= validated
+
+
+# the four search cells of the benchmark, then cells with 1, 2 and 3 factors
+# shared by x^alpha - 1 and x^beta - 1, and even alpha (b with repeated roots)
+SIGNATURE_CELLS = [
+    (4, 15), (3, 15), (2, 21), (6, 9), (8, 15), (12, 9), (6, 15), (2, 31), (7, 7), (14, 7),
+]
+
+
+class TestSignatureRows:
+    """The loop takes one ell row per (b, signature), where the signature of
+    (f, h, g) is (gcd(h~, S), gcd(g~, S)), S = gcd(x^alpha - 1, x^beta - 1)."""
+
+    @pytest.mark.parametrize("alpha, beta", SIGNATURE_CELLS)
+    def test_matches_the_per_triple_loop(self, alpha, beta):
+        def tuples(loop):
+            return [
+                (G.to_json(), G.ell_gcds[0].bits, G.ell_gcds[1].bits) for G in loop(alpha, beta)
+            ]
+
+        assert tuples(enumerate_all_cyclic) == tuples(per_triple_cyclic_tuples)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([1, 3, 5, 7, 9, 15, 21]), st.data())
+    def test_the_signature_decides_the_ell_conditions(self, alpha, beta, data):
+        b = data.draw(st.sampled_from(divisors_of_xn_minus_1_z2(alpha)))
+        f, h, g = data.draw(st.sampled_from(factor_triples(beta)))
+        bb = b.bits
+        shared = clgcd(BinPoly.xn_minus_1(alpha).bits, BinPoly.xn_minus_1(beta).bits)
+        ht, gt = reduce_mod2(h).bits, reduce_mod2(g).bits
+        cof = (BinPoly.xn_minus_1(beta) // reduce_mod2(f)).bits
+        for p in (ht, gt, cof):
+            assert clgcd(bb, p) == clgcd(bb, clgcd(p, shared))
+        hs, gs = clgcd(ht, shared), clgcd(gt, shared)
+        for e in range(1 << int(b.degree)):
+            gbl, gblg = clgcd(bb, e), clgcd(bb, clmul(e, gt))
+            assert clgcd(bb, clmul(e, gs)) == gblg
+            assert _gcd_violations(bb, clmul(hs, gs), hs, gbl, gblg) == _gcd_violations(
+                bb, cof, ht, gbl, gblg
+            )
+
+    def test_one_ell_lattice_per_b_and_signature(self, monkeypatch):
+        calls = []
+        real = cycliccode._ell_lattice
+
+        def counting(b, cof, ht, gt):
+            calls.append((b.bits, cof.bits, ht.bits, gt.bits))
+            return real(b, cof, ht, gt)
+
+        monkeypatch.setattr(cycliccode, "_ell_lattice", counting)
+        for alpha, beta in SIGNATURE_CELLS[:4]:
+            before = len(calls)
+            assert sum(1 for _ in enumerate_all_cyclic(alpha, beta)) > 0
+            assert len(set(calls[before:])) == len(calls) - before
+        # 3 signatures for one shared factor, 9 for two: 5*3 + 4*9 + 3*3 + 9*9;
+        # one call per (b, f, h, g) made 4617
+        assert len(calls) <= 141
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (0, 3, "length must be positive"),
+        (1, 2, "beta must be odd"),
+    ])
+    def test_bad_lengths_are_domain_errors(self, alpha, beta, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            next(enumerate_all_cyclic(alpha, beta))
 
 
 class TestPunctureGenerators:
