@@ -147,6 +147,12 @@ def _ell_lattice(b: BinPoly, cof: BinPoly, ht: BinPoly, gt: BinPoly) -> BinPoly:
     return BinPoly.from_bits(cldivmod(clmul(l1, l2), clgcd(l1, l2))[0])
 
 
+def quaternary_generator(f: QuatPoly, h: QuatPoly, n: int) -> QuatPoly:
+    """fh + 2f mod x^n - 1, the generator of the quaternary cyclic code
+    <fh + 2f>; 2f is the ``lo`` plane of f moved to ``hi``."""
+    return cyclic_reduce(f * h + QuatPoly.from_planes(0, f.lo), n)
+
+
 @dataclass(frozen=True)
 class CyclicGenerators:
     """Canonical tuple (alpha, beta, b, ell, f, h, g) of a cyclic code."""
@@ -211,7 +217,7 @@ class CyclicGenerators:
 
     @property
     def fh_plus_2f(self) -> QuatPoly:
-        return cyclic_reduce(self.f * self.h + QuatPoly((2,)) * self.f, self.beta)
+        return quaternary_generator(self.f, self.h, self.beta)
 
     def generator_words(self) -> tuple[ResidueWord, ResidueWord]:
         return (

@@ -32,7 +32,7 @@ from .additive import (
     gray_is_linear_oracle,
 )
 from .cyclofield import tensor_square
-from .cycliccode import CyclicGenerators, code_type, enumerate_all_cyclic
+from .cycliccode import CyclicGenerators, code_type, enumerate_all_cyclic, quaternary_generator
 from .errors import DomainError, InternalError, PreconditionError
 from .polyring import (
     BinPoly,
@@ -43,6 +43,7 @@ from .polyring import (
     cyclic_reduce,
     gcd2,
     gf2_bezout,
+    lift_to_quat,
     reduce_mod2,
 )
 
@@ -69,12 +70,17 @@ class LinearityReport:
         }
 
 
-def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
-    """Gray-image linearity of the quaternary cyclic code <fh + 2f>."""
+def _check_z4_triple(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> None:
+    """The input check of the quaternary cyclic code <fh + 2f> of length n."""
     if n < 1 or n % 2 == 0:
         raise DomainError("length must be odd")
     if f * h * g != QuatPoly.xn_minus_1(n):
         raise DomainError(f"f*h*g != x^{n}-1 over Z4")
+
+
+def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
+    """Gray-image linearity of the quaternary cyclic code <fh + 2f>."""
+    _check_z4_triple(f, h, g, n)
     return gcd2(reduce_mod2(f), tensor_square(reduce_mod2(g), n)) == BinPoly.one()
 
 
@@ -242,57 +248,21 @@ def double_cyclic_span(dcg: DoubleCyclicGenerators) -> BinaryBlockCode:
 
 # ----------------------------------------------------------------------
 # solving p * (fh + 2f) = target in Z4[x]/(x^n - 1)
-#
-# A Z4 vector is held bit-sliced as a pair of ints (lo, hi): entry k is bit k
-# of lo plus twice bit k of hi.  Adding two rows is then an xor plus a carry,
-# a few big-int operations instead of a loop over the entries.
-
-Z4Row = tuple[int, int]
-
-
-def _z4_add(a: Z4Row, b: Z4Row) -> Z4Row:
-    return a[0] ^ b[0], a[1] ^ b[1] ^ (a[0] & b[0])
-
-
-def _z4_cyclic_mul(a: Z4Row, b: Z4Row, n: int) -> Z4Row:
-    """a * b mod x^n - 1 for rows of n entries: one rotated add of one
-    row for each nonzero entry of the other, the sparser."""
-    if (a[0] | a[1]).bit_count() > (b[0] | b[1]).bit_count():
-        a, b = b, a
-    mask = (1 << n) - 1
-    b_lo, b_hi = b
-    a_lo, a_hi = a
-    lo = hi = 0
-    rest = a_lo | a_hi
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        k = bit.bit_length() - 1
-        r_lo = ((b_lo << k) | (b_lo >> (n - k))) & mask
-        if a_lo & bit:
-            r_hi = ((b_hi << k) | (b_hi >> (n - k))) & mask
-            if a_hi & bit:  # entry 3: add -rot(b)
-                r_hi ^= r_lo
-            hi ^= r_hi ^ (lo & r_lo)
-            lo ^= r_lo
-        else:  # entry 2: add 2 * rot(b) = (0, rot(b).lo)
-            hi ^= r_lo
-    return lo, hi
 
 
 def _howell_reduce(
-    v: Z4Row, unit: Z4Row, two: Z4Row, k: int, m: int
-) -> tuple[Z4Row, Z4Row, int]:
+    v: QuatPoly, unit: QuatPoly, two: QuatPoly, k: int, m: int
+) -> tuple[QuatPoly, QuatPoly, QuatPoly]:
     """Reduce v greedily from column 0 by the Howell basis of <unit, 2*two>:
     the rows x^i * c*unit for i < k, with c = unit(0) so that their pivots
     are 1, and the rows 2x^j * two for k <= j < k + m.  ``unit`` has degree
     n - k and ``two`` degree n - k - m, so no row wraps round.
 
     Returns the rest r and the multipliers (A, B), with
-    v = r + A*unit + 2B*two and B a 0/1 vector given as bits.
+    v = r + A*unit + 2B*two and B a 0/1 vector.
     """
-    lo, hi = v
-    u_lo, u_hi = unit
+    lo, hi = v.lo, v.hi
+    u_lo, u_hi = unit.lo, unit.hi
     neg = u_hi & 1  # c = 3: the pivot row is -unit
     if neg:
         u_hi ^= u_lo
@@ -312,57 +282,57 @@ def _howell_reduce(
             a_hi |= bit
             hi ^= u_lo << i
     b = 0
+    two_lo = two.lo
     for j in range(k, k + m):
         bit = 1 << j
         if hi & bit:  # 2 -> 0, 3 -> 1
-            hi ^= two[0] << j
+            hi ^= two_lo << j
             b |= bit
-    a = (a_lo, a_hi ^ a_lo) if neg else (a_lo, a_hi)
-    return (lo, hi), a, b
+    a = QuatPoly.from_planes(a_lo, a_hi ^ a_lo if neg else a_hi)
+    return QuatPoly.from_planes(lo, hi), a, QuatPoly.from_planes(b, 0)
 
 
 def solve_cyclic_z4_lexmin(
-    f: QuatPoly, h: QuatPoly, g: QuatPoly, target: Z4Row, n: int
-) -> Z4Row | None:
+    f: QuatPoly, h: QuatPoly, g: QuatPoly, target: QuatPoly, n: int
+) -> QuatPoly | None:
     """The p with p * (fh + 2f) = target whose coefficient vector is
     smallest, or None; f*h*g = x^n - 1 with pairwise coprime mod-2 images.
-    ``target`` and the returned p are bit-sliced rows (lo, hi) of n
-    entries, so p mod 2 is the int ``lo``.
+    ``target`` is reduced mod x^n - 1, and so is the returned p.
 
     Vectors compare lexicographically from p_0.  The code <fh + 2f> is
-    <fh, 2f>, and its annihilator is <gh, 2g> (Pless and Qian, IEEE Trans.
-    IT 42, 1996).  (f, h, g) give a Howell basis of each:
+    <fh + 2f, 2f>, and its annihilator is <gh, 2g> (Pless and Qian, IEEE
+    Trans. IT 42, 1996).  (f, h, g) give a Howell basis of each:
 
-    - the code: x^i * fh for i < deg g, and 2x^j * f for
+    - the code: x^i * (fh + 2f) for i < deg g, and 2x^j * f for
       deg g <= j < deg g + deg h;
     - the annihilator: x^i * gh for i < deg f, and 2x^j * g for
       deg f <= j < deg f + deg h.
 
-    Row x^i * fh, times fh(0) (a unit), has its lowest entry 1 at column
-    i; row 2x^j * f has its lowest entry 2 at column j.  For every column
-    j, the rows from column j on span every element that vanishes before
-    j: an element of the code that vanishes on the first deg g columns is
-    0 mod 2, since the unit rows mod 2 are an echelon basis of <f~h~>, so
-    it is 2u with u~ in <f~>, and the x^j f~ for j < deg g + deg h are an
-    echelon basis of <f~>.  The annihilator's basis is the same with f and
-    g swapped.  So:
+    Row x^i * (fh + 2f), times its constant term (a unit), has its lowest
+    entry 1 at column i; row 2x^j * f has its lowest entry 2 at column j.
+    For every column j, the rows from column j on span every element that
+    vanishes before j: an element of the code that vanishes on the first
+    deg g columns is 0 mod 2, since the unit rows mod 2 are an echelon
+    basis of <f~h~>, so it is 2u with u~ in <f~>, and the x^j f~ for
+    j < deg g + deg h are an echelon basis of <f~>.  The annihilator's
+    basis is the same with f and g swapped and the 2f term dropped.  So:
 
     1. Reducing the target greedily from column 0 by the code's basis
-       writes it as A*fh + 2B*f, or leaves a rest, and then there is no p.
+       writes it as A*(fh + 2f) + 2B*f, or leaves a rest, and then there
+       is no p.
     2. With lam~ h~ + mu~ g~ = 1 over Z2 (lifted as 0/1 vectors), the
        vector P2 = g*mu~ + 2*lam~ has P2 * (fh + 2f) = 2f, since fgh = 0
-       and g*mu~ + h*lam~ is odd; so (1 + P2) * (fh + 2f) = fh, and
-       p0 = A + (A + B) * P2 is one solution.
+       and g*mu~ + h*lam~ is odd; so p0 = A + B * P2 is one solution.
     3. The solutions are p0 + Ann.  Reducing p0 greedily from column 0 by
        the annihilator's basis takes each column to the smallest value
        the solutions allow, given the columns before it: 0 at a unit
        pivot, 0 or 1 at a pivot of 2.  That is the lexicographic minimum.
 
-    Each step is a bit-sliced row operation, and there are O(n) of them.
-    The rows of f, h and g are the planes ``(lo, hi)`` of the polynomials
-    reduced mod x^n - 1, so no coefficient tuple is built.
-    ``tests/z4_oracles.howell_lexmin``, the generic Howell echelon of the
-    rows (x^i gen | e_i) over 2n columns, is the differential oracle.
+    Each step is one ``QuatPoly`` sum or product reduced mod x^n - 1, or
+    one column of a reduction on the ``lo`` and ``hi`` planes, and there
+    are O(n) of them.  ``tests/z4_oracles.howell_lexmin``, the generic
+    Howell echelon of the rows (x^i gen | e_i) over 2n columns, is the
+    differential oracle.
 
     The reductions stay apart from ``additive._unit_echelon``, the echelon
     behind the span engine and the standard form.  The lexicographic
@@ -374,18 +344,15 @@ def solve_cyclic_z4_lexmin(
     """
     df, dh, dg = (len(p) - 1 for p in (f, h, g))
     lam, mu = gf2_bezout(h, g)
-    f_row, h_row, g_row = ((r.lo, r.hi) for r in (cyclic_reduce(p, n) for p in (f, h, g)))
-    fh = _z4_cyclic_mul(f_row, h_row, n)
-    rest, a, b = _howell_reduce(target, fh, f_row, dg, dh)
-    if rest[0] | rest[1]:
+    f, h, g = (cyclic_reduce(p, n) for p in (f, h, g))
+    gen = quaternary_generator(f, h, n)
+    rest, a, b = _howell_reduce(target, gen, f, dg, dh)
+    if rest:
         return None
-    p2 = _z4_cyclic_mul((mu.bits, 0), g_row, n)
-    p2 = p2[0], p2[1] ^ lam.bits
-    p0 = _z4_add(a, _z4_cyclic_mul(_z4_add(a, (b, 0)), p2, n))
-    gh = _z4_cyclic_mul(g_row, h_row, n)
-    p, _, _ = _howell_reduce(p0, gh, g_row, df, dh)
-    gen = fh[0], fh[1] ^ f_row[0]  # fh + 2f
-    if _z4_cyclic_mul(p, gen, n) != target:
+    p2 = cyclic_reduce(lift_to_quat(mu) * g, n) + QuatPoly.from_planes(0, lam.bits)
+    p0 = a + cyclic_reduce(b * p2, n)
+    p, _, _ = _howell_reduce(p0, cyclic_reduce(g * h, n), g, df, dh)
+    if cyclic_reduce(p * gen, n) != target:
         raise InternalError("the Howell-basis solution does not solve p * (fh + 2f) = target")
     return p
 
@@ -402,9 +369,9 @@ def psi_image_generators(
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
     ell' = p~ * ell mod b for the lexicographically smallest p solving
     p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).  The preimage
-    is taken on the packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``
-    and goes to the solver as a bit-sliced row; p comes back as one, and
-    p~ is its ``lo`` int.  ``report``, if given, is the code's
+    is taken on the packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``,
+    whose two halves are the planes of the solver's ``QuatPoly`` target,
+    and p~ is ``reduce_mod2(p)``.  ``report``, if given, is the code's
     ``gray_linear_criterion`` report, which is then not computed again.
     """
     if report is None:
@@ -418,14 +385,14 @@ def psi_image_generators(
     ft, ht = reduce_mod2(gens.f), reduce_mod2(gens.h)
     a = cyclic_reduce(ft * ft * ht, 2 * beta)
     (word,) = WordCodec(0, beta).psi_inv_words((a.bits,))
-    target = word & ((1 << beta) - 1), word >> beta
+    target = QuatPoly.from_planes(word & ((1 << beta) - 1), word >> beta)
     p = solve_cyclic_z4_lexmin(gens.f, gens.h, gens.g, target, beta)
     if p is None:
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
     if gens.b == BinPoly.one():
         ellp = BinPoly.zero()
     else:
-        ellp = (BinPoly.from_bits(p[0]) * gens.ell) % gens.b
+        ellp = (reduce_mod2(p) * gens.ell) % gens.b
     return DoubleCyclicGenerators(gens.alpha, 2 * beta, gens.b, ellp, a)
 
 
@@ -437,7 +404,7 @@ def _z4_code(f: QuatPoly, h: QuatPoly, n: int) -> Code:
     """The quaternary cyclic code <fh + 2f> of length n, spanned by the
     shifts of its generator."""
     codec = WordCodec(0, n)
-    gen = cyclic_reduce(f * h + QuatPoly((2,)) * f, n)
+    gen = quaternary_generator(f, h, n)
     word = codec.pack_planes(0, gen.lo, gen.hi)
     return Code.span(codec, codec.shifts(word, n))
 
@@ -446,10 +413,7 @@ def z4_gray_linear_oracle(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool
     """Closure verdict for the quaternary cyclic code <fh + 2f>: the
     ``exhaustive`` closure up to ``ORACLE_ENUM_LIMIT`` words, the
     ``generators`` closure above it."""
-    if n < 1 or n % 2 == 0:
-        raise DomainError("length must be odd")
-    if f * h * g != QuatPoly.xn_minus_1(n):
-        raise DomainError(f"f*h*g != x^{n}-1 over Z4")
+    _check_z4_triple(f, h, g, n)
     code = _z4_code(f, h, n)
     mode = "exhaustive" if len(code) <= ORACLE_ENUM_LIMIT else "generators"
     return gray_is_linear_oracle(code, mode).linear
@@ -478,13 +442,17 @@ def search_by_type(
     b / gcd(b, ell*g~), since its criterion polynomial is f~ times that
     quotient; the tuples of a run look their report up by gcd(b, ell*g~),
     and on a miss by that key, in a dict kept for this call only, so each
-    report is evaluated once per call.  The quotient is taken once per
-    (b, gcd(b, ell*g~)), with an exact check that the gcd divides b.
+    report is evaluated once per call.  The tensor is taken once per
+    distinct g~, from a dict keyed by g~ that is also kept for this call
+    only, and f~ is built only for a report not yet evaluated.  The
+    quotient is taken once per (b, gcd(b, ell*g~)), with an exact check
+    that the gcd divides b.
     """
     typed = gamma is not None or delta is not None or kappa is not None
     analyzed = []
-    # (b, gcd(b, ell*g~)) -> b / gcd(b, ell*g~), and (f~, g~ (x) g~, that
-    # quotient) -> the report, all as bit masks
+    # g~ -> g~ (x) g~, (b, gcd(b, ell*g~)) -> b / gcd(b, ell*g~), and
+    # (f~, g~ (x) g~, that quotient) -> the report, all as bit masks
+    tensors: dict[int, BinPoly] = {}
     quotients: dict[tuple[int, int], int] = {}
     shared: dict[tuple[int, int, int], LinearityReport] = {}
     b = f = g = None
@@ -500,8 +468,9 @@ def search_by_type(
         # the candidate loop hands every tuple of a run the same objects
         if gens.b is not b or gens.f is not f or gens.g is not g:
             b, f, g = gens.b, gens.f, gens.g
-            ft = reduce_mod2(f)
-            tensor = tensor_square(reduce_mod2(g), beta)
+            tensor = tensors.get(g.lo)
+            if tensor is None:
+                tensor = tensors[g.lo] = tensor_square(reduce_mod2(g), beta)
             reports: dict[int, LinearityReport] = {}
         denom = gens.ell_gcds[1]
         rep = reports.get(denom.bits)
@@ -512,10 +481,10 @@ def search_by_type(
                 if rem:
                     raise InternalError("gcd(b, ell*g~) failed to divide b")
                 quotients[b.bits, denom.bits] = quot
-            key = (ft.bits, tensor.bits, quot)
+            key = (f.lo, tensor.bits, quot)
             rep = shared.get(key)
             if rep is None:
-                rep = shared[key] = _criterion(b, ft, denom, tensor)
+                rep = shared[key] = _criterion(b, reduce_mod2(f), denom, tensor)
             reports[denom.bits] = rep
         if rep.verdict or not linear_only:
             analyzed.append((gens, rep))

@@ -37,9 +37,7 @@ from z4_oracles import (
     all_cyclic_solutions,
     digit_fixing_lexmin,
     divisibility_gray_linear,
-    from_row,
     howell_lexmin,
-    to_row,
 )
 
 
@@ -76,8 +74,14 @@ class TestWolfmann:
         assert wolfmann_linear(QuatPoly.one(), QuatPoly.one(), QuatPoly.xn_minus_1(7), 7)
 
     def test_bad_factorization_rejected(self):
-        with pytest.raises(DomainError):
-            wolfmann_linear(QuatPoly.one(), QuatPoly.one(), QuatPoly.one(), 3)
+        # the criterion and the closure oracle share one input check
+        one = QuatPoly.one()
+        for check in (wolfmann_linear, z4_gray_linear_oracle):
+            with pytest.raises(DomainError, match=r"^f\*h\*g != x\^3-1 over Z4$"):
+                check(one, one, one, 3)
+            # the length is checked first
+            with pytest.raises(DomainError, match="^length must be odd$"):
+                check(one, one, QuatPoly.xn_minus_1(4), 4)
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
     def test_matches_enumeration_oracle(self, n):
@@ -238,9 +242,8 @@ def code_systems(draw):
 
 
 def _solve(f, h, g, target, n):
-    """solve_cyclic_z4_lexmin on QuatPoly input and output, through rows."""
-    p = solve_cyclic_z4_lexmin(f, h, g, to_row(target, n), n)
-    return None if p is None else from_row(p, n)
+    """solve_cyclic_z4_lexmin on a target not yet reduced mod x^n - 1."""
+    return solve_cyclic_z4_lexmin(f, h, g, cyclic_reduce(target, n), n)
 
 
 class TestSolver:
@@ -248,7 +251,9 @@ class TestSolver:
         # p = x + 2x^2 is the smallest solution sending fh+2f to (3,1,3)
         G = length9_code
         target = QuatPoly((3, 1, 3))
-        assert solve_cyclic_z4_lexmin(G.f, G.h, G.g, (0b111, 0b101), 3) == (0b010, 0b100)
+        assert solve_cyclic_z4_lexmin(
+            G.f, G.h, G.g, QuatPoly.from_planes(0b111, 0b101), 3
+        ) == QuatPoly.from_planes(0b010, 0b100)
         p = _solve(G.f, G.h, G.g, target, 3)
         assert p == QuatPoly((0, 1, 2))
         assert cyclic_reduce(p * G.fh_plus_2f, 3) == target
@@ -377,8 +382,7 @@ class TestPsiImage:
 def _psi_with_howell_oracle(gens):
     """psi_image_generators with the generic Howell pass as its solver."""
     def oracle(f, h, g, target, n):
-        p = howell_lexmin(_gen(f, h), from_row(target, n), n)
-        return None if p is None else to_row(p, n)
+        return howell_lexmin(_gen(f, h), target, n)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linimage, "solve_cyclic_z4_lexmin", oracle)
@@ -507,6 +511,23 @@ class TestSharedGcds:
         results = search_by_type(alpha, beta)
         inputs = {(reduce_mod2(G.f), reduce_mod2(G.g), G.b // _gcd_pair(G)[1]) for G, _ in results}
         assert len(seen) == len(set(seen)) <= len(inputs)
+
+    @pytest.mark.parametrize("alpha,beta", [(4, 15), (6, 9), (2, 21)])
+    def test_one_tensor_per_g_tilde(self, alpha, beta, monkeypatch):
+        # the tensor depends only on g~; the search takes it once per
+        # distinct g~ in each call, not once per (b, f, h, g) run
+        seen = []
+        real = linimage.tensor_square
+
+        def counted(gt, n):
+            seen.append(gt)
+            return real(gt, n)
+
+        monkeypatch.setattr(linimage, "tensor_square", counted)
+        for _ in range(2):
+            seen.clear()
+            results = search_by_type(alpha, beta)
+            assert len(seen) == len(set(seen)) == len({reduce_mod2(G.g) for G, _ in results})
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([(1, 1), (3, 3), (2, 7), (4, 5), (6, 9), (5, 15)]), st.data())

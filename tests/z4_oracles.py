@@ -17,14 +17,20 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from z2z4.errors import InternalError
-from z2z4.linimage import Z4Row, _z4_add
 from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, reduce_mod2
 
+# A row of the 2n-column echelon is a pair of ints (lo, hi): entry k is bit
+# k of lo plus twice bit k of hi.  Its add is kept here, apart from
+# ``QuatPoly``, so the oracle does not share the arithmetic it checks.
+Row = tuple[int, int]
 
-def to_row(p: QuatPoly, n: int) -> Z4Row:
-    """p mod x^n - 1 as a row of n entries: entry k is bit k of lo plus
-    twice bit k of hi, the form ``solve_cyclic_z4_lexmin`` takes and
-    returns."""
+
+def _add(a: Row, b: Row) -> Row:
+    return a[0] ^ b[0], a[1] ^ b[1] ^ (a[0] & b[0])
+
+
+def _to_row(p: QuatPoly, n: int) -> Row:
+    """p mod x^n - 1 as a row of n entries, built from its coefficients."""
     coeffs = cyclic_reduce(p, n).coeffs
     return (
         sum((c & 1) << k for k, c in enumerate(coeffs)),
@@ -32,19 +38,13 @@ def to_row(p: QuatPoly, n: int) -> Z4Row:
     )
 
 
-def from_row(row: Z4Row, n: int) -> QuatPoly:
-    """The polynomial whose first n coefficients are the row's entries."""
-    lo, hi = row
-    return QuatPoly(((lo >> k) & 1) | ((hi >> k) & 1) << 1 for k in range(n))
-
-
-def _clear_by_unit(row: Z4Row, piv: Z4Row, bit: int) -> Z4Row:
+def _clear_by_unit(row: Row, piv: Row, bit: int) -> Row:
     """row - e * piv, where e is the entry of row at ``bit`` and piv's is 1."""
     lo, hi = row
     if lo & bit:
         if hi & bit:  # e = 3
-            return _z4_add(row, piv)
-        return _z4_add(row, (piv[0], piv[1] ^ piv[0]))  # e = 1: add -piv
+            return _add(row, piv)
+        return _add(row, (piv[0], piv[1] ^ piv[0]))  # e = 1: add -piv
     if hi & bit:  # e = 2: add 2 * piv = (0, piv.lo)
         return lo, hi ^ piv[0]
     return row
@@ -63,7 +63,7 @@ def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
     vector of its coset, and that is (0 | p) exactly when p exists.
     """
     tgt = cyclic_reduce(target, n)
-    g_lo, g_hi = to_row(gen, n)
+    g_lo, g_hi = _to_row(gen, n)
     mask = (1 << n) - 1
     rows = [
         (
@@ -72,7 +72,7 @@ def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
         )
         for i in range(n)
     ]
-    pivots: list[tuple[int, Z4Row, bool]] = []  # (column bit, row, pivot is 2)
+    pivots: list[tuple[int, Row, bool]] = []  # (column bit, row, pivot is 2)
     for j in range(2 * n):
         bit = 1 << j
         k = next((k for k, r in enumerate(rows) if r[0] & bit), None)
@@ -86,17 +86,17 @@ def howell_lexmin(gen: QuatPoly, target: QuatPoly, n: int) -> QuatPoly | None:
         if k is None:
             continue
         piv = rows.pop(k)
-        rows = [_z4_add(r, piv) if r[1] & bit else r for r in rows]
+        rows = [_add(r, piv) if r[1] & bit else r for r in rows]
         if piv[0]:
             rows.append((0, piv[0]))
         pivots.append((bit, piv, True))
-    t_lo, t_hi = to_row(tgt, n)
+    t_lo, t_hi = _to_row(tgt, n)
     v = (t_lo, t_hi ^ t_lo)
     for bit, piv, two in pivots:
         if not two:
             v = _clear_by_unit(v, piv, bit)
         elif v[1] & bit:  # 2 -> 0, 3 -> 1
-            v = _z4_add(v, piv)
+            v = _add(v, piv)
     if (v[0] | v[1]) & mask:
         return None
     p = QuatPoly(((v[0] >> k) & 1) | ((v[1] >> k) & 1) << 1 for k in range(n, 2 * n))
