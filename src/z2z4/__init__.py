@@ -29,7 +29,6 @@ from .polyring import (
 )
 from .cyclofield import (
     CosetTable,
-    GF2Field,
     RootSet,
     cyclotomic_cosets,
     divisors_of_xn_minus_1_z2,

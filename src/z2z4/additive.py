@@ -509,7 +509,7 @@ class Code:
     ``gens`` holds the packed words the code was spanned from, in the order
     given; ``pivots`` (the order-four unit pivots by column) and ``basis``
     (a GF(2) basis of C_2, keyed by leading bit) come from
-    ``_span_cosets``, so the size is ``1 << (len(pivots) + len(basis))``.
+    ``_span_cosets``, so the size ``size`` is ``1 << (len(pivots) + len(basis))``.
     Membership is by reduction (``has_word``), so equality, the shift test
     and the ``generators`` closure work at any size.  The coset
     representatives ``reps`` are built on first read, after the size is
@@ -551,7 +551,7 @@ class Code:
         checked against the capacity bound before any of them exists."""
         if self._reps is None:
             capacity = resolve_capacity()
-            if len(self) > capacity:
+            if self.size > capacity:
                 raise CapacityError(
                     f"enumeration exceeds the capacity bound {capacity}; "
                     f"raise it via {_CAPACITY_ENV} if intended"
@@ -588,8 +588,14 @@ class Code:
                 r ^= u ^ ((r >> toff & u >> toff & qmask) << hoff)
         return not _gf2_reduce(self.basis, w ^ r)
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of codewords, which ``len()`` cannot return past
+        ``sys.maxsize``."""
         return 1 << (len(self.pivots) + len(self.basis))
+
+    def __len__(self) -> int:
+        return self.size
 
     def __eq__(self, other) -> bool:
         """Same shape and size, and the generators of ``other`` lie in this
@@ -598,12 +604,12 @@ class Code:
             isinstance(other, Code)
             and self.alpha == other.alpha
             and self.beta == other.beta
-            and len(self) == len(other)
+            and self.size == other.size
             and all(map(self.has_word, other.gens))
         )
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, len(self)))
+        return hash((self.alpha, self.beta, self.size))
 
     def __contains__(self, v: MixedVector) -> bool:
         if v.alpha != self.alpha or v.beta != self.beta:
@@ -643,7 +649,7 @@ class Code:
         return Code.span(WordCodec(0, self.beta), [w >> alpha for w in self.gens])
 
     def is_separable(self) -> bool:
-        return len(self.puncture_x()) * len(self.puncture_y()) == len(self)
+        return self.puncture_x().size * self.puncture_y().size == self.size
 
     def order_two_subcode(self) -> "Code":
         """The words of order at most two, spanned by the basis of C_2."""
@@ -708,14 +714,14 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
 def gray_image_is_linear(code: Code) -> bool:
     """Independent check: the Gray image has as many words as its GF(2) span.
 
-    The Gray map is injective, so the image has ``len(code)`` words, and
+    The Gray map is injective, so the image has ``code.size`` words, and
     XOR-linear on packed words, so the image is the union of the cosets
     gray(r) ^ span(gray(basis)) and spans what gray(reps) and gray(basis)
     span.  The image lies in that span; it is linear iff the span is no
     larger.  No image word is built.
     """
     gray = code.codec.gray_words
-    return 1 << len(_gf2_basis(gray(code.reps) + gray(code.basis.values()))) == len(code)
+    return 1 << len(_gf2_basis(gray(code.reps) + gray(code.basis.values()))) == code.size
 
 
 # ----------------------------------------------------------------------

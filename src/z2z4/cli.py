@@ -201,7 +201,7 @@ def cmd_analyze(args) -> int:
             "delta": sf.code_type.delta,
             "kappa": sf.code_type.kappa,
         },
-        "size": len(code),
+        "size": code.size,
         "cyclic": cyclic,
         "shift_witness": [str(w) for w in witness] if witness else None,
         "separable": separable,
@@ -211,7 +211,7 @@ def cmd_analyze(args) -> int:
     }
     lines = [
         f"type: {sf.code_type}",
-        f"|C| = {len(code)}",
+        f"|C| = {code.size}",
         f"cyclic: {'yes' if cyclic else 'no'}"
         + (f"   witness: {witness[0]} -> {witness[1]} not in code" if witness else ""),
         f"separable: {'yes' if separable else 'no'}",
@@ -235,12 +235,16 @@ def cmd_code(args) -> int:
         QuatPoly.parse(args.h),
         QuatPoly.parse(args.g),
     )
-    errs = violations(args.alpha, args.beta, *polys)
-    if errs:
+    try:
+        gens = CyclicGenerators(args.alpha, args.beta, *polys)
+    except DomainError:
+        # report every violated condition; a bad length alone re-raises
+        errs = violations(args.alpha, args.beta, *polys)
+        if not errs:
+            raise
         report = {"command": "code", "valid": False, "violations": errs}
         _emit(args, report, "invalid generator data:\n  " + "\n  ".join(errs))
-        raise DomainError("generator data violates the canonical form")
-    gens = CyclicGenerators._trusted(args.alpha, args.beta, *polys)
+        raise DomainError("generator data violates the canonical form") from None
     ct = code_type(gens)
     w1, w2 = order_two_generators(gens)
     t1, t2, t3 = three_generator_form(gens)

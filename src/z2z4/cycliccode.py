@@ -166,7 +166,13 @@ class CyclicGenerators:
     g: QuatPoly
 
     def __post_init__(self):
-        self._normalize()
+        if self.alpha < 1:
+            raise DomainError("alpha must be at least 1")
+        if self.beta < 1 or self.beta % 2 == 0:
+            raise DomainError("beta must be odd")
+        if not self.b.is_zero and self.ell.degree >= self.b.degree:
+            object.__setattr__(self, "ell", self.ell % self.b)
+            log.info("reduced ell modulo b to %s", self.ell)
         errs = violations(self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
         if errs:
             raise DomainError("; ".join(errs))
@@ -174,12 +180,11 @@ class CyclicGenerators:
     @classmethod
     def _trusted(
         cls, alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly,
-        ell_gcds: tuple[BinPoly, BinPoly] | None = None,
+        ell_gcds: tuple[BinPoly, BinPoly],
     ) -> "CyclicGenerators":
         """Build from data whose ``violations`` the caller has already seen
-        empty.  Given ``ell_gcds``, the caller has also checked the lengths
-        and deg ell < deg b, and the pair seeds the property of that name;
-        without it, the lengths are checked and ell is reduced modulo b."""
+        empty, whose lengths it has checked and with deg ell < deg b;
+        ``ell_gcds`` seeds the property of that name."""
         gens = object.__new__(cls)
         # field by field, in the order of the dataclass __init__: touching
         # __dict__ would give every instance a full dict of its own
@@ -191,23 +196,8 @@ class CyclicGenerators:
         setattr_(gens, "f", f)
         setattr_(gens, "h", h)
         setattr_(gens, "g", g)
-        if ell_gcds is None:
-            gens._normalize()
-        else:
-            setattr_(gens, "ell_gcds", ell_gcds)
+        setattr_(gens, "ell_gcds", ell_gcds)
         return gens
-
-    def _normalize(self) -> None:
-        """Check the lengths and reduce ell modulo b."""
-        if self.alpha < 1:
-            raise DomainError("alpha must be at least 1")
-        if self.beta < 1 or self.beta % 2 == 0:
-            raise DomainError("beta must be odd")
-        ell = self.ell
-        if not self.b.is_zero and ell.degree >= self.b.degree:
-            ell = ell % self.b
-            log.info("reduced ell modulo b to %s", ell)
-            object.__setattr__(self, "ell", ell)
 
     # -- derived data ---------------------------------------------------
     @cached_property

@@ -1,4 +1,4 @@
-"""Cyclotomic cosets, GF(2^m) arithmetic, and factoring x^n - 1 for odd n.
+"""Cyclotomic cosets, and factoring x^n - 1 for odd n.
 
 The factorization over Z2 produces one irreducible factor per 2-cyclotomic
 coset (the minimal polynomial of xi^rep for a primitive n-th root of unity
@@ -6,10 +6,11 @@ xi over Z2); the Z4 factorization lifts each factor.  ``tensor_square``
 computes the divisor of x^n - 1 whose roots are all products of two roots
 of the input, via the sumset of root exponents.
 
-Field elements are ints in the ``BinPoly.bits`` encoding (bit i =
-coefficient of x^i), reduced by the ``polyring`` kernels modulo a fixed
-irreducible polynomial: the irreducible of the right degree with the
-smallest integer encoding.  Everything observable is independent of that
+The factors come from the coset idempotents t_C = sum_{i in C} x^i alone,
+with the ``polyring`` kernels on ints in the ``BinPoly.bits`` encoding.
+The root xi is x modulo one factor of order n, so root exponents are
+fixed only up to a unit of Z_n (``roots_of`` may return u*S for a unit u);
+every factor list and every ``tensor_square`` is independent of that
 choice.
 """
 
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import CapacityError, DomainError, InternalError
-from .polyring import BinPoly, QuatPoly, clgcd, clmod, clmul, graeffe_lift
+from .polyring import BinPoly, QuatPoly, cldivmod, clgcd, clmod, clmul, graeffe_lift
 
-# Desk-scale bound: keeps extension degrees and coset tables small.
+# Desk-scale bound on n: keeps x^n - 1, its split and the coset tables small.
 MAX_MODULUS = 255
 # Distinct (p, n) kept by tensor_square; a search cell has one p per divisor g~.
 TENSOR_CACHE_SIZE = 1024
@@ -48,83 +49,6 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-def _ord2(n: int) -> int:
-    """Multiplicative order of 2 modulo n (n odd); 1 for n = 1."""
-    m, v = 1, 2 % n
-    while v != 1 % n:
-        v = (v * 2) % n
-        m += 1
-    return m
-
-
-def _frobenius(a: int, k: int, mod: int) -> int:
-    # a^(2^k) mod `mod` by repeated squaring
-    for _ in range(k):
-        a = clmod(clmul(a, a), mod)
-    return a
-
-
-def _is_irreducible(f: int, m: int) -> bool:
-    x = clmod(2, f)
-    if _frobenius(x, m, f) != x:
-        return False
-    for q in _prime_factors(m):
-        if clgcd(_frobenius(x, m // q, f) ^ x, f) != 1:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def smallest_irreducible(m: int) -> BinPoly:
-    """The degree-m irreducible over Z2 with the smallest integer encoding."""
-    if m < 1:
-        raise DomainError("degree must be positive")
-    for low in range(1 << m):
-        f = (1 << m) | low
-        if _is_irreducible(f, m):
-            return BinPoly.from_bits(f)
-    raise InternalError(f"no irreducible of degree {m} found")
-
-
-class GF2Field:
-    """GF(2^m) with int-encoded elements modulo a fixed irreducible."""
-
-    def __init__(self, m: int, modulus: BinPoly | None = None):
-        if modulus is None:
-            modulus = smallest_irreducible(m)
-        if modulus.degree != m:
-            raise DomainError(f"modulus degree {modulus.degree} != {m}")
-        self.m = m
-        self.modulus = modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return clmod(clmul(a, b), self.modulus.bits)
-
-    def pow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def unity_root(self, n: int) -> int:
-        """A deterministic element of multiplicative order exactly n."""
-        group = (1 << self.m) - 1
-        if group % n:
-            raise DomainError(f"no order-{n} element in GF(2^{self.m})")
-        e = group // n
-        primes = _prime_factors(n)
-        for a in range(1, 1 << self.m):
-            b = self.pow(a, e)
-            if b == 0 or (n > 1 and b == 1):
-                continue
-            if all(self.pow(b, n // q) != 1 for q in primes):
-                return b
-        raise InternalError(f"no order-{n} element found in GF(2^{self.m})")
 
 
 @dataclass(frozen=True)
@@ -161,34 +85,56 @@ def cyclotomic_cosets(n: int) -> CosetTable:
     return CosetTable(n, tuple(cosets))
 
 
-class _CycloContext:
-    """Field, unity root and per-coset minimal polynomials for one n."""
+def _pow_mod(a: int, e: int, mod: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = clmod(clmul(out, a), mod)
+        a = clmod(clmul(a, a), mod)
+        e >>= 1
+    return out
 
-    def __init__(self, n: int, modulus: BinPoly | None = None):
+
+def _eval_mod(f: int, r: int, mod: int) -> int:
+    # f(r) modulo `mod`, by Horner from the top coefficient down
+    acc = 0
+    for k in range(f.bit_length() - 1, -1, -1):
+        acc = clmod(clmul(acc, r), mod) ^ (f >> k & 1)
+    return acc
+
+
+class _CycloContext:
+    """Unity root xi and per-coset minimal polynomials for one n."""
+
+    def __init__(self, n: int):
         self.n = n
         self.table = cyclotomic_cosets(n)
-        self.m = _ord2(n)
-        self.field = GF2Field(self.m, modulus)
-        self.xi = self.field.unity_root(n)
-        self.min_polys = {c: self._min_poly(c) for c in self.table.cosets}
+        # each t_C is idempotent mod x^n - 1, so 0 or 1 at every root, and
+        # the t_C span every idempotent: the split ends at the irreducibles
+        factors = [BinPoly.xn_minus_1(n).bits]
+        for coset in self.table.cosets:
+            t = sum(1 << i for i in coset)
+            split = []
+            for p in factors:
+                d = clgcd(p, t)
+                split += [p] if d in (1, p) else [d, cldivmod(p, d)[0]]
+            factors = split
+        # xi = x modulo the smallest factor in which x has order exactly n
+        primes = _prime_factors(n)
+        field = min(p for p in factors if all(_pow_mod(2, n // q, p) != 1 for q in primes))
+        self.xi = clmod(2, field)
+        self.min_polys = {}
+        for coset in self.table.cosets:
+            r = _pow_mod(self.xi, coset[0], field)
+            zeros = [p for p in factors if _eval_mod(p, r, field) == 0]
+            if len(zeros) != 1:
+                raise InternalError(f"{len(zeros)} factors of x^{n}-1 vanish at xi^{coset[0]}")
+            self.min_polys[coset] = BinPoly.from_bits(zeros[0])
+        if len(set(self.min_polys.values())) != len(factors):
+            raise InternalError(f"cosets and factors of x^{n}-1 do not match one to one")
         prod = reduce(lambda a, b: a * b, self.min_polys.values(), BinPoly.one())
         if prod != BinPoly.xn_minus_1(n):
             raise InternalError(f"minimal polynomials do not multiply to x^{n}-1")
-
-    def _min_poly(self, coset: tuple[int, ...]) -> BinPoly:
-        # prod over the coset of (x - xi^i), computed in the field
-        field = self.field
-        poly = [1]
-        for i in coset:
-            r = field.pow(self.xi, i)
-            nxt = [0] * (len(poly) + 1)
-            for j, c in enumerate(poly):
-                nxt[j + 1] ^= c
-                nxt[j] ^= field.mul(r, c)
-            poly = nxt
-        if any(c not in (0, 1) for c in poly):
-            raise InternalError("minimal polynomial has coefficients outside Z2")
-        return BinPoly(poly)
 
 
 @lru_cache(maxsize=None)

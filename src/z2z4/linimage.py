@@ -415,7 +415,7 @@ def z4_gray_linear_oracle(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool
     ``generators`` closure above it."""
     _check_z4_triple(f, h, g, n)
     code = _z4_code(f, h, n)
-    mode = "exhaustive" if len(code) <= ORACLE_ENUM_LIMIT else "generators"
+    mode = "exhaustive" if code.size <= ORACLE_ENUM_LIMIT else "generators"
     return gray_is_linear_oracle(code, mode).linear
 
 

@@ -101,13 +101,6 @@ class _Poly:
         return cls((0,) * k + (c,))
 
     @classmethod
-    def xn_minus_1(cls, n: int):
-        """x^n - 1 with coefficients reduced into the ring."""
-        if n <= 0:
-            raise DomainError("length must be positive")
-        return cls((cls.MOD - 1,) + (0,) * (n - 1) + (1,))
-
-    @classmethod
     def parse(cls, obj: str | Sequence[int]):
         """Build a polynomial from human text or an ascending coefficient array.
 

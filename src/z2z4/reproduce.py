@@ -136,10 +136,10 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         f=gens.f.coeffs,
         h=gens.h.coeffs,
         g=gens.g.coeffs,
-        size=len(code),
+        size=code.size,
         type_formula=ct.triple,
         type_standard=type_standard.triple,
-        size_ok=len(code) == ct.size,
+        size_ok=code.size == ct.size,
         cyclic_ok=code.is_cyclic(),
         criterion_linear=report.verdict,
         oracle_linear=oracle.linear,

@@ -4,7 +4,8 @@
 ``_TuplePoly`` is the coefficient-tuple arithmetic both classes had before
 they stored ints: a canonical ascending tuple (no trailing zeros) with
 ``% MOD`` loops.  ``TupleBinPoly`` takes MOD = 2 and ``TupleQuatPoly``
-MOD = 4; constructors, parsing and printing are the shared ``_Poly`` ones.
+MOD = 4; x^n - 1 is built for either MOD, and the other constructors,
+parsing and printing are the shared ``_Poly`` ones.
 ``tuple_cyclic_reduce`` folds exponents mod n; gcd and extended gcd are the
 Euclid loops on polynomial objects.
 """
@@ -26,6 +27,13 @@ class _TuplePoly(_Poly):
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
+
+    @classmethod
+    def xn_minus_1(cls, n: int):
+        """x^n - 1 with coefficients reduced into the ring."""
+        if n <= 0:
+            raise DomainError("length must be positive")
+        return cls((cls.MOD - 1,) + (0,) * (n - 1) + (1,))
 
     @property
     def degree(self) -> int | float:

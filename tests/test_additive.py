@@ -165,6 +165,21 @@ class TestStructure:
         with pytest.raises(DomainError):
             vector in code
 
+    def test_size_past_sys_maxsize(self):
+        # len() stops at sys.maxsize; size, equality, hash and the queries
+        # that need no word go on past it
+        rows = [MixedVector(tuple(int(i == j) for i in range(64)), (0,)) for j in range(64)]
+        code = Code.from_vectors_span(64, 1, rows)
+        assert code.size == 1 << 64
+        with pytest.raises(OverflowError):
+            len(code)
+        twin = Code.from_vectors_span(64, 1, rows[::-1])
+        assert code == twin and hash(code) == hash(twin)
+        assert code.is_separable() and code.is_cyclic()
+        assert gray_is_linear_oracle(code, mode="generators").linear
+        with pytest.raises(CapacityError):
+            gray_image_is_linear(code)
+
     def test_zero_code_cyclic(self):
         m = GeneratorMatrix(2, 3, ())
         code = Code.from_matrix(m)

@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from z2z4.cyclofield import GF2Field, smallest_irreducible
+from z2z4.cyclofield import factor_xn_minus_1_z2
 from z2z4.errors import DomainError
-from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, ext_gcd2, gcd2, reduce_mod2
+from z2z4.polyring import (
+    BinPoly, QuatPoly, clmod, clmul, cyclic_reduce, ext_gcd2, gcd2, reduce_mod2,
+)
 from binpoly_oracle import TupleBinPoly, tuple_cyclic_reduce, tuple_ext_gcd2, tuple_gcd2
+from cyclo_oracle import smallest_irreducible
 
 # lengths past 64 bits and lists with trailing zeros
 coeff_lists = st.lists(st.integers(0, 1), max_size=80)
@@ -111,18 +114,29 @@ class TestArithmetic:
         assert same(cyclic_reduce(p, n), tuple_cyclic_reduce(ref, n))
 
 
+def _check_mulmod(mod: BinPoly) -> None:
+    """clmod(clmul(a, b), mod) against the tuple product mod ``mod``, for
+    a, b of degree below that of ``mod``."""
+    ref_mod = TupleBinPoly(mod.coeffs)
+    top = (1 << mod.degree) - 1
+
+    @given(st.integers(0, top), st.integers(0, top))
+    def check(a, b):
+        pa, pb = BinPoly.from_bits(a), BinPoly.from_bits(b)
+        got = BinPoly.from_bits(clmod(clmul(a, b), mod.bits))
+        assert got == (pa * pb) % mod
+        assert same(got, TupleBinPoly(pa.coeffs) * TupleBinPoly(pb.coeffs) % ref_mod)
+
+    check()
+
+
 class TestField:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 20, 63])
     def test_mul_is_product_mod_the_modulus(self, m):
-        field = GF2Field(m)
-        assert field.modulus == smallest_irreducible(m)
-        ref_mod = TupleBinPoly(field.modulus.coeffs)
+        # the degree-m irreducible of the field construction
+        _check_mulmod(smallest_irreducible(m))
 
-        @given(st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1))
-        def check(a, b):
-            pa, pb = BinPoly.from_bits(a), BinPoly.from_bits(b)
-            got = BinPoly.from_bits(field.mul(a, b))
-            assert got == (pa * pb) % field.modulus
-            assert same(got, TupleBinPoly(pa.coeffs) * TupleBinPoly(pb.coeffs) % ref_mod)
-
-        check()
+    @pytest.mark.parametrize("n", [7, 31, 73, 127, 227, 253])
+    def test_mul_mod_the_factors(self, n):
+        # the largest factor of x^n - 1, of degree 3 up to 226
+        _check_mulmod(factor_xn_minus_1_z2(n)[-1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2z4 import __version__, cli, cycliccode, linimage
-from z2z4.additive import MixedVector, _as_bits
+from z2z4.additive import MixedVector, _as_bits, resolve_capacity
 from z2z4.cli import main
 from z2z4.errors import DomainError
 import word_oracle
@@ -325,6 +325,27 @@ class TestPastTheBound:
         assert data["cyclic"] is True and data["shift_witness"] is None
         assert data["type"] == {"alpha": 26, "beta": 0, "gamma": 26, "delta": 0, "kappa": 26}
         assert data["separable"] is True and data["gray_image_linear"] is True
+
+    def test_analyze_past_sys_maxsize(self, capsys, tmp_path, monkeypatch):
+        # 2^64 words: a size that len() cannot return
+        monkeypatch.delenv("Z2Z4_CAPACITY", raising=False)
+        path = tmp_path / "id64.txt"
+        path.write_text("".join(
+            " ".join("1" if i == j else "0" for i in range(64)) + " |\n" for j in range(64)
+        ))
+        status, out, err = run(capsys, "analyze", "--matrix", str(path), "--json")
+        data = json.loads(out)
+        assert (status, err) == (0, "")
+        assert data["size"] == 18446744073709551616
+        assert data["separable"] is True and data["gray_image_linear"] is True
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_oracle_past_sys_maxsize(self, capsys, monkeypatch, as_json):
+        # <(1 | 3)> is all of Z2^2 x Z4^45, 2^92 words
+        monkeypatch.delenv("Z2Z4_CAPACITY", raising=False)
+        code = '{"alpha":2,"beta":45,"b":"1","f":"1","h":"1","g":"x^45+3"}'
+        argv = ["linearity", "--oracle", "--code", code] + (["--json"] if as_json else [])
+        assert run(capsys, *argv) == (1, "", _capacity_line(resolve_capacity()))
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_shift_witness_needs_the_words(self, capsys, tmp_path, monkeypatch, as_json):

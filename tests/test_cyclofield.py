@@ -1,24 +1,24 @@
 from functools import reduce
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from z2z4.cyclofield import (
     MAX_MODULUS,
-    _CycloContext,
     _context,
-    GF2Field,
+    _prime_factors,
     cyclotomic_cosets,
     divisors_of_xn_minus_1_z2,
     factor_xn_minus_1_z2,
     factor_xn_minus_1_z4,
     from_roots,
     roots_of,
-    smallest_irreducible,
     tensor_square,
 )
 from z2z4.errors import CapacityError, DomainError
-from z2z4.polyring import BinPoly, QuatPoly, reduce_mod2
+from z2z4.polyring import BinPoly, QuatPoly, clmod, reduce_mod2
+from cyclo_oracle import is_irreducible, min_polys_by_field, mulmod, powmod
 
 ODD_LENGTHS = [1, 3, 5, 7, 9, 15, 21]
 
@@ -141,23 +141,24 @@ class TestTensorSquare:
             sums = {(i + j) % n for i in s for j in s}
             assert roots_of(t, n).exponents == sums
 
-    def test_modulus_independence_n7(self):
-        # GF(8) built on the other cubic labels the roots differently, but
-        # the minimal polynomials and the root-product polynomials agree
-        alt = BinPoly.parse("x^3+x^2+1")
-        assert smallest_irreducible(3) == BinPoly.parse("x^3+x+1")
-        ctx = _CycloContext(7, alt)
-        assert ctx.field.modulus == alt
-        assert ctx.min_polys != _context(7).min_polys
-        assert set(ctx.min_polys.values()) == set(factor_xn_minus_1_z2(7))
-        for coset, p in ctx.min_polys.items():
-            sums = {(i + j) % 7 for i in coset for j in coset}
-            alt_square = reduce(
-                lambda a, b: a * b,
-                (mp for c, mp in ctx.min_polys.items() if c[0] in sums),
-                BinPoly.one(),
-            )
-            assert alt_square == tensor_square(p, 7)
+    def test_invariant_under_unit_relabelling(self):
+        # xi^u is another primitive root for every unit u mod n; labelling
+        # coset C by the minimal polynomial of xi^(u*c) changes the root
+        # sets, but every root-product polynomial stays the same
+        for n in (7, 9, 15, 17, 21):
+            min_polys = _context(n).min_polys
+            coset_of = {i: c for c in min_polys for i in c}
+            for u in (u for u in range(1, n) if gcd(u, n) == 1):
+                relabel = {c: min_polys[coset_of[u * c[0] % n]] for c in min_polys}
+                for p in divisors_of_xn_minus_1_z2(n):
+                    s = {i for c, mp in relabel.items() if mp.divides(p) for i in c}
+                    sums = {(i + j) % n for i in s for j in s}
+                    square = reduce(
+                        lambda a, b: a * b,
+                        (mp for c, mp in relabel.items() if c[0] in sums),
+                        BinPoly.one(),
+                    )
+                    assert square == tensor_square(p, n)
 
     @pytest.mark.parametrize("n", [7, 15])
     def test_monotone_under_divisibility(self, n):
@@ -167,22 +168,71 @@ class TestTensorSquare:
                 assert tensor_square(p, n).divides(tensor_square(q, n))
 
 
+def _field(n):
+    """The factor that xi = x is taken modulo: the minimal polynomial of xi."""
+    ctx = _context(n)
+    return next(mp for c, mp in ctx.min_polys.items() if 1 % n in c).bits
+
+
 class TestField:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 31, 51, 85, 127, 255])
     def test_unity_root_has_exact_order(self, n):
-        from z2z4.cyclofield import _ord2
-
-        m = _ord2(n)
-        field = GF2Field(m)
-        xi = field.unity_root(n)
-        assert field.pow(xi, n) == 1
-        for q in {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}:
-            assert field.pow(xi, n // q) != 1
+        xi, mod = _context(n).xi, _field(n)
+        assert xi == clmod(2, mod)
+        assert powmod(xi, n, mod) == 1
+        for q in _prime_factors(n):
+            assert powmod(xi, n // q, mod) != 1
 
     def test_large_n_still_works(self):
         # n = 253 has extension degree 110; int-encoded arithmetic keeps up
         fs = factor_xn_minus_1_z2(253)
         assert reduce(lambda a, b: a * b, fs) == BinPoly.xn_minus_1(253)
+
+
+ALL_ODD = range(1, MAX_MODULUS + 1, 2)
+
+
+def _eval_at(p: int, r: int, mod: int) -> int:
+    # p(r) modulo mod, by Horner
+    acc = 0
+    for k in range(p.bit_length() - 1, -1, -1):
+        acc = mulmod(acc, r, mod) ^ (p >> k & 1)
+    return acc
+
+
+class TestIdempotentSplit:
+    def test_factors_are_the_minimal_polynomials(self):
+        # every odd n up to the bound: irreducible, one per coset with the
+        # coset's degree, distinct, x^n - 1 in product, zero at each xi^c
+        for n in ALL_ODD:
+            ctx = _context(n)
+            min_polys = ctx.min_polys
+            assert tuple(min_polys) == cyclotomic_cosets(n).cosets
+            assert len(set(min_polys.values())) == len(min_polys)
+            assert reduce(lambda a, b: a * b, min_polys.values()) == BinPoly.xn_minus_1(n)
+            mod = _field(n)
+            for coset, mp in min_polys.items():
+                assert mp.degree == len(coset)
+                assert is_irreducible(mp.bits)
+                # p(r)^2 = p(r^2) over Z2: zero at xi^c[0] is zero on the coset
+                assert _eval_at(mp.bits, powmod(ctx.xi, coset[0], mod), mod) == 0
+
+    @pytest.mark.parametrize("n", [*range(1, 100, 2), 127, 255])
+    def test_matches_the_field_construction(self, n):
+        # the same factors, labelled alike up to a unit u mod n
+        ctx, ref = _context(n), min_polys_by_field(n)
+        assert set(ctx.min_polys.values()) == set(ref.values())
+        coset_of = {i: c for c in ref for i in c}
+        assert any(
+            all(ref[coset_of[u * c[0] % n]] == mp for c, mp in ctx.min_polys.items())
+            for u in range(1, n + 1) if gcd(u, n) == 1
+        )
+        for coset, mp in ref.items():
+            sums = {(i + j) % n for i in coset for j in coset}
+            square = reduce(
+                lambda a, b: a * b, (q for c, q in ref.items() if c[0] in sums), BinPoly.one()
+            )
+            assert square == tensor_square(mp, n)
 
 
 class TestDivisors:

@@ -73,6 +73,11 @@ class TestWolfmann:
     def test_g_full_always_linear(self):
         assert wolfmann_linear(QuatPoly.one(), QuatPoly.one(), QuatPoly.xn_minus_1(7), 7)
 
+    def test_oracle_past_sys_maxsize(self):
+        # <3> is all of Z4^45, 2^90 words: the generators closure
+        one = QuatPoly.one()
+        assert z4_gray_linear_oracle(one, one, QuatPoly.xn_minus_1(45), 45)
+
     def test_bad_factorization_rejected(self):
         # the criterion and the closure oracle share one input check
         one = QuatPoly.one()
