@@ -465,7 +465,3 @@ def main(argv: list[str] | None = None) -> int:
     except Z2Z4Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .additive import Code, CodeType, GeneratorMatrix, WordCodec
@@ -343,14 +343,21 @@ def enumerate_code(gens: CyclicGenerators) -> Code:
 
 def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
     """Every (f, h, g) that splits the basic irreducible factors of x^beta - 1
-    among the three roles, ordered by the coefficients of h then g."""
-    one = QuatPoly.one()
-    triples = [(one, one, one)]
-    # each factor extends the products built from the factors before it
+    among the three roles, ordered by the coefficients of h then g.  A factor
+    subset is a bit mask m whose product ``prods[m]`` is built once and shared;
+    distinct masks have distinct products, so one sort orders h and each g."""
+    prods = [QuatPoly.one()]
     for fac in factor_xn_minus_1_z4(beta):
-        triples = [t for f, h, g in triples
-                   for t in ((f * fac, h, g), (f, h * fac, g), (f, h, g * fac))]
-    triples.sort(key=lambda t: (t[1].coeffs, t[2].coeffs))
+        prods += [p * fac for p in prods]
+    order = sorted(range(len(prods)), key=lambda m: prods[m].coeffs)
+    rank = {m: r for r, m in enumerate(order)}
+    triples = []
+    for hm in order:
+        rest = (len(prods) - 1) ^ hm
+        gms = [rest]  # every submask of rest, by s -> (s - 1) & rest
+        while gms[-1]:
+            gms.append((gms[-1] - 1) & rest)
+        triples += [(prods[rest ^ gm], prods[hm], prods[gm]) for gm in sorted(gms, key=rank.get)]
     return triples
 
 
@@ -429,11 +436,12 @@ def enumerate_all_cyclic(
     b divides x^alpha - 1 and x^beta - 1 is squarefree, so
     gcd(b, p) = gcd(b, gcd(p, S)) for every p dividing x^beta - 1, and
     gcd(b, e*g~) = gcd(b, e*gs).  So L, the gcd pair gcd(b, ell),
-    gcd(b, ell*g~) and the guard's verdict depend on (b, hs, gs) alone,
-    and S has at most 3^k signatures for its k factors.  Within one b,
-    ``_ell_row`` lists the multiples of L once per signature, each with
-    its pair, its ``ell_gcds`` and the two ell conditions checked from it
-    as a guard; every triple of that signature yields that row.  A
+    gcd(b, ell*g~) and the guard's verdict depend on (b, hs, gs) alone.
+    The triples share their polynomials (one per factor subset), and each
+    gcd with S is taken once per distinct mod-2 image in a call.  Within
+    one b, ``_ell_row`` lists the multiples of L once per signature, each
+    with its pair, its ``ell_gcds`` and the two ell conditions checked from
+    it as a guard; every triple of that signature yields that row.  A
     (b, f, h, g) whose code has more than ``capacity`` words raises
     CapacityError before its first tuple; None sets no bound.
     """
@@ -444,12 +452,12 @@ def enumerate_all_cyclic(
     shared = clgcd(BinPoly.xn_minus_1(alpha).bits, xb)
     # (f, h, g, 2 deg g + deg h, its signature (hs, gs) as bit masks)
     triples = []
+    sig_of = cache(lambda p: clgcd(p, shared))  # one gcd per mod-2 image, for this call only
     for f, h, g in factor_triples(beta):
         ft, ht, gt = f.lo, h.lo, g.lo
         if clmul(ft, clmul(ht, gt)) != xb or not (f.is_monic and h.is_monic and g.is_monic):
             raise InternalError(f"factor triple {f}, {h}, {g} does not split x^{beta}-1")
-        sig = (clgcd(ht, shared), clgcd(gt, shared))
-        triples.append((f, h, g, 2 * int(g.degree) + int(h.degree), sig))
+        triples.append((f, h, g, 2 * int(g.degree) + int(h.degree), (sig_of(ht), sig_of(gt))))
     for b in divisors_of_xn_minus_1_z2(alpha):
         if errs := _b_violations(alpha, b):
             raise InternalError("; ".join(errs))

@@ -220,6 +220,15 @@ class DoubleCyclicGenerators:
         if self.ellp.degree >= self.b.degree:
             raise DomainError("deg(ellp) must be smaller than deg(b)")
 
+    @classmethod
+    def _trusted(
+        cls, r: int, s: int, b: BinPoly, ellp: BinPoly, a: BinPoly
+    ) -> "DoubleCyclicGenerators":
+        """Build from data that the caller knows passes ``__post_init__``."""
+        dcg = object.__new__(cls)
+        dcg.__dict__.update(r=r, s=s, b=b, ellp=ellp, a=a)
+        return dcg
+
     def to_json(self) -> dict:
         return {
             "r": self.r,
@@ -389,11 +398,9 @@ def psi_image_generators(
     p = solve_cyclic_z4_lexmin(gens.f, gens.h, gens.g, target, beta)
     if p is None:
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
-    if gens.b == BinPoly.one():
-        ellp = BinPoly.zero()
-    else:
-        ellp = (reduce_mod2(p) * gens.ell) % gens.b
-    return DoubleCyclicGenerators(gens.alpha, 2 * beta, gens.b, ellp, a)
+    # b | x^alpha - 1, a = f~^2 h~ | (x^beta - 1)^2 and deg ellp < deg b: no validation
+    ellp = (reduce_mod2(p) * gens.ell) % gens.b
+    return DoubleCyclicGenerators._trusted(gens.alpha, 2 * beta, gens.b, ellp, a)
 
 
 # ----------------------------------------------------------------------

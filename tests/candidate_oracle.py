@@ -1,12 +1,14 @@
 """Reference candidate loops for ``z2z4.cycliccode.enumerate_all_cyclic``,
 and the type and criterion of a tuple from scratch.
 
-``reference_cyclic_tuples`` builds the factor assignments of x^beta - 1 on
-its own and runs the full ``violations`` check for every ell, including the
-conditions that hold by construction.  ``per_triple_cyclic_tuples`` is the
-loop keyed by (b, f, h, g): it takes the ell lattice, the gcd pair
-gcd(b, ell), gcd(b, ell*g~) and the guard from the full (x^beta-1)/f~, h~
-and g~ of every triple, where the fast loop takes them once per (b, signature).
+``reference_factor_triples`` builds the factor triples of x^beta - 1 role by
+role, multiplying out every triple.  ``reference_cyclic_tuples`` takes its
+triples from it and runs the full ``violations`` check for every ell,
+including the conditions that hold by construction.
+``per_triple_cyclic_tuples`` is the loop keyed by (b, f, h, g): it takes
+the ell lattice, the gcd pair gcd(b, ell), gcd(b, ell*g~) and the guard
+from the full (x^beta-1)/f~, h~ and g~ of every triple, where the fast
+loop takes them once per (b, signature).
 The fast loop must yield exactly the sequence of both, and the second's
 ``ell_gcds``.
 ``reference_code_type`` and ``reference_criterion`` compute gcd(b, ell) and
@@ -16,7 +18,6 @@ and ``gray_linear_criterion`` read the tuple's shared ``ell_gcds``.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 from z2z4.additive import CodeType
@@ -35,15 +36,22 @@ from z2z4.linimage import LinearityReport
 from z2z4.polyring import BinPoly, QuatPoly, clgcd, clmul, gcd2, reduce_mod2
 
 
-def reference_cyclic_tuples(alpha: int, beta: int) -> Iterator[CyclicGenerators]:
-    factors = factor_xn_minus_1_z4(beta)
-    triples = []
-    for assign in product(range(3), repeat=len(factors)):
-        parts = [QuatPoly.one(), QuatPoly.one(), QuatPoly.one()]
-        for fac, slot in zip(factors, assign):
-            parts[slot] = parts[slot] * fac
-        triples.append(tuple(parts))
+def reference_factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
+    """Every (f, h, g) that splits the factors of x^beta - 1 among the three
+    roles, built role by role and multiplied out triple by triple, sorted by
+    the coefficients of h then g."""
+    one = QuatPoly.one()
+    triples = [(one, one, one)]
+    # each factor extends the products built from the factors before it
+    for fac in factor_xn_minus_1_z4(beta):
+        triples = [t for f, h, g in triples
+                   for t in ((f * fac, h, g), (f, h * fac, g), (f, h, g * fac))]
     triples.sort(key=lambda t: (t[1].coeffs, t[2].coeffs))
+    return triples
+
+
+def reference_cyclic_tuples(alpha: int, beta: int) -> Iterator[CyclicGenerators]:
+    triples = reference_factor_triples(beta)
     for b in divisors_of_xn_minus_1_z2(alpha):
         db = int(b.degree)
         for f, h, g in triples:

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +37,21 @@ def run(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ("factor", "--n", "15", "--ring", "z4"),
+        ("factor", "--n", "4", "--ring", "z2"),
+    ])
+    def test_python_m_z2z4_is_main(self, capsys, argv):
+        # a checkout that is not installed runs with the source on the path
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "z2z4", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=src.parent, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
 class TestFactor:

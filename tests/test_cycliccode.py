@@ -31,7 +31,11 @@ from z2z4.cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from z2z4.errors import CapacityError, DomainError, InternalError
 from z2z4.polyring import BinPoly, QuatPoly, clgcd, clmul, cyclic_reduce, reduce_mod2
 from z2z4.reproduce import mixed_candidates
-from candidate_oracle import per_triple_cyclic_tuples, reference_cyclic_tuples
+from candidate_oracle import (
+    per_triple_cyclic_tuples,
+    reference_cyclic_tuples,
+    reference_factor_triples,
+)
 from word_oracle import poly_star, to_vector
 
 
@@ -291,6 +295,31 @@ class TestEnumerateAll:
         assert all(f * h * g == QuatPoly.xn_minus_1(beta) for f, h, g in triples)
         keys = [(h.coeffs, g.coeffs) for _, h, g in triples]
         assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize("beta", range(1, 46, 2))
+    def test_factor_triples_match_the_role_by_role_oracle(self, beta):
+        def planes(triples):
+            return [tuple((p.lo, p.hi) for p in t) for t in triples]
+
+        assert planes(factor_triples(beta)) == planes(reference_factor_triples(beta))
+
+    @pytest.mark.parametrize("beta", [1, 7, 15, 21, 45])
+    def test_one_product_per_factor_subset(self, beta, monkeypatch):
+        # the triples share the products of the 2^k factor subsets: the
+        # empty subset is one, and every other takes one multiplication
+        factors = factor_xn_minus_1_z4(beta)
+        monkeypatch.setattr(cycliccode, "factor_xn_minus_1_z4", lambda n: factors)
+        calls = []
+        real = QuatPoly.__mul__
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(QuatPoly, "__mul__", counted)
+        triples = factor_triples(beta)
+        assert len(calls) == 2 ** len(factors) - 1
+        assert len({id(p) for t in triples for p in t}) == 2 ** len(factors)
 
     def test_factor_assignments_cover_roles(self):
         # every factor of x^3-1 appears in each of the three roles

@@ -1,4 +1,6 @@
 import functools
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,6 +412,35 @@ class TestPsiImageOracle:
     @given(st.deferred(lambda: st.sampled_from(_linear_beta31_codes())))
     def test_beta_31_sample(self, G):
         assert psi_image_generators(G) == _psi_with_howell_oracle(G)
+
+
+def _pool_codes():
+    """The image-query pool of the benchmark: 72 codes at beta 31, 45, 63."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "image_pool.json"
+    return [
+        CyclicGenerators(
+            e["alpha"], e["beta"],
+            *(BinPoly([int(c) for c in e[k]]) for k in ("b", "ell")),
+            *(QuatPoly([int(c) for c in e[k]]) for k in ("f", "h", "g")),
+        )
+        for e in json.loads(path.read_text())
+    ]
+
+
+class TestTrustedImageGenerators:
+    def test_every_answer_passes_the_validating_constructor(self):
+        # psi_image_generators builds its answer without the checks of
+        # DoubleCyclicGenerators; rebuilding it through them must agree
+        small = [
+            G for alpha in range(1, 5) for beta in (1, 3, 5, 7, 9)
+            for G in enumerate_all_cyclic(alpha, beta) if gray_linear_criterion(G).verdict
+        ]
+        pool = _pool_codes()
+        assert len(pool) == 72
+        for G in pool + small:
+            dcg = psi_image_generators(G)
+            rebuilt = DoubleCyclicGenerators(dcg.r, dcg.s, dcg.b, dcg.ellp, dcg.a)
+            assert dcg == rebuilt and vars(dcg) == vars(rebuilt)
 
 
 class TestDoubleCyclic:
