@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Digests of the outputs a change that keeps behaviour must keep.
+
+Prints one line per gated output: its exit status, the sha256 of its exact
+stdout bytes with every "elapsed_s" line removed, and its label.  The
+gated outputs are ``search --json`` at six cells, ``reproduce --json``
+(full and ``--quick``), ``factor --json`` over both rings for every odd
+n <= 255, the census script's default output and the ``run_z4_sweep()``
+records.  Run it at two commits and compare the listings with ``diff``:
+
+    PYTHONPATH=src python3 scripts/output_digest.py > before.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import runpy
+import sys
+from pathlib import Path
+
+from z2z4.cli import main as cli_main
+from z2z4.cyclofield import MAX_MODULUS
+from z2z4.reproduce import run_z4_sweep
+
+SEARCH_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9), (2, 45)]
+CENSUS = Path(__file__).resolve().parent / "linear_image_census.py"
+
+
+def digest(text: str) -> str:
+    """sha256 of the UTF-8 bytes of text without its "elapsed_s" lines."""
+    kept = (line for line in text.splitlines(keepends=True) if '"elapsed_s"' not in line)
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def cli_output(argv: list[str]) -> tuple[int, str]:
+    """Exit status and stdout of ``z2z4 argv``, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_main(argv)
+    return status, out.getvalue()
+
+
+def census_output() -> tuple[int, str]:
+    """Exit status and stdout of the census script with its default cells."""
+    out = io.StringIO()
+    argv, sys.argv = sys.argv, [str(CENSUS)]
+    try:
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(CENSUS), run_name="__main__")
+    finally:
+        sys.argv = argv
+    return 0, out.getvalue()
+
+
+def gated_outputs():
+    """(label, thunk) for every gated output; a thunk returns (status, stdout)."""
+    for alpha, beta in SEARCH_CELLS:
+        argv = ["search", "--alpha", str(alpha), "--beta", str(beta), "--json"]
+        yield " ".join(argv), lambda argv=argv: cli_output(argv)
+    for argv in (["reproduce", "--json"], ["reproduce", "--quick", "--json"]):
+        yield " ".join(argv), lambda argv=argv: cli_output(argv)
+    for n in range(1, MAX_MODULUS + 1, 2):
+        for ring in ("z2", "z4"):
+            argv = ["factor", "--n", str(n), "--ring", ring, "--json"]
+            yield " ".join(argv), lambda argv=argv: cli_output(argv)
+    yield "linear_image_census.py", census_output
+    yield "run_z4_sweep()", lambda: (0, "".join(f"{r!r}\n" for r in run_z4_sweep()))
+
+
+def main() -> None:
+    for label, thunk in gated_outputs():
+        status, text = thunk()
+        print(f"{status} {digest(text)} {label}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

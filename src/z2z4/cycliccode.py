@@ -361,27 +361,6 @@ def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
     return triples
 
 
-def _check_factors(beta: int, factors: Sequence[QuatPoly]) -> None:
-    """Raise InternalError unless the factors are monic, multiply to
-    x^beta - 1 over Z4 and have pairwise coprime mod-2 images.
-
-    Every triple of ``factor_triples`` multiplies disjoint sets of these
-    factors, so this proves the split, monic and coprime conditions of all
-    of them at once.
-    """
-    prod = QuatPoly.one()
-    for p in factors:
-        if not p.is_monic:
-            raise InternalError(f"factor {p} of x^{beta}-1 is not monic")
-        prod = prod * p
-    if prod != QuatPoly.xn_minus_1(beta):
-        raise InternalError(f"the factors of x^{beta}-1 multiply to {prod} over Z4")
-    images = [reduce_mod2(p).bits for p in factors]
-    for i, a in enumerate(images):
-        if any(clgcd(a, c) != 1 for c in images[i + 1:]):
-            raise InternalError(f"the factors of x^{beta}-1 are not coprime mod 2")
-
-
 def _ell_row(
     b: BinPoly, hs: int, gs: int, pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]]
 ) -> list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]:
@@ -425,11 +404,12 @@ def enumerate_all_cyclic(
     Each piece of work is done once per call, at the level its result
     varies on.  The lengths are checked once: beta odd here, beta positive
     where x^beta - 1 is factored and alpha positive where S is built.  The
-    Z4 factors of x^beta - 1 are checked once (``_check_factors``); each
-    triple then only checks that f, h, g are monic and that
-    f~ h~ g~ = x^beta - 1 on bit masks, which, x^beta - 1 being squarefree
-    over Z2, also makes them coprime; (x^beta-1)/f~ is h~ g~.  The
-    condition on b is checked once per b.
+    Z4 factors of x^beta - 1 are proved once per length in ``cyclofield``
+    and factored here once per call, by ``factor_triples``; each triple
+    then only checks that f, h, g are monic and that f~ h~ g~ = x^beta - 1
+    on bit masks, which, x^beta - 1 being squarefree over Z2, also makes
+    them coprime; (x^beta-1)/f~ is h~ g~.  The condition on b is checked
+    once per b.
 
     The ell conditions see a triple only through its signature
     (hs, gs) = (gcd(h~, S), gcd(g~, S)), S = gcd(x^alpha - 1, x^beta - 1):
@@ -447,13 +427,13 @@ def enumerate_all_cyclic(
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
-    _check_factors(beta, factor_xn_minus_1_z4(beta))
+    split = factor_triples(beta)  # before S: beta's length errors come first
     xb = BinPoly.xn_minus_1(beta).bits
     shared = clgcd(BinPoly.xn_minus_1(alpha).bits, xb)
     # (f, h, g, 2 deg g + deg h, its signature (hs, gs) as bit masks)
     triples = []
     sig_of = cache(lambda p: clgcd(p, shared))  # one gcd per mod-2 image, for this call only
-    for f, h, g in factor_triples(beta):
+    for f, h, g in split:
         ft, ht, gt = f.lo, h.lo, g.lo
         if clmul(ft, clmul(ht, gt)) != xb or not (f.is_monic and h.is_monic and g.is_monic):
             raise InternalError(f"factor triple {f}, {h}, {g} does not split x^{beta}-1")

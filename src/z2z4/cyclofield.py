@@ -2,9 +2,11 @@
 
 The factorization over Z2 produces one irreducible factor per 2-cyclotomic
 coset (the minimal polynomial of xi^rep for a primitive n-th root of unity
-xi over Z2); the Z4 factorization lifts each factor.  ``tensor_square``
-computes the divisor of x^n - 1 whose roots are all products of two roots
-of the input, via the sumset of root exponents.
+xi over Z2); the Z4 factorization lifts each factor.  ``_CycloContext``
+builds, sorts and proves both factor lists once per length, and every
+caller shares them.  ``tensor_square`` computes the divisor of x^n - 1
+whose roots are all products of two roots of the input, via the sumset of
+root exponents.
 
 The factors come from the coset idempotents t_C = sum_{i in C} x^i alone,
 with the ``polyring`` kernels on ints in the ``BinPoly.bits`` encoding.
@@ -104,7 +106,8 @@ def _eval_mod(f: int, r: int, mod: int) -> int:
 
 
 class _CycloContext:
-    """Unity root xi and per-coset minimal polynomials for one n."""
+    """Unity root xi, per-coset minimal polynomials and the factors of
+    x^n - 1 over Z2 and Z4 for one n."""
 
     def __init__(self, n: int):
         self.n = n
@@ -135,6 +138,14 @@ class _CycloContext:
         prod = reduce(lambda a, b: a * b, self.min_polys.values(), BinPoly.one())
         if prod != BinPoly.xn_minus_1(n):
             raise InternalError(f"minimal polynomials do not multiply to x^{n}-1")
+        # the lifts reduce to distinct factors of the squarefree x^n - 1,
+        # so their images are pairwise coprime; this proves the rest
+        by_degree = lambda p: (len(p.coeffs), p.coeffs)
+        self.z2 = tuple(sorted(self.min_polys.values(), key=by_degree))
+        self.z4 = tuple(sorted((graeffe_lift(p, n) for p in self.z2), key=by_degree))
+        prod4 = reduce(lambda a, b: a * b, self.z4, QuatPoly.one())
+        if prod4 != QuatPoly.xn_minus_1(n) or not all(p.is_monic for p in self.z4):
+            raise InternalError(f"the lifted factors of x^{n}-1 are not monic with product x^{n}-1")
 
 
 @lru_cache(maxsize=None)
@@ -145,14 +156,13 @@ def _context(n: int) -> _CycloContext:
 
 def factor_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:
     """Monic irreducible factors of x^n - 1 over Z2, sorted by (degree, coeffs)."""
-    ctx = _context(n)
-    return tuple(sorted(ctx.min_polys.values(), key=lambda p: (len(p.coeffs), p.coeffs)))
+    return _context(n).z2
 
 
 def factor_xn_minus_1_z4(n: int) -> tuple[QuatPoly, ...]:
-    """Monic basic irreducible factors of x^n - 1 over Z4 (lifted Z2 factors)."""
-    lifts = [graeffe_lift(p, n) for p in factor_xn_minus_1_z2(n)]
-    return tuple(sorted(lifts, key=lambda p: (len(p.coeffs), p.coeffs)))
+    """Monic basic irreducible factors of x^n - 1 over Z4 (lifted Z2 factors),
+    sorted by (degree, coeffs)."""
+    return _context(n).z4
 
 
 def roots_of(p: BinPoly, n: int) -> RootSet:
@@ -203,6 +213,8 @@ def divisors_of_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:
     """
     if n < 1:
         raise DomainError("length must be positive")
+    if n > MAX_MODULUS:
+        raise CapacityError(f"length {n} exceeds the desk-scale bound {MAX_MODULUS}")
     n0, mult = n, 1
     while n0 % 2 == 0:
         n0 //= 2

@@ -11,7 +11,10 @@ mixed cyclic code <(b|0), (ell | fh+2f)> the criterion becomes
 When the criterion holds, the Nechaev-Gray image is a binary double-cyclic
 code generated by (b | 0) and (ell' | f~^2 h~) with ell' = p~ ell mod b for
 any p solving p * (fh + 2f) = psi^{-1}(f~^2 h~); this module picks the
-solution with the lexicographically smallest coefficient vector.
+solution with the lexicographically smallest coefficient vector.  That
+choice makes p canonical, not ell': the solutions differ by the
+annihilator <gh, 2g>, whose mod-2 images lie in <g~h~>, and b divides
+h~ g~ ell, so every solution gives the same ell'.
 """
 
 from __future__ import annotations
@@ -380,8 +383,10 @@ def psi_image_generators(
     p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).  The preimage
     is taken on the packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``,
     whose two halves are the planes of the solver's ``QuatPoly`` target,
-    and p~ is ``reduce_mod2(p)``.  ``report``, if given, is the code's
-    ``gray_linear_criterion`` report, which is then not computed again.
+    and p~ is ``reduce_mod2(p)``.  The minimum only makes p canonical:
+    every solution gives the same ell'.  ``report``, if given, is the
+    code's ``gray_linear_criterion`` report, which is then not computed
+    again.
     """
     if report is None:
         report = gray_linear_criterion(gens)

@@ -24,7 +24,6 @@ from z2z4.additive import CodeType
 from z2z4.cycliccode import (
     CyclicGenerators,
     _b_violations,
-    _check_factors,
     _ell_lattice,
     _gcd_violations,
     factor_triples,
@@ -67,7 +66,6 @@ def per_triple_cyclic_tuples(alpha: int, beta: int) -> Iterator[CyclicGenerators
     L and g~; it checks no capacity."""
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
-    _check_factors(beta, factor_xn_minus_1_z4(beta))
     xb = BinPoly.xn_minus_1(beta).bits
     triples = []
     for f, h, g in factor_triples(beta):

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -566,6 +567,14 @@ class TestSearch:
     def test_bad_lengths_give_one_error_line(self, alpha, beta, message):
         got = run_quiet("search", "--alpha", alpha, "--beta", beta, "--json")
         assert got == (1, "", f"DomainError: {message}\n")
+
+    @pytest.mark.parametrize("alpha", ["257", "256", "4096", "65536"])
+    def test_long_alpha_is_refused_at_once(self, alpha):
+        # the bound is on alpha itself, not only on its odd part
+        start = time.perf_counter()
+        got = run_quiet("search", "--alpha", alpha, "--beta", "1")
+        assert time.perf_counter() - start < 1.0
+        assert got == (1, "", f"CapacityError: length {alpha} exceeds the desk-scale bound 255\n")
 
     def test_code_type_once_per_result(self, capsys, monkeypatch):
         calls = []

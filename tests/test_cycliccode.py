@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2z4 import cycliccode
+from z2z4 import cycliccode, cyclofield
 from z2z4.additive import Code, MixedVector, WordCodec
 from z2z4.cycliccode import (
     CyclicGenerators,
@@ -321,6 +321,25 @@ class TestEnumerateAll:
         assert len(calls) == 2 ** len(factors) - 1
         assert len({id(p) for t in triples for p in t}) == 2 ** len(factors)
 
+    def test_one_lift_per_factor_per_length(self, monkeypatch):
+        # the factors of x^15 - 1 are lifted once, when its context is
+        # built, and every later call shares them
+        lifts = []
+        real = cyclofield.graeffe_lift
+
+        def counted(p, n):
+            lifts.append((p, n))
+            return real(p, n)
+
+        monkeypatch.setattr(cyclofield, "graeffe_lift", counted)
+        cyclofield._context.cache_clear()
+        list(enumerate_all_cyclic(1, 15))
+        assert [p for p, n in lifts if n == 15] == list(cyclofield.factor_xn_minus_1_z2(15))
+        lifts.clear()
+        list(enumerate_all_cyclic(1, 15))
+        factor_xn_minus_1_z4(15)
+        assert lifts == []
+
     def test_factor_assignments_cover_roles(self):
         # every factor of x^3-1 appears in each of the three roles
         fs = set(factor_xn_minus_1_z4(3))
@@ -383,7 +402,7 @@ class TestEllLattice:
 
     @pytest.mark.parametrize("beta", [1, 3, 5, 7, 9, 15, 21, 31, 45])
     def test_every_triple_passes_the_full_check(self, beta):
-        # the candidate loop checks the factors once per call and each
+        # the factors are proved once per length in cyclofield and each
         # triple only on bit masks; the full per-triple check is the oracle
         for f, h, g in factor_triples(beta):
             assert _triple_violations(beta, f, h, g) == []
@@ -399,15 +418,16 @@ class TestEllLattice:
         assert _triple_violations(63, *parts) == []
 
     def test_wrong_z4_lift_is_an_internal_error(self, monkeypatch):
-        factors = list(factor_xn_minus_1_z4(7))
-        good = factors[-1]
+        good = factor_xn_minus_1_z4(7)[-1]
         bad = QuatPoly(((good.coeffs[0] + 2) % 4,) + good.coeffs[1:])
         # the mod-2 images agree, so only the check of the Z4 factors sees it
         assert bad != good and reduce_mod2(bad) == reduce_mod2(good)
-        factors[-1] = bad
-        monkeypatch.setattr(cycliccode, "factor_xn_minus_1_z4", lambda n: tuple(factors))
+        real = cyclofield.graeffe_lift
+        monkeypatch.setattr(
+            cyclofield, "graeffe_lift", lambda p, n: bad if p == reduce_mod2(good) else real(p, n)
+        )
         with pytest.raises(InternalError):
-            next(enumerate_all_cyclic(1, 7))
+            cyclofield._CycloContext(7)
 
     def test_repeated_factor_is_an_internal_error(self, monkeypatch):
         factors = factor_xn_minus_1_z4(7)

@@ -244,6 +244,16 @@ class TestDivisors:
         got = {str(d) for d in divisors_of_xn_minus_1_z2(3)}
         assert got == {"1", "x+1", "x^2+x+1", "x^3+1"}
 
+    @pytest.mark.parametrize("n", [257, 256, 4096, 65536, 3 << 40])
+    def test_bound_covers_every_length(self, n):
+        # an even n past the bound has an odd part inside it
+        with pytest.raises(CapacityError, match=f"^length {n} exceeds the desk-scale bound 255$"):
+            divisors_of_xn_minus_1_z2(n)
+
+    def test_bound_admits_the_largest_power_of_two(self):
+        # x^128 - 1 = (x+1)^128 over Z2
+        assert divisors_of_xn_minus_1_z2(128) == tuple(BinPoly([1, 1]) ** e for e in range(129))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 12])
     def test_all_divide(self, n):
         for d in divisors_of_xn_minus_1_z2(n):

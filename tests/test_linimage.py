@@ -397,8 +397,8 @@ def _psi_with_howell_oracle(gens):
 
 
 @functools.cache
-def _linear_beta31_codes():
-    return [G for G in enumerate_all_cyclic(3, 31) if gray_linear_criterion(G).verdict]
+def _linear_codes(alpha, beta):
+    return [G for G in enumerate_all_cyclic(alpha, beta) if gray_linear_criterion(G).verdict]
 
 
 class TestPsiImageOracle:
@@ -409,9 +409,44 @@ class TestPsiImageOracle:
             assert psi_image_generators(G) == _psi_with_howell_oracle(G)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.deferred(lambda: st.sampled_from(_linear_beta31_codes())))
+    @given(st.deferred(lambda: st.sampled_from(_linear_codes(3, 31))))
     def test_beta_31_sample(self, G):
         assert psi_image_generators(G) == _psi_with_howell_oracle(G)
+
+
+PERTURB_CELLS = [(1, 3), (2, 7), (3, 9), (6, 9), (4, 15), (2, 21), (3, 31)]
+
+
+@st.composite
+def perturbed_solutions(draw):
+    """A linear-image code, and r, s for the solution p + r*gh + 2s*g."""
+    G = draw(st.sampled_from(_linear_codes(*draw(st.sampled_from(PERTURB_CELLS)))))
+    r, s = (QuatPoly(draw(st.lists(st.integers(0, 3), min_size=G.beta, max_size=G.beta)))
+            for _ in range(2))
+    return G, r, s
+
+
+class TestImageIndependentOfTheSolution:
+    @settings(max_examples=150, deadline=None)
+    @given(perturbed_solutions())
+    def test_every_preimage_gives_the_same_ellp(self, case):
+        # solutions differ by Ann = <gh, 2g>, whose mod-2 images lie in
+        # <g~h~>, and b | h~ gcd(b, ell g~) | h~ g~ ell: ell' is the same
+        G, r, s = case
+        seen = []
+        real = linimage.solve_cyclic_z4_lexmin
+
+        def capture(f, h, g, target, n):
+            seen.append((target, real(f, h, g, target, n)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linimage, "solve_cyclic_z4_lexmin", capture)
+            dcg = psi_image_generators(G)
+        ((target, p),) = seen
+        other = cyclic_reduce(p + r * G.g * G.h + QuatPoly((2,)) * s * G.g, G.beta)
+        assert cyclic_reduce(other * G.fh_plus_2f, G.beta) == target
+        assert (reduce_mod2(other) * G.ell) % G.b == dcg.ellp
 
 
 def _pool_codes():

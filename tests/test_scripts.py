@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
+DIGEST = ROOT / "scripts" / "output_digest.py"
 
 
 def trajectory(*argv):
@@ -79,3 +83,33 @@ class TestBenchTrajectory:
                     continue
                 (row,) = [r for r in lines if r[:1] == [path.name] and r[2] == name]
                 assert len(row) == (8 if "peak_rss_mb" in summary else 6), row
+
+
+def _output_digest():
+    spec = importlib.util.spec_from_file_location("output_digest", DIGEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOutputDigest:
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--n", "7", "--ring", "z4", "--json"],
+        ["search", "--alpha", "1", "--beta", "3", "--json"],
+    ])
+    def test_repeated_runs_digest_the_same(self, argv):
+        od = _output_digest()
+        (s1, t1), (s2, t2) = od.cli_output(argv), od.cli_output(argv)
+        assert s1 == s2 == 0 and '"elapsed_s"' in t1
+        assert od.digest(t1) == od.digest(t2)
+
+    def test_only_elapsed_s_is_ignored(self):
+        od = _output_digest()
+        _, text = od.cli_output(["factor", "--n", "7", "--ring", "z4", "--json"])
+        assert od.digest(text.replace('"elapsed_s": ', '"elapsed_s": 99')) == od.digest(text)
+        assert od.digest(text.replace('"n": 7', '"n": 9')) != od.digest(text)
+        assert od.digest(text + "\n") != od.digest(text)
+
+    def test_every_gated_output_is_listed(self):
+        labels = [label for label, _ in _output_digest().gated_outputs()]
+        assert len(labels) == len(set(labels)) == 6 + 2 + 2 * 128 + 2
