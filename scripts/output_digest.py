@@ -5,8 +5,10 @@ Prints one line per gated output: its exit status, the sha256 of its exact
 stdout bytes with every "elapsed_s" line removed, and its label.  The
 gated outputs are ``search --json`` at six cells, ``reproduce --json``
 (full and ``--quick``), ``factor --json`` over both rings for every odd
-n <= 255, the census script's default output and the ``run_z4_sweep()``
-records.  Run it at two commits and compare the listings with ``diff``:
+n <= 255, the census script's default output, the ``run_z4_sweep()``
+records and ``image --json`` on each code of the benchmark's image pool,
+in pool order.  Run it at two commits and compare the listings with
+``diff``:
 
     PYTHONPATH=src python3 scripts/output_digest.py > before.txt
 """
@@ -14,6 +16,7 @@ records.  Run it at two commits and compare the listings with ``diff``:
 import contextlib
 import hashlib
 import io
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -24,6 +27,7 @@ from z2z4.reproduce import run_z4_sweep
 
 SEARCH_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9), (2, 45)]
 CENSUS = Path(__file__).resolve().parent / "linear_image_census.py"
+IMAGE_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "image_pool.json"
 
 
 def digest(text: str) -> str:
@@ -52,6 +56,19 @@ def census_output() -> tuple[int, str]:
     return 0, out.getvalue()
 
 
+def image_outputs() -> tuple[int, str]:
+    """Largest exit status and joined stdout of ``image --json`` on each
+    code of the image pool, in pool order."""
+    statuses, texts = [], []
+    for e in json.loads(IMAGE_POOL.read_text()):
+        code = {"alpha": e["alpha"], "beta": e["beta"]}
+        code.update((k, [int(c) for c in e[k]]) for k in ("b", "ell", "f", "h", "g"))
+        status, text = cli_output(["image", "--code", json.dumps(code), "--json"])
+        statuses.append(status)
+        texts.append(text)
+    return max(statuses), "".join(texts)
+
+
 def gated_outputs():
     """(label, thunk) for every gated output; a thunk returns (status, stdout)."""
     for alpha, beta in SEARCH_CELLS:
@@ -65,6 +82,7 @@ def gated_outputs():
             yield " ".join(argv), lambda argv=argv: cli_output(argv)
     yield "linear_image_census.py", census_output
     yield "run_z4_sweep()", lambda: (0, "".join(f"{r!r}\n" for r in run_z4_sweep()))
+    yield "image --json on perfbench/image_pool.json", image_outputs
 
 
 def main() -> None:

@@ -476,20 +476,18 @@ def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _span_cosets(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """The coset structure ``(pivots, basis)`` of the Z4-span of ``gens``.
+def _order_two_basis(codec: WordCodec, pivots: dict[int, int], rest: list[int]) -> dict[int, int]:
+    """A GF(2) basis of the order-two subcode C_2 of a span whose
+    ``_unit_echelon`` is ``(pivots, rest)``, keyed by leading bit.
 
-    The unit-pivot echelon leaves delta order-four pivots u_i, kept in
-    ``pivots`` by column.  The rows it leaves, with 2u_i for each pivot,
-    span the order-two subcode C_2 over GF(2); ``basis`` is a basis of it,
-    keyed by leading bit.  The code is the union of the cosets
-    r + C_2 = r ^ C_2 over the 2^delta sums r of subsets of the u_i (a
-    word of C_2 has an empty t plane), so it has
+    The echelon leaves delta order-four pivots u_i.  The rows in ``rest``,
+    with 2u_i for each pivot, span C_2 over GF(2).  The code is the union
+    of the cosets r + C_2 = r ^ C_2 over the 2^delta sums r of subsets of
+    the u_i (a word of C_2 has an empty t plane), so it has
     ``1 << (len(pivots) + len(basis))`` words.
     """
-    pivots, rest = _unit_echelon(codec, gens)
     toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
-    return pivots, _gf2_basis(rest + [(u >> toff & qmask) << hoff for u in pivots.values()])
+    return _gf2_basis(rest + [(u >> toff & qmask) << hoff for u in pivots.values()])
 
 
 def _coset_words(reps: Iterable[int], basis: Iterable[int]) -> frozenset[int]:
@@ -507,9 +505,10 @@ class Code:
     """An additive code, kept as its echelon over the order-two subcode C_2.
 
     ``gens`` holds the packed words the code was spanned from, in the order
-    given; ``pivots`` (the order-four unit pivots by column) and ``basis``
-    (a GF(2) basis of C_2, keyed by leading bit) come from
-    ``_span_cosets``, so the size ``size`` is ``1 << (len(pivots) + len(basis))``.
+    given; ``pivots`` (the order-four unit pivots by column) come from
+    ``_unit_echelon`` and ``basis`` (a GF(2) basis of C_2, keyed by leading
+    bit) from ``_order_two_basis``, so the size ``size`` is
+    ``1 << (len(pivots) + len(basis))``.
     Membership is by reduction (``has_word``), so equality, the shift test
     and the ``generators`` closure work at any size.  The coset
     representatives ``reps`` are built on first read, after the size is
@@ -526,12 +525,20 @@ class Code:
     def span(cls, codec: WordCodec, gens: Iterable[int]) -> "Code":
         """The code spanned by the packed words ``gens``, sharing ``codec``;
         given a code's word set, it is that code."""
+        gens = tuple(gens)
+        return cls._from_echelon(codec, gens, *_unit_echelon(codec, gens))
+
+    @classmethod
+    def _from_echelon(
+        cls, codec: WordCodec, gens: tuple[int, ...], pivots: dict[int, int], rest: list[int]
+    ) -> "Code":
+        """``span(codec, gens)``, given the ``_unit_echelon`` of ``gens``."""
         code = cls.__new__(cls)
         code.alpha = codec.alpha
         code.beta = codec.beta
         code.codec = codec
-        code.gens = tuple(gens)
-        code.pivots, code.basis = _span_cosets(codec, code.gens)
+        code.gens = gens
+        code.pivots, code.basis = pivots, _order_two_basis(codec, pivots, rest)
         code._reps = code._words = None
         return code
 
@@ -756,7 +763,9 @@ def standard_form(matrix: GeneratorMatrix) -> StandardForm:
     """
     codec = WordCodec(matrix.alpha, matrix.beta)
     toff, hoff = codec.toff, codec.hoff
-    rows, ctype, bin_perm, quat_perm = _standard_form(codec, [codec.pack(r) for r in matrix.rows])
+    rows, ctype, bin_perm, quat_perm = _standard_form(
+        codec, *_unit_echelon(codec, [codec.pack(r) for r in matrix.rows])
+    )
     out = [
         MixedVector(
             tuple(w >> c & 1 for c in bin_perm),
@@ -770,12 +779,14 @@ def standard_form(matrix: GeneratorMatrix) -> StandardForm:
 
 
 def _standard_form(
-    codec: WordCodec, gens: Iterable[int]
+    codec: WordCodec, units: dict[int, int], rest: list[int]
 ) -> tuple[list[int], CodeType, tuple[int, ...], tuple[int, ...]]:
-    """``standard_form`` on packed rows: the reduced rows, still packed in
-    the original column order, the type and the two permutations."""
+    """``standard_form`` on packed rows whose ``_unit_echelon`` is
+    ``(units, rest)``: the reduced rows, still packed in the original
+    column order, the type and the two permutations.  ``rest`` is not
+    changed, so the echelon can also build the rows' ``Code``."""
     alpha, beta, hoff = codec.alpha, codec.beta, codec.hoff
-    units, rest = _unit_echelon(codec, gens)
+    rest = list(rest)
 
     twos: list[tuple[int, int]] = []  # (pivot bit, order-two row), in pivot order
     for bit in [1 << c for c in range(alpha)] + [1 << (hoff + c) for c in range(beta - 1, -1, -1)]:
@@ -807,3 +818,11 @@ def _standard_form(
 
     rows = [p for _, p in bins + q2] + delta_rows
     return rows, CodeType(alpha, beta, kappa + len(q2), len(units), kappa), bin_perm, quat_perm
+
+
+def _typed_span(codec: WordCodec, gens: Iterable[int]) -> tuple[Code, CodeType]:
+    """``Code.span(codec, gens)`` and the type of ``standard_form`` on the
+    same rows, from one ``_unit_echelon``."""
+    gens = tuple(gens)
+    units, rest = _unit_echelon(codec, gens)
+    return Code._from_echelon(codec, gens, units, rest), _standard_form(codec, units, rest)[1]

@@ -21,16 +21,15 @@ import time
 
 from . import __version__
 from .additive import (
-    Code,
     GeneratorMatrix,
     MixedVector,
     WordCodec,
     _as_bits,
     _as_quat,
+    _typed_span,
     gray_is_linear_oracle,
     parse_ints,
     resolve_capacity,
-    standard_form,
 )
 from .cyclofield import factor_xn_minus_1_z2, factor_xn_minus_1_z4
 from .cycliccode import (
@@ -184,8 +183,8 @@ def cmd_gray(args) -> int:
 
 def cmd_analyze(args) -> int:
     matrix = _load_matrix(args.matrix)
-    code = Code.from_matrix(matrix)
-    sf = standard_form(matrix)
+    codec = WordCodec(matrix.alpha, matrix.beta)
+    code, ctype = _typed_span(codec, [codec.pack(r) for r in matrix.rows])
     cyclic = code.is_cyclic()
     witness = None if cyclic else code.cyclic_witness()
     oracle = gray_is_linear_oracle(code, mode="generators")
@@ -195,11 +194,11 @@ def cmd_analyze(args) -> int:
         "command": "analyze",
         "inputs": {"matrix": matrix.to_json()},
         "type": {
-            "alpha": sf.code_type.alpha,
-            "beta": sf.code_type.beta,
-            "gamma": sf.code_type.gamma,
-            "delta": sf.code_type.delta,
-            "kappa": sf.code_type.kappa,
+            "alpha": ctype.alpha,
+            "beta": ctype.beta,
+            "gamma": ctype.gamma,
+            "delta": ctype.delta,
+            "kappa": ctype.kappa,
         },
         "size": code.size,
         "cyclic": cyclic,
@@ -210,7 +209,7 @@ def cmd_analyze(args) -> int:
         "quaternary_image_linear": quat_oracle.linear,
     }
     lines = [
-        f"type: {sf.code_type}",
+        f"type: {ctype}",
         f"|C| = {code.size}",
         f"cyclic: {'yes' if cyclic else 'no'}"
         + (f"   witness: {witness[0]} -> {witness[1]} not in code" if witness else ""),

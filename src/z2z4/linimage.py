@@ -10,11 +10,12 @@ mixed cyclic code <(b|0), (ell | fh+2f)> the criterion becomes
 
 When the criterion holds, the Nechaev-Gray image is a binary double-cyclic
 code generated by (b | 0) and (ell' | f~^2 h~) with ell' = p~ ell mod b for
-any p solving p * (fh + 2f) = psi^{-1}(f~^2 h~); this module picks the
-solution with the lexicographically smallest coefficient vector.  That
-choice makes p canonical, not ell': the solutions differ by the
-annihilator <gh, 2g>, whose mod-2 images lie in <g~h~>, and b divides
-h~ g~ ell, so every solution gives the same ell'.
+any p solving p * (fh + 2f) = T := psi^{-1}(f~^2 h~).  Every solution gives
+the same ell', so ``psi_image_generators`` solves for no p: it reads ell'
+off T through the residue code <f~h~> and the torsion code <f~> of
+<fh + 2f>, in a few GF(2) operations.  ``solve_cyclic_z4_lexmin``, which
+finds the lexicographically smallest p, is the differential oracle of
+that closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from typing import Collection, Iterable
+from typing import Collection
 
 from .additive import (
     Code,
@@ -42,8 +43,10 @@ from .polyring import (
     QuatPoly,
     cldivmod,
     clgcd,
+    clmod,
     clmul,
     cyclic_reduce,
+    ext_gcd2,
     gcd2,
     gf2_bezout,
     lift_to_quat,
@@ -311,6 +314,11 @@ def solve_cyclic_z4_lexmin(
     smallest, or None; f*h*g = x^n - 1 with pairwise coprime mod-2 images.
     ``target`` is reduced mod x^n - 1, and so is the returned p.
 
+    Nothing in the package calls it: it is the differential oracle of the
+    closed form in ``psi_image_generators``, which gives the same ell'
+    without any p.  It stays here rather than among the test oracles only
+    because the benchmark's per-layer tracing wraps it by name.
+
     Vectors compare lexicographically from p_0.  The code <fh + 2f> is
     <fh + 2f, 2f>, and its annihilator is <gh, 2g> (Pless and Qian, IEEE
     Trans. IT 42, 1996).  (f, h, g) give a Howell basis of each:
@@ -379,14 +387,29 @@ def psi_image_generators(
     """Generators of the Nechaev-Gray image when the gcd criterion holds.
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
-    ell' = p~ * ell mod b for the lexicographically smallest p solving
-    p * (fh + 2f) = psi^{-1}(f~^2 h~) in Z4[x]/(x^beta - 1).  The preimage
-    is taken on the packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``,
-    whose two halves are the planes of the solver's ``QuatPoly`` target,
-    and p~ is ``reduce_mod2(p)``.  The minimum only makes p canonical:
-    every solution gives the same ell'.  ``report``, if given, is the
-    code's ``gray_linear_criterion`` report, which is then not computed
-    again.
+    ell' = p~ * ell mod b for any p solving p * (fh + 2f) = T in
+    Z4[x]/(x^beta - 1), T = psi^{-1}(f~^2 h~).  The preimage is taken on the
+    packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``, whose two halves
+    are the planes of T.  ell' is read off T without solving for p, on the
+    int kernels, with d2 = gcd(b, ell*g~) and q = b / d2:
+
+    1. A~ = T~ / (f~ h~), which must leave no remainder;
+    2. 2U = T - A~ * (fh + 2f) mod x^beta - 1, whose ``lo`` plane is that
+       remainder and whose ``hi`` plane U~ must be a multiple of f~.
+       Steps 1 and 2 are the membership test T in <fh + 2f>: the code has
+       residue code <f~h~> and torsion code <f~> (Pless and Qian, IEEE
+       Trans. IT 42, 1996), so it holds T iff both pass;
+    3. z = U~ (f~ g~)^{-1} mod q, or 0 when q = 1.  The ell conditions give
+       b | h~ d2, so q divides h~ and f~ g~ is a unit mod q;
+    4. ell' = (A~ + g~ z) * ell mod b.
+
+    Every solution p has p~ f~h~ = T~, so p~ = A~ + g~ y; and reducing
+    p * (fh + 2f) = T mod h gives p~ f~ = A~ f~ + U~ mod h~, so
+    y f~ g~ = U~ mod h~ and y = z mod q.  Then p~ - (A~ + g~ z) is a
+    multiple of g~ q, and b = q d2 divides g~ q ell.  So every solution
+    gives this ell'; ``solve_cyclic_z4_lexmin`` is its differential oracle.
+    ``report``, if given, is the code's ``gray_linear_criterion`` report,
+    which is then not computed again.
     """
     if report is None:
         report = gray_linear_criterion(gens)
@@ -396,15 +419,27 @@ def psi_image_generators(
             "double-cyclic generator pair"
         )
     beta = gens.beta
-    ft, ht = reduce_mod2(gens.f), reduce_mod2(gens.h)
-    a = cyclic_reduce(ft * ft * ht, 2 * beta)
+    ft, ht, gt = gens.f.lo, gens.h.lo, gens.g.lo
+    fht = clmul(ft, ht)
+    a = cyclic_reduce(BinPoly.from_bits(clmul(fht, ft)), 2 * beta)
     (word,) = WordCodec(0, beta).psi_inv_words((a.bits,))
-    target = QuatPoly.from_planes(word & ((1 << beta) - 1), word >> beta)
-    p = solve_cyclic_z4_lexmin(gens.f, gens.h, gens.g, target, beta)
-    if p is None:
+    t_lo = word & ((1 << beta) - 1)
+    at, rest = cldivmod(t_lo, fht)
+    two_u = cyclic_reduce(
+        QuatPoly.from_planes(t_lo, word >> beta) - QuatPoly.from_planes(at, 0) * gens.fh_plus_2f,
+        beta,
+    )
+    u = two_u.hi
+    if rest or clmod(u, ft):
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
+    b = gens.b.bits
+    q = cldivmod(b, gens.ell_gcds[1].bits)[0]
+    z = 0
+    if q != 1:
+        _, inv, _ = ext_gcd2(BinPoly.from_bits(clmod(clmul(ft, gt), q)), BinPoly.from_bits(q))
+        z = clmod(clmul(clmod(u, q), inv.bits), q)
     # b | x^alpha - 1, a = f~^2 h~ | (x^beta - 1)^2 and deg ellp < deg b: no validation
-    ellp = (reduce_mod2(p) * gens.ell) % gens.b
+    ellp = BinPoly.from_bits(clmod(clmul(at ^ clmul(gt, z), gens.ell.bits), b))
     return DoubleCyclicGenerators._trusted(gens.alpha, 2 * beta, gens.b, ellp, a)
 
 

@@ -21,13 +21,15 @@ from .additive import (
     Code,
     GeneratorMatrix,
     MixedVector,
-    _standard_form,
+    WordCodec,
+    _typed_span,
     gray_image_is_linear,
     gray_is_linear_oracle,
 )
 from .cyclofield import factor_xn_minus_1_z4
 from .cycliccode import (
     CyclicGenerators,
+    _packed_shifts,
     code_type,
     enumerate_all_cyclic,
     enumerate_code,
@@ -96,9 +98,12 @@ class SweepRecord:
 
 def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     ct = code_type(gens)
-    code = enumerate_code(gens)
-    # code.gens are the packed rows of realize(gens), in the same order
-    type_standard = _standard_form(code.codec, code.gens)[1]
+    # the packed rows of realize(gens), in the same order: enumerate_code's
+    # span and the standard form's type from one echelon
+    codec = WordCodec(gens.alpha, gens.beta)
+    code, type_standard = _typed_span(
+        codec, _packed_shifts(codec, gens.generator_words(), (gens.alpha, gens.beta))
+    )
 
     report = gray_linear_criterion(gens)
     oracle = gray_is_linear_oracle(code)

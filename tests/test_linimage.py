@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2z4 import linimage
-from z2z4.additive import Code, GeneratorMatrix, MixedVector, PlaneShift, gray_is_linear_oracle
+from z2z4.additive import (
+    Code, GeneratorMatrix, MixedVector, PlaneShift, WordCodec, gray_is_linear_oracle,
+)
 from z2z4.cycliccode import (
     code_type,
     enumerate_all_cyclic,
@@ -15,7 +17,7 @@ from z2z4.cycliccode import (
     factor_triples,
 )
 from z2z4.cyclofield import TENSOR_CACHE_SIZE, factor_xn_minus_1_z4, tensor_square
-from z2z4.errors import DomainError, PreconditionError
+from z2z4.errors import DomainError, InternalError, PreconditionError
 from z2z4.linimage import (
     BinaryBlockCode,
     DoubleCyclicGenerators,
@@ -386,14 +388,31 @@ class TestPsiImage:
         assert MixedVector((), word) in code.puncture_y()
 
 
-def _psi_with_howell_oracle(gens):
-    """psi_image_generators with the generic Howell pass as its solver."""
-    def oracle(f, h, g, target, n):
-        return howell_lexmin(_gen(f, h), target, n)
+def _psi_target(G):
+    """(f~^2 h~, T = psi^{-1}(f~^2 h~)), T taken by the tuple-based oracle map."""
+    from word_oracle import nechaev_gray_inv
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linimage, "solve_cyclic_z4_lexmin", oracle)
-        return psi_image_generators(gens)
+    ft, ht = reduce_mod2(G.f), reduce_mod2(G.h)
+    a = cyclic_reduce(ft * ft * ht, 2 * G.beta)
+    return a, QuatPoly(nechaev_gray_inv(a.padded(2 * G.beta)))
+
+
+def _howell(G, target):
+    return howell_lexmin(_gen(G.f, G.h), target, G.beta)
+
+
+def _lexmin(G, target):
+    return solve_cyclic_z4_lexmin(G.f, G.h, G.g, target, G.beta)
+
+
+def _solver_path(G, solve):
+    """The image generators by way of a solution p of p * (fh + 2f) = T,
+    with ell' = p~ ell mod b: ``solve`` is ``_howell`` (the generic Howell
+    pass) or ``_lexmin`` (the solver on the Howell bases of (f, h, g))."""
+    a, target = _psi_target(G)
+    p = solve(G, target)
+    assert p is not None
+    return DoubleCyclicGenerators(G.alpha, 2 * G.beta, G.b, (reduce_mod2(p) * G.ell) % G.b, a)
 
 
 @functools.cache
@@ -406,12 +425,12 @@ class TestPsiImageOracle:
         codes = [G for G in mixed_candidates() if gray_linear_criterion(G).verdict]
         assert len(codes) == 810
         for G in codes:
-            assert psi_image_generators(G) == _psi_with_howell_oracle(G)
+            assert psi_image_generators(G) == _solver_path(G, _howell)
 
     @settings(max_examples=60, deadline=None)
     @given(st.deferred(lambda: st.sampled_from(_linear_codes(3, 31))))
     def test_beta_31_sample(self, G):
-        assert psi_image_generators(G) == _psi_with_howell_oracle(G)
+        assert psi_image_generators(G) == _solver_path(G, _howell)
 
 
 PERTURB_CELLS = [(1, 3), (2, 7), (3, 9), (6, 9), (4, 15), (2, 21), (3, 31)]
@@ -433,20 +452,11 @@ class TestImageIndependentOfTheSolution:
         # solutions differ by Ann = <gh, 2g>, whose mod-2 images lie in
         # <g~h~>, and b | h~ gcd(b, ell g~) | h~ g~ ell: ell' is the same
         G, r, s = case
-        seen = []
-        real = linimage.solve_cyclic_z4_lexmin
-
-        def capture(f, h, g, target, n):
-            seen.append((target, real(f, h, g, target, n)))
-            return seen[-1][1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linimage, "solve_cyclic_z4_lexmin", capture)
-            dcg = psi_image_generators(G)
-        ((target, p),) = seen
+        _, target = _psi_target(G)
+        p = solve_cyclic_z4_lexmin(G.f, G.h, G.g, target, G.beta)
         other = cyclic_reduce(p + r * G.g * G.h + QuatPoly((2,)) * s * G.g, G.beta)
         assert cyclic_reduce(other * G.fh_plus_2f, G.beta) == target
-        assert (reduce_mod2(other) * G.ell) % G.b == dcg.ellp
+        assert (reduce_mod2(other) * G.ell) % G.b == psi_image_generators(G).ellp
 
 
 def _pool_codes():
@@ -476,6 +486,73 @@ class TestTrustedImageGenerators:
             dcg = psi_image_generators(G)
             rebuilt = DoubleCyclicGenerators(dcg.r, dcg.s, dcg.b, dcg.ellp, dcg.a)
             assert dcg == rebuilt and vars(dcg) == vars(rebuilt)
+
+
+def _edge_codes(edge):
+    """The linear-image codes of alpha 1..3 x beta 1, 3, 5, 7 at one edge
+    of the closed form."""
+    one = QuatPoly.one()
+    keep = {
+        "beta = 1": lambda G: G.beta == 1,
+        "b = 1": lambda G: G.b == BinPoly.one(),
+        "f = 1": lambda G: G.f == one,
+        "g = 1": lambda G: G.g == one,
+        "q = 1": lambda G: G.ell_gcds[1] == G.b,
+        "q > 1": lambda G: G.ell_gcds[1] != G.b,
+    }[edge]
+    return [G for alpha in (1, 2, 3) for beta in (1, 3, 5, 7) for G in _linear_codes(alpha, beta)
+            if keep(G)]
+
+
+class TestClosedFormImage:
+    """psi_image_generators reads ell' off T = A~ (fh + 2f) + 2U; the
+    solver on the Howell bases of (f, h, g) is its differential oracle."""
+
+    def test_matches_the_solver_on_the_pool(self):
+        pool = _pool_codes()
+        assert len(pool) == 72
+        for G in pool:
+            assert psi_image_generators(G) == _solver_path(G, _lexmin)
+
+    @pytest.mark.parametrize("beta", [1, 3, 5, 7, 9, 15, 21])
+    def test_matches_the_solver_on_every_small_code(self, beta):
+        codes = [G for alpha in range(1, 5) for G in _linear_codes(alpha, beta)]
+        assert codes
+        for G in codes:
+            assert psi_image_generators(G) == _solver_path(G, _lexmin)
+
+    @pytest.mark.parametrize("edge", ["beta = 1", "b = 1", "f = 1", "g = 1", "q = 1", "q > 1"])
+    def test_edges_span_the_image(self, edge):
+        codes = _edge_codes(edge)
+        assert codes
+        for G in codes:
+            dcg = psi_image_generators(G)
+            assert dcg == _solver_path(G, _lexmin)
+            assert double_cyclic_span(dcg) == ext_psi_image(enumerate_code(G))
+
+    @staticmethod
+    def _flip_preimage(monkeypatch, flip):
+        """Make ``WordCodec.psi_inv_words`` return T with the packed bits
+        ``flip(beta)`` flipped."""
+        real = WordCodec.psi_inv_words
+        monkeypatch.setattr(
+            WordCodec, "psi_inv_words",
+            lambda codec, images: [w ^ flip(codec.beta) for w in real(codec, images)],
+        )
+
+    def test_residue_outside_fh_is_an_internal_error(self, length9_code, monkeypatch):
+        # T~ + 1 is not a multiple of f~ h~ = x^2 + x + 1
+        self._flip_preimage(monkeypatch, lambda beta: 1)
+        with pytest.raises(InternalError, match="not in the quaternary code"):
+            psi_image_generators(length9_code)
+
+    def test_torsion_outside_f_is_an_internal_error(self, monkeypatch):
+        # T + 2 has the same T~ and A~, and U~ + 1, which f~ does not divide
+        G = next(G for G in _linear_codes(2, 7) if G.f.degree > 0)
+        psi_image_generators(G)
+        self._flip_preimage(monkeypatch, lambda beta: 1 << beta)
+        with pytest.raises(InternalError, match="not in the quaternary code"):
+            psi_image_generators(G)
 
 
 class TestDoubleCyclic:

@@ -542,6 +542,47 @@ class TestMembership:
         assert built == []
 
 
+def _count_echelons(monkeypatch) -> dict[str, int]:
+    """Count the ``_unit_echelon`` runs and the codes built from one."""
+    calls = {"echelons": 0, "codes": 0}
+    real_echelon, real_code = additive._unit_echelon, Code._from_echelon
+
+    def echelon(codec, gens):
+        calls["echelons"] += 1
+        return real_echelon(codec, gens)
+
+    def from_echelon(cls, *args):
+        calls["codes"] += 1
+        return real_code(*args)
+
+    monkeypatch.setattr(additive, "_unit_echelon", echelon)
+    monkeypatch.setattr(Code, "_from_echelon", classmethod(from_echelon))
+    return calls
+
+
+class TestOneEchelonPerCode:
+    """The span and the standard-form type of the same rows share one
+    echelon: every ``_unit_echelon`` run builds a code and no other run is
+    made."""
+
+    def test_check_candidate(self, monkeypatch):
+        calls = _count_echelons(monkeypatch)
+        for gens in mixed_candidates((1, 2, 3), (1, 3, 5)) + [length9_generators()]:
+            before = dict(calls)
+            assert check_candidate(gens).types_agree
+            assert calls["echelons"] - before["echelons"] == calls["codes"] - before["codes"] > 0
+
+    def test_analyze(self, monkeypatch, tmp_path, capsys):
+        from z2z4.cli import main
+
+        path = tmp_path / "m.txt"
+        path.write_text("1 0 | 1 0 0\n0 1 | 0 1 0\n0 0 | 0 0 1\n")
+        calls = _count_echelons(monkeypatch)
+        assert main(["analyze", "--matrix", str(path)]) == 0
+        assert "type: (2,3; 0,3; 0)" in capsys.readouterr().out
+        assert calls["echelons"] == calls["codes"] > 0
+
+
 def _z4_sweep_codes() -> list[Code]:
     """The codes <fh + 2f> that ``z4_gray_linear_oracle`` enumerates: every
     quaternary sweep code of at most ``ORACLE_ENUM_LIMIT`` words."""
