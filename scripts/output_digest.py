@@ -6,8 +6,9 @@ stdout bytes with every "elapsed_s" line removed, and its label.  The
 gated outputs are ``search --json`` at six cells, ``reproduce --json``
 (full and ``--quick``), ``factor --json`` over both rings for every odd
 n <= 255, the census script's default output, the ``run_z4_sweep()``
-records and ``image --json`` on each code of the benchmark's image pool,
-in pool order.  Run it at two commits and compare the listings with
+records, ``image --json`` on each code of the benchmark's image pool,
+in pool order, and ``analyze --json`` on the two worked matrices of
+``z2z4.reproduce``.  Run it at two commits and compare the listings with
 ``diff``:
 
     PYTHONPATH=src python3 scripts/output_digest.py > before.txt
@@ -19,11 +20,12 @@ import io
 import json
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 from z2z4.cli import main as cli_main
 from z2z4.cyclofield import MAX_MODULUS
-from z2z4.reproduce import run_z4_sweep
+from z2z4.reproduce import cyclic_projections_matrix, nonlinear_image_matrix, run_z4_sweep
 
 SEARCH_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9), (2, 45)]
 CENSUS = Path(__file__).resolve().parent / "linear_image_census.py"
@@ -69,6 +71,15 @@ def image_outputs() -> tuple[int, str]:
     return max(statuses), "".join(texts)
 
 
+def analyze_output(matrix) -> tuple[int, str]:
+    """Exit status and stdout of ``analyze --json`` on ``matrix``, read
+    from a temporary JSON file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix.json"
+        path.write_text(json.dumps(matrix.to_json()))
+        return cli_output(["analyze", "--matrix", str(path), "--json"])
+
+
 def gated_outputs():
     """(label, thunk) for every gated output; a thunk returns (status, stdout)."""
     for alpha, beta in SEARCH_CELLS:
@@ -83,6 +94,8 @@ def gated_outputs():
     yield "linear_image_census.py", census_output
     yield "run_z4_sweep()", lambda: (0, "".join(f"{r!r}\n" for r in run_z4_sweep()))
     yield "image --json on perfbench/image_pool.json", image_outputs
+    for make in (cyclic_projections_matrix, nonlinear_image_matrix):
+        yield f"analyze --json on {make.__name__}()", lambda make=make: analyze_output(make())
 
 
 def main() -> None:

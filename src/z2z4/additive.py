@@ -6,11 +6,12 @@ into ints with three bit planes -- binary block, quaternary low bits t,
 quaternary high bits h (symbol = t + 2h) -- so that addition costs a few
 word operations and codes up to the capacity bound stay cheap to hold.
 
-One echelon on the t plane (``_unit_echelon``) serves both the span
-engine and the standard form.  The span engine splits the code as
-|C| = 2^(rank + delta): delta order-four pivots from that echelon, over
+The span engine splits the code as |C| = 2^(rank + delta): delta
+order-four pivots from an echelon on the t plane (``_unit_echelon``), over
 the order-two subcode C_2 of GF(2) rank ``rank``.  A ``Code`` keeps the
-pivots and a basis of C_2, so its size is known without any codeword.
+pivots and a basis of C_2, so its size and its type are known without any
+codeword or further reduction; ``standard_form`` starts from the same
+echelon and reduces on to the block shape.
 Membership is decided by reduction: a word lies in C iff subtracting the
 pivots at its odd quaternary entries leaves a word of C_2, which the
 GF(2) basis then reduces to 0.  Size, equality, the shift test, the
@@ -345,11 +346,6 @@ class WordCodec:
         q = [((t >> i) & 1) + 2 * ((h >> i) & 1) for i in range(self.beta)]
         return MixedVector(tuple(b), tuple(q))
 
-    def add(self, w1: int, w2: int) -> int:
-        t1 = (w1 >> self.toff) & self.qmask
-        t2 = (w2 >> self.toff) & self.qmask
-        return (w1 ^ w2) ^ ((t1 & t2) << self.hoff)
-
     def tpattern(self, w: int) -> int:
         return (w >> self.toff) & self.qmask
 
@@ -476,20 +472,6 @@ def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _order_two_basis(codec: WordCodec, pivots: dict[int, int], rest: list[int]) -> dict[int, int]:
-    """A GF(2) basis of the order-two subcode C_2 of a span whose
-    ``_unit_echelon`` is ``(pivots, rest)``, keyed by leading bit.
-
-    The echelon leaves delta order-four pivots u_i.  The rows in ``rest``,
-    with 2u_i for each pivot, span C_2 over GF(2).  The code is the union
-    of the cosets r + C_2 = r ^ C_2 over the 2^delta sums r of subsets of
-    the u_i (a word of C_2 has an empty t plane), so it has
-    ``1 << (len(pivots) + len(basis))`` words.
-    """
-    toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
-    return _gf2_basis(rest + [(u >> toff & qmask) << hoff for u in pivots.values()])
-
-
 def _coset_words(reps: Iterable[int], basis: Iterable[int]) -> frozenset[int]:
     """The union of the cosets r ^ span(basis), one XOR per word."""
     sub = [0]
@@ -505,10 +487,12 @@ class Code:
     """An additive code, kept as its echelon over the order-two subcode C_2.
 
     ``gens`` holds the packed words the code was spanned from, in the order
-    given; ``pivots`` (the order-four unit pivots by column) come from
-    ``_unit_echelon`` and ``basis`` (a GF(2) basis of C_2, keyed by leading
-    bit) from ``_order_two_basis``, so the size ``size`` is
-    ``1 << (len(pivots) + len(basis))``.
+    given; ``pivots`` (the order-four unit pivots u_i by column) come from
+    ``_unit_echelon``, and ``basis`` is a GF(2) basis of C_2, keyed by
+    leading bit, spanned by the rows the echelon leaves and the 2u_i.  The
+    code is the union of the cosets r + C_2 = r ^ C_2 over the 2^delta sums
+    r of subsets of the u_i (a word of C_2 has an empty t plane), so its
+    size ``size`` is ``1 << (len(pivots) + len(basis))``.
     Membership is by reduction (``has_word``), so equality, the shift test
     and the ``generators`` closure work at any size.  The coset
     representatives ``reps`` are built on first read, after the size is
@@ -525,20 +509,14 @@ class Code:
     def span(cls, codec: WordCodec, gens: Iterable[int]) -> "Code":
         """The code spanned by the packed words ``gens``, sharing ``codec``;
         given a code's word set, it is that code."""
-        gens = tuple(gens)
-        return cls._from_echelon(codec, gens, *_unit_echelon(codec, gens))
-
-    @classmethod
-    def _from_echelon(
-        cls, codec: WordCodec, gens: tuple[int, ...], pivots: dict[int, int], rest: list[int]
-    ) -> "Code":
-        """``span(codec, gens)``, given the ``_unit_echelon`` of ``gens``."""
         code = cls.__new__(cls)
         code.alpha = codec.alpha
         code.beta = codec.beta
         code.codec = codec
-        code.gens = gens
-        code.pivots, code.basis = pivots, _order_two_basis(codec, pivots, rest)
+        code.gens = tuple(gens)
+        code.pivots, rest = _unit_echelon(codec, code.gens)
+        toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
+        code.basis = _gf2_basis(rest + [(u >> toff & qmask) << hoff for u in code.pivots.values()])
         code._reps = code._words = None
         return code
 
@@ -603,6 +581,16 @@ class Code:
 
     def __len__(self) -> int:
         return self.size
+
+    @property
+    def code_type(self) -> CodeType:
+        """The type (alpha, beta; gamma, delta; kappa), read off the echelon
+        with no row reduction and no codeword: delta is the number of unit
+        pivots, C_2 has rank gamma + delta, and kappa is the rank of the
+        binary block of C_2 (the doubled pivots 2u_i have an empty one)."""
+        delta, bmask = len(self.pivots), self.codec.bmask
+        kappa = len(_gf2_basis(v & bmask for v in self.basis.values()))
+        return CodeType(self.alpha, self.beta, len(self.basis) - delta, delta, kappa)
 
     def __eq__(self, other) -> bool:
         """Same shape and size, and the generators of ``other`` lie in this
@@ -762,31 +750,8 @@ def standard_form(matrix: GeneratorMatrix) -> StandardForm:
     on the code and the column order, not on which rows become pivots.
     """
     codec = WordCodec(matrix.alpha, matrix.beta)
-    toff, hoff = codec.toff, codec.hoff
-    rows, ctype, bin_perm, quat_perm = _standard_form(
-        codec, *_unit_echelon(codec, [codec.pack(r) for r in matrix.rows])
-    )
-    out = [
-        MixedVector(
-            tuple(w >> c & 1 for c in bin_perm),
-            tuple(w >> (toff + c) & 1 | (w >> (hoff + c) & 1) << 1 for c in quat_perm),
-        )
-        for w in rows
-    ]
-    return StandardForm(
-        GeneratorMatrix(matrix.alpha, matrix.beta, tuple(out)), ctype, bin_perm, quat_perm
-    )
-
-
-def _standard_form(
-    codec: WordCodec, units: dict[int, int], rest: list[int]
-) -> tuple[list[int], CodeType, tuple[int, ...], tuple[int, ...]]:
-    """``standard_form`` on packed rows whose ``_unit_echelon`` is
-    ``(units, rest)``: the reduced rows, still packed in the original
-    column order, the type and the two permutations.  ``rest`` is not
-    changed, so the echelon can also build the rows' ``Code``."""
-    alpha, beta, hoff = codec.alpha, codec.beta, codec.hoff
-    rest = list(rest)
+    alpha, beta, toff, hoff = codec.alpha, codec.beta, codec.toff, codec.hoff
+    units, rest = _unit_echelon(codec, [codec.pack(r) for r in matrix.rows])
 
     twos: list[tuple[int, int]] = []  # (pivot bit, order-two row), in pivot order
     for bit in [1 << c for c in range(alpha)] + [1 << (hoff + c) for c in range(beta - 1, -1, -1)]:
@@ -816,13 +781,16 @@ def _standard_form(
     free_cols = [c for c in range(beta) if c not in q2_cols and c not in units]
     quat_perm = tuple(free_cols + q2_cols + unit_cols)
 
-    rows = [p for _, p in bins + q2] + delta_rows
-    return rows, CodeType(alpha, beta, kappa + len(q2), len(units), kappa), bin_perm, quat_perm
-
-
-def _typed_span(codec: WordCodec, gens: Iterable[int]) -> tuple[Code, CodeType]:
-    """``Code.span(codec, gens)`` and the type of ``standard_form`` on the
-    same rows, from one ``_unit_echelon``."""
-    gens = tuple(gens)
-    units, rest = _unit_echelon(codec, gens)
-    return Code._from_echelon(codec, gens, units, rest), _standard_form(codec, units, rest)[1]
+    out = [
+        MixedVector(
+            tuple(w >> c & 1 for c in bin_perm),
+            tuple(w >> (toff + c) & 1 | (w >> (hoff + c) & 1) << 1 for c in quat_perm),
+        )
+        for w in [p for _, p in bins + q2] + delta_rows
+    ]
+    return StandardForm(
+        GeneratorMatrix(alpha, beta, tuple(out)),
+        CodeType(alpha, beta, kappa + len(q2), len(units), kappa),
+        bin_perm,
+        quat_perm,
+    )

@@ -6,9 +6,10 @@ stable schema; identical inputs produce byte-identical output except for
 the elapsed-time field.  Exit codes: 0 ok, 1 error, 2 precondition
 failure.  The Z2Z4_CAPACITY environment variable overrides the bound on
 the codewords a command lists; it is checked when the command starts.
-A code's size, type, cyclicity, punctures and Gray-image closure need no
-codeword, so ``analyze`` answers past the bound, except for a shift
-witness, which is a listed codeword.
+A code's size, type (read off its echelon), cyclicity, punctures and the
+``generators`` Gray-image closure, which ``analyze`` runs on the code and
+on its quaternary projection, need no codeword, so ``analyze`` answers
+past the bound, except for a shift witness, which is a listed codeword.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import time
 
 from . import __version__
 from .additive import (
+    Code,
     GeneratorMatrix,
     MixedVector,
     WordCodec,
     _as_bits,
     _as_quat,
-    _typed_span,
     gray_is_linear_oracle,
     parse_ints,
     resolve_capacity,
@@ -183,12 +184,12 @@ def cmd_gray(args) -> int:
 
 def cmd_analyze(args) -> int:
     matrix = _load_matrix(args.matrix)
-    codec = WordCodec(matrix.alpha, matrix.beta)
-    code, ctype = _typed_span(codec, [codec.pack(r) for r in matrix.rows])
+    code = Code.from_matrix(matrix)
+    ctype = code.code_type
     cyclic = code.is_cyclic()
     witness = None if cyclic else code.cyclic_witness()
     oracle = gray_is_linear_oracle(code, mode="generators")
-    quat_oracle = gray_is_linear_oracle(code.puncture_y())
+    quat_oracle = gray_is_linear_oracle(code.puncture_y(), mode="generators")
     separable = code.is_separable()
     report = {
         "command": "analyze",

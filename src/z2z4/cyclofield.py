@@ -26,6 +26,9 @@ from .polyring import BinPoly, QuatPoly, cldivmod, clgcd, clmod, clmul, graeffe_
 
 # Desk-scale bound on n: keeps x^n - 1, its split and the coset tables small.
 MAX_MODULUS = 255
+# Bound on the divisors of x^n - 1 one call lists: 19 lengths up to 255,
+# 127 and 254 among them, have more.
+MAX_DIVISORS = 1 << 16
 # Distinct (p, n) kept by tensor_square; a search cell has one p per divisor g~.
 TENSOR_CACHE_SIZE = 1024
 
@@ -209,7 +212,9 @@ def divisors_of_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:
     """All monic divisors of x^n - 1 over Z2 (n may be even), sorted.
 
     x^n - 1 = (x^n0 - 1)^(2^v) over Z2 for n = n0 * 2^v with n0 odd, so each
-    irreducible factor of x^n0 - 1 appears with multiplicity 2^v.
+    irreducible factor of x^n0 - 1 appears with multiplicity 2^v, and there
+    are (2^v + 1)^k divisors for k such factors; past ``MAX_DIVISORS`` that
+    count is a CapacityError, raised before any divisor is built.
     """
     if n < 1:
         raise DomainError("length must be positive")
@@ -220,6 +225,9 @@ def divisors_of_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:
         n0 //= 2
         mult *= 2
     base = factor_xn_minus_1_z2(n0)
+    count = (mult + 1) ** len(base)
+    if count > MAX_DIVISORS:
+        raise CapacityError(f"x^{n}-1 has {count} divisors over Z2, past the bound {MAX_DIVISORS}")
     divisors = [BinPoly.one()]
     for f in base:
         powers = [f**e for e in range(mult + 1)]

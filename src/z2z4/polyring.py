@@ -95,12 +95,6 @@ class _Poly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, k: int, c: int = 1):
-        if k < 0:
-            raise DomainError("monomial exponent must be nonnegative")
-        return cls((0,) * k + (c,))
-
-    @classmethod
     def parse(cls, obj: str | Sequence[int]):
         """Build a polynomial from human text or an ascending coefficient array.
 
@@ -160,11 +154,6 @@ class _Poly:
                 f"coefficient {bad[0]!r} is not an integer in 0..{cls.MOD - 1}"
             )
         return cls(arr)
-
-    def padded(self, n: int) -> tuple[int, ...]:
-        """The coefficients of x^0 .. x^(n-1), zero-filled."""
-        c = self.coeffs
-        return c[:n] + (0,) * (n - len(c))
 
     # ------------------------------------------------------------------
     # arithmetic on top of the subclass's +, * and divmod

@@ -3,9 +3,10 @@
 ``run_mixed_sweep`` walks every valid cyclic generator tuple in a range of
 block lengths and records, per code: the gcd-criterion verdict against the
 brute-force closure oracle, the type formulas against enumeration and the
-standard form, the order-two and three-generator span identities, the
-punctured-code generators, and (for linear images) the double-cyclic
-structure of the Nechaev-Gray image and its generator pair.
+type read off the code's echelon (the standard form's type), the order-two
+and three-generator span identities, the punctured-code generators, and
+(for linear images) the double-cyclic structure of the Nechaev-Gray image
+and its generator pair.
 
 ``run_checks`` wraps the sweeps together with the worked single-code
 examples into a pass/fail checklist that the ``reproduce`` subcommand and
@@ -21,15 +22,12 @@ from .additive import (
     Code,
     GeneratorMatrix,
     MixedVector,
-    WordCodec,
-    _typed_span,
     gray_image_is_linear,
     gray_is_linear_oracle,
 )
 from .cyclofield import factor_xn_minus_1_z4
 from .cycliccode import (
     CyclicGenerators,
-    _packed_shifts,
     code_type,
     enumerate_all_cyclic,
     enumerate_code,
@@ -98,12 +96,7 @@ class SweepRecord:
 
 def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     ct = code_type(gens)
-    # the packed rows of realize(gens), in the same order: enumerate_code's
-    # span and the standard form's type from one echelon
-    codec = WordCodec(gens.alpha, gens.beta)
-    code, type_standard = _typed_span(
-        codec, _packed_shifts(codec, gens.generator_words(), (gens.alpha, gens.beta))
-    )
+    code = enumerate_code(gens)
 
     report = gray_linear_criterion(gens)
     oracle = gray_is_linear_oracle(code)
@@ -143,7 +136,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
         g=gens.g.coeffs,
         size=code.size,
         type_formula=ct.triple,
-        type_standard=type_standard.triple,
+        type_standard=code.code_type.triple,
         size_ok=code.size == ct.size,
         cyclic_ok=code.is_cyclic(),
         criterion_linear=report.verdict,

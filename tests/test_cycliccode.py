@@ -31,6 +31,7 @@ from z2z4.cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from z2z4.errors import CapacityError, DomainError, InternalError
 from z2z4.polyring import BinPoly, QuatPoly, clgcd, clmul, cyclic_reduce, reduce_mod2
 from z2z4.reproduce import mixed_candidates
+from binpoly_oracle import padded
 from candidate_oracle import (
     per_triple_cyclic_tuples,
     reference_cyclic_tuples,
@@ -553,12 +554,12 @@ class TestPunctureGenerators:
             px_gen = gcd2(G.b, G.ell)
             px = Code.from_vectors_span(
                 alpha, 0,
-                [MixedVector(cyclic_reduce(BinPoly.monomial(i) * px_gen, alpha).padded(alpha), ())
+                [MixedVector(padded(cyclic_reduce(BinPoly.from_bits(1 << i) * px_gen, alpha), alpha), ())
                  for i in range(alpha)],
             )
             py = Code.from_vectors_span(
                 0, beta,
-                [MixedVector((), cyclic_reduce(QuatPoly.monomial(i) * G.fh_plus_2f, beta).padded(beta))
+                [MixedVector((), padded(cyclic_reduce(QuatPoly.from_planes(1 << i, 0) * G.fh_plus_2f, beta), beta))
                  for i in range(beta)],
             )
             assert code.puncture_x() == px

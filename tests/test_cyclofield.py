@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from z2z4.cyclofield import (
+    MAX_DIVISORS,
     MAX_MODULUS,
     _context,
     _prime_factors,
@@ -249,6 +250,16 @@ class TestDivisors:
         # an even n past the bound has an odd part inside it
         with pytest.raises(CapacityError, match=f"^length {n} exceeds the desk-scale bound 255$"):
             divisors_of_xn_minus_1_z2(n)
+
+    @pytest.mark.parametrize("n, count", [(127, 2**19), (254, 3**19), (255, 2**35)])
+    def test_divisor_count_is_bounded(self, n, count):
+        assert count > MAX_DIVISORS
+        with pytest.raises(CapacityError, match=f"^x\\^{n}-1 has {count} divisors over Z2"):
+            divisors_of_xn_minus_1_z2(n)
+
+    def test_divisor_bound_admits_length_63(self):
+        # 13 cosets: 2^13 divisors, inside the bound
+        assert len(divisors_of_xn_minus_1_z2(63)) == 2**13 <= MAX_DIVISORS
 
     def test_bound_admits_the_largest_power_of_two(self):
         # x^128 - 1 = (x+1)^128 over Z2

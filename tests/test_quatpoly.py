@@ -39,7 +39,6 @@ class TestQueries:
         assert len(p) == len(ref)
         assert str(p) == str(ref) and QuatPoly.parse(str(p)) == p
         assert QuatPoly.parse(list(p.coeffs)) == p
-        assert p.padded(50) == ref.padded(50)
         assert QuatPoly.from_planes(p.lo, p.hi) == p
 
     @given(st.lists(st.integers(-9, 9), max_size=30))
@@ -56,12 +55,11 @@ class TestQueries:
         assert trailing == pa and hash(trailing) == hash(pa)
         assert pa != BinPoly(a) and pa != TupleQuatPoly(a)
 
-    @given(st.integers(1, 80), st.integers(0, 80), st.integers(0, 3))
-    def test_constants(self, n, k, c):
+    @given(st.integers(1, 80))
+    def test_constants(self, n):
         for name in ("zero", "one", "x"):
             assert same(getattr(QuatPoly, name)(), getattr(TupleQuatPoly, name)())
         assert same(QuatPoly.xn_minus_1(n), TupleQuatPoly.xn_minus_1(n))
-        assert same(QuatPoly.monomial(k, c), TupleQuatPoly.monomial(k, c))
         with pytest.raises(DomainError):
             QuatPoly.xn_minus_1(1 - n)
 

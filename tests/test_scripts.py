@@ -112,4 +112,4 @@ class TestOutputDigest:
 
     def test_every_gated_output_is_listed(self):
         labels = [label for label, _ in _output_digest().gated_outputs()]
-        assert len(labels) == len(set(labels)) == 6 + 2 + 2 * 128 + 3
+        assert len(labels) == len(set(labels)) == 6 + 2 + 2 * 128 + 3 + 2

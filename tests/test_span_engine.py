@@ -261,6 +261,26 @@ class TestStandardFormOracle:
             _same_standard_form(realize(gens))
 
 
+def _same_type(code: Code, matrix: GeneratorMatrix) -> None:
+    assert code.code_type == standard_form(matrix).code_type == list_standard_form(matrix).code_type
+
+
+class TestEchelonType:
+    """``Code.code_type``, read off the echelon, against the type of the
+    standard form and of the list reduction."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(generator_matrices(max_alpha=4, max_beta=6, max_rows=7))
+    def test_matches_the_standard_forms(self, matrix):
+        _same_type(Code.from_matrix(matrix), matrix)
+
+    def test_matches_the_standard_forms_on_the_mixed_sweep(self):
+        candidates = mixed_candidates()
+        assert len(candidates) == 1008
+        for gens in candidates:
+            _same_type(enumerate_code(gens), realize(gens))
+
+
 class TestWordMaps:
     @settings(max_examples=200, deadline=None)
     @given(generator_matrices())
@@ -543,27 +563,26 @@ class TestMembership:
 
 
 def _count_echelons(monkeypatch) -> dict[str, int]:
-    """Count the ``_unit_echelon`` runs and the codes built from one."""
+    """Count the ``_unit_echelon`` runs and the codes built by ``Code.span``."""
     calls = {"echelons": 0, "codes": 0}
-    real_echelon, real_code = additive._unit_echelon, Code._from_echelon
+    real_echelon, real_span = additive._unit_echelon, Code.span.__func__
 
     def echelon(codec, gens):
         calls["echelons"] += 1
         return real_echelon(codec, gens)
 
-    def from_echelon(cls, *args):
+    def span(cls, codec, gens):
         calls["codes"] += 1
-        return real_code(*args)
+        return real_span(cls, codec, gens)
 
     monkeypatch.setattr(additive, "_unit_echelon", echelon)
-    monkeypatch.setattr(Code, "_from_echelon", classmethod(from_echelon))
+    monkeypatch.setattr(Code, "span", classmethod(span))
     return calls
 
 
 class TestOneEchelonPerCode:
-    """The span and the standard-form type of the same rows share one
-    echelon: every ``_unit_echelon`` run builds a code and no other run is
-    made."""
+    """A code's type is read off its own echelon: every ``_unit_echelon``
+    run builds a code, and no other run (no standard form) is made."""
 
     def test_check_candidate(self, monkeypatch):
         calls = _count_echelons(monkeypatch)

@@ -20,6 +20,7 @@ from z2z4.additive import MixedVector, _as_bits, _as_quat
 from z2z4.cycliccode import ResidueWord
 from z2z4.errors import DomainError
 from z2z4.polyring import QuatPoly, cyclic_reduce, reduce_mod2
+from binpoly_oracle import padded
 
 BitVector = tuple[int, ...]
 QuatVector = tuple[int, ...]
@@ -176,4 +177,4 @@ def poly_star(p: QuatPoly, w: ResidueWord) -> ResidueWord:
 
 def to_vector(w: ResidueWord) -> MixedVector:
     """The coefficient vector of a residue word."""
-    return MixedVector(w.bpart.padded(w.alpha), w.qpart.padded(w.beta))
+    return MixedVector(padded(w.bpart, w.alpha), padded(w.qpart, w.beta))
