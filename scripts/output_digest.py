@@ -12,6 +12,14 @@ in pool order, and ``analyze --json`` on the two worked matrices of
 ``diff``:
 
     PYTHONPATH=src python3 scripts/output_digest.py > before.txt
+
+The lines of the current outputs are checked in as
+``tests/data/output_digest.txt``, under a first line naming the Python
+that printed them, and ``tests/test_scripts.py`` compares against them.
+A change that alters an output on purpose rewrites that file:
+
+    (echo "# Python $(python3 -c 'import platform; print(platform.python_version())')"
+     PYTHONPATH=src python3 scripts/output_digest.py) > tests/data/output_digest.txt
 """
 
 import contextlib
@@ -98,10 +106,16 @@ def gated_outputs():
         yield f"analyze --json on {make.__name__}()", lambda make=make: analyze_output(make())
 
 
-def main() -> None:
+def digest_lines():
+    """One "<status> <sha256> <label>" line per gated output, in order."""
     for label, thunk in gated_outputs():
         status, text = thunk()
-        print(f"{status} {digest(text)} {label}", flush=True)
+        yield f"{status} {digest(text)} {label}"
+
+
+def main() -> None:
+    for line in digest_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

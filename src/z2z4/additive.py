@@ -147,14 +147,16 @@ class GeneratorMatrix:
     def from_json(cls, obj: dict) -> "GeneratorMatrix":
         """Schema: {"alpha": A, "beta": B, "rows": [[bits..., "|", quats...], ...]}.
 
-        alpha and beta must be integers, bits the integers 0 or 1 and
-        quaternary entries 0..3; nothing is converted or reduced, so 1.7,
-        true or "3" is a DomainError.
+        alpha and beta must be integers of at least 0, bits the integers 0
+        or 1 and quaternary entries 0..3; nothing is converted or reduced,
+        so 1.7, true or "3" is a DomainError.
         """
         try:
             alpha, beta = obj["alpha"], obj["beta"]
             if type(alpha) is not int or type(beta) is not int:
                 raise DomainError(f"alpha {alpha!r} and beta {beta!r} must be integers")
+            if alpha < 0 or beta < 0:
+                raise DomainError(f"alpha {alpha} and beta {beta} must not be negative")
             rows = []
             for raw in obj["rows"]:
                 if "|" in raw:

@@ -229,11 +229,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_code(args) -> int:
     polys = (
-        BinPoly.parse(args.b),
-        BinPoly.parse(args.ell) if args.ell is not None else BinPoly.zero(),
-        QuatPoly.parse(args.f),
-        QuatPoly.parse(args.h),
-        QuatPoly.parse(args.g),
+        BinPoly.parse(args.b, args.alpha),
+        BinPoly.parse(args.ell, args.alpha) if args.ell is not None else BinPoly.zero(),
+        QuatPoly.parse(args.f, args.beta),
+        QuatPoly.parse(args.h, args.beta),
+        QuatPoly.parse(args.g, args.beta),
     )
     try:
         gens = CyclicGenerators(args.alpha, args.beta, *polys)

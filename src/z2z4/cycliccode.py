@@ -231,9 +231,11 @@ class CyclicGenerators:
         """Schema: {"alpha": A, "beta": B, "b": ..., "ell": ..., "f": ..., "h": ..., "g": ...}.
 
         alpha and beta must be integers.  Each polynomial is text such as
-        "x^2+x+1" or an ascending coefficient array with integer entries in
-        0..1 (b, ell) or 0..3 (f, h, g); nothing is converted or reduced,
-        so 2.9, "a" or a coefficient 7 is a DomainError.
+        "x^2+x+1" with no exponent above its block length (alpha for b and
+        ell, beta for f, h and g) or an ascending coefficient array with
+        integer entries in 0..1 (b, ell) or 0..3 (f, h, g); nothing is
+        converted or reduced, so 2.9, "a" or a coefficient 7 is a
+        DomainError.
         """
         if not isinstance(obj, dict):
             raise DomainError("code JSON must be an object")
@@ -245,11 +247,12 @@ class CyclicGenerators:
             if type(obj[name]) is not int:
                 raise DomainError(f"code JSON field {name} = {obj[name]!r} is not an integer")
         polys = []
-        for name, ring in (
-            ("b", BinPoly), ("ell", BinPoly), ("f", QuatPoly), ("h", QuatPoly), ("g", QuatPoly)
+        for name, ring, length in (
+            ("b", BinPoly, "alpha"), ("ell", BinPoly, "alpha"),
+            ("f", QuatPoly, "beta"), ("h", QuatPoly, "beta"), ("g", QuatPoly, "beta"),
         ):
             try:
-                polys.append(ring.parse(obj[name]))
+                polys.append(ring.parse(obj[name], obj[length]))
             except DomainError as exc:
                 raise DomainError(f"code JSON field {name}: {exc}") from None
         return cls(obj["alpha"], obj["beta"], *polys)

@@ -10,10 +10,12 @@ root exponents.
 
 The factors come from the coset idempotents t_C = sum_{i in C} x^i alone,
 with the ``polyring`` kernels on ints in the ``BinPoly.bits`` encoding.
-The root xi is x modulo one factor of order n, so root exponents are
-fixed only up to a unit of Z_n (``roots_of`` may return u*S for a unit u);
-every factor list and every ``tensor_square`` is independent of that
-choice.
+The root xi is x modulo one factor of order n, and coset C is labelled by
+the factor p with p(x^c) mod x^n - 1 in that factor's ideal (the exponent
+map, bit k to bit k*c mod n), so no arithmetic in GF(2^m) is done.  Root
+exponents are fixed only up to a unit of Z_n (``roots_of`` may return u*S
+for a unit u); every factor list and every ``tensor_square`` is
+independent of that choice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import CapacityError, DomainError, InternalError
-from .polyring import BinPoly, QuatPoly, cldivmod, clgcd, clmod, clmul, graeffe_lift
+from .polyring import BinPoly, QuatPoly, cldivmod, clgcd, clmod, graeffe_lift
 
 # Desk-scale bound on n: keeps x^n - 1, its split and the coset tables small.
 MAX_MODULUS = 255
@@ -40,20 +42,6 @@ def _check_n(n: int) -> None:
         raise DomainError("length must be odd")
     if n > MAX_MODULUS:
         raise CapacityError(f"length {n} exceeds the desk-scale bound {MAX_MODULUS}")
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -90,27 +78,18 @@ def cyclotomic_cosets(n: int) -> CosetTable:
     return CosetTable(n, tuple(cosets))
 
 
-def _pow_mod(a: int, e: int, mod: int) -> int:
-    out = 1
-    while e:
-        if e & 1:
-            out = clmod(clmul(out, a), mod)
-        a = clmod(clmul(a, a), mod)
-        e >>= 1
+def _exponent_map(p: int, c: int, n: int) -> int:
+    """p(x^c) modulo x^n - 1: bit k of p moves to bit k*c mod n."""
+    out = 0
+    for k in range(p.bit_length()):
+        if p >> k & 1:
+            out ^= 1 << (k * c % n)
     return out
 
 
-def _eval_mod(f: int, r: int, mod: int) -> int:
-    # f(r) modulo `mod`, by Horner from the top coefficient down
-    acc = 0
-    for k in range(f.bit_length() - 1, -1, -1):
-        acc = clmod(clmul(acc, r), mod) ^ (f >> k & 1)
-    return acc
-
-
 class _CycloContext:
-    """Unity root xi, per-coset minimal polynomials and the factors of
-    x^n - 1 over Z2 and Z4 for one n."""
+    """Per-coset minimal polynomials and the factors of x^n - 1 over Z2
+    and Z4 for one n."""
 
     def __init__(self, n: int):
         self.n = n
@@ -125,16 +104,17 @@ class _CycloContext:
                 d = clgcd(p, t)
                 split += [p] if d in (1, p) else [d, cldivmod(p, d)[0]]
             factors = split
-        # xi = x modulo the smallest factor in which x has order exactly n
-        primes = _prime_factors(n)
-        field = min(p for p in factors if all(_pow_mod(2, n // q, p) != 1 for q in primes))
-        self.xi = clmod(2, field)
+        # xi = x modulo the smallest factor in which x has order exactly n,
+        # the one that divides no x^d - 1 for a proper divisor d of n; then
+        # p(xi^c) = 0 iff that factor divides p(x^c) mod x^n - 1
+        proper = [d for d in range(1, n) if n % d == 0]
+        field = min(p for p in factors if all(clmod(1 << d | 1, p) for d in proper))
         self.min_polys = {}
         for coset in self.table.cosets:
-            r = _pow_mod(self.xi, coset[0], field)
-            zeros = [p for p in factors if _eval_mod(p, r, field) == 0]
+            c = coset[0]
+            zeros = [p for p in factors if clmod(_exponent_map(p, c, n), field) == 0]
             if len(zeros) != 1:
-                raise InternalError(f"{len(zeros)} factors of x^{n}-1 vanish at xi^{coset[0]}")
+                raise InternalError(f"{len(zeros)} factors of x^{n}-1 vanish at xi^{c}")
             self.min_polys[coset] = BinPoly.from_bits(zeros[0])
         if len(set(self.min_polys.values())) != len(factors):
             raise InternalError(f"cosets and factors of x^{n}-1 do not match one to one")

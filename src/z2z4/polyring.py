@@ -95,12 +95,15 @@ class _Poly:
         return cls((0, 1))
 
     @classmethod
-    def parse(cls, obj: str | Sequence[int]):
+    def parse(cls, obj: str | Sequence[int], max_degree: int | None = None):
         """Build a polynomial from human text or an ascending coefficient array.
 
         Text is read with ring arithmetic ("x-1" is x+3 over Z4), but an
         array, given as a list or as "[...]" text, must hold integers in
-        0..MOD-1: nothing is truncated or reduced.
+        0..MOD-1: nothing is truncated or reduced.  A text exponent above
+        ``max_degree`` (the block length, where the caller knows it) is a
+        DomainError raised before any coefficient is built; an array is
+        already as long as its text.
         """
         if isinstance(obj, (list, tuple)):
             return cls._from_array(obj)
@@ -131,13 +134,13 @@ class _Poly:
             if m.group("sign") is None and not first:
                 raise DomainError(f"missing +/- between terms in {obj!r}")
             sign = -1 if m.group("sign") == "-" else 1
-            c = int(m.group("coeff")) if m.group("coeff") else 1
-            if m.group("var") is None:
-                k = 0
-            elif m.group("exp") is None:
-                k = 1
-            else:
-                k = int(m.group("exp"))
+            try:
+                c = int(m.group("coeff") or 1)
+                k = int(m.group("exp") or 1) if m.group("var") else 0
+            except ValueError:  # past the interpreter's digit limit
+                raise DomainError(f"number too long near {text[pos:pos + 20]!r}") from None
+            if max_degree is not None and k > max_degree:
+                raise DomainError(f"exponent {k} exceeds the block length {max_degree}")
             coeffs[k] = coeffs.get(k, 0) + sign * c
             pos = m.end()
             first = False

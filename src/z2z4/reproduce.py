@@ -296,11 +296,11 @@ def _check_image_separation() -> CheckResult:
 
 def _check_blocked_type() -> CheckResult:
     unfiltered = search_by_type(2, 7, 2, 3)
-    linear = search_by_type(2, 7, 2, 3, linear_only=True)
+    linear = sum(rep.verdict for _, rep in unfiltered)
     return CheckResult(
         "type (2,7; 2,3; *) has candidates but none with a linear image",
-        len(unfiltered) >= 1 and len(linear) == 0,
-        {"candidates": len(unfiltered), "linear": len(linear)},
+        len(unfiltered) >= 1 and linear == 0,
+        {"candidates": len(unfiltered), "linear": linear},
     )
 
 

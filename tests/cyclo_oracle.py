@@ -13,8 +13,23 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from z2z4.cyclofield import _prime_factors, cyclotomic_cosets
+from z2z4.cyclofield import cyclotomic_cosets
 from z2z4.polyring import BinPoly, clgcd, clmod, clmul
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def ord2(n: int) -> int:
@@ -56,7 +71,7 @@ def is_irreducible(f: int) -> bool:
     x = clmod(2, f)
     if frobenius(x, m, f) != x:
         return False
-    return all(clgcd(frobenius(x, m // q, f) ^ x, f) == 1 for q in _prime_factors(m))
+    return all(clgcd(frobenius(x, m // q, f) ^ x, f) == 1 for q in prime_factors(m))
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +85,7 @@ def smallest_irreducible(m: int) -> BinPoly:
 def unity_root(n: int, mod: int) -> int:
     """The first element of order exactly n in GF(2)[x] / (mod)."""
     group = (1 << (mod.bit_length() - 1)) - 1
-    primes = _prime_factors(n)
+    primes = prime_factors(n)
     for a in range(1, group + 1):
         b = powmod(a, group // n, mod)
         if (n == 1 or b != 1) and all(powmod(b, n // q, mod) != 1 for q in primes):

@@ -1,19 +1,25 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2z4 import __version__, cli, cycliccode, linimage
 from z2z4.additive import MixedVector, _as_bits, resolve_capacity
+from z2z4.cycliccode import enumerate_all_cyclic
 from z2z4.cli import main
 from z2z4.errors import DomainError
+from z2z4.polyring import BinPoly, QuatPoly
 import word_oracle
 
 LENGTH9_JSON = (
@@ -306,6 +312,16 @@ class TestAnalyze:
         assert status == 1 and err.startswith("DomainError: bad matrix JSON:")
         assert err.count("bad matrix JSON") == 1
 
+    @pytest.mark.parametrize("alpha, beta", [(-1, 1), (1, -2), (-3, -3)])
+    def test_negative_lengths_are_refused(self, capsys, tmp_path, alpha, beta):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"alpha": alpha, "beta": beta, "rows": []}))
+        status, out, err = run(capsys, "analyze", "--matrix", str(path))
+        assert (status, out) == (1, "")
+        assert err == (
+            f"DomainError: bad matrix JSON: alpha {alpha} and beta {beta} must not be negative\n"
+        )
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         status, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.txt"))
         assert status == 1 and err.startswith("DomainError:") and "absent.txt" in err
@@ -447,6 +463,26 @@ class TestCode:
         )
         assert status == 0 and "(x^2+x | 2)" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("opt, exponent, length", [
+        ("--ell", 4, 3), ("--b", 4, 3), ("--f", 999999999, 5), ("--g", 6, 5),
+    ])
+    def test_exponent_past_the_block_length_is_refused(self, capsys, opt, exponent, length):
+        # ell = x^4 at alpha 3 was reduced modulo b before; now it is refused
+        opts = {"--b": "x^3+1", "--ell": "1", "--f": "1", "--h": "x^5-1", "--g": "1"}
+        opts[opt] = f"x^{exponent}+1"
+        argv = ["code", "--alpha", "3", "--beta", "5"] + [a for kv in opts.items() for a in kv]
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err == f"DomainError: exponent {exponent} exceeds the block length {length}\n"
+
+    def test_exponent_past_beta_in_code_json_is_refused(self, capsys):
+        code = json.loads(LENGTH9_JSON) | {"g": "x^999999999+3"}
+        status, out, err = run(capsys, "linearity", "--code", json.dumps(code))
+        assert (status, out) == (1, "")
+        assert err == (
+            "DomainError: code JSON field g: exponent 999999999 exceeds the block length 3\n"
+        )
 
     def test_even_beta_still_rejected(self, capsys):
         status, _, err = run(
@@ -660,3 +696,188 @@ class TestReproduce:
         status, out, err = run(capsys, "reproduce", "--quick", "--jobs", jobs)
         assert status == 1 and out == ""
         assert err.startswith("DomainError: jobs must be at least 1") and err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# fuzzing: argvs over every subcommand, run in this process
+
+ERROR_LINE = re.compile(r"[A-Z][A-Za-z]*Error: .*\n")
+VALID_CODES = [
+    gens.to_json()
+    for alpha in (1, 2, 3)
+    for beta in (1, 3, 5)
+    for gens in enumerate_all_cyclic(alpha, beta)
+]
+JUNK_INTS = ["", "x", "2.5", "9" * 5000]
+POLY_JUNK = ["", "x^", "x^-1", "y", "+", "x^99999999999", "1" * 5000, "[1,", "[]", "[1,7]", "[-1]"]
+
+
+@st.composite
+def mostly(draw, good, bad):
+    """A draw from ``good`` about three times in four, else from ``bad``."""
+    return draw(bad if draw(st.integers(0, 3)) == 0 else good)
+
+
+LENGTHS = mostly(st.integers(-1, 7).map(str), st.sampled_from(JUNK_INTS))
+ODD_LENGTHS = mostly(st.integers(0, 4).map(lambda k: str(2 * k + 1)), LENGTHS)
+
+
+@st.composite
+def poly_args(draw):
+    """A polynomial as text, a JSON array or junk; exponents up to 12."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        term = st.tuples(st.integers(-1, 5), st.integers(0, 12))
+        terms = draw(st.lists(term, min_size=1, max_size=4))
+        return "".join(f"+{c}x^{k}" for c, k in terms)[1:]
+    if kind == 1:
+        return json.dumps(draw(st.lists(st.integers(-1, 4), max_size=8)))
+    if kind == 2:
+        return draw(st.sampled_from(POLY_JUNK))
+    return draw(st.text(alphabet="x^+-0123[], ", max_size=12))
+
+
+@st.composite
+def code_specs(draw):
+    """Code JSON text: a valid code of a small cell, one with a field
+    replaced or dropped, or junk."""
+    spec = dict(draw(st.sampled_from(VALID_CODES)))
+    kind = draw(st.integers(0, 5))
+    if kind == 3:
+        name = draw(st.sampled_from(sorted(spec)))
+        spec[name] = draw(st.one_of(poly_args(), st.integers(-2, 7), st.none()))
+    elif kind == 4:
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    elif kind == 5:
+        return draw(st.sampled_from(["{", "[]", "{}", '{"alpha": 1}', "null"]))
+    return json.dumps(spec)
+
+
+@st.composite
+def code_options(draw):
+    """--alpha ... --g of ``code``: a valid code, one option replaced, or all drawn."""
+    spec = draw(st.sampled_from(VALID_CODES))
+    opts = {"alpha": str(spec["alpha"]), "beta": str(spec["beta"])}
+    for name in ("b", "ell", "f", "h", "g"):
+        p = (BinPoly if name in ("b", "ell") else QuatPoly)(spec[name])
+        opts[name] = draw(st.sampled_from([str(p), json.dumps(list(p.coeffs))]))
+    kind = draw(st.integers(0, 2))
+    if kind == 1:
+        name = draw(st.sampled_from(sorted(opts)))
+        opts[name] = draw(LENGTHS if name in ("alpha", "beta") else poly_args())
+    elif kind == 2:
+        opts = {"alpha": draw(LENGTHS), "beta": draw(LENGTHS)}
+        opts.update((name, draw(poly_args())) for name in ("b", "ell", "f", "h", "g"))
+    if draw(st.booleans()):
+        del opts["ell"]
+    return [arg for name, value in opts.items() for arg in (f"--{name}", value)]
+
+
+@st.composite
+def entry_lists(draw, size, top):
+    """``size`` entries in 0..top, one of them replaced by junk one time in four."""
+    out = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+    if out and draw(st.integers(0, 3)) == 0:
+        out[draw(st.integers(0, size - 1))] = draw(st.sampled_from([-1, 2, 4, "|", "a"]))
+    return out
+
+
+@st.composite
+def matrix_texts(draw):
+    """A matrix file: JSON with small or negative lengths, a text grid, or junk."""
+    alpha, beta = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    any_size = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    sizes = mostly(st.just((max(alpha, 0), max(beta, 0))), any_size)
+    rows = []
+    for a, b in draw(st.lists(sizes, max_size=4)):
+        rows.append((draw(entry_lists(a, 1)), draw(entry_lists(b, 3))))
+    kind = draw(st.integers(0, 4))
+    if kind <= 1:
+        obj = {"alpha": alpha, "beta": beta, "rows": [[*l, "|", *r] for l, r in rows]}
+        if draw(st.integers(0, 5)) == 0:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        return json.dumps(obj)
+    if kind <= 3:
+        return "\n".join(" ".join(map(str, l)) + " | " + " ".join(map(str, r)) for l, r in rows)
+    junk = ["", "{", "# only a comment", '{"alpha": 1.5, "beta": 1, "rows": []}']
+    return draw(st.sampled_from(junk))
+
+
+@st.composite
+def gray_args(draw):
+    """Map, options and vector of ``gray``: shaped for the map and
+    direction three times in four, else drawn freely."""
+    name = draw(mostly(st.sampled_from(["phi", "psi", "Phi", "Psi"]), st.just("chi")))
+    inv, ext = draw(st.booleans()), name in ("Phi", "Psi")
+    alpha, beta = draw(st.integers(0, 3)) if ext else 0, draw(st.integers(0, 5))
+    argv = ["--map", name] + (["--inv"] if inv else [])
+    if draw(st.integers(0, 3)):
+        if inv:
+            vector = draw(entry_lists(alpha + 2 * beta, 1))
+            argv += ["--alpha", str(alpha)] if ext else []
+            return argv + [",".join(map(str, vector))]
+        bits, quats = draw(entry_lists(alpha, 1)), draw(entry_lists(beta, 3))
+        text = ",".join(map(str, quats))
+        return argv + [",".join(map(str, bits)) + "|" + text if ext else text]
+    for opt in ("--alpha", "--beta"):
+        if draw(st.booleans()):
+            argv += [opt, draw(LENGTHS)]
+    left, right = draw(entry_lists(draw(st.integers(0, 4)), 3)), draw(entry_lists(beta, 3))
+    sep = draw(st.sampled_from(["|", ",", ""]))
+    return argv + [",".join(map(str, left)) + sep + ",".join(map(str, right))]
+
+
+@st.composite
+def fuzz_argvs(draw, matrix_path):
+    """An argv for one of the eight subcommands, with small cells and
+    --jobs never above 1; ``matrix_path`` is written when analyze is drawn."""
+    cmd = draw(st.sampled_from(
+        ["factor", "gray", "analyze", "code", "linearity", "image", "search", "reproduce"]
+    ))
+    argv = [cmd]
+    if cmd == "factor":
+        odd = st.integers(0, 127).map(lambda k: str(2 * k + 1))
+        argv += ["--n", draw(mostly(odd, st.sampled_from(["0", "-3", "4", "257", *JUNK_INTS])))]
+        argv += ["--ring", draw(mostly(st.sampled_from(["z2", "z4"]), st.just("z3")))]
+    elif cmd == "gray":
+        argv += draw(gray_args())
+    elif cmd == "analyze":
+        matrix_path.write_text(draw(matrix_texts()))
+        missing = draw(st.integers(0, 5)) == 0
+        argv += ["--matrix", "/nonexistent/m.json" if missing else str(matrix_path)]
+    elif cmd == "code":
+        argv += draw(code_options())
+    elif cmd in ("linearity", "image"):
+        argv += ["--code", draw(code_specs())]
+        if draw(st.booleans()):
+            argv.append("--oracle" if cmd == "linearity" else "--dump")
+    elif cmd == "search":
+        argv += ["--alpha", draw(LENGTHS), "--beta", draw(ODD_LENGTHS)]
+        if draw(st.booleans()):
+            argv += ["--type", draw(st.sampled_from(["1,1", "0,0,0", "2", "1,x", "1,2,3,4", ""]))]
+        if draw(st.booleans()):
+            argv.append("--linear-only")
+    else:
+        jobs = mostly(st.just("1"), st.sampled_from(["0", "-1", "-7"]))
+        argv += ["--quick", "--jobs", draw(jobs)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), capacity=mostly(st.none(), st.sampled_from(["1", "0", "4096"])))
+    def test_every_argv_gives_a_status_and_one_error_line(self, tmp_path_factory, data, capacity):
+        # in process, so a traceback would escape; --jobs is never above 1
+        argv = data.draw(fuzz_argvs(tmp_path_factory.getbasetemp() / "fuzz_matrix.json"))
+        threads = threading.active_count()
+        with mock.patch.dict(os.environ):
+            os.environ.pop("Z2Z4_CAPACITY", None)
+            if capacity is not None:
+                os.environ["Z2Z4_CAPACITY"] = capacity
+            status, _, err = run_quiet(*argv)
+        assert status in (0, 1, 2)
+        if status:
+            assert ERROR_LINE.fullmatch(err), err
+        assert threading.active_count() == threads and not multiprocessing.active_children()

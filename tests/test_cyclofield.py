@@ -8,7 +8,6 @@ from z2z4.cyclofield import (
     MAX_DIVISORS,
     MAX_MODULUS,
     _context,
-    _prime_factors,
     cyclotomic_cosets,
     divisors_of_xn_minus_1_z2,
     factor_xn_minus_1_z2,
@@ -19,7 +18,7 @@ from z2z4.cyclofield import (
 )
 from z2z4.errors import CapacityError, DomainError
 from z2z4.polyring import BinPoly, QuatPoly, clmod, reduce_mod2
-from cyclo_oracle import is_irreducible, min_polys_by_field, mulmod, powmod
+from cyclo_oracle import is_irreducible, min_polys_by_field, mulmod, powmod, prime_factors
 
 ODD_LENGTHS = [1, 3, 5, 7, 9, 15, 21]
 
@@ -170,7 +169,8 @@ class TestTensorSquare:
 
 
 def _field(n):
-    """The factor that xi = x is taken modulo: the minimal polynomial of xi."""
+    """The factor that xi = x is taken modulo: the minimal polynomial of
+    the roots with exponents in the coset of 1."""
     ctx = _context(n)
     return next(mp for c, mp in ctx.min_polys.items() if 1 % n in c).bits
 
@@ -178,10 +178,10 @@ def _field(n):
 class TestField:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 31, 51, 85, 127, 255])
     def test_unity_root_has_exact_order(self, n):
-        xi, mod = _context(n).xi, _field(n)
-        assert xi == clmod(2, mod)
+        mod = _field(n)
+        xi = clmod(2, mod)
         assert powmod(xi, n, mod) == 1
-        for q in _prime_factors(n):
+        for q in prime_factors(n):
             assert powmod(xi, n // q, mod) != 1
 
     def test_large_n_still_works(self):
@@ -212,11 +212,12 @@ class TestIdempotentSplit:
             assert len(set(min_polys.values())) == len(min_polys)
             assert reduce(lambda a, b: a * b, min_polys.values()) == BinPoly.xn_minus_1(n)
             mod = _field(n)
+            xi = clmod(2, mod)
             for coset, mp in min_polys.items():
                 assert mp.degree == len(coset)
                 assert is_irreducible(mp.bits)
                 # p(r)^2 = p(r^2) over Z2: zero at xi^c[0] is zero on the coset
-                assert _eval_at(mp.bits, powmod(ctx.xi, coset[0], mod), mod) == 0
+                assert _eval_at(mp.bits, powmod(xi, coset[0], mod), mod) == 0
 
     @pytest.mark.parametrize("n", [*range(1, 100, 2), 127, 255])
     def test_matches_the_field_construction(self, n):

@@ -45,6 +45,32 @@ class TestArithmetic:
         assert BinPoly.one().degree == 0
 
 
+class TestParseBound:
+    @pytest.mark.parametrize("ring", [BinPoly, QuatPoly])
+    def test_exponent_past_the_bound_is_refused(self, ring):
+        assert ring.parse("x^3+1", 3) == ring.parse("x^3+1")
+        with pytest.raises(DomainError, match="^exponent 4 exceeds the block length 3$"):
+            ring.parse("x+x^4", 3)
+
+    @pytest.mark.parametrize(
+        "text", ["x^999999999", "x^" + "9" * 5000], ids=["9-digit", "5000-digit"]
+    )
+    def test_huge_exponent_is_refused_before_any_coefficient(self, text):
+        with pytest.raises(DomainError, match="block length 7$|^number too long"):
+            QuatPoly.parse(text, 7)
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000 + "x", "x^" + "1" * 5000], ids=["coeff", "exp"]
+    )
+    def test_number_past_the_digit_limit_is_refused(self, text):
+        with pytest.raises(DomainError, match="^number too long near "):
+            BinPoly.parse(text)
+
+    def test_arrays_and_unbounded_text_are_unchanged(self):
+        assert BinPoly.parse([1, 0, 0, 0, 1], 2) == BinPoly.parse("x^4+1")
+        assert QuatPoly.parse("x^40") == QuatPoly.from_planes(1 << 40, 0)
+
+
 class TestDivMod:
     def test_z2_exact(self):
         q, r = divmod(BinPoly.parse("x^3+1"), BinPoly.parse("x+1"))

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
 DIGEST = ROOT / "scripts" / "output_digest.py"
+DIGEST_LINES = ROOT / "tests" / "data" / "output_digest.txt"
 
 
 def trajectory(*argv):
@@ -113,3 +115,15 @@ class TestOutputDigest:
     def test_every_gated_output_is_listed(self):
         labels = [label for label, _ in _output_digest().gated_outputs()]
         assert len(labels) == len(set(labels)) == 6 + 2 + 2 * 128 + 3 + 2
+
+    def test_outputs_match_the_checked_in_digests(self):
+        # the byte-identity gate: every gated output as it was when the
+        # file was last written; a change to an output rewrites the file
+        header, *expected = DIGEST_LINES.read_text().splitlines()
+        got = list(_output_digest().digest_lines())
+        assert [ln.split(" ", 2)[2] for ln in got] == [ln.split(" ", 2)[2] for ln in expected]
+        changed = [b.split(" ", 2)[2] for a, b in zip(got, expected) if a != b]
+        assert not changed, (
+            f"{len(changed)} outputs differ from {DIGEST_LINES.name} ({header.lstrip('# ')};"
+            f" this is Python {platform.python_version()}): {changed[:5]}"
+        )
