@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
@@ -397,10 +399,12 @@ def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int]
     Columns are taken right to left.  At a column where some row has an
     odd entry, the first such row becomes the pivot, negated if that entry
     is 3, and the column is cleared in every other row by subtracting the
-    entry times the pivot.  Returns ``(pivots, rest)``: ``pivots`` maps a
-    column to its row, which holds 1 there and 0 at every other pivot
-    column; the rows in ``rest`` have an empty t plane (order two) and
-    vanish on every pivot column.
+    entry times the pivot.  The next such column is the top bit of the OR
+    of the rows' t planes (a pivot has no t bit above its own column, so
+    clearing adds none), and the walk ends when no row is left.  Returns
+    ``(pivots, rest)``: ``pivots`` maps a column to its row, which holds 1
+    there and 0 at every other pivot column; the rows in ``rest`` have an
+    empty t plane (order two) and vanish on every pivot column.
 
     The column is cleared in the rows and the earlier pivots by one list
     comprehension, with the codec's add written out: p and -p share the
@@ -409,14 +413,11 @@ def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int]
     toff, hoff, qmask = codec.toff, codec.hoff, codec.qmask
     rows = list(gens)
     pivots: dict[int, int] = {}
-    for col in range(codec.beta - 1, -1, -1):
+    while rows and (tor := (reduce(or_, rows) >> toff) & qmask):
+        col = tor.bit_length() - 1
         tbit, hbit = 1 << (toff + col), 1 << (hoff + col)
-        for k, p in enumerate(rows):
-            if p & tbit:
-                break
-        else:
-            continue
-        del rows[k]
+        k = next(k for k, p in enumerate(rows) if p & tbit)
+        p = rows.pop(k)
         pt = (p >> toff) & qmask
         two = pt << hoff  # 2p, also 2(-p)
         if p & hbit:

@@ -20,11 +20,11 @@ codeword straight from their ints.
 
 The pair gcd(b, ell), gcd(b, ell*g~) decides both ell conditions, the type
 (``code_type``) and the linearity criterion (``linimage``); a tuple keeps
-it as ``ell_gcds``.  L and the pair see (f, h, g) only through its
-signature, how h~ and g~ split the factors of gcd(x^alpha - 1, x^beta - 1);
-so ``enumerate_all_cyclic`` builds one row of ell per (b, signature), each
-ell with its pair computed on the int kernels and the conditions checked
-from it, and every triple of that signature shares the row.
+it as ``ell_gcds``.  L and the pair see (f, h, g) only through how h~ and
+g~ split the factors of gcd(x^alpha - 1, x^beta - 1).  A triple is a pair
+of masks over the factors of x^beta - 1, so ``enumerate_all_cyclic`` reads
+that split by AND and builds one row of ell per (b, split), which every
+triple of that split shares.
 
 The code is a Z4[x]-module under p star (u | v) = (p~ u mod x^alpha - 1 |
 p v mod x^beta - 1).  Multiplication by x is the simultaneous cyclic
@@ -35,12 +35,13 @@ on packed words.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .additive import Code, CodeType, GeneratorMatrix, WordCodec
-from .cyclofield import divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
+from .cyclofield import MAX_DIVISORS, divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
 from .errors import CapacityError, DomainError, InternalError
 from .polyring import (
     BinPoly,
@@ -344,24 +345,44 @@ def enumerate_code(gens: CyclicGenerators) -> Code:
     return span_words(codec, gens.generator_words(), (gens.alpha, gens.beta))
 
 
-def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
-    """Every (f, h, g) that splits the basic irreducible factors of x^beta - 1
-    among the three roles, ordered by the coefficients of h then g.  A factor
-    subset is a bit mask m whose product ``prods[m]`` is built once and shared;
-    distinct masks have distinct products, so one sort orders h and each g."""
+def _factor_subsets(beta: int) -> tuple[list[QuatPoly], list[int], Callable[[int], array]]:
+    """The factor subsets of x^beta - 1 over Z4: bit i of a mask is factor i
+    of ``factor_xn_minus_1_z4(beta)``.  Returns ``prods[m]``, the product of
+    mask m, the masks in the coefficient order of their products, and
+    ``g_masks(hm)``, the submasks of the complement of hm in that order,
+    sorted on first use and kept for the call at 2 bytes a mask.  The
+    factors are checked once, monic with product x^beta - 1: every triple
+    partitions the full mask, so this proves f*h*g = x^beta - 1 for each,
+    and (x^beta - 1 being squarefree over Z2) coprime images."""
+    factors = factor_xn_minus_1_z4(beta)
+    if (count := 1 << len(factors)) > MAX_DIVISORS:
+        raise CapacityError(f"x^{beta}-1 has {count} factor subsets, past the bound {MAX_DIVISORS}")
     prods = [QuatPoly.one()]
-    for fac in factor_xn_minus_1_z4(beta):
+    for fac in factors:
         prods += [p * fac for p in prods]
+    if prods[-1] != QuatPoly.xn_minus_1(beta) or not all(p.is_monic for p in factors):
+        raise InternalError(f"the factors of x^{beta}-1 are not monic with product x^{beta}-1")
     order = sorted(range(len(prods)), key=lambda m: prods[m].coeffs)
     rank = {m: r for r, m in enumerate(order)}
-    triples = []
-    for hm in order:
+
+    @cache
+    def g_masks(hm: int) -> array:
         rest = (len(prods) - 1) ^ hm
         gms = [rest]  # every submask of rest, by s -> (s - 1) & rest
         while gms[-1]:
             gms.append((gms[-1] - 1) & rest)
-        triples += [(prods[rest ^ gm], prods[hm], prods[gm]) for gm in sorted(gms, key=rank.get)]
-    return triples
+        return array("H", sorted(gms, key=rank.__getitem__))
+
+    return prods, order, g_masks
+
+
+def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
+    """Every (f, h, g) that splits the basic irreducible factors of x^beta - 1
+    among the three roles, ordered by the coefficients of h then g: the mask
+    walk of ``enumerate_all_cyclic``, sharing its subset products."""
+    prods, order, g_masks = _factor_subsets(beta)
+    full = len(prods) - 1
+    return [(prods[full ^ hm ^ gm], prods[hm], prods[gm]) for hm in order for gm in g_masks(hm)]
 
 
 def _ell_row(
@@ -405,57 +426,50 @@ def enumerate_all_cyclic(
     q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
 
     Each piece of work is done once per call, at the level its result
-    varies on.  The lengths are checked once: beta odd here, beta positive
-    where x^beta - 1 is factored and alpha positive where S is built.  The
-    Z4 factors of x^beta - 1 are proved once per length in ``cyclofield``
-    and factored here once per call, by ``factor_triples``; each triple
-    then only checks that f, h, g are monic and that f~ h~ g~ = x^beta - 1
-    on bit masks, which, x^beta - 1 being squarefree over Z2, also makes
-    them coprime; (x^beta-1)/f~ is h~ g~.  The condition on b is checked
-    once per b.
+    varies on: the lengths (beta odd here, beta positive where x^beta - 1
+    is factored, alpha where x^alpha - 1 is built), the factors (a triple
+    is a pair of masks (hm, gm) of ``_factor_subsets``, f the rest, with
+    (x^beta-1)/f~ = h~ g~ and its code size read off the subset degrees)
+    and b, once per b.
 
     The ell conditions see a triple only through its signature
     (hs, gs) = (gcd(h~, S), gcd(g~, S)), S = gcd(x^alpha - 1, x^beta - 1):
     b divides x^alpha - 1 and x^beta - 1 is squarefree, so
     gcd(b, p) = gcd(b, gcd(p, S)) for every p dividing x^beta - 1, and
-    gcd(b, e*g~) = gcd(b, e*gs).  So L, the gcd pair gcd(b, ell),
-    gcd(b, ell*g~) and the guard's verdict depend on (b, hs, gs) alone.
-    The triples share their polynomials (one per factor subset), and each
-    gcd with S is taken once per distinct mod-2 image in a call.  Within
-    one b, ``_ell_row`` lists the multiples of L once per signature, each
-    with its pair, its ``ell_gcds`` and the two ell conditions checked from
-    it as a guard; every triple of that signature yields that row.  A
-    (b, f, h, g) whose code has more than ``capacity`` words raises
-    CapacityError before its first tuple; None sets no bound.
+    gcd(b, e*g~) = gcd(b, e*gs).  S is the product of the factors in the
+    mask sm of those dividing x^alpha - 1, so (hs, gs) is the product of
+    hm & sm and of gm & sm, with no gcd.  Within one b, ``_ell_row`` lists
+    the multiples of L once per signature, each with its ``ell_gcds`` and
+    the two ell conditions checked from it as a guard; every triple of
+    that signature yields that row.  A (b, f, h, g) whose code has more
+    than ``capacity`` words raises CapacityError before its first tuple;
+    None sets no bound.
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
-    split = factor_triples(beta)  # before S: beta's length errors come first
-    xb = BinPoly.xn_minus_1(beta).bits
-    shared = clgcd(BinPoly.xn_minus_1(alpha).bits, xb)
-    # (f, h, g, 2 deg g + deg h, its signature (hs, gs) as bit masks)
-    triples = []
-    sig_of = cache(lambda p: clgcd(p, shared))  # one gcd per mod-2 image, for this call only
-    for f, h, g in split:
-        ft, ht, gt = f.lo, h.lo, g.lo
-        if clmul(ft, clmul(ht, gt)) != xb or not (f.is_monic and h.is_monic and g.is_monic):
-            raise InternalError(f"factor triple {f}, {h}, {g} does not split x^{beta}-1")
-        triples.append((f, h, g, 2 * int(g.degree) + int(h.degree), (sig_of(ht), sig_of(gt))))
+    prods, order, g_masks = _factor_subsets(beta)  # beta's length errors come first
+    xa = BinPoly.xn_minus_1(alpha).bits
+    full = len(prods) - 1
+    k = full.bit_length()
+    deg = [int(p.degree) for p in prods]
+    sm = sum(1 << i for i in range(k) if clmod(xa, prods[1 << i].lo) == 0)
     for b in divisors_of_xn_minus_1_z2(alpha):
         if errs := _b_violations(alpha, b):
             raise InternalError("; ".join(errs))
         free = alpha - int(b.degree)
-        # the signature (hs, gs) as bit masks -> the row of ell it yields
-        rows: dict[tuple[int, int], list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]] = {}
+        # the signature hs | gs << k -> the row of ell it yields
+        rows: dict[int, list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]] = {}
         # the gcd pairs of one b, as bit masks -> the ell_gcds its tuples share
         pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]] = {}
-        for f, h, g, weight, sig in triples:
-            if capacity is not None and (size := 1 << (free + weight)) > capacity:
-                raise CapacityError(
-                    f"candidate code size {size} exceeds the bound {capacity}"
-                )
-            row = rows.get(sig)
-            if row is None:
-                row = rows[sig] = _ell_row(b, *sig, pairs)
-            for ell, gcds in row:
-                yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)
+        for hm in order:
+            h, hs = prods[hm], hm & sm
+            for gm in g_masks(hm):
+                if capacity is not None and (size := 1 << (free + 2 * deg[gm] + deg[hm])) > capacity:
+                    raise CapacityError(f"candidate code size {size} exceeds the bound {capacity}")
+                gs = gm & sm
+                row = rows.get(hs | gs << k)
+                if row is None:
+                    row = rows[hs | gs << k] = _ell_row(b, prods[hs].lo, prods[gs].lo, pairs)
+                f, g = prods[full ^ hm ^ gm], prods[gm]
+                for ell, gcds in row:
+                    yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)

@@ -322,6 +322,23 @@ class TestAnalyze:
             f"DomainError: bad matrix JSON: alpha {alpha} and beta {beta} must not be negative\n"
         )
 
+    @pytest.mark.parametrize("rows, lines", [
+        ([], ["type: (1,1000000; 0,0; 0)", "|C| = 1", "cyclic: yes"]),
+        ([[0, 1] + [0] * 999_999], ["type: (1,1000000; 0,1; 0)", "|C| = 4", "cyclic: no"]),
+    ])
+    def test_long_quaternary_block_is_linear_in_beta(self, capsys, tmp_path, rows, lines):
+        # the echelon jumps from pivot to pivot, so the run is linear in
+        # beta; a column-by-column scan took 18 s on the empty matrix at
+        # beta = 800000
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"alpha": 1, "beta": 1_000_000, "rows": rows}))
+        start = time.perf_counter()
+        status, out, err = run(capsys, "analyze", "--matrix", str(path))
+        assert time.perf_counter() - start < 10.0
+        assert (status, err) == (0, "")
+        got = out.splitlines()[:3]
+        assert [line[:len(want)] for line, want in zip(got, lines)] == lines
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         status, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.txt"))
         assert status == 1 and err.startswith("DomainError:") and "absent.txt" in err
@@ -640,6 +657,16 @@ class TestSearch:
         assert time.perf_counter() - start < 1.0
         assert got == (
             1, "", "CapacityError: x^254-1 has 1162261467 divisors over Z2, past the bound 65536\n"
+        )
+
+    @pytest.mark.parametrize("beta, subsets", [("127", 524288), ("255", 34359738368)])
+    def test_too_many_factor_subsets_are_refused_at_once(self, beta, subsets):
+        # x^127 - 1 has 19 factors and x^255 - 1 has 35, each a bit of a mask
+        start = time.perf_counter()
+        got = run_quiet("search", "--alpha", "1", "--beta", beta)
+        assert time.perf_counter() - start < 1.0
+        assert got == (
+            1, "", f"CapacityError: x^{beta}-1 has {subsets} factor subsets, past the bound 65536\n"
         )
 
     def test_code_type_once_per_result(self, capsys, monkeypatch):

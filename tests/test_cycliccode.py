@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import lcm
 
 import pytest
@@ -396,10 +397,16 @@ class TestEllLattice:
             assert got == [G.to_json() for G in ref[:cut]]
 
     def test_broken_triple_is_an_internal_error(self, monkeypatch):
-        f, h, g = factor_triples(3)[0]
-        monkeypatch.setattr(cycliccode, "factor_triples", lambda beta: [(f * f, h, g)])
-        with pytest.raises(InternalError):
-            next(enumerate_all_cyclic(1, 3))
+        # every triple is a partition of the factors, so a fault in them is
+        # seen once per call, before the first tuple
+        lin, quad = factor_xn_minus_1_z4(3)
+        minus = QuatPoly((3,))
+        # a squared factor: x^3 - 1 does not split; both negated: it does,
+        # and neither factor is monic
+        for factors in ((lin * lin, quad), (minus * lin, minus * quad)):
+            monkeypatch.setattr(cycliccode, "factor_xn_minus_1_z4", lambda n, fs=factors: fs)
+            with pytest.raises(InternalError):
+                next(enumerate_all_cyclic(1, 3))
 
     @pytest.mark.parametrize("beta", [1, 3, 5, 7, 9, 15, 21, 31, 45])
     def test_every_triple_passes_the_full_check(self, beta):
@@ -483,6 +490,7 @@ class TestEllLattice:
 # shared by x^alpha - 1 and x^beta - 1, and even alpha (b with repeated roots)
 SIGNATURE_CELLS = [
     (4, 15), (3, 15), (2, 21), (6, 9), (8, 15), (12, 9), (6, 15), (2, 31), (7, 7), (14, 7),
+    (7, 21),
 ]
 
 
@@ -534,6 +542,18 @@ class TestSignatureRows:
         # 3 signatures for one shared factor, 9 for two: 5*3 + 4*9 + 3*3 + 9*9;
         # one call per (b, f, h, g) made 4617
         assert len(calls) <= 141
+
+    def test_first_tuple_needs_no_list_of_triples(self):
+        # 3^13 triples at beta = 63: each h keeps 2 bytes a g mask, sorted
+        # on first use; listing every triple before the first tuple took
+        # 359 MB
+        tracemalloc.start()
+        try:
+            next(enumerate_all_cyclic(1, 63))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     @pytest.mark.parametrize("alpha, beta, message", [
         (0, 3, "length must be positive"),
