@@ -39,7 +39,7 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import or_
+from operator import add, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
@@ -75,17 +75,39 @@ def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
 
 
 def _as_quat(u: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(c) for c in u)
-    if any(c < 0 or c > 3 for c in out):
+    out = tuple(map(int, u))
+    if not set(out) <= {0, 1, 2, 3}:
         raise DomainError("quaternary entries must be in 0..3")
     return out
 
 
 def _as_bits(v: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(c) for c in v)
-    if any(c not in (0, 1) for c in out):
+    out = tuple(map(int, v))
+    if not set(out) <= {0, 1}:
         raise DomainError("binary entries must be 0 or 1")
     return out
+
+
+# Entries 0..3 as bytes, mapped whole by ``bytes.translate``: entry -> its
+# ASCII digit, or the digit of its low or high bit; ASCII digit -> the
+# entry it stands for in the t plane (0 or 1) or in the h plane (0 or 2).
+_DIGIT = bytes.maketrans(bytes(range(4)), b"0123")
+_LOW_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
+_HIGH_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
+_DIGIT_ONE = bytes.maketrans(b"01", bytes((0, 1)))
+_DIGIT_TWO = bytes.maketrans(b"01", bytes((0, 2)))
+
+
+def _plane(entries: bytes, digit: bytes) -> int:
+    """The int whose bit i is entry i mapped by ``digit``: one string to int
+    conversion, linear in the length."""
+    return int(entries.translate(digit)[::-1] or b"0", 2)
+
+
+def _entries(x: int, n: int, value: bytes) -> bytes:
+    """Bit i of x mapped by ``value``, for i < n, as one byte each; x < 2^n.
+    The top bit 2^n keeps the digit string n + 1 long, and is then dropped."""
+    return format(x | 1 << n, "b")[:0:-1].encode().translate(value)
 
 
 @dataclass(frozen=True)
@@ -99,6 +121,15 @@ class MixedVector:
         object.__setattr__(self, "bin", tuple(int(c) % 2 for c in self.bin))
         object.__setattr__(self, "quat", tuple(int(c) % 4 for c in self.quat))
 
+    @classmethod
+    def _of(cls, bin: tuple[int, ...], quat: tuple[int, ...]) -> "MixedVector":
+        """The vector of blocks that are already tuples of bits and of
+        digits 0..3, taken as they are: no pass over the entries."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "bin", bin)
+        object.__setattr__(v, "quat", quat)
+        return v
+
     @property
     def alpha(self) -> int:
         return len(self.bin)
@@ -110,10 +141,12 @@ class MixedVector:
     def shift(self) -> "MixedVector":
         """Simultaneous right cyclic shift of both blocks."""
         b, q = self.bin, self.quat
-        return MixedVector(b[-1:] + b[:-1], q[-1:] + q[:-1])
+        return MixedVector._of(b[-1:] + b[:-1], q[-1:] + q[:-1])
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.bin)) + "|" + ",".join(map(str, self.quat))
+        return ",".join(bytes(self.bin).translate(_DIGIT).decode()) + "|" + ",".join(
+            bytes(self.quat).translate(_DIGIT).decode()
+        )
 
     @classmethod
     def parse(cls, text: str, alpha: int | None = None, beta: int | None = None):
@@ -169,7 +202,7 @@ class GeneratorMatrix:
                 bad = [c for c in (*bins, *quats) if type(c) is not int]
                 if bad:
                     raise DomainError(f"matrix entry {bad[0]!r} is not an integer")
-                rows.append(MixedVector(_as_bits(bins), _as_quat(quats)))
+                rows.append(MixedVector._of(_as_bits(bins), _as_quat(quats)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad matrix JSON: {exc}") from exc
         return cls(alpha, beta, tuple(rows))
@@ -332,10 +365,10 @@ class WordCodec:
         return self._shift
 
     def pack(self, v: MixedVector) -> int:
-        b = sum(bit << i for i, bit in enumerate(v.bin))
-        t = sum((c & 1) << i for i, c in enumerate(v.quat))
-        h = sum((c >> 1) << i for i, c in enumerate(v.quat))
-        return self.pack_planes(b, t, h)
+        q = bytes(v.quat)
+        return self.pack_planes(
+            _plane(bytes(v.bin), _LOW_DIGIT), _plane(q, _LOW_DIGIT), _plane(q, _HIGH_DIGIT)
+        )
 
     def pack_planes(self, b: int, t: int, h: int) -> int:
         """The word with binary block ``b`` and quaternary planes ``t`` and
@@ -344,11 +377,10 @@ class WordCodec:
         return b | (t << self.toff) | (h << self.hoff)
 
     def unpack(self, w: int) -> MixedVector:
-        b = [(w >> i) & 1 for i in range(self.alpha)]
-        t = (w >> self.toff) & self.qmask
-        h = (w >> self.hoff) & self.qmask
-        q = [((t >> i) & 1) + 2 * ((h >> i) & 1) for i in range(self.beta)]
-        return MixedVector(tuple(b), tuple(q))
+        b = _entries(w & self.bmask, self.alpha, _DIGIT_ONE)
+        t = _entries((w >> self.toff) & self.qmask, self.beta, _DIGIT_ONE)
+        h = _entries((w >> self.hoff) & self.qmask, self.beta, _DIGIT_TWO)
+        return MixedVector._of(tuple(b), tuple(map(add, t, h)))
 
     def tpattern(self, w: int) -> int:
         return (w >> self.toff) & self.qmask

@@ -22,9 +22,10 @@ The pair gcd(b, ell), gcd(b, ell*g~) decides both ell conditions, the type
 (``code_type``) and the linearity criterion (``linimage``); a tuple keeps
 it as ``ell_gcds``.  L and the pair see (f, h, g) only through how h~ and
 g~ split the factors of gcd(x^alpha - 1, x^beta - 1).  A triple is a pair
-of masks over the factors of x^beta - 1, so ``enumerate_all_cyclic`` reads
-that split by AND and builds one row of ell per (b, split), which every
-triple of that split shares.
+of masks over the factors of x^beta - 1, so the candidate loop
+(``_candidate_runs``) reads that split by AND and builds one row of ell
+per (b, split), which every triple of that split shares;
+``enumerate_all_cyclic`` and ``linimage.search_by_type`` walk its runs.
 
 The code is a Z4[x]-module under p star (u | v) = (p~ u mod x^alpha - 1 |
 p v mod x^beta - 1).  Multiplication by x is the simultaneous cyclic
@@ -37,8 +38,8 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .additive import Code, CodeType, GeneratorMatrix, WordCodec
 from .cyclofield import MAX_DIVISORS, divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4
@@ -154,10 +155,7 @@ def quaternary_generator(f: QuatPoly, h: QuatPoly, n: int) -> QuatPoly:
     return cyclic_reduce(f * h + QuatPoly.from_planes(0, f.lo), n)
 
 
-@dataclass(frozen=True)
-class CyclicGenerators:
-    """Canonical tuple (alpha, beta, b, ell, f, h, g) of a cyclic code."""
-
+class _GeneratorFields(NamedTuple):
     alpha: int
     beta: int
     b: BinPoly
@@ -165,46 +163,48 @@ class CyclicGenerators:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly
+    ell_gcds: tuple[BinPoly, BinPoly]
 
-    def __post_init__(self):
-        if self.alpha < 1:
+
+class CyclicGenerators(_GeneratorFields):
+    """Canonical tuple (alpha, beta, b, ell, f, h, g) of a cyclic code.
+
+    An immutable record backed by a tuple whose last entry is ``ell_gcds``,
+    the pair (gcd(b, ell), gcd(b, ell*g~)); gcd(b, 0) is b.  Calling the
+    class validates the seven fields, reduces ell modulo b and computes the
+    pair.  The candidate loop, which has already seen its data valid,
+    builds records with ``tuple.__new__(CyclicGenerators, (..., ell_gcds))``
+    and hands the tuples of one row the same pair; nothing else should
+    (``_make`` and ``_replace`` check nothing either).  Equality and hash
+    are the tuple's, and the pair is a function of the seven fields, so
+    both kinds of record agree.  Pickling passes the seven fields back
+    through the checks; ``repr`` shows the seven fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly
+    ) -> "CyclicGenerators":
+        if alpha < 1:
             raise DomainError("alpha must be at least 1")
-        if self.beta < 1 or self.beta % 2 == 0:
+        if beta < 1 or beta % 2 == 0:
             raise DomainError("beta must be odd")
-        if not self.b.is_zero and self.ell.degree >= self.b.degree:
-            object.__setattr__(self, "ell", self.ell % self.b)
-            log.info("reduced ell modulo b to %s", self.ell)
-        errs = violations(self.alpha, self.beta, self.b, self.ell, self.f, self.h, self.g)
+        if not b.is_zero and ell.degree >= b.degree:
+            ell = ell % b
+            log.info("reduced ell modulo b to %s", ell)
+        errs = violations(alpha, beta, b, ell, f, h, g)
         if errs:
             raise DomainError("; ".join(errs))
+        gcds = gcd2(b, ell), gcd2(b, ell * reduce_mod2(g))
+        return tuple.__new__(cls, (alpha, beta, b, ell, f, h, g, gcds))
 
-    @classmethod
-    def _trusted(
-        cls, alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly,
-        ell_gcds: tuple[BinPoly, BinPoly],
-    ) -> "CyclicGenerators":
-        """Build from data whose ``violations`` the caller has already seen
-        empty, whose lengths it has checked and with deg ell < deg b;
-        ``ell_gcds`` seeds the property of that name."""
-        gens = object.__new__(cls)
-        # field by field, in the order of the dataclass __init__: touching
-        # __dict__ would give every instance a full dict of its own
-        setattr_ = object.__setattr__
-        setattr_(gens, "alpha", alpha)
-        setattr_(gens, "beta", beta)
-        setattr_(gens, "b", b)
-        setattr_(gens, "ell", ell)
-        setattr_(gens, "f", f)
-        setattr_(gens, "h", h)
-        setattr_(gens, "g", g)
-        setattr_(gens, "ell_gcds", ell_gcds)
-        return gens
+    def __getnewargs__(self) -> tuple:
+        return self[:7]
 
-    # -- derived data ---------------------------------------------------
-    @cached_property
-    def ell_gcds(self) -> tuple[BinPoly, BinPoly]:
-        """(gcd(b, ell), gcd(b, ell*g~)); gcd(b, 0) is b."""
-        return gcd2(self.b, self.ell), gcd2(self.b, self.ell * reduce_mod2(self.g))
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:7], self))
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def fh_plus_2f(self) -> QuatPoly:
@@ -385,9 +385,13 @@ def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
     return [(prods[full ^ hm ^ gm], prods[hm], prods[gm]) for hm in order for gm in g_masks(hm)]
 
 
+# a row of ell: each with its ell_gcds (gcd(b, ell), gcd(b, ell*g~))
+_Row = list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]
+
+
 def _ell_row(
     b: BinPoly, hs: int, gs: int, pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]]
-) -> list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]:
+) -> _Row:
     """The ell of every triple whose signature is (hs, gs), with b: the
     multiples of L = ``_ell_lattice(b, hs*gs, hs, gs)`` sorted by bit
     string, each with the ``ell_gcds`` pair (gcd(b, ell), gcd(b, ell*gs)).
@@ -413,17 +417,13 @@ def _ell_row(
     return row
 
 
-def enumerate_all_cyclic(
-    alpha: int, beta: int, capacity: int | None = None
-) -> Iterator[CyclicGenerators]:
-    """All valid canonical tuples for the given block lengths, in a fixed order.
-
-    b runs over divisors of x^alpha - 1 by (degree, coefficients); (f, h, g)
-    over ``factor_triples(beta)``; ell over residues mod b by the integer
-    value of its bit string.  Only the ell that satisfy both divisibility
-    conditions are listed: they are the multiples m*L, deg m < deg b - deg L,
-    of L = lcm(L1, L2), where L1 = b / gcd(b, (x^beta-1)/f~),
-    q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
+def _candidate_runs(
+    alpha: int, beta: int, capacity: int | None
+) -> Iterator[tuple[BinPoly, QuatPoly, QuatPoly, QuatPoly, _Row]]:
+    """The candidate loop: ``(b, f, h, g, row)`` for each b and triple, in
+    the order of ``enumerate_all_cyclic``, where ``row`` lists the valid ell
+    of (b, f, h, g) with their ``ell_gcds``, as ``_ell_row`` gives them.
+    The row is shared: every triple of one signature gets the same list.
 
     Each piece of work is done once per call, at the level its result
     varies on: the lengths (beta odd here, beta positive where x^beta - 1
@@ -440,10 +440,9 @@ def enumerate_all_cyclic(
     mask sm of those dividing x^alpha - 1, so (hs, gs) is the product of
     hm & sm and of gm & sm, with no gcd.  Within one b, ``_ell_row`` lists
     the multiples of L once per signature, each with its ``ell_gcds`` and
-    the two ell conditions checked from it as a guard; every triple of
-    that signature yields that row.  A (b, f, h, g) whose code has more
-    than ``capacity`` words raises CapacityError before its first tuple;
-    None sets no bound.
+    the two ell conditions checked from it as a guard.  A (b, f, h, g)
+    whose code has more than ``capacity`` words raises CapacityError before
+    its run; None sets no bound.
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
@@ -458,7 +457,7 @@ def enumerate_all_cyclic(
             raise InternalError("; ".join(errs))
         free = alpha - int(b.degree)
         # the signature hs | gs << k -> the row of ell it yields
-        rows: dict[int, list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]] = {}
+        rows: dict[int, _Row] = {}
         # the gcd pairs of one b, as bit masks -> the ell_gcds its tuples share
         pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]] = {}
         for hm in order:
@@ -470,6 +469,28 @@ def enumerate_all_cyclic(
                 row = rows.get(hs | gs << k)
                 if row is None:
                     row = rows[hs | gs << k] = _ell_row(b, prods[hs].lo, prods[gs].lo, pairs)
-                f, g = prods[full ^ hm ^ gm], prods[gm]
-                for ell, gcds in row:
-                    yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)
+                yield b, prods[full ^ hm ^ gm], h, prods[gm], row
+
+
+def enumerate_all_cyclic(
+    alpha: int, beta: int, capacity: int | None = None
+) -> Iterator[CyclicGenerators]:
+    """All valid canonical tuples for the given block lengths, in a fixed order.
+
+    b runs over divisors of x^alpha - 1 by (degree, coefficients); (f, h, g)
+    over ``factor_triples(beta)``; ell over residues mod b by the integer
+    value of its bit string.  Only the ell that satisfy both divisibility
+    conditions are listed: they are the multiples m*L, deg m < deg b - deg L,
+    of L = lcm(L1, L2), where L1 = b / gcd(b, (x^beta-1)/f~),
+    q = b / gcd(b, h~) and L2 = q / gcd(q, g~) (``_ell_lattice``).
+
+    This flattens the runs of ``_candidate_runs``, the package's one
+    candidate loop: each tuple is built straight from its row entry, with
+    no second check, and carries the row's shared ``ell_gcds``.  A
+    (b, f, h, g) whose code has more than ``capacity`` words raises
+    CapacityError before its first tuple; None sets no bound.
+    """
+    new = tuple.__new__
+    for b, f, h, g, row in _candidate_runs(alpha, beta, capacity):
+        for ell, gcds in row:
+            yield new(CyclicGenerators, (alpha, beta, b, ell, f, h, g, gcds))

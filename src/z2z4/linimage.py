@@ -36,7 +36,7 @@ from .additive import (
     gray_is_linear_oracle,
 )
 from .cyclofield import tensor_square
-from .cycliccode import CyclicGenerators, code_type, enumerate_all_cyclic, quaternary_generator
+from .cycliccode import CyclicGenerators, _candidate_runs, quaternary_generator
 from .errors import DomainError, InternalError, PreconditionError
 from .polyring import (
     BinPoly,
@@ -481,58 +481,61 @@ def search_by_type(
     """Every valid cyclic code of the requested type, with its criterion report.
 
     ``None`` acts as a wildcard; results keep the deterministic order of
-    the candidate stream.  No code is enumerated, so no capacity bound
-    applies.  ``enumerate_all_cyclic`` yields the tuples of one
-    (b, f, h, g) as a run, each with its gcd(b, ell*g~) taken from the ell
-    row of the triple's signature, which every triple of that signature
-    shares.  A report depends only on f~, the tensor g~ (x) g~ and
-    b / gcd(b, ell*g~), since its criterion polynomial is f~ times that
-    quotient; the tuples of a run look their report up by gcd(b, ell*g~),
-    and on a miss by that key, in a dict kept for this call only, so each
-    report is evaluated once per call.  The tensor is taken once per
-    distinct g~, from a dict keyed by g~ that is also kept for this call
-    only, and f~ is built only for a report not yet evaluated.  The
-    quotient is taken once per (b, gcd(b, ell*g~)), with an exact check
-    that the gcd divides b.
+    ``enumerate_all_cyclic``.  No code is enumerated, so no capacity bound
+    applies.  The search walks the candidate loop one run at a time: a run
+    is one (b, f, h, g) with its shared row of ell, each ell with its
+    ``ell_gcds`` (``cycliccode._candidate_runs``).
+
+    The type filters are decided where their inputs vary: gamma =
+    alpha - deg b + deg h and delta = deg g once per run, kappa =
+    alpha - deg gcd(b, ell*g~) once per row entry, from its pair.  A report
+    depends only on f~, the tensor g~ (x) g~ and b / gcd(b, ell*g~), since
+    its criterion polynomial is f~ times that quotient; a run takes one
+    report per distinct gcd(b, ell*g~) in its row, from a dict keyed by
+    those three and kept for this call only, so each report is evaluated
+    once per call.  The tensor is taken once per distinct g~, from a dict
+    keyed by g~ that is also kept for this call only, and f~ is built only
+    for a report not yet evaluated.  The quotient is taken once per
+    (b, gcd(b, ell*g~)), with an exact check that the gcd divides b.  Each
+    record is built straight from its row entry, as the candidate loop
+    builds it.
     """
-    typed = gamma is not None or delta is not None or kappa is not None
+    # the bit length of gcd(b, ell*g~) that kappa asks for, if any
+    kappa_len = None if kappa is None else alpha - kappa + 1
     analyzed = []
     # g~ -> g~ (x) g~, (b, gcd(b, ell*g~)) -> b / gcd(b, ell*g~), and
     # (f~, g~ (x) g~, that quotient) -> the report, all as bit masks
     tensors: dict[int, BinPoly] = {}
     quotients: dict[tuple[int, int], int] = {}
     shared: dict[tuple[int, int, int], LinearityReport] = {}
-    b = f = g = None
-    for gens in enumerate_all_cyclic(alpha, beta):
-        if typed:
-            ct = code_type(gens)
-            if gamma is not None and ct.gamma != gamma:
+    new = tuple.__new__
+    for b, f, h, g, row in _candidate_runs(alpha, beta, None):
+        if gamma is not None and alpha - int(b.degree) + int(h.degree) != gamma:
+            continue
+        if delta is not None and int(g.degree) != delta:
+            continue
+        tensor = tensors.get(g.lo)
+        if tensor is None:
+            tensor = tensors[g.lo] = tensor_square(reduce_mod2(g), beta)
+        # gcd(b, ell*g~) -> the report of this run
+        reports: dict[int, LinearityReport] = {}
+        for ell, gcds in row:
+            denom = gcds[1].bits
+            if kappa_len is not None and denom.bit_length() != kappa_len:
                 continue
-            if delta is not None and ct.delta != delta:
-                continue
-            if kappa is not None and ct.kappa != kappa:
-                continue
-        # the candidate loop hands every tuple of a run the same objects
-        if gens.b is not b or gens.f is not f or gens.g is not g:
-            b, f, g = gens.b, gens.f, gens.g
-            tensor = tensors.get(g.lo)
-            if tensor is None:
-                tensor = tensors[g.lo] = tensor_square(reduce_mod2(g), beta)
-            reports: dict[int, LinearityReport] = {}
-        denom = gens.ell_gcds[1]
-        rep = reports.get(denom.bits)
-        if rep is None:
-            quot = quotients.get((b.bits, denom.bits))
-            if quot is None:
-                quot, rem = cldivmod(b.bits, denom.bits)
-                if rem:
-                    raise InternalError("gcd(b, ell*g~) failed to divide b")
-                quotients[b.bits, denom.bits] = quot
-            key = (f.lo, tensor.bits, quot)
-            rep = shared.get(key)
+            rep = reports.get(denom)
             if rep is None:
-                rep = shared[key] = _criterion(b, reduce_mod2(f), denom, tensor)
-            reports[denom.bits] = rep
-        if rep.verdict or not linear_only:
-            analyzed.append((gens, rep))
+                quot = quotients.get((b.bits, denom))
+                if quot is None:
+                    quot, rem = cldivmod(b.bits, denom)
+                    if rem:
+                        raise InternalError("gcd(b, ell*g~) failed to divide b")
+                    quotients[b.bits, denom] = quot
+                key = (f.lo, tensor.bits, quot)
+                rep = shared.get(key)
+                if rep is None:
+                    rep = shared[key] = _criterion(b, reduce_mod2(f), gcds[1], tensor)
+                reports[denom] = rep
+            if rep.verdict or not linear_only:
+                analyzed.append((new(CyclicGenerators, (alpha, beta, b, ell, f, h, g, gcds)), rep))
     return analyzed

@@ -99,7 +99,7 @@ def per_triple_cyclic_tuples(alpha: int, beta: int) -> Iterator[CyclicGenerators
             for ell, gbl, gblg, gcds in ells:
                 if errs := _gcd_violations(bb, cofb, htb, gbl, gblg):
                     raise InternalError(f"ell = {ell} fails: {'; '.join(errs)}")
-                yield CyclicGenerators._trusted(alpha, beta, b, ell, f, h, g, gcds)
+                yield tuple.__new__(CyclicGenerators, (alpha, beta, b, ell, f, h, g, gcds))
 
 
 def reference_code_type(gens: CyclicGenerators) -> CodeType:

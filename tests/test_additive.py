@@ -41,7 +41,29 @@ class TestMixedVector:
         assert MixedVector.parse(str(v)) == v
 
 
+def _sum_pack(codec, v):
+    """The packed word of v by one sum per plane, entry by entry."""
+    b = sum(bit << i for i, bit in enumerate(v.bin))
+    t = sum((c & 1) << i for i, c in enumerate(v.quat))
+    h = sum((c >> 1) << i for i, c in enumerate(v.quat))
+    return codec.pack_planes(b, t, h)
+
+
 class TestCodec:
+    @settings(max_examples=200)
+    @given(st.integers(0, 9), st.integers(0, 9), st.data())
+    def test_pack_and_unpack_match_the_entrywise_formulas(self, alpha, beta, data):
+        codec = WordCodec(alpha, beta)
+        v = data.draw(mixed_vectors(alpha, beta))
+        w = codec.pack(v)
+        assert w == _sum_pack(codec, v)
+        u = codec.unpack(w)
+        assert (u.bin, u.quat) == (v.bin, v.quat)
+        assert all(type(c) is int for c in u.bin + u.quat)
+        assert all(type(c) is int for c in v.shift().bin + v.shift().quat)
+        # and the vector's text, entry by entry
+        assert str(u) == ",".join(map(str, v.bin)) + "|" + ",".join(map(str, v.quat))
+
     @given(mixed_vectors(3, 3), mixed_vectors(3, 3))
     def test_add_matches_vectors(self, u, v):
         codec = WordCodec(3, 3)

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2z4 import __version__, cli, cycliccode, linimage
+from z2z4 import __version__, cli, cycliccode
 from z2z4.additive import MixedVector, _as_bits, resolve_capacity
 from z2z4.cycliccode import enumerate_all_cyclic
 from z2z4.cli import main
@@ -669,7 +669,8 @@ class TestSearch:
             1, "", f"CapacityError: x^{beta}-1 has {subsets} factor subsets, past the bound 65536\n"
         )
 
-    def test_code_type_once_per_result(self, capsys, monkeypatch):
+    @staticmethod
+    def _code_type_calls(capsys, monkeypatch, *filters):
         calls = []
         real = cycliccode.code_type
 
@@ -677,12 +678,25 @@ class TestSearch:
             calls.append(gens)
             return real(gens)
 
-        monkeypatch.setattr(cli, "code_type", counting)
-        monkeypatch.setattr(linimage, "code_type", counting)
-        status, out, _ = run(capsys, "search", "--alpha", "2", "--beta", "7", "--json")
+        # every module of the package that binds the function
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "z2z4" and getattr(mod, "code_type", None) is real:
+                monkeypatch.setattr(mod, "code_type", counting)
+        status, out, _ = run(capsys, "search", "--alpha", "2", "--beta", "7", *filters, "--json")
         count = json.loads(out)["count"]
         assert status == 0 and count > 0
-        assert len(calls) <= 2 * count
+        return len(calls), count
+
+    def test_code_type_once_per_result(self, capsys, monkeypatch):
+        calls, count = self._code_type_calls(capsys, monkeypatch)
+        assert calls == count
+
+    @pytest.mark.parametrize("type_", ["1,3", "1,4,1"])
+    def test_type_filters_take_no_code_type(self, capsys, monkeypatch, type_):
+        # the search decides gamma and delta per run and kappa per row
+        # entry, so only the listing takes a code's type
+        calls, count = self._code_type_calls(capsys, monkeypatch, "--type", type_)
+        assert calls == count
 
     def test_text_listing(self, capsys):
         status, out, _ = run(capsys, "search", "--alpha", "1", "--beta", "3", "--type", "1,1")

@@ -1,5 +1,6 @@
 import logging
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -101,6 +102,58 @@ class TestValidate:
             length9_code.f, length9_code.h, length9_code.g,
         )
         assert enumerate_code(raised) == enumerate_code(length9_code)
+
+
+# the reprs of ``length9_code`` and of the first tuple at (2, 7), as the
+# dataclass record that the tuple-backed one replaced printed them
+DATACLASS_REPRS = [
+    "CyclicGenerators(alpha=3, beta=3, b=BinPoly('x^2+x+1'), ell=BinPoly('1'), "
+    "f=QuatPoly('1'), h=QuatPoly('x^2+x+1'), g=QuatPoly('x+3'))",
+    "CyclicGenerators(alpha=2, beta=7, b=BinPoly('1'), ell=BinPoly('0'), "
+    "f=QuatPoly('x^7+3'), h=QuatPoly('1'), g=QuatPoly('1'))",
+]
+
+
+class TestRecord:
+    """Records built by the candidate loop and validated ones are one kind
+    of value."""
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (3, 7), (6, 9), (2, 15)])
+    def test_loop_and_validated_records_agree(self, alpha, beta):
+        for G in enumerate_all_cyclic(alpha, beta):
+            V = CyclicGenerators(G.alpha, G.beta, G.b, G.ell, G.f, G.h, G.g)
+            assert type(G) is type(V) is CyclicGenerators
+            assert G == V and hash(G) == hash(V) and G.ell_gcds == V.ell_gcds
+            assert len({G, V}) == 1
+
+    def test_keyword_construction(self, length9_code):
+        G = length9_code
+        assert CyclicGenerators(alpha=3, beta=3, b=G.b, ell=G.ell, f=G.f, h=G.h, g=G.g) == G
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for G in enumerate_all_cyclic(3, 7):
+            V = CyclicGenerators(G.alpha, G.beta, G.b, G.ell, G.f, G.h, G.g)
+            for record in (G, V):
+                back = pickle.loads(pickle.dumps(record, protocol))
+                assert type(back) is CyclicGenerators
+                assert back == record and back.ell_gcds == record.ell_gcds
+
+    def test_repr_is_the_dataclass_repr(self, length9_code):
+        loop = next(enumerate_all_cyclic(2, 7))
+        for G, text in zip((length9_code, loop), DATACLASS_REPRS):
+            assert repr(G) == text
+            assert repr(CyclicGenerators(G.alpha, G.beta, G.b, G.ell, G.f, G.h, G.g)) == text
+
+    def test_fields_cannot_be_assigned(self, length9_code):
+        loop = next(enumerate_all_cyclic(3, 3))
+        for G in (length9_code, loop):
+            with pytest.raises(AttributeError):
+                G.ell = BinPoly.zero()
+            with pytest.raises(AttributeError):
+                G.ell_gcds = (G.b, G.b)
+            with pytest.raises(AttributeError):
+                G.extra = 1
 
 
 class TestTypeFormulas:
@@ -463,8 +516,8 @@ class TestEllLattice:
         assert len(calls) == 1
 
     def test_yielded_tuples_are_as_small_as_validated_ones(self):
-        # each in a fresh interpreter: once one instance has its __dict__
-        # materialized, later instances of the class are larger too
+        # each in a fresh interpreter, so that no cache filled by one list
+        # counts against the other
         def bytes_per_tuple(expr):
             code = (
                 "import tracemalloc\n"

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2z4 import linimage
+from z2z4 import cycliccode, linimage
 from z2z4.additive import (
     Code, GeneratorMatrix, MixedVector, PlaneShift, WordCodec, gray_is_linear_oracle,
 )
@@ -611,14 +611,19 @@ def _gcd_pair(G):
     return gcd2(G.b, G.ell), gcd2(G.b, G.ell * reduce_mod2(G.g))
 
 
+def _no_gcd(p, q):
+    raise AssertionError("cycliccode.gcd2 called")
+
+
 class TestSharedGcds:
     """The gcd pair the candidate loop hands each tuple, and the type,
     criterion and search that read it, against the from-scratch formulas."""
 
     @pytest.mark.parametrize("alpha,beta", SHARED_GCD_CELLS)
-    def test_every_tuple_matches_the_reference(self, alpha, beta):
+    def test_every_tuple_matches_the_reference(self, alpha, beta, monkeypatch):
+        # the loop seeds each tuple's pair: no gcd2 in cycliccode reaches it
+        monkeypatch.setattr(cycliccode, "gcd2", _no_gcd)
         for G in enumerate_all_cyclic(alpha, beta):
-            assert "ell_gcds" in vars(G)  # seeded, not computed on access
             assert G.ell_gcds == _gcd_pair(G)
             assert code_type(G) == reference_code_type(G)
             assert gray_linear_criterion(G) == reference_criterion(G)
@@ -685,8 +690,15 @@ class TestSharedGcds:
         seeded = data.draw(st.sampled_from(list(enumerate_all_cyclic(alpha, beta))))
         # an ell given past deg b is reduced, which leaves both gcds as they are
         pad = BinPoly.from_bits(data.draw(st.integers(0, 7))) * seeded.b
-        G = CyclicGenerators(alpha, beta, seeded.b, seeded.ell + pad, seeded.f, seeded.h, seeded.g)
-        assert G == seeded and "ell_gcds" not in vars(G)
-        assert G.ell_gcds == _gcd_pair(G) == seeded.ell_gcds
+        calls = []
+        real = cycliccode.gcd2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycliccode, "gcd2", lambda p, q: calls.append((p, q)) or real(p, q))
+            G = CyclicGenerators(alpha, beta, seeded.b, seeded.ell + pad, seeded.f, seeded.h, seeded.g)
+            # computed at construction, from the reduced ell, and only read after
+            assert (G.b, G.ell) in calls and (G.b, G.ell * reduce_mod2(G.g)) in calls
+            mp.setattr(cycliccode, "gcd2", _no_gcd)
+            assert G == seeded
+            assert G.ell_gcds == _gcd_pair(G) == seeded.ell_gcds
         assert code_type(G) == reference_code_type(G) == code_type(seeded)
         assert gray_linear_criterion(G) == reference_criterion(G) == gray_linear_criterion(seeded)

@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from z2z4 import parallel
+from z2z4.cycliccode import enumerate_all_cyclic
 from z2z4.errors import DomainError
 from z2z4.linimage import gray_linear_criterion
 from z2z4.polyring import BinPoly, QuatPoly
@@ -66,7 +67,7 @@ def test_pool_payloads_survive_pickling(length9_code):
     # round-trip fails here instead of stalling Pool.map
     report = gray_linear_criterion(length9_code)
     for value in (BinPoly.parse("x^70+x+1"), BinPoly.zero(), QuatPoly.parse("x^3+2x+3"),
-                  length9_code, report):
+                  length9_code, next(enumerate_all_cyclic(3, 3)), report):
         back = pickle.loads(pickle.dumps(value))
         assert type(back) is type(value) and back == value
     assert pickle.loads(pickle.dumps(BinPoly.parse("x^2+1"))).bits == 0b101
