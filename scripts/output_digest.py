@@ -3,7 +3,8 @@
 
 Prints one line per gated output: its exit status, the sha256 of its exact
 stdout bytes with every "elapsed_s" line removed, and its label.  The
-gated outputs are ``search --json`` at six cells, ``reproduce --json``
+gated outputs are ``search --json`` at six cells, four filtered searches
+(``--linear-only`` at two cells, ``--type`` at two), ``reproduce --json``
 (full and ``--quick``), ``factor --json`` over both rings for every odd
 n <= 255, the census script's default output, the ``run_z4_sweep()``
 records, ``image --json`` on each code of the benchmark's image pool,
@@ -36,6 +37,10 @@ from z2z4.cyclofield import MAX_MODULUS
 from z2z4.reproduce import cyclic_projections_matrix, nonlinear_image_matrix, run_z4_sweep
 
 SEARCH_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9), (2, 45)]
+FILTERED_SEARCHES = [
+    (4, 15, ["--linear-only"]), (12, 9, ["--linear-only"]),
+    (4, 15, ["--type", "8,4,4"]), (6, 9, ["--type", "4,6"]),
+]
 CENSUS = Path(__file__).resolve().parent / "linear_image_census.py"
 IMAGE_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "image_pool.json"
 
@@ -92,6 +97,9 @@ def gated_outputs():
     """(label, thunk) for every gated output; a thunk returns (status, stdout)."""
     for alpha, beta in SEARCH_CELLS:
         argv = ["search", "--alpha", str(alpha), "--beta", str(beta), "--json"]
+        yield " ".join(argv), lambda argv=argv: cli_output(argv)
+    for alpha, beta, flags in FILTERED_SEARCHES:
+        argv = ["search", "--alpha", str(alpha), "--beta", str(beta), *flags, "--json"]
         yield " ".join(argv), lambda argv=argv: cli_output(argv)
     for argv in (["reproduce", "--json"], ["reproduce", "--quick", "--json"]):
         yield " ".join(argv), lambda argv=argv: cli_output(argv)

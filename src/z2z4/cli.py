@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -70,9 +71,8 @@ def _emit(args, report: dict, text: str) -> None:
     if args.json:
         report["version"] = __version__
         report["elapsed_s"] = time.time() - args._t0
-        print(json.dumps(report, indent=2))
-    else:
-        print(text)
+        text = json.dumps(report, indent=2)
+    print(text, flush=True)  # a closed stdout fails here, not at exit
 
 
 def _parse_vector_csv(text: str) -> tuple[int, ...]:
@@ -335,19 +335,21 @@ def cmd_search(args) -> int:
     results = search_by_type(
         args.alpha, args.beta, gamma, delta, kappa, linear_only=args.linear_only
     )
-    types = [code_type(gens) for gens, _ in results]
-    rows = [
-        {
-            "b": list(gens.b.coeffs),
-            "ell": list(gens.ell.coeffs),
-            "f": list(gens.f.coeffs),
-            "h": list(gens.h.coeffs),
-            "g": list(gens.g.coeffs),
-            "type": [ct.gamma, ct.delta, ct.kappa],
-            "linear": rep.verdict,
-        }
-        for (gens, rep), ct in zip(results, types)
-    ]
+    # JSON rows under --json, text lines without it
+    rows, lines = [], [f"{len(results)} codes"]
+    for gens, rep in results:
+        ct = code_type(gens)
+        if args.json:
+            rows.append({
+                **{k: list(getattr(gens, k).coeffs) for k in ("b", "ell", "f", "h", "g")},
+                "type": [ct.gamma, ct.delta, ct.kappa],
+                "linear": rep.verdict,
+            })
+        else:
+            lines.append(
+                f"b={gens.b}  ell={gens.ell}  f={gens.f}  h={gens.h}  g={gens.g}"
+                f"  type=({ct.gamma},{ct.delta},{ct.kappa})  linear={'yes' if rep.verdict else 'no'}"
+            )
     report = {
         "command": "search",
         "inputs": {
@@ -356,16 +358,9 @@ def cmd_search(args) -> int:
             "type": args.type,
             "linear_only": bool(args.linear_only),
         },
-        "count": len(rows),
+        "count": len(results),
         "results": rows,
     }
-    lines = [f"{len(rows)} codes"]
-    if not args.json:  # the listing is only printed without --json
-        lines += [
-            f"b={gens.b}  ell={gens.ell}  f={gens.f}  h={gens.h}  g={gens.g}"
-            f"  type=({ct.gamma},{ct.delta},{ct.kappa})  linear={'yes' if rep.verdict else 'no'}"
-            for (gens, rep), ct in zip(results, types)
-        ]
     _emit(args, report, "\n".join(lines))
     return 0
 
@@ -459,6 +454,13 @@ def main(argv: list[str] | None = None) -> int:
         args._t0 = time.time()
         resolve_capacity()  # a bad setting fails every command, listing or not
         return args.func(args)
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone: what is still buffered goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"BrokenPipeError: {exc}", file=sys.stderr)
+        return 1
     except PreconditionError as exc:
         print(f"PreconditionError: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ it as ``ell_gcds``.  L and the pair see (f, h, g) only through how h~ and
 g~ split the factors of gcd(x^alpha - 1, x^beta - 1).  A triple is a pair
 of masks over the factors of x^beta - 1, so the candidate loop
 (``_candidate_runs``) reads that split by AND and builds one row of ell
-per (b, split), which every triple of that split shares;
+per (b, split), which every triple of that split shares, each ell with its
+pair and b / gcd(b, ell*g~), the quotient the criterion reads;
 ``enumerate_all_cyclic`` and ``linimage.search_by_type`` walk its runs.
 
 The code is a Z4[x]-module under p star (u | v) = (p~ u mod x^alpha - 1 |
@@ -84,6 +85,9 @@ def _b_violations(alpha: int, b: BinPoly) -> list[str]:
     return []
 
 
+_NOT_SPLIT = "f*h*g != x^{}-1 over Z4"
+
+
 def _splits(beta: int, f: QuatPoly, h: QuatPoly, g: QuatPoly) -> bool:
     return f * h * g == QuatPoly.xn_minus_1(beta)
 
@@ -92,7 +96,7 @@ def _triple_violations(beta: int, f: QuatPoly, h: QuatPoly, g: QuatPoly) -> list
     """The conditions on (f, h, g) alone: split, monic and coprime."""
     out = []
     if not _splits(beta, f, h, g):
-        out.append(f"f*h*g != x^{beta}-1 over Z4")
+        out.append(_NOT_SPLIT.format(beta))
     for name, p in (("f", f), ("h", h), ("g", g)):
         if not p.is_monic:
             out.append(f"{name} = {p} is not monic")
@@ -128,9 +132,11 @@ def _ell_violations(
 def violations(
     alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly, g: QuatPoly
 ) -> list[str]:
-    """All canonical-form conditions that fail for the given data."""
-    out = _b_violations(alpha, b) + _triple_violations(beta, f, h, g)
-    if not b.is_zero and _splits(beta, f, h, g):
+    """All canonical-form conditions that fail for the given data; the
+    ell conditions are checked when b is nonzero and f*h*g splits."""
+    triple = _triple_violations(beta, f, h, g)
+    out = _b_violations(alpha, b) + triple
+    if not b.is_zero and _NOT_SPLIT.format(beta) not in triple:
         ft, ht, gt = reduce_mod2(f), reduce_mod2(h), reduce_mod2(g)
         out.extend(_ell_violations(b, ell, BinPoly.xn_minus_1(beta) // ft, ht, gt))
     return out
@@ -174,7 +180,7 @@ class CyclicGenerators(_GeneratorFields):
     class validates the seven fields, reduces ell modulo b and computes the
     pair.  The candidate loop, which has already seen its data valid,
     builds records with ``tuple.__new__(CyclicGenerators, (..., ell_gcds))``
-    and hands the tuples of one row the same pair; nothing else should
+    and hands the tuples of one row entry the same pair; nothing else should
     (``_make`` and ``_replace`` check nothing either).  Equality and hash
     are the tuple's, and the pair is a function of the seven fields, so
     both kinds of record agree.  Pickling passes the seven fields back
@@ -385,20 +391,18 @@ def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
     return [(prods[full ^ hm ^ gm], prods[hm], prods[gm]) for hm in order for gm in g_masks(hm)]
 
 
-# a row of ell: each with its ell_gcds (gcd(b, ell), gcd(b, ell*g~))
-_Row = list[tuple[BinPoly, tuple[BinPoly, BinPoly]]]
+# a row of ell: each with its ell_gcds and the bit mask of b / gcd(b, ell*g~)
+_Row = list[tuple[BinPoly, tuple[BinPoly, BinPoly], int]]
 
 
-def _ell_row(
-    b: BinPoly, hs: int, gs: int, pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]]
-) -> _Row:
+def _ell_row(b: BinPoly, hs: int, gs: int) -> _Row:
     """The ell of every triple whose signature is (hs, gs), with b: the
     multiples of L = ``_ell_lattice(b, hs*gs, hs, gs)`` sorted by bit
-    string, each with the ``ell_gcds`` pair (gcd(b, ell), gcd(b, ell*gs)).
+    string, each with the ``ell_gcds`` pair (gcd(b, ell), gcd(b, ell*gs))
+    and the quotient b / gcd(b, ell*gs) that the criterion reads.
 
-    ``pairs`` maps the gcd pairs of one b, as bit masks, to the ell_gcds
-    its tuples share.  Each entry passes the guard on the pair, and the
-    row checks deg ell < deg b once, on its last entry.
+    Each entry passes the guard on the pair and the exact division of b,
+    and the row checks deg ell < deg b once, on its last entry.
     """
     bb, db = b.bits, int(b.degree)
     cof = clmul(hs, gs)
@@ -408,21 +412,21 @@ def _ell_row(
         gbl, gblg = clgcd(bb, e), clgcd(bb, clmul(e, gs))
         if errs := _gcd_violations(bb, cof, hs, gbl, gblg):
             raise InternalError(f"ell = {BinPoly.from_bits(e)} fails: {'; '.join(errs)}")
-        gcds = pairs.get((gbl, gblg))
-        if gcds is None:
-            gcds = pairs[gbl, gblg] = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
-        row.append((BinPoly.from_bits(e), gcds))
+        quot, rem = cldivmod(bb, gblg)
+        if rem:
+            raise InternalError("gcd(b, ell*g~) failed to divide b")
+        row.append((BinPoly.from_bits(e), (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg)), quot))
     if row[-1][0].bits.bit_length() > db:
         raise InternalError(f"ell = {row[-1][0]} is not reduced modulo b = {b}")
     return row
 
 
 def _candidate_runs(
-    alpha: int, beta: int, capacity: int | None
+    alpha: int, beta: int
 ) -> Iterator[tuple[BinPoly, QuatPoly, QuatPoly, QuatPoly, _Row]]:
     """The candidate loop: ``(b, f, h, g, row)`` for each b and triple, in
     the order of ``enumerate_all_cyclic``, where ``row`` lists the valid ell
-    of (b, f, h, g) with their ``ell_gcds``, as ``_ell_row`` gives them.
+    of (b, f, h, g) with their ``ell_gcds`` and quotients (``_ell_row``).
     The row is shared: every triple of one signature gets the same list.
 
     Each piece of work is done once per call, at the level its result
@@ -439,10 +443,8 @@ def _candidate_runs(
     gcd(b, e*g~) = gcd(b, e*gs).  S is the product of the factors in the
     mask sm of those dividing x^alpha - 1, so (hs, gs) is the product of
     hm & sm and of gm & sm, with no gcd.  Within one b, ``_ell_row`` lists
-    the multiples of L once per signature, each with its ``ell_gcds`` and
-    the two ell conditions checked from it as a guard.  A (b, f, h, g)
-    whose code has more than ``capacity`` words raises CapacityError before
-    its run; None sets no bound.
+    the multiples of L once per signature, each with its ``ell_gcds``, its
+    quotient and the two ell conditions checked from the pair as a guard.
     """
     if beta % 2 == 0:
         raise DomainError("beta must be odd")
@@ -450,25 +452,19 @@ def _candidate_runs(
     xa = BinPoly.xn_minus_1(alpha).bits
     full = len(prods) - 1
     k = full.bit_length()
-    deg = [int(p.degree) for p in prods]
     sm = sum(1 << i for i in range(k) if clmod(xa, prods[1 << i].lo) == 0)
     for b in divisors_of_xn_minus_1_z2(alpha):
         if errs := _b_violations(alpha, b):
             raise InternalError("; ".join(errs))
-        free = alpha - int(b.degree)
         # the signature hs | gs << k -> the row of ell it yields
         rows: dict[int, _Row] = {}
-        # the gcd pairs of one b, as bit masks -> the ell_gcds its tuples share
-        pairs: dict[tuple[int, int], tuple[BinPoly, BinPoly]] = {}
         for hm in order:
             h, hs = prods[hm], hm & sm
             for gm in g_masks(hm):
-                if capacity is not None and (size := 1 << (free + 2 * deg[gm] + deg[hm])) > capacity:
-                    raise CapacityError(f"candidate code size {size} exceeds the bound {capacity}")
                 gs = gm & sm
                 row = rows.get(hs | gs << k)
                 if row is None:
-                    row = rows[hs | gs << k] = _ell_row(b, prods[hs].lo, prods[gs].lo, pairs)
+                    row = rows[hs | gs << k] = _ell_row(b, prods[hs].lo, prods[gs].lo)
                 yield b, prods[full ^ hm ^ gm], h, prods[gm], row
 
 
@@ -486,11 +482,16 @@ def enumerate_all_cyclic(
 
     This flattens the runs of ``_candidate_runs``, the package's one
     candidate loop: each tuple is built straight from its row entry, with
-    no second check, and carries the row's shared ``ell_gcds``.  A
-    (b, f, h, g) whose code has more than ``capacity`` words raises
-    CapacityError before its first tuple; None sets no bound.
+    no second check, and carries the entry's ``ell_gcds``.  A run whose
+    code has 2^(alpha - deg b + deg h + 2 deg g) words, more than
+    ``capacity``, raises CapacityError before its first tuple; None sets no
+    bound.
     """
     new = tuple.__new__
-    for b, f, h, g, row in _candidate_runs(alpha, beta, capacity):
-        for ell, gcds in row:
+    for b, f, h, g, row in _candidate_runs(alpha, beta):
+        if capacity is not None:
+            size = 1 << (alpha - int(b.degree) + int(h.degree) + 2 * int(g.degree))
+            if size > capacity:
+                raise CapacityError(f"candidate code size {size} exceeds the bound {capacity}")
+        for ell, gcds, _ in row:
             yield new(CyclicGenerators, (alpha, beta, b, ell, f, h, g, gcds))

@@ -90,22 +90,20 @@ def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
     return gcd2(reduce_mod2(f), tensor_square(reduce_mod2(g), n)) == BinPoly.one()
 
 
-def _criterion(b: BinPoly, ft: BinPoly, denom: BinPoly, tensor: BinPoly) -> LinearityReport:
-    """gcd(f~ * b / denom, tensor) = 1, on the int kernels; denom is
-    gcd(b, ell*g~) and tensor is g~ (x) g~."""
-    quot, rem = cldivmod(clmul(ft.bits, b.bits), denom.bits)
-    if rem:
-        raise InternalError("gcd(b, ell*g~) failed to divide f~*b")
-    gcd_val = clgcd(quot, tensor.bits)
-    return LinearityReport(
-        BinPoly.from_bits(quot), tensor, BinPoly.from_bits(gcd_val), gcd_val == 1
-    )
+def _criterion(ft: int, quot: int, tensor: BinPoly) -> LinearityReport:
+    """gcd(f~ * quot, tensor) = 1 on the int kernels, with the bit masks ft
+    of f~ and quot of b / gcd(b, ell*g~); tensor is g~ (x) g~."""
+    a = clmul(ft, quot)
+    gcd_val = clgcd(a, tensor.bits)
+    return LinearityReport(BinPoly.from_bits(a), tensor, BinPoly.from_bits(gcd_val), gcd_val == 1)
 
 
 def gray_linear_criterion(gens: CyclicGenerators) -> LinearityReport:
     """The gcd criterion for the extended Gray image of a mixed cyclic code."""
-    tensor = tensor_square(reduce_mod2(gens.g), gens.beta)
-    return _criterion(gens.b, reduce_mod2(gens.f), gens.ell_gcds[1], tensor)
+    quot, rem = cldivmod(gens.b.bits, gens.ell_gcds[1].bits)
+    if rem:
+        raise InternalError("gcd(b, ell*g~) failed to divide b")
+    return _criterion(gens.f.lo, quot, tensor_square(reduce_mod2(gens.g), gens.beta))
 
 
 def family_g_subgroup(gens: CyclicGenerators) -> bool:
@@ -484,32 +482,28 @@ def search_by_type(
     ``enumerate_all_cyclic``.  No code is enumerated, so no capacity bound
     applies.  The search walks the candidate loop one run at a time: a run
     is one (b, f, h, g) with its shared row of ell, each ell with its
-    ``ell_gcds`` (``cycliccode._candidate_runs``).
+    ``ell_gcds`` and the quotient b / gcd(b, ell*g~), divided exactly once
+    per entry where the row is built (``cycliccode._candidate_runs``).
 
     The type filters are decided where their inputs vary: gamma =
     alpha - deg b + deg h and delta = deg g once per run, kappa =
     alpha - deg gcd(b, ell*g~) once per row entry, from its pair.  A report
-    depends only on f~, the tensor g~ (x) g~ and b / gcd(b, ell*g~), since
-    its criterion polynomial is f~ times that quotient; a run takes one
-    report per distinct gcd(b, ell*g~) in its row, from a dict keyed by
-    those three and kept for this call only, so each report is evaluated
+    depends only on f~, the tensor g~ (x) g~ and the entry's quotient, since
+    its criterion polynomial is f~ times that quotient; reports are kept in
+    a dict keyed by those three, for this call only, so each is evaluated
     once per call.  The tensor is taken once per distinct g~, from a dict
-    keyed by g~ that is also kept for this call only, and f~ is built only
-    for a report not yet evaluated.  The quotient is taken once per
-    (b, gcd(b, ell*g~)), with an exact check that the gcd divides b.  Each
-    record is built straight from its row entry, as the candidate loop
-    builds it.
+    keyed by g~ that is also kept for this call only.  Each record is built
+    straight from its row entry, as the candidate loop builds it.
     """
     # the bit length of gcd(b, ell*g~) that kappa asks for, if any
     kappa_len = None if kappa is None else alpha - kappa + 1
     analyzed = []
-    # g~ -> g~ (x) g~, (b, gcd(b, ell*g~)) -> b / gcd(b, ell*g~), and
-    # (f~, g~ (x) g~, that quotient) -> the report, all as bit masks
+    # g~ -> g~ (x) g~, and (f~, g~ (x) g~, b / gcd(b, ell*g~)) -> the
+    # report, as bit masks
     tensors: dict[int, BinPoly] = {}
-    quotients: dict[tuple[int, int], int] = {}
     shared: dict[tuple[int, int, int], LinearityReport] = {}
     new = tuple.__new__
-    for b, f, h, g, row in _candidate_runs(alpha, beta, None):
+    for b, f, h, g, row in _candidate_runs(alpha, beta):
         if gamma is not None and alpha - int(b.degree) + int(h.degree) != gamma:
             continue
         if delta is not None and int(g.degree) != delta:
@@ -517,25 +511,13 @@ def search_by_type(
         tensor = tensors.get(g.lo)
         if tensor is None:
             tensor = tensors[g.lo] = tensor_square(reduce_mod2(g), beta)
-        # gcd(b, ell*g~) -> the report of this run
-        reports: dict[int, LinearityReport] = {}
-        for ell, gcds in row:
-            denom = gcds[1].bits
-            if kappa_len is not None and denom.bit_length() != kappa_len:
+        ft, tb = f.lo, tensor.bits
+        for ell, gcds, quot in row:
+            if kappa_len is not None and gcds[1].bits.bit_length() != kappa_len:
                 continue
-            rep = reports.get(denom)
+            rep = shared.get((ft, tb, quot))
             if rep is None:
-                quot = quotients.get((b.bits, denom))
-                if quot is None:
-                    quot, rem = cldivmod(b.bits, denom)
-                    if rem:
-                        raise InternalError("gcd(b, ell*g~) failed to divide b")
-                    quotients[b.bits, denom] = quot
-                key = (f.lo, tensor.bits, quot)
-                rep = shared.get(key)
-                if rep is None:
-                    rep = shared[key] = _criterion(b, reduce_mod2(f), gcds[1], tensor)
-                reports[denom] = rep
+                rep = shared[ft, tb, quot] = _criterion(ft, quot, tensor)
             if rep.verdict or not linear_only:
                 analyzed.append((new(CyclicGenerators, (alpha, beta, b, ell, f, h, g, gcds)), rep))
     return analyzed

@@ -60,6 +60,32 @@ class TestModuleEntryPoint:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ("factor", "--n", "7", "--ring", "z2"),
+        ("search", "--alpha", "2", "--beta", "7"),
+        ("search", "--alpha", "2", "--beta", "7", "--json"),
+    ])
+    def test_closed_stdout_is_one_error_line(self, argv, buffered):
+        # stdout is a pipe whose reader is gone, so any write to it fails
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "z2z4", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env={**env, "PYTHONPATH": str(src)}, cwd=src.parent, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("BrokenPipeError: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestFactor:
     def test_text(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 import pickle
@@ -75,6 +76,27 @@ class TestValidate:
             QuatPoly.one(), QuatPoly.one(), QuatPoly.parse("x^2+x+1"),
         )
         assert any("f*h*g" in e for e in errs)
+
+    @pytest.mark.parametrize("data,want", [
+        (("0", "1", "3", "1", "x^2+x+1"),
+         ["b = 0 does not divide x^3-1 over Z2", "f*h*g != x^3-1 over Z4", "f = 3 is not monic"]),
+        (("x", "1", "2x+1", "2x^2+x+1", "3x^2+3x+3"),
+         ["b = x does not divide x^3-1 over Z2", "f = 2x+1 is not monic",
+          "h = 2x^2+x+1 is not monic", "g = 3x^2+3x+3 is not monic",
+          "b does not divide (x^beta-1)/f~ * gcd(b, ell)",
+          "b does not divide h~ * gcd(b, ell*g~)"]),
+    ])
+    def test_messages_in_order(self, data, want):
+        b, ell, f, h, g = data
+        polys = (BinPoly.parse(b), BinPoly.parse(ell), *map(QuatPoly.parse, (f, h, g)))
+        assert violations(3, 3, *polys) == want
+
+    def test_validation_multiplies_the_triple_once(self, length9_code, monkeypatch):
+        calls = []
+        real = cycliccode._splits
+        monkeypatch.setattr(cycliccode, "_splits", lambda *a: calls.append(a) or real(*a))
+        assert CyclicGenerators(*length9_code[:7]) == length9_code
+        assert len(calls) == 1
 
     def test_even_beta_rejected(self):
         with pytest.raises(DomainError):
@@ -505,6 +527,22 @@ class TestEllLattice:
         monkeypatch.setattr(cycliccode, "_ell_lattice", lambda b, cof, ht, gt: BinPoly.one())
         with pytest.raises(InternalError):
             list(enumerate_all_cyclic(3, 3))
+
+    def test_guard_rejects_a_gcd_that_does_not_divide_b(self, monkeypatch):
+        # once the row's lattice is taken, each entry takes gcd(b, ell) and
+        # then gcd(b, ell*g~); the second comes back times x, which divides
+        # no b and keeps both ell conditions
+        real_gcd, real_lattice = cycliccode.clgcd, cycliccode._ell_lattice
+
+        def lattice_then_skew(*args):
+            step = real_lattice(*args)
+            calls = itertools.count()
+            monkeypatch.setattr(cycliccode, "clgcd", lambda p, q: real_gcd(p, q) << next(calls) % 2)
+            return step
+
+        monkeypatch.setattr(cycliccode, "_ell_lattice", lattice_then_skew)
+        with pytest.raises(InternalError, match="failed to divide b"):
+            next(enumerate_all_cyclic(3, 7))
 
     def test_yielded_tuples_skip_the_full_check(self, monkeypatch):
         calls = []

@@ -657,14 +657,22 @@ class TestSharedGcds:
         seen = []
         real = linimage._criterion
 
-        def counted(b, ft, denom, tensor):
-            seen.append((ft, tensor, b // denom))
-            return real(b, ft, denom, tensor)
+        def counted(ft, quot, tensor):
+            seen.append((ft, tensor, quot))
+            return real(ft, quot, tensor)
 
         monkeypatch.setattr(linimage, "_criterion", counted)
         results = search_by_type(alpha, beta)
         inputs = {(reduce_mod2(G.f), reduce_mod2(G.g), G.b // _gcd_pair(G)[1]) for G, _ in results}
         assert len(seen) == len(set(seen)) <= len(inputs)
+
+    def test_criterion_guard_rejects_a_gcd_that_does_not_divide_b(self):
+        # x divides no b, since b divides x^alpha - 1
+        G = next(enumerate_all_cyclic(3, 7))
+        gbl, gblg = G.ell_gcds
+        skewed = tuple.__new__(CyclicGenerators, (*G[:7], (gbl, BinPoly.from_bits(gblg.bits << 1))))
+        with pytest.raises(InternalError, match="failed to divide b"):
+            gray_linear_criterion(skewed)
 
     @pytest.mark.parametrize("alpha,beta", [(4, 15), (6, 9), (2, 21)])
     def test_one_tensor_per_g_tilde(self, alpha, beta, monkeypatch):
