@@ -15,6 +15,7 @@ past the bound, except for a shift witness, which is a listed codeword.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -453,13 +454,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         args._t0 = time.time()
         resolve_capacity()  # a bad setting fails every command, listing or not
+        if sys.stdout is None:  # fd 1 was closed at start: print would drop the output
+            raise OSError(errno.EBADF, "stdout is closed")
         return args.func(args)
-    except BrokenPipeError as exc:
-        # the reader of stdout is gone: what is still buffered goes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"BrokenPipeError: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a stdout write failed or its reader is gone: what is still buffered goes nowhere
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(f"PreconditionError: {exc}", file=sys.stderr)

@@ -45,8 +45,8 @@ from .polyring import (
     clgcd,
     clmod,
     clmul,
+    clxgcd,
     cyclic_reduce,
-    ext_gcd2,
     gcd2,
     gf2_bezout,
     lift_to_quat,
@@ -98,12 +98,18 @@ def _criterion(ft: int, quot: int, tensor: BinPoly) -> LinearityReport:
     return LinearityReport(BinPoly.from_bits(a), tensor, BinPoly.from_bits(gcd_val), gcd_val == 1)
 
 
-def gray_linear_criterion(gens: CyclicGenerators) -> LinearityReport:
-    """The gcd criterion for the extended Gray image of a mixed cyclic code."""
+def _criterion_quotient(gens: CyclicGenerators) -> int:
+    """b / gcd(b, ell*g~) as a bit mask, from the tuple's ``ell_gcds``."""
     quot, rem = cldivmod(gens.b.bits, gens.ell_gcds[1].bits)
     if rem:
         raise InternalError("gcd(b, ell*g~) failed to divide b")
-    return _criterion(gens.f.lo, quot, tensor_square(reduce_mod2(gens.g), gens.beta))
+    return quot
+
+
+def gray_linear_criterion(gens: CyclicGenerators) -> LinearityReport:
+    """The gcd criterion for the extended Gray image of a mixed cyclic code."""
+    tensor = tensor_square(reduce_mod2(gens.g), gens.beta)
+    return _criterion(gens.f.lo, _criterion_quotient(gens), tensor)
 
 
 def family_g_subgroup(gens: CyclicGenerators) -> bool:
@@ -386,17 +392,21 @@ def psi_image_generators(
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
     ell' = p~ * ell mod b for any p solving p * (fh + 2f) = T in
-    Z4[x]/(x^beta - 1), T = psi^{-1}(f~^2 h~).  The preimage is taken on the
-    packed bits of f~^2 h~ by ``WordCodec.psi_inv_words``, whose two halves
-    are the planes of T.  ell' is read off T without solving for p, on the
-    int kernels, with d2 = gcd(b, ell*g~) and q = b / d2:
+    Z4[x]/(x^beta - 1), T = psi^{-1}(f~^2 h~), f~^2 = f~(x^2) being the
+    bits of f~ spread apart.  The preimage is taken on the packed bits by
+    ``WordCodec.psi_inv_words``, whose two halves are the planes of T.
+    ell' is read off T without solving for p, on the int kernels, with
+    d2 = gcd(b, ell*g~) and q = b / d2, divided once:
 
     1. A~ = T~ / (f~ h~), which must leave no remainder;
-    2. 2U = T - A~ * (fh + 2f) mod x^beta - 1, whose ``lo`` plane is that
-       remainder and whose ``hi`` plane U~ must be a multiple of f~.
-       Steps 1 and 2 are the membership test T in <fh + 2f>: the code has
-       residue code <f~h~> and torsion code <f~> (Pless and Qian, IEEE
-       Trans. IT 42, 1996), so it holds T iff both pass;
+    2. 2U = T - A~ * (fh + 2f), whose ``hi`` plane U~ must be a multiple
+       of f~.  With no remainder deg A~ < beta - deg(fh), since
+       deg T~ < beta, so A~ * (fh + 2f) needs no reduction mod x^beta - 1;
+       its ``lo`` plane is T~, and U~ = T.hi ^ hi(A~ * fh) ^ A~ f~: one Z4
+       product f*h and one product of the 0/1 vector A~ by it.  Steps 1
+       and 2 are the membership test T in <fh + 2f>: the code has residue
+       code <f~h~> and torsion code <f~> (Pless and Qian, IEEE Trans. IT
+       42, 1996), so it holds T iff both pass;
     3. z = U~ (f~ g~)^{-1} mod q, or 0 when q = 1.  The ell conditions give
        b | h~ d2, so q divides h~ and f~ g~ is a unit mod q;
     4. ell' = (A~ + g~ z) * ell mod b.
@@ -407,37 +417,32 @@ def psi_image_generators(
     multiple of g~ q, and b = q d2 divides g~ q ell.  So every solution
     gives this ell'; ``solve_cyclic_z4_lexmin`` is its differential oracle.
     ``report``, if given, is the code's ``gray_linear_criterion`` report,
-    which is then not computed again.
+    whose verdict is then used; without it the verdict is the gcd that
+    ``_criterion`` takes, on q, and no report is built.
     """
-    if report is None:
-        report = gray_linear_criterion(gens)
-    if not report.verdict:
+    beta = gens.beta
+    ft, ht, gt = gens.f.lo, gens.h.lo, gens.g.lo
+    q = _criterion_quotient(gens)
+    linear = report.verdict if report is not None else (  # the gcd of ``_criterion``
+        clgcd(clmul(ft, q), tensor_square(reduce_mod2(gens.g), beta).bits) == 1)
+    if not linear:
         raise PreconditionError(
             "the Gray image is not linear; the Nechaev-Gray image has no "
             "double-cyclic generator pair"
         )
-    beta = gens.beta
-    ft, ht, gt = gens.f.lo, gens.h.lo, gens.g.lo
     fht = clmul(ft, ht)
-    a = cyclic_reduce(BinPoly.from_bits(clmul(fht, ft)), 2 * beta)
+    a = cyclic_reduce(BinPoly.from_bits(clmul(int(format(ft, "b"), 4), ht)), 2 * beta)
     (word,) = WordCodec(0, beta).psi_inv_words((a.bits,))
-    t_lo = word & ((1 << beta) - 1)
-    at, rest = cldivmod(t_lo, fht)
-    two_u = cyclic_reduce(
-        QuatPoly.from_planes(t_lo, word >> beta) - QuatPoly.from_planes(at, 0) * gens.fh_plus_2f,
-        beta,
-    )
-    u = two_u.hi
+    at, rest = cldivmod(word & ((1 << beta) - 1), fht)
+    u = word >> beta ^ (QuatPoly.from_planes(at, 0) * (gens.f * gens.h)).hi ^ clmul(at, ft)
     if rest or clmod(u, ft):
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
-    b = gens.b.bits
-    q = cldivmod(b, gens.ell_gcds[1].bits)[0]
     z = 0
     if q != 1:
-        _, inv, _ = ext_gcd2(BinPoly.from_bits(clmod(clmul(ft, gt), q)), BinPoly.from_bits(q))
-        z = clmod(clmul(clmod(u, q), inv.bits), q)
+        inv = clxgcd(clmod(clmul(ft, gt), q), q)[1]
+        z = clmod(clmul(clmod(u, q), inv), q)
     # b | x^alpha - 1, a = f~^2 h~ | (x^beta - 1)^2 and deg ellp < deg b: no validation
-    ellp = BinPoly.from_bits(clmod(clmul(at ^ clmul(gt, z), gens.ell.bits), b))
+    ellp = BinPoly.from_bits(clmod(clmul(at ^ clmul(gt, z), gens.ell.bits), gens.b.bits))
     return DoubleCyclicGenerators._trusted(gens.alpha, 2 * beta, gens.b, ellp, a)
 
 

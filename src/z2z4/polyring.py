@@ -38,13 +38,14 @@ _TERM_RE = re.compile(
 
 
 def clmul(a: int, b: int) -> int:
-    """Carry-less product of a and b."""
+    """Carry-less product: a shifted copy of one operand per set bit of the sparser."""
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
     out = 0
     while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        out ^= a * low
+        b ^= low
     return out
 
 
@@ -70,6 +71,17 @@ def clgcd(a: int, b: int) -> int:
     while b:
         a, b = b, clmod(a, b)
     return a
+
+
+def clxgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: (g, s, t) with clmul(s, a) ^ clmul(t, b) = g = clgcd(a, b)."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = cldivmod(a, b)
+        a, b = b, r
+        s, s1 = s1, s ^ clmul(q, s1)
+        t, t1 = t1, t ^ clmul(q, t1)
+    return a, s, t
 
 
 class _Poly:
@@ -465,14 +477,8 @@ def ext_gcd2(a: BinPoly, b: BinPoly) -> tuple[BinPoly, BinPoly, BinPoly]:
     """Extended Euclid over Z2: returns (g, s, t) with s*a + t*b = g."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    x, y = a.bits, b.bits
-    s, s1, t, t1 = 1, 0, 0, 1
-    while y:
-        q, r = cldivmod(x, y)
-        x, y = y, r
-        s, s1 = s1, s ^ clmul(q, s1)
-        t, t1 = t1, t ^ clmul(q, t1)
-    return BinPoly.from_bits(x), BinPoly.from_bits(s), BinPoly.from_bits(t)
+    g, s, t = clxgcd(a.bits, b.bits)
+    return BinPoly.from_bits(g), BinPoly.from_bits(s), BinPoly.from_bits(t)
 
 
 def graeffe_lift(p2: BinPoly, n: int) -> QuatPoly:

@@ -7,7 +7,9 @@ they stored ints: a canonical ascending tuple (no trailing zeros) with
 MOD = 4; x^n - 1 is built for either MOD, and the other constructors,
 parsing and printing are the shared ``_Poly`` ones.
 ``tuple_cyclic_reduce`` folds exponents mod n; gcd and extended gcd are the
-Euclid loops on polynomial objects.  ``padded`` reads a polynomial of
+Euclid loops on polynomial objects.  ``bitloop_clmul`` is the carry-less
+product that steps through every bit of its second operand, the reference
+for ``polyring.clmul``.  ``padded`` reads a polynomial of
 either class as a fixed-length coefficient vector.
 """
 
@@ -157,6 +159,16 @@ def tuple_ext_gcd2(a: TupleBinPoly, b: TupleBinPoly):
         s, s1 = s1, s + q * s1
         t, t1 = t1, t + q * t1
     return a, s, t
+
+
+def bitloop_clmul(a: int, b: int) -> int:
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
 
 
 def padded(p, n: int) -> tuple[int, ...]:

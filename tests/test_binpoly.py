@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 from z2z4.cyclofield import factor_xn_minus_1_z2
 from z2z4.errors import DomainError
 from z2z4.polyring import (
-    BinPoly, QuatPoly, clmod, clmul, cyclic_reduce, ext_gcd2, gcd2, reduce_mod2,
+    BinPoly, QuatPoly, clgcd, clmod, clmul, clxgcd, cyclic_reduce, ext_gcd2, gcd2, reduce_mod2,
 )
-from binpoly_oracle import TupleBinPoly, tuple_cyclic_reduce, tuple_ext_gcd2, tuple_gcd2
+from binpoly_oracle import (
+    TupleBinPoly, bitloop_clmul, tuple_cyclic_reduce, tuple_ext_gcd2, tuple_gcd2,
+)
 from cyclo_oracle import smallest_irreducible
 
 # lengths past 64 bits and lists with trailing zeros
@@ -111,6 +113,32 @@ class TestArithmetic:
     def test_cyclic_reduce(self, a, n):
         p, ref = both(a)
         assert same(cyclic_reduce(p, n), tuple_cyclic_reduce(ref, n))
+
+
+@st.composite
+def clmul_operands(draw):
+    """Two ints of 0..600 bits: random, 0, 1, one bit or all ones, so that
+    sparse meets dense and lengths differ a lot."""
+    def operand():
+        n = draw(st.integers(0, 600))
+        return draw(st.one_of(
+            st.integers(0, (1 << n) - 1), st.just(0), st.just(1),
+            st.just(1 << n), st.just((1 << n) - 1),
+        ))
+    return operand(), operand()
+
+
+class TestKernels:
+    @given(clmul_operands())
+    def test_clmul_matches_the_bit_loop(self, ab):
+        a, b = ab
+        assert clmul(a, b) == clmul(b, a) == bitloop_clmul(a, b) == bitloop_clmul(b, a)
+
+    @given(clmul_operands())
+    def test_clxgcd_is_a_bezout_identity(self, ab):
+        a, b = ab
+        g, s, t = clxgcd(a, b)
+        assert clmul(s, a) ^ clmul(t, b) == g == clgcd(a, b)
 
 
 def _check_mulmod(mod: BinPoly) -> None:

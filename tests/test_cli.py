@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from errno import EBADF, ENOSPC
 from unittest import mock
 
 import pytest
@@ -85,6 +86,36 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert len(lines) == 1 and lines[0].startswith("BrokenPipeError: "), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @staticmethod
+    def _run_module(argv, **kwargs):
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-m", "z2z4", *argv], stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=src.parent, timeout=120, **kwargs,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("factor", "--n", "7", "--ring", "z2"),
+        ("search", "--alpha", "2", "--beta", "7", "--json"),
+    ])
+    def test_failing_stdout_write_is_one_error_line(self, argv):
+        # every write to /dev/full fails with ENOSPC, an OSError other than a broken pipe
+        with open("/dev/full", "w") as full:
+            proc = self._run_module(argv, stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"OSError: [Errno {ENOSPC}] {os.strerror(ENOSPC)}"]
+
+    @pytest.mark.parametrize("argv", [
+        ("factor", "--n", "7", "--ring", "z2"),
+        ("search", "--alpha", "2", "--beta", "7", "--json"),
+    ])
+    def test_stdout_closed_at_start_is_one_error_line(self, argv):
+        # the child starts with fd 1 closed, so sys.stdout is None and print writes nothing
+        proc = self._run_module(argv, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"OSError: [Errno {EBADF}] stdout is closed"]
 
 
 class TestFactor:

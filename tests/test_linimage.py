@@ -531,6 +531,31 @@ class TestClosedFormImage:
             assert dcg == _solver_path(G, _lexmin)
             assert double_cyclic_span(dcg) == ext_psi_image(enumerate_code(G))
 
+    def test_report_and_no_report_agree(self, monkeypatch):
+        pool = _pool_codes()
+        assert len(pool) == 72
+        nonlinear = [G for G in enumerate_all_cyclic(2, 7) if not gray_linear_criterion(G).verdict]
+        assert nonlinear
+        reports = {G: gray_linear_criterion(G) for G in pool + nonlinear}
+        with_report = [psi_image_generators(G, report=reports[G]) for G in pool]
+        # without a report the verdict is the criterion's int gcd: no
+        # LinearityReport is built
+        monkeypatch.setattr(linimage, "LinearityReport", None)
+        assert [psi_image_generators(G) for G in pool] == with_report
+        for G in nonlinear:
+            for report in (None, reports[G]):
+                with pytest.raises(PreconditionError):
+                    psi_image_generators(G, report=report)
+
+    def test_quotient_guard_rejects_a_gcd_that_does_not_divide_b(self):
+        # x divides no b, since b divides x^alpha - 1
+        G = _linear_codes(3, 7)[0]
+        gbl, gblg = G.ell_gcds
+        skewed = tuple.__new__(CyclicGenerators, (*G[:7], (gbl, BinPoly.from_bits(gblg.bits << 1))))
+        for report in (None, gray_linear_criterion(G)):
+            with pytest.raises(InternalError, match="failed to divide b"):
+                psi_image_generators(skewed, report=report)
+
     @staticmethod
     def _flip_preimage(monkeypatch, flip):
         """Make ``WordCodec.psi_inv_words`` return T with the packed bits
