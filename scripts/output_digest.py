@@ -9,8 +9,9 @@ gated outputs are ``search --json`` at six cells, four filtered searches
 n <= 255, the census script's default output, the ``run_z4_sweep()``
 records, ``image --json`` on each code of the benchmark's image pool,
 in pool order, and ``analyze --json`` on the two worked matrices of
-``z2z4.reproduce``.  Run it at two commits and compare the listings with
-``diff``:
+``z2z4.reproduce`` and on ``shift_witness_matrix(8)``, a non-cyclic code of
+2^16 words whose shift witness is searched for among all its codewords.
+Run it at two commits and compare the listings with ``diff``:
 
     PYTHONPATH=src python3 scripts/output_digest.py > before.txt
 
@@ -32,6 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from z2z4.additive import GeneratorMatrix, MixedVector
 from z2z4.cli import main as cli_main
 from z2z4.cyclofield import MAX_MODULUS
 from z2z4.reproduce import cyclic_projections_matrix, nonlinear_image_matrix, run_z4_sweep
@@ -93,6 +95,16 @@ def analyze_output(matrix) -> tuple[int, str]:
         return cli_output(["analyze", "--matrix", str(path), "--json"])
 
 
+def shift_witness_matrix(beta: int) -> GeneratorMatrix:
+    """(1 0 | e_0), (0 1 | e_1) and (0 0 | e_i) for i = 2 .. beta-1: a code of
+    4^beta words, one per quaternary block, and not cyclic: its shift
+    witness is (0,0 | 0,...,0,1)."""
+    def e(i):
+        return tuple(int(j == i) for j in range(beta))
+    rows = [MixedVector((1, 0), e(0)), MixedVector((0, 1), e(1))]
+    return GeneratorMatrix(2, beta, tuple(rows + [MixedVector((0, 0), e(i)) for i in range(2, beta)]))
+
+
 def gated_outputs():
     """(label, thunk) for every gated output; a thunk returns (status, stdout)."""
     for alpha, beta in SEARCH_CELLS:
@@ -112,6 +124,7 @@ def gated_outputs():
     yield "image --json on perfbench/image_pool.json", image_outputs
     for make in (cyclic_projections_matrix, nonlinear_image_matrix):
         yield f"analyze --json on {make.__name__}()", lambda make=make: analyze_output(make())
+    yield "analyze --json on shift_witness_matrix(8)", lambda: analyze_output(shift_witness_matrix(8))
 
 
 def digest_lines():

@@ -661,12 +661,16 @@ class Code:
         return all(map(self.has_word, self.codec.shift_words(self.gens)))
 
     def cyclic_witness(self) -> tuple[MixedVector, MixedVector] | None:
-        """First codeword (canonical order) whose shift leaves the code."""
-        for v in self.sorted_vectors():
-            s = v.shift()
-            if s not in self:
-                return v, s
-        return None
+        """First codeword (canonical order) whose shift leaves the code, with
+        that shift.  The test runs on the packed words: besides ``words`` it
+        holds the list of their shifts and the list of the words that fail,
+        and unpacks only those."""
+        words = self.words
+        out = [w for w, s in zip(words, self.codec.shift_words(words)) if s not in words]
+        if not out:
+            return None
+        v = min(map(self.codec.unpack, out), key=lambda v: (v.bin, v.quat))
+        return v, v.shift()
 
     def puncture_x(self) -> "Code":
         """The binary projection, spanned by the projected generators."""

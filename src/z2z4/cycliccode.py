@@ -395,6 +395,14 @@ def factor_triples(beta: int) -> list[tuple[QuatPoly, QuatPoly, QuatPoly]]:
 _Row = list[tuple[BinPoly, tuple[BinPoly, BinPoly], int]]
 
 
+def _criterion_quotient(b: int, d: int) -> int:
+    """b / d for d = gcd(b, ell*g~), on bit masks; a remainder is an InternalError."""
+    quot, rem = cldivmod(b, d)
+    if rem:
+        raise InternalError("gcd(b, ell*g~) failed to divide b")
+    return quot
+
+
 def _ell_row(b: BinPoly, hs: int, gs: int) -> _Row:
     """The ell of every triple whose signature is (hs, gs), with b: the
     multiples of L = ``_ell_lattice(b, hs*gs, hs, gs)`` sorted by bit
@@ -412,10 +420,8 @@ def _ell_row(b: BinPoly, hs: int, gs: int) -> _Row:
         gbl, gblg = clgcd(bb, e), clgcd(bb, clmul(e, gs))
         if errs := _gcd_violations(bb, cof, hs, gbl, gblg):
             raise InternalError(f"ell = {BinPoly.from_bits(e)} fails: {'; '.join(errs)}")
-        quot, rem = cldivmod(bb, gblg)
-        if rem:
-            raise InternalError("gcd(b, ell*g~) failed to divide b")
-        row.append((BinPoly.from_bits(e), (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg)), quot))
+        gcds = (BinPoly.from_bits(gbl), BinPoly.from_bits(gblg))
+        row.append((BinPoly.from_bits(e), gcds, _criterion_quotient(bb, gblg)))
     if row[-1][0].bits.bit_length() > db:
         raise InternalError(f"ell = {row[-1][0]} is not reduced modulo b = {b}")
     return row

@@ -8,6 +8,10 @@ mixed cyclic code <(b|0), (ell | fh+2f)> the criterion becomes
 
     gcd( f~ * b / gcd(b, ell*g~),  g~ (x) g~ ) = 1.
 
+The quotient b / gcd(b, ell*g~) comes from ``cycliccode._criterion_quotient``,
+and only ``gray_linear_criterion`` wraps the gcd in a ``LinearityReport``;
+``psi_image_generators`` and ``wolfmann_linear`` (quotient 1) take it bare.
+
 When the criterion holds, the Nechaev-Gray image is a binary double-cyclic
 code generated by (b | 0) and (ell' | f~^2 h~) with ell' = p~ ell mod b for
 any p solving p * (fh + 2f) = T := psi^{-1}(f~^2 h~).  Every solution gives
@@ -36,7 +40,7 @@ from .additive import (
     gray_is_linear_oracle,
 )
 from .cyclofield import tensor_square
-from .cycliccode import CyclicGenerators, _candidate_runs, quaternary_generator
+from .cycliccode import CyclicGenerators, _candidate_runs, _criterion_quotient, quaternary_generator
 from .errors import DomainError, InternalError, PreconditionError
 from .polyring import (
     BinPoly,
@@ -47,7 +51,6 @@ from .polyring import (
     clmul,
     clxgcd,
     cyclic_reduce,
-    gcd2,
     gf2_bezout,
     lift_to_quat,
     reduce_mod2,
@@ -85,9 +88,9 @@ def _check_z4_triple(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> None:
 
 
 def wolfmann_linear(f: QuatPoly, h: QuatPoly, g: QuatPoly, n: int) -> bool:
-    """Gray-image linearity of the quaternary cyclic code <fh + 2f>."""
+    """Gray-image linearity of <fh + 2f>: gcd(f~, g~ (x) g~) = 1, the criterion with quotient 1."""
     _check_z4_triple(f, h, g, n)
-    return gcd2(reduce_mod2(f), tensor_square(reduce_mod2(g), n)) == BinPoly.one()
+    return clgcd(f.lo, tensor_square(reduce_mod2(g), n).bits) == 1
 
 
 def _criterion(ft: int, quot: int, tensor: BinPoly) -> LinearityReport:
@@ -98,18 +101,10 @@ def _criterion(ft: int, quot: int, tensor: BinPoly) -> LinearityReport:
     return LinearityReport(BinPoly.from_bits(a), tensor, BinPoly.from_bits(gcd_val), gcd_val == 1)
 
 
-def _criterion_quotient(gens: CyclicGenerators) -> int:
-    """b / gcd(b, ell*g~) as a bit mask, from the tuple's ``ell_gcds``."""
-    quot, rem = cldivmod(gens.b.bits, gens.ell_gcds[1].bits)
-    if rem:
-        raise InternalError("gcd(b, ell*g~) failed to divide b")
-    return quot
-
-
 def gray_linear_criterion(gens: CyclicGenerators) -> LinearityReport:
     """The gcd criterion for the extended Gray image of a mixed cyclic code."""
     tensor = tensor_square(reduce_mod2(gens.g), gens.beta)
-    return _criterion(gens.f.lo, _criterion_quotient(gens), tensor)
+    return _criterion(gens.f.lo, _criterion_quotient(gens.b.bits, gens.ell_gcds[1].bits), tensor)
 
 
 def family_g_subgroup(gens: CyclicGenerators) -> bool:
@@ -385,9 +380,7 @@ def solve_cyclic_z4_lexmin(
 # Nechaev-Gray image generators
 
 
-def psi_image_generators(
-    gens: CyclicGenerators, *, report: LinearityReport | None = None
-) -> DoubleCyclicGenerators:
+def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
     """Generators of the Nechaev-Gray image when the gcd criterion holds.
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
@@ -416,16 +409,13 @@ def psi_image_generators(
     y f~ g~ = U~ mod h~ and y = z mod q.  Then p~ - (A~ + g~ z) is a
     multiple of g~ q, and b = q d2 divides g~ q ell.  So every solution
     gives this ell'; ``solve_cyclic_z4_lexmin`` is its differential oracle.
-    ``report``, if given, is the code's ``gray_linear_criterion`` report,
-    whose verdict is then used; without it the verdict is the gcd that
-    ``_criterion`` takes, on q, and no report is built.
+    The verdict is the gcd that ``_criterion`` takes, on q, and no
+    ``LinearityReport`` is built.
     """
     beta = gens.beta
     ft, ht, gt = gens.f.lo, gens.h.lo, gens.g.lo
-    q = _criterion_quotient(gens)
-    linear = report.verdict if report is not None else (  # the gcd of ``_criterion``
-        clgcd(clmul(ft, q), tensor_square(reduce_mod2(gens.g), beta).bits) == 1)
-    if not linear:
+    q = _criterion_quotient(gens.b.bits, gens.ell_gcds[1].bits)
+    if clgcd(clmul(ft, q), tensor_square(reduce_mod2(gens.g), beta).bits) != 1:
         raise PreconditionError(
             "the Gray image is not linear; the Nechaev-Gray image has no "
             "double-cyclic generator pair"

@@ -39,6 +39,8 @@ _TERM_RE = re.compile(
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product: a shifted copy of one operand per set bit of the sparser."""
+    if a < 0 or b < 0:
+        raise DomainError("negative carry-less operand")
     if a.bit_count() < b.bit_count():
         a, b = b, a
     out = 0
@@ -49,8 +51,14 @@ def clmul(a: int, b: int) -> int:
     return out
 
 
+def _division_error(m: int) -> DomainError:
+    return DomainError("negative carry-less operand" if m else "division by the zero polynomial")
+
+
 def cldivmod(a: int, m: int) -> tuple[int, int]:
-    """Quotient and remainder of a by a nonzero m, by shift-XOR."""
+    """Quotient and remainder of a >= 0 by m > 0, by shift-XOR; else a DomainError."""
+    if m <= 0 or a < 0:
+        raise _division_error(m)
     dm, q = m.bit_length(), 0
     while (k := a.bit_length() - dm) >= 0:
         q |= 1 << k
@@ -59,7 +67,9 @@ def cldivmod(a: int, m: int) -> tuple[int, int]:
 
 
 def clmod(a: int, m: int) -> int:
-    """Remainder of a by a nonzero m."""
+    """Remainder of a by m, under the checks of ``cldivmod``."""
+    if m <= 0 or a < 0:
+        raise _division_error(m)
     dm = m.bit_length()
     while (k := a.bit_length() - dm) >= 0:
         a ^= m << k
@@ -297,8 +307,6 @@ class BinPoly(_Poly):
 
     def __divmod__(self, d):
         self._check_ring(d)
-        if not d.bits:
-            raise DomainError("division by the zero polynomial")
         q, r = cldivmod(self.bits, d.bits)
         return BinPoly.from_bits(q), BinPoly.from_bits(r)
 

@@ -123,7 +123,7 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     if report.verdict:
         img = ext_psi_image(code)
         psi_dc = is_double_cyclic(img)
-        dcg = psi_image_generators(gens, report=report)
+        dcg = psi_image_generators(gens)
         psi_span_ok = double_cyclic_span(dcg) == img
 
     return SweepRecord(

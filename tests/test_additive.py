@@ -1,3 +1,6 @@
+import tracemalloc
+from math import lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +16,19 @@ from z2z4.additive import (
 )
 from z2z4.errors import CapacityError, DomainError
 from span_oracle import word_add
-from word_oracle import add, ext_gray, ext_nechaev_gray, nechaev_gray_inv, order, scale, star
+from word_oracle import (
+    add, cyclic_witness, ext_gray, ext_nechaev_gray, nechaev_gray_inv, order, scale, star,
+)
+
+
+def shift_witness_matrix(beta: int) -> GeneratorMatrix:
+    """(1 0 | e_0), (0 1 | e_1) and (0 0 | e_i) for i = 2 .. beta-1: a code of
+    4^beta words, one per quaternary block, whose first shift witness is
+    (0,0 | 0,...,0,1), as (0,0 | 1,0,...,0) is not a codeword."""
+    def e(i):
+        return tuple(int(j == i) for j in range(beta))
+    rows = [MixedVector((1, 0), e(0)), MixedVector((0, 1), e(1))]
+    return GeneratorMatrix(2, beta, tuple(rows + [MixedVector((0, 0), e(i)) for i in range(2, beta)]))
 
 
 def mixed_vectors(alpha, beta):
@@ -167,6 +182,38 @@ class TestStructure:
         w = code.cyclic_witness()
         assert w == (MixedVector((0, 0), (0, 0, 1)), MixedVector((0, 0), (1, 0, 0)))
         assert w[1] not in code
+
+    @pytest.mark.parametrize("alpha, beta", [(0, 3), (3, 0), (2, 3), (3, 2), (1, 4), (4, 1)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_witness_matches_the_sorted_vector_loop(self, alpha, beta, data):
+        rows = data.draw(st.lists(mixed_vectors(alpha, beta), min_size=1, max_size=3))
+        if data.draw(st.booleans()):  # whole shift orbits span a cyclic code
+            orbits = []
+            for v in rows:
+                for _ in range(lcm(alpha or 1, beta or 1)):
+                    orbits.append(v)
+                    v = v.shift()
+            rows = orbits
+        code = Code.from_vectors_span(alpha, beta, rows)
+        want = cyclic_witness(code)
+        assert code.cyclic_witness() == want
+        assert (want is None) == code.is_cyclic()
+
+    def test_witness_holds_under_100_bytes_a_codeword(self):
+        # the packed test holds about 45 bytes a word; sorting a MixedVector
+        # per codeword, as the oracle does, holds about 320
+        code = Code.from_matrix(shift_witness_matrix(8))
+        assert code.size == len(code.words) == 1 << 16
+        tracemalloc.start()
+        try:
+            witness = code.cyclic_witness()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        zero = (0,) * 7
+        assert witness == (MixedVector((0, 0), zero + (1,)), MixedVector((0, 0), (1,) + zero))
+        assert peak < 100 * code.size
 
     def test_cyclic_projections_matrix_projections(self, cyclic_projections_matrix):
         code = Code.from_matrix(cyclic_projections_matrix)

@@ -1,12 +1,15 @@
 """Differential tests: the int-backed BinPoly against the tuple oracle."""
 
+import signal
+
 import pytest
 from hypothesis import given, strategies as st
 
 from z2z4.cyclofield import factor_xn_minus_1_z2
 from z2z4.errors import DomainError
 from z2z4.polyring import (
-    BinPoly, QuatPoly, clgcd, clmod, clmul, clxgcd, cyclic_reduce, ext_gcd2, gcd2, reduce_mod2,
+    BinPoly, QuatPoly, cldivmod, clgcd, clmod, clmul, clxgcd, cyclic_reduce, ext_gcd2, gcd2,
+    reduce_mod2,
 )
 from binpoly_oracle import (
     TupleBinPoly, bitloop_clmul, tuple_cyclic_reduce, tuple_ext_gcd2, tuple_gcd2,
@@ -139,6 +142,27 @@ class TestKernels:
         a, b = ab
         g, s, t = clxgcd(a, b)
         assert clmul(s, a) ^ clmul(t, b) == g == clgcd(a, b)
+
+    @pytest.mark.parametrize("kernel, a, b, message", [
+        (clmod, 5, 0, "division by the zero polynomial"),
+        (cldivmod, 5, 0, "division by the zero polynomial"),
+        (clmul, 1, -1, "negative"),
+        (clgcd, 1, -7, "negative"),
+        (clxgcd, 1, -7, "negative"),
+    ])
+    def test_a_zero_divisor_or_negative_operand_is_refused(self, kernel, a, b, message):
+        # each call once looped forever: a 2 s alarm turns a hang into a failure
+        def timeout(signum, frame):
+            raise TimeoutError(f"{kernel.__name__}({a}, {b}) did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            with pytest.raises(DomainError, match=message):
+                kernel(a, b)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _check_mulmod(mod: BinPoly) -> None:

@@ -1,4 +1,5 @@
-"""Tuple forms of the word arithmetic and of the Gray-type maps.
+"""Tuple forms of the word arithmetic, of the Gray-type maps and of the
+shift witness.
 
 The package computes on packed words (``WordCodec``), where a map or a sum
 is a few masks and shifts.  These are the coordinate-wise definitions the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from z2z4.additive import MixedVector, _as_bits, _as_quat
+from z2z4.additive import Code, MixedVector, _as_bits, _as_quat
 from z2z4.cycliccode import ResidueWord
 from z2z4.errors import DomainError
 from z2z4.polyring import QuatPoly, cyclic_reduce, reduce_mod2
@@ -153,6 +154,17 @@ def order(v: MixedVector) -> int:
     if is_zero(v):
         return 1
     return 4 if any(c % 2 for c in v.quat) else 2
+
+
+def cyclic_witness(code: Code) -> tuple[MixedVector, MixedVector] | None:
+    """The first codeword in the order of ``Code.sorted_vectors`` whose shift
+    leaves the code, with that shift, or None, by a loop over the sorted
+    codeword tuples: the oracle of the packed ``Code.cyclic_witness``."""
+    for v in code.sorted_vectors():
+        s = v.shift()
+        if s not in code:
+            return v, s
+    return None
 
 
 # ----------------------------------------------------------------------
