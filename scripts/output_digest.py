@@ -7,8 +7,9 @@ gated outputs are ``search --json`` at six cells, four filtered searches
 (``--linear-only`` at two cells, ``--type`` at two), ``reproduce --json``
 (full and ``--quick``), ``factor --json`` over both rings for every odd
 n <= 255, the census script's default output, the ``run_z4_sweep()``
-records, ``image --json`` on each code of the benchmark's image pool,
-in pool order, and ``analyze --json`` on the two worked matrices of
+records, ``image --json`` and ``linearity --json`` on each code of the
+benchmark's image pool, in pool order (the latter prints each code's
+g~ (x) g~ as ``tensor_poly``), and ``analyze --json`` on the two worked matrices of
 ``z2z4.reproduce`` and on ``shift_witness_matrix(8)``, a non-cyclic code of
 2^16 words whose shift witness is searched for among all its codewords.
 Run it at two commits and compare the listings with ``diff``:
@@ -73,14 +74,14 @@ def census_output() -> tuple[int, str]:
     return 0, out.getvalue()
 
 
-def image_outputs() -> tuple[int, str]:
-    """Largest exit status and joined stdout of ``image --json`` on each
+def pool_outputs(command: str) -> tuple[int, str]:
+    """Largest exit status and joined stdout of ``command --json`` on each
     code of the image pool, in pool order."""
     statuses, texts = [], []
     for e in json.loads(IMAGE_POOL.read_text()):
         code = {"alpha": e["alpha"], "beta": e["beta"]}
         code.update((k, [int(c) for c in e[k]]) for k in ("b", "ell", "f", "h", "g"))
-        status, text = cli_output(["image", "--code", json.dumps(code), "--json"])
+        status, text = cli_output([command, "--code", json.dumps(code), "--json"])
         statuses.append(status)
         texts.append(text)
     return max(statuses), "".join(texts)
@@ -121,7 +122,8 @@ def gated_outputs():
             yield " ".join(argv), lambda argv=argv: cli_output(argv)
     yield "linear_image_census.py", census_output
     yield "run_z4_sweep()", lambda: (0, "".join(f"{r!r}\n" for r in run_z4_sweep()))
-    yield "image --json on perfbench/image_pool.json", image_outputs
+    for command in ("image", "linearity"):
+        yield f"{command} --json on perfbench/image_pool.json", lambda c=command: pool_outputs(c)
     for make in (cyclic_projections_matrix, nonlinear_image_matrix):
         yield f"analyze --json on {make.__name__}()", lambda make=make: analyze_output(make())
     yield "analyze --json on shift_witness_matrix(8)", lambda: analyze_output(shift_witness_matrix(8))

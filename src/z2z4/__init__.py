@@ -28,13 +28,10 @@ from .polyring import (
     reduce_mod2,
 )
 from .cyclofield import (
-    CosetTable,
-    RootSet,
     cyclotomic_cosets,
     divisors_of_xn_minus_1_z2,
     factor_xn_minus_1_z2,
     factor_xn_minus_1_z4,
-    roots_of,
     tensor_square,
 )
 from .additive import (

@@ -352,8 +352,9 @@ def enumerate_code(gens: CyclicGenerators) -> Code:
 
 
 def _factor_subsets(beta: int) -> tuple[list[QuatPoly], list[int], Callable[[int], array]]:
-    """The factor subsets of x^beta - 1 over Z4: bit i of a mask is factor i
-    of ``factor_xn_minus_1_z4(beta)``.  Returns ``prods[m]``, the product of
+    """The factor subsets of x^beta - 1 over Z4, as masks in the index that
+    ``cyclofield._CycloContext`` owns (bit i is factor i of
+    ``factor_xn_minus_1_z4(beta)``).  Returns ``prods[m]``, the product of
     mask m, the masks in the coefficient order of their products, and
     ``g_masks(hm)``, the submasks of the complement of hm in that order,
     sorted on first use and kept for the call at 2 bytes a mask.  The

@@ -4,27 +4,28 @@ The factorization over Z2 produces one irreducible factor per 2-cyclotomic
 coset (the minimal polynomial of xi^rep for a primitive n-th root of unity
 xi over Z2); the Z4 factorization lifts each factor.  ``_CycloContext``
 builds, sorts and proves both factor lists once per length, and every
-caller shares them.  ``tensor_square`` computes the divisor of x^n - 1
-whose roots are all products of two roots of the input, via the sumset of
-root exponents.
+caller shares them.  It also owns the one index of the factors: bit i of a
+divisor's mask is factor i of ``factor_xn_minus_1_z4(n)``, over either
+ring (the Z2 list sorts differently), and ``cosets[i]`` holds the root
+exponents of that factor.  ``tensor_square`` computes the divisor of
+x^n - 1 whose roots are all products of two roots of the input, as a mask.
 
 The factors come from the coset idempotents t_C = sum_{i in C} x^i alone,
 with the ``polyring`` kernels on ints in the ``BinPoly.bits`` encoding.
 The root xi is x modulo one factor of order n, and coset C is labelled by
 the factor p with p(x^c) mod x^n - 1 in that factor's ideal (the exponent
 map, bit k to bit k*c mod n), so no arithmetic in GF(2^m) is done.  Root
-exponents are fixed only up to a unit of Z_n (``roots_of`` may return u*S
-for a unit u); every factor list and every ``tensor_square`` is
-independent of that choice.
+exponents are fixed only up to a unit of Z_n (``cosets`` may read u*C for
+a unit u); every factor list and every ``tensor_square`` is independent of
+that choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import CapacityError, DomainError, InternalError
-from .polyring import BinPoly, QuatPoly, cldivmod, clgcd, clmod, graeffe_lift
+from .polyring import BinPoly, QuatPoly, cldivmod, clgcd, clmod, clmul, graeffe_lift
 
 # Desk-scale bound on n: keeps x^n - 1, its split and the coset tables small.
 MAX_MODULUS = 255
@@ -44,23 +45,7 @@ def _check_n(n: int) -> None:
         raise CapacityError(f"length {n} exceeds the desk-scale bound {MAX_MODULUS}")
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """Partition of {0, ..., n-1} into 2-cyclotomic cosets mod n."""
-
-    n: int
-    cosets: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Exponent set S with p = prod_{i in S} (x - xi^i); closed under doubling."""
-
-    n: int
-    exponents: frozenset[int]
-
-
-def cyclotomic_cosets(n: int) -> CosetTable:
+def cyclotomic_cosets(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2-cyclotomic cosets mod n, each sorted, ordered by minimal element."""
     _check_n(n)
     seen = [False] * n
@@ -75,7 +60,7 @@ def cyclotomic_cosets(n: int) -> CosetTable:
             c.append(i)
             i = (2 * i) % n
         cosets.append(tuple(sorted(c)))
-    return CosetTable(n, tuple(cosets))
+    return tuple(cosets)
 
 
 def _exponent_map(p: int, c: int, n: int) -> int:
@@ -88,16 +73,17 @@ def _exponent_map(p: int, c: int, n: int) -> int:
 
 
 class _CycloContext:
-    """Per-coset minimal polynomials and the factors of x^n - 1 over Z2
-    and Z4 for one n."""
+    """Per-coset minimal polynomials, the factors of x^n - 1 over Z2 and Z4
+    for one n, and their index: ``cosets[i]`` is the coset of the roots of
+    factor i in the Z4 order, and ``coset_of[e]`` the index of exponent e."""
 
     def __init__(self, n: int):
         self.n = n
-        self.table = cyclotomic_cosets(n)
+        table = cyclotomic_cosets(n)
         # each t_C is idempotent mod x^n - 1, so 0 or 1 at every root, and
         # the t_C span every idempotent: the split ends at the irreducibles
         factors = [BinPoly.xn_minus_1(n).bits]
-        for coset in self.table.cosets:
+        for coset in table:
             t = sum(1 << i for i in coset)
             split = []
             for p in factors:
@@ -110,7 +96,7 @@ class _CycloContext:
         proper = [d for d in range(1, n) if n % d == 0]
         field = min(p for p in factors if all(clmod(1 << d | 1, p) for d in proper))
         self.min_polys = {}
-        for coset in self.table.cosets:
+        for coset in table:
             c = coset[0]
             zeros = [p for p in factors if clmod(_exponent_map(p, c, n), field) == 0]
             if len(zeros) != 1:
@@ -129,6 +115,22 @@ class _CycloContext:
         prod4 = reduce(lambda a, b: a * b, self.z4, QuatPoly.one())
         if prod4 != QuatPoly.xn_minus_1(n) or not all(p.is_monic for p in self.z4):
             raise InternalError(f"the lifted factors of x^{n}-1 are not monic with product x^{n}-1")
+        coset_by_factor = {mp.bits: c for c, mp in self.min_polys.items()}
+        self.cosets = tuple(coset_by_factor[p.lo] for p in self.z4)
+        self.coset_of = {e: i for i, coset in enumerate(self.cosets) for e in coset}
+
+    def mask(self, p: BinPoly) -> int:
+        """The factors that divide p, a divisor of x^n - 1 over Z2."""
+        if p.is_zero:
+            raise DomainError("the zero polynomial has no root set")
+        m = sum(1 << i for i, f in enumerate(self.z4) if clmod(p.bits, f.lo) == 0)
+        if self.product(m) != p.bits:
+            raise DomainError(f"{p} does not divide x^{self.n}-1 over Z2")
+        return m
+
+    def product(self, m: int) -> int:
+        """The product over Z2 of the factors in mask m, as bits."""
+        return reduce(clmul, (f.lo for i, f in enumerate(self.z4) if m >> i & 1), 1)
 
 
 @lru_cache(maxsize=None)
@@ -148,44 +150,27 @@ def factor_xn_minus_1_z4(n: int) -> tuple[QuatPoly, ...]:
     return _context(n).z4
 
 
-def roots_of(p: BinPoly, n: int) -> RootSet:
-    """Exponent set of the roots of a divisor p of x^n - 1 over Z2."""
-    ctx = _context(n)
-    if p.is_zero:
-        raise DomainError("the zero polynomial has no root set")
-    chosen = [c for c, mp in ctx.min_polys.items() if mp.divides(p)]
-    prod = reduce(lambda a, b: a * b, (ctx.min_polys[c] for c in chosen), BinPoly.one())
-    if prod != p:
-        raise DomainError(f"{p} does not divide x^{n}-1 over Z2")
-    return RootSet(n, frozenset(i for c in chosen for i in c))
-
-
-def from_roots(roots: RootSet) -> BinPoly:
-    """The divisor of x^n - 1 whose root exponents are exactly the given set."""
-    ctx = _context(roots.n)
-    exps = set(roots.exponents)
-    if any((2 * i) % roots.n not in exps for i in exps):
-        raise DomainError("exponent set is not closed under doubling")
-    out = BinPoly.one()
-    for c, mp in ctx.min_polys.items():
-        if c[0] in exps:
-            out = out * mp
-    return out
-
-
 @lru_cache(maxsize=TENSOR_CACHE_SIZE)
 def tensor_square(p: BinPoly, n: int) -> BinPoly:
     """Divisor of x^n - 1 whose roots are all pairwise products of roots of p.
 
-    With S the root-exponent set of p, the result has exponent set
-    {i + j mod n : i, j in S} (i = j allowed), which is automatically closed
-    under doubling; the polynomial is the product of the matching coset
-    minimal polynomials.  Results are cached, so every code of a search
-    cell with the same g~ shares one polynomial.
+    With S the root exponents of p, the result has exponents S + S =
+    {i + j mod n : i, j in S} (i = j allowed).  S is a union of cosets, so
+    2S = S, and S + S is closed under doubling: a union of cosets, those it
+    meets.  For c in S and any t, S + 2^t c = 2^t (S + c), and multiplying
+    by 2^t maps each coset onto itself, so S + 2^t c meets the same cosets
+    as S + c.  Hence S + S is the union of the cosets that meet S + c for
+    one c per coset of S: |S| sums per coset of p, OR-ed into a mask of the
+    context's index, where the whole sumset takes |S|^2.  Results are
+    cached, so every code of a search cell with the same g~ shares one
+    polynomial.
     """
-    s = roots_of(p, n).exponents
-    sums = frozenset((i + j) % n for i in s for j in s)
-    return from_roots(RootSet(n, sums))
+    ctx = _context(n)
+    m = ctx.mask(p)
+    chosen = [c for i, c in enumerate(ctx.cosets) if m >> i & 1]
+    roots = [e for c in chosen for e in c]
+    square = sum({1 << ctx.coset_of[(e + c[0]) % n] for c in chosen for e in roots})
+    return BinPoly.from_bits(ctx.product(square))
 
 
 def divisors_of_xn_minus_1_z2(n: int) -> tuple[BinPoly, ...]:

@@ -78,6 +78,8 @@ def clmod(a: int, m: int) -> int:
 
 def clgcd(a: int, b: int) -> int:
     """Greatest common divisor by Euclid; 0 only for a = b = 0."""
+    if a < 0 or b < 0:
+        raise DomainError("negative carry-less operand")
     while b:
         a, b = b, clmod(a, b)
     return a
@@ -85,6 +87,8 @@ def clgcd(a: int, b: int) -> int:
 
 def clxgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: (g, s, t) with clmul(s, a) ^ clmul(t, b) = g = clgcd(a, b)."""
+    if a < 0 or b < 0:
+        raise DomainError("negative carry-less operand")
     s, s1, t, t1 = 1, 0, 0, 1
     while b:
         q, r = cldivmod(a, b)

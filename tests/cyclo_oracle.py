@@ -7,13 +7,21 @@ integer encoding, found by ``is_irreducible``, Rabin's test), searches it
 for an element of order exactly n, and multiplies out prod (x - xi^i)
 over each 2-cyclotomic coset.  Elements are ints in the ``BinPoly.bits``
 encoding.
+
+``roots_of``, ``from_roots`` and ``sumset_tensor_square`` are the
+root-exponent form of a divisor of x^n - 1, labelled by the context's
+``min_polys``, and the tensor square as the whole sumset S + S: the
+differential oracle of ``cyclofield.tensor_square``, which works on the
+factor masks of ``_CycloContext``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 
-from z2z4.cyclofield import cyclotomic_cosets
+from z2z4.cyclofield import _context, cyclotomic_cosets
+from z2z4.errors import DomainError
 from z2z4.polyring import BinPoly, clgcd, clmod, clmul
 
 
@@ -98,7 +106,7 @@ def min_polys_by_field(n: int) -> dict[tuple[int, ...], BinPoly]:
     mod = smallest_irreducible(ord2(n)).bits
     xi = unity_root(n, mod)
     out = {}
-    for coset in cyclotomic_cosets(n).cosets:
+    for coset in cyclotomic_cosets(n):
         poly = [1]  # coefficients in the field, ascending
         for i in coset:
             r = powmod(xi, i, mod)
@@ -110,3 +118,44 @@ def min_polys_by_field(n: int) -> dict[tuple[int, ...], BinPoly]:
         assert all(c in (0, 1) for c in poly)
         out[coset] = BinPoly(poly)
     return out
+
+
+@dataclass(frozen=True)
+class RootSet:
+    """Exponent set S with p = prod_{i in S} (x - xi^i); closed under doubling."""
+
+    n: int
+    exponents: frozenset[int]
+
+
+def roots_of(p: BinPoly, n: int) -> RootSet:
+    """Exponent set of the roots of a divisor p of x^n - 1 over Z2."""
+    ctx = _context(n)
+    if p.is_zero:
+        raise DomainError("the zero polynomial has no root set")
+    chosen = [c for c, mp in ctx.min_polys.items() if mp.divides(p)]
+    prod = reduce(lambda a, b: a * b, (ctx.min_polys[c] for c in chosen), BinPoly.one())
+    if prod != p:
+        raise DomainError(f"{p} does not divide x^{n}-1 over Z2")
+    return RootSet(n, frozenset(i for c in chosen for i in c))
+
+
+def from_roots(roots: RootSet) -> BinPoly:
+    """The divisor of x^n - 1 whose root exponents are exactly the given set."""
+    ctx = _context(roots.n)
+    exps = set(roots.exponents)
+    if any((2 * i) % roots.n not in exps for i in exps):
+        raise DomainError("exponent set is not closed under doubling")
+    out = BinPoly.one()
+    for c, mp in ctx.min_polys.items():
+        if c[0] in exps:
+            out = out * mp
+    return out
+
+
+def sumset_tensor_square(p: BinPoly, n: int) -> BinPoly:
+    """The divisor of x^n - 1 with root exponents {i + j mod n : i, j in S},
+    S those of p, from the whole sumset."""
+    s = roots_of(p, n).exponents
+    sums = frozenset((i + j) % n for i in s for j in s)
+    return from_roots(RootSet(n, sums))

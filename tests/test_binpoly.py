@@ -164,6 +164,13 @@ class TestKernels:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_a_negative_operand_is_refused_beside_a_zero(self):
+        # with b = 0 the Euclid loop never runs, so the check must come first
+        with pytest.raises(DomainError, match="^negative carry-less operand$"):
+            clgcd(-7, 0)
+        with pytest.raises(DomainError, match="^negative carry-less operand$"):
+            clxgcd(-7, 0)
+
 
 def _check_mulmod(mod: BinPoly) -> None:
     """clmod(clmul(a, b), mod) against the tuple product mod ``mod``, for

@@ -3,7 +3,9 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from z2z4.cycliccode import _factor_subsets
 from z2z4.cyclofield import (
     MAX_DIVISORS,
     MAX_MODULUS,
@@ -12,33 +14,34 @@ from z2z4.cyclofield import (
     divisors_of_xn_minus_1_z2,
     factor_xn_minus_1_z2,
     factor_xn_minus_1_z4,
-    from_roots,
-    roots_of,
     tensor_square,
 )
 from z2z4.errors import CapacityError, DomainError
 from z2z4.polyring import BinPoly, QuatPoly, clmod, reduce_mod2
-from cyclo_oracle import is_irreducible, min_polys_by_field, mulmod, powmod, prime_factors
+from cyclo_oracle import (
+    from_roots, is_irreducible, min_polys_by_field, mulmod, powmod, prime_factors, roots_of,
+    sumset_tensor_square,
+)
 
 ODD_LENGTHS = [1, 3, 5, 7, 9, 15, 21]
 
 
 class TestCosets:
     def test_n7(self):
-        assert cyclotomic_cosets(7).cosets == ((0,), (1, 2, 4), (3, 5, 6))
+        assert cyclotomic_cosets(7) == ((0,), (1, 2, 4), (3, 5, 6))
 
     def test_n1_and_n3(self):
-        assert cyclotomic_cosets(1).cosets == ((0,),)
-        assert cyclotomic_cosets(3).cosets == ((0,), (1, 2))
+        assert cyclotomic_cosets(1) == ((0,),)
+        assert cyclotomic_cosets(3) == ((0,), (1, 2))
 
     @pytest.mark.parametrize("n", ODD_LENGTHS)
     def test_partition_properties(self, n):
         table = cyclotomic_cosets(n)
-        flat = [i for c in table.cosets for i in c]
+        flat = [i for c in table for i in c]
         assert sorted(flat) == list(range(n))
-        for c in table.cosets:
+        for c in table:
             assert set((2 * i) % n for i in c) == set(c)
-        assert (0,) in table.cosets
+        assert (0,) in table
 
     def test_even_rejected(self):
         with pytest.raises(DomainError):
@@ -167,6 +170,27 @@ class TestTensorSquare:
             if p.divides(q):
                 assert tensor_square(p, n).divides(tensor_square(q, n))
 
+    @pytest.mark.parametrize("p, message", [
+        (BinPoly.zero(), "^the zero polynomial has no root set$"),
+        (BinPoly.parse("x^2+1"), "^x\\^2\\+1 does not divide x\\^7-1 over Z2$"),
+    ])
+    def test_a_non_divisor_is_refused(self, p, message):
+        with pytest.raises(DomainError, match=message):
+            tensor_square(p, 7)
+
+    @pytest.mark.parametrize("n", range(1, 22, 2))
+    def test_matches_the_sumset_on_every_divisor(self, n):
+        for p in divisors_of_xn_minus_1_z2(n):
+            assert tensor_square.__wrapped__(p, n) == sumset_tensor_square(p, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_sumset_on_random_masks(self, data):
+        n = data.draw(st.sampled_from(ALL_ODD), label="n")
+        ctx = _context(n)
+        p = BinPoly.from_bits(ctx.product(data.draw(st.integers(0, (1 << len(ctx.cosets)) - 1))))
+        assert tensor_square.__wrapped__(p, n) == sumset_tensor_square(p, n)
+
 
 def _field(n):
     """The factor that xi = x is taken modulo: the minimal polynomial of
@@ -208,7 +232,7 @@ class TestIdempotentSplit:
         for n in ALL_ODD:
             ctx = _context(n)
             min_polys = ctx.min_polys
-            assert tuple(min_polys) == cyclotomic_cosets(n).cosets
+            assert tuple(min_polys) == cyclotomic_cosets(n)
             assert len(set(min_polys.values())) == len(min_polys)
             assert reduce(lambda a, b: a * b, min_polys.values()) == BinPoly.xn_minus_1(n)
             mod = _field(n)
@@ -235,6 +259,29 @@ class TestIdempotentSplit:
                 lambda a, b: a * b, (q for c, q in ref.items() if c[0] in sums), BinPoly.one()
             )
             assert square == tensor_square(mp, n)
+
+
+class TestFactorIndex:
+    def test_each_factor_is_its_own_bit(self):
+        # bit i of a mask is factor i of the Z4 list, over either ring, and
+        # cosets[i] holds that factor's root exponents
+        for n in ALL_ODD:
+            ctx = _context(n)
+            assert sorted(ctx.coset_of) == list(range(n))
+            for i, f in enumerate(factor_xn_minus_1_z4(n)):
+                assert ctx.mask(reduce_mod2(f)) == 1 << i
+                assert ctx.product(1 << i) == f.lo
+                assert {ctx.coset_of[e] for e in ctx.cosets[i]} == {i}
+                assert ctx.min_polys[ctx.cosets[i]] == reduce_mod2(f)
+
+    @pytest.mark.parametrize("beta", [7, 15, 21, 45])
+    def test_masks_are_those_of_the_factor_subsets(self, beta):
+        # the candidate loop's masks read in the same index
+        ctx = _context(beta)
+        prods, _, _ = _factor_subsets(beta)
+        for m, p in enumerate(prods):
+            assert ctx.mask(BinPoly.from_bits(p.lo)) == m
+            assert ctx.product(m) == p.lo
 
 
 class TestDivisors:
