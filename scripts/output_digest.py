@@ -7,7 +7,7 @@ gated outputs are ``search --json`` at six cells, four filtered searches
 (``--linear-only`` at two cells, ``--type`` at two), ``reproduce --json``
 (full and ``--quick``), ``factor --json`` over both rings for every odd
 n <= 255, the census script's default output, the ``run_z4_sweep()``
-records, ``image --json`` and ``linearity --json`` on each code of the
+and ``run_mixed_sweep()`` records (the latter over the full grid), ``image --json`` and ``linearity --json`` on each code of the
 benchmark's image pool, in pool order (the latter prints each code's
 g~ (x) g~ as ``tensor_poly``), and ``analyze --json`` on the two worked matrices of
 ``z2z4.reproduce`` and on ``shift_witness_matrix(8)``, a non-cyclic code of
@@ -37,7 +37,12 @@ from pathlib import Path
 from z2z4.additive import GeneratorMatrix, MixedVector
 from z2z4.cli import main as cli_main
 from z2z4.cyclofield import MAX_MODULUS
-from z2z4.reproduce import cyclic_projections_matrix, nonlinear_image_matrix, run_z4_sweep
+from z2z4.reproduce import (
+    cyclic_projections_matrix,
+    nonlinear_image_matrix,
+    run_mixed_sweep,
+    run_z4_sweep,
+)
 
 SEARCH_CELLS = [(4, 15), (3, 15), (2, 21), (6, 9), (12, 9), (2, 45)]
 FILTERED_SEARCHES = [
@@ -122,6 +127,7 @@ def gated_outputs():
             yield " ".join(argv), lambda argv=argv: cli_output(argv)
     yield "linear_image_census.py", census_output
     yield "run_z4_sweep()", lambda: (0, "".join(f"{r!r}\n" for r in run_z4_sweep()))
+    yield "run_mixed_sweep()", lambda: (0, "".join(f"{r!r}\n" for r in run_mixed_sweep()))
     for command in ("image", "linearity"):
         yield f"{command} --json on perfbench/image_pool.json", lambda c=command: pool_outputs(c)
     for make in (cyclic_projections_matrix, nonlinear_image_matrix):

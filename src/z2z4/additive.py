@@ -46,6 +46,13 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_CAPACITY = 1 << 24
 _CAPACITY_ENV = "Z2Z4_CAPACITY"
+# The most entries, alpha + beta, a row of a matrix file may have.  A row
+# is read into lists and tuples of its entries, 8 bytes an entry each,
+# before it is packed: one text row of 2^20 entries peaks at 28 MB while it
+# is read, so a row of 10^7 would take about 270 MB before any other check.
+# The echelon is linear in beta, and analyze answers a block of 10^6
+# entries in well under a second, so the bound stops memory, not time.
+MAX_MATRIX_LENGTH = 1 << 20
 
 
 def resolve_capacity() -> int:
@@ -72,6 +79,11 @@ def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
         except ValueError:
             raise DomainError(f"{t.strip()!r} is not an integer") from None
     return tuple(out)
+
+
+def _check_matrix_length(length: int) -> None:
+    if length > MAX_MATRIX_LENGTH:
+        raise DomainError(f"matrix length alpha + beta exceeds the bound {MAX_MATRIX_LENGTH}")
 
 
 def _as_quat(u: Sequence[int]) -> tuple[int, ...]:
@@ -182,9 +194,10 @@ class GeneratorMatrix:
     def from_json(cls, obj: dict) -> "GeneratorMatrix":
         """Schema: {"alpha": A, "beta": B, "rows": [[bits..., "|", quats...], ...]}.
 
-        alpha and beta must be integers of at least 0, bits the integers 0
-        or 1 and quaternary entries 0..3; nothing is converted or reduced,
-        so 1.7, true or "3" is a DomainError.
+        alpha and beta must be integers of at least 0, with alpha + beta at
+        most ``MAX_MATRIX_LENGTH`` (checked before any row is read), bits
+        the integers 0 or 1 and quaternary entries 0..3; nothing is
+        converted or reduced, so 1.7, true or "3" is a DomainError.
         """
         try:
             alpha, beta = obj["alpha"], obj["beta"]
@@ -192,6 +205,7 @@ class GeneratorMatrix:
                 raise DomainError(f"alpha {alpha!r} and beta {beta!r} must be integers")
             if alpha < 0 or beta < 0:
                 raise DomainError(f"alpha {alpha} and beta {beta} must not be negative")
+            _check_matrix_length(alpha + beta)
             rows = []
             for raw in obj["rows"]:
                 if "|" in raw:
@@ -216,7 +230,9 @@ class GeneratorMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "GeneratorMatrix":
-        """Parse a grid with a '|' column separating the two blocks (bits 0..1, digits 0..3)."""
+        """Parse a grid with a '|' column separating the two blocks (bits 0..1,
+        digits 0..3); a row of more than ``MAX_MATRIX_LENGTH`` entries is
+        refused before its entries are read."""
         rows = []
         alpha = beta = None
         for line in text.splitlines():
@@ -225,9 +241,12 @@ class GeneratorMatrix:
                 continue
             if "|" not in line:
                 raise DomainError(f"matrix row {line!r} lacks a '|' separator")
-            left, right = line.split("|", 1)
-            bins = _as_bits(parse_ints(left.split()))
-            quats = _as_quat(parse_ints(right.split()))
+            # at most MAX_MATRIX_LENGTH + 1 tokens a side: a longer side is
+            # left partly unsplit, and refused
+            left, right = (side.split(None, MAX_MATRIX_LENGTH) for side in line.split("|", 1))
+            _check_matrix_length(len(left) + len(right))
+            bins = _as_bits(parse_ints(left))
+            quats = _as_quat(parse_ints(right))
             if alpha is None:
                 alpha, beta = len(bins), len(quats)
             rows.append(MixedVector(bins, quats))

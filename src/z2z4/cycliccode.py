@@ -28,6 +28,10 @@ per (b, split), which every triple of that split shares, each ell with its
 pair and b / gcd(b, ell*g~), the quotient the criterion reads;
 ``enumerate_all_cyclic`` and ``linimage.search_by_type`` walk its runs.
 
+The parts of the order-two and three-generator forms and fh + 2f that
+depend only on (f, h, g) come from ``_triple_forms``, a bounded cache
+that ``reproduce.run_mixed_sweep`` empties when it returns.
+
 The code is a Z4[x]-module under p star (u | v) = (p~ u mod x^alpha - 1 |
 p v mod x^beta - 1).  Multiplication by x is the simultaneous cyclic
 shift, so a code is spanned by the shifts of its generator words, taken
@@ -39,7 +43,7 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .additive import Code, CodeType, GeneratorMatrix, WordCodec
@@ -161,6 +165,39 @@ def quaternary_generator(f: QuatPoly, h: QuatPoly, n: int) -> QuatPoly:
     return cyclic_reduce(f * h + QuatPoly.from_planes(0, f.lo), n)
 
 
+# more than the 48 factor triples of the reproduce sweep's beta 1, 3, 5, 7
+TRIPLE_CACHE_SIZE = 256
+
+
+class _TripleForms(NamedTuple):
+    """The parts of a code's generator forms that depend only on its factor
+    triple (f, h, g), the Z4 ones reduced modulo x^beta - 1."""
+
+    gt: BinPoly  # g~
+    mu_t: BinPoly  # mu~, with lam~ h~ + mu~ g~ = 1 over Z2
+    fh_plus_2f: QuatPoly
+    two_f: QuatPoly
+    two_fg: QuatPoly
+    fh: QuatPoly
+
+
+@lru_cache(maxsize=TRIPLE_CACHE_SIZE)
+def _triple_forms(f: QuatPoly, h: QuatPoly, g: QuatPoly, beta: int) -> _TripleForms:
+    """The per-triple words that ``CyclicGenerators.fh_plus_2f``,
+    ``order_two_generators`` and ``three_generator_form`` read, computed
+    once for each triple the cache holds; ``reproduce.run_mixed_sweep``
+    empties the cache when it returns."""
+    two = QuatPoly((2,))
+    return _TripleForms(
+        reduce_mod2(g),
+        gf2_bezout(h, g)[1],
+        quaternary_generator(f, h, beta),
+        cyclic_reduce(two * f, beta),
+        cyclic_reduce(two * f * g, beta),
+        cyclic_reduce(f * h, beta),
+    )
+
+
 class _GeneratorFields(NamedTuple):
     alpha: int
     beta: int
@@ -214,7 +251,7 @@ class CyclicGenerators(_GeneratorFields):
 
     @property
     def fh_plus_2f(self) -> QuatPoly:
-        return quaternary_generator(self.f, self.h, self.beta)
+        return _triple_forms(self.f, self.h, self.g, self.beta).fh_plus_2f
 
     def generator_words(self) -> tuple[ResidueWord, ResidueWord]:
         return (
@@ -293,13 +330,12 @@ def code_type(gens: CyclicGenerators) -> CodeType:
 
 def order_two_generators(gens: CyclicGenerators) -> tuple[ResidueWord, ResidueWord]:
     """Generators of the order-two subcode: (b | 0) and (mu~ ell g~ | 2f),
-    with mu~ from lam~ h~ + mu~ g~ = 1 over Z2."""
-    mu_t = gf2_bezout(gens.h, gens.g)[1]
-    left = cyclic_reduce(mu_t * gens.ell * reduce_mod2(gens.g), gens.alpha)
-    two_f = cyclic_reduce(QuatPoly((2,)) * gens.f, gens.beta)
+    with mu~ from lam~ h~ + mu~ g~ = 1 over Z2 (``_triple_forms``)."""
+    forms = _triple_forms(gens.f, gens.h, gens.g, gens.beta)
+    left = cyclic_reduce(forms.mu_t * gens.ell * forms.gt, gens.alpha)
     return (
         ResidueWord(gens.alpha, gens.beta, gens.b, QuatPoly.zero()),
-        ResidueWord(gens.alpha, gens.beta, left, two_f),
+        ResidueWord(gens.alpha, gens.beta, left, forms.two_f),
     )
 
 
@@ -307,18 +343,15 @@ def three_generator_form(
     gens: CyclicGenerators,
 ) -> tuple[ResidueWord, ResidueWord, ResidueWord]:
     """Equivalent generating triple (b|0), (ell g~ | 2fg), (ell' | fh)
-    with ell' = ell - mu~ ell g~."""
-    gt = reduce_mod2(gens.g)
-    lg = cyclic_reduce(gens.ell * gt, gens.alpha)
-    two_fg = cyclic_reduce(QuatPoly((2,)) * gens.f * gens.g, gens.beta)
-    mu_t = gf2_bezout(gens.h, gens.g)[1]
-    ellp = cyclic_reduce(gens.ell + mu_t * gens.ell * gt, gens.alpha)
-    fh = cyclic_reduce(gens.f * gens.h, gens.beta)
+    with ell' = ell - mu~ ell g~ (``_triple_forms``)."""
+    forms = _triple_forms(gens.f, gens.h, gens.g, gens.beta)
+    lg = cyclic_reduce(gens.ell * forms.gt, gens.alpha)
+    ellp = cyclic_reduce(gens.ell + forms.mu_t * gens.ell * forms.gt, gens.alpha)
     a, b_ = gens.alpha, gens.beta
     return (
         ResidueWord(a, b_, gens.b, QuatPoly.zero()),
-        ResidueWord(a, b_, lg, two_fg),
-        ResidueWord(a, b_, ellp, fh),
+        ResidueWord(a, b_, lg, forms.two_fg),
+        ResidueWord(a, b_, ellp, forms.fh),
     )
 
 

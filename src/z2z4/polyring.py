@@ -453,6 +453,8 @@ def cyclic_reduce(p, n: int):
     mask = (1 << n) - 1
     if isinstance(p, BinPoly):
         b, out = p.bits, 0
+        if not b >> n:
+            return p
         while b:
             out ^= b & mask
             b >>= n

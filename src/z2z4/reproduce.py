@@ -8,6 +8,17 @@ and three-generator span identities, the punctured-code generators, and
 (for linear images) the double-cyclic structure of the Nechaev-Gray image
 and its generator pair.
 
+Part of that work depends on less than the whole code.  The 1008 codes
+of the full sweep share 48 factor triples (f, h, g), whose polynomials
+the order-two and three-generator forms and fh + 2f read from
+``cycliccode._triple_forms``, and make 293 distinct puncture checks out
+of 2016, so ``_projection_matches`` caches each puncture identity on its
+exact inputs.  A hit is exact: both caches hold pure functions of their
+keys.  ``run_mixed_sweep`` empties both caches when it returns (with
+``jobs`` above 1 each worker fills its own), so every call pays its own
+misses.  ``tests/sweep_oracle.py`` recomputes everything for every code,
+as the differential oracle.
+
 ``run_checks`` wraps the sweeps together with the worked single-code
 examples into a pass/fail checklist that the ``reproduce`` subcommand and
 the acceptance tests consume.
@@ -16,18 +27,21 @@ the acceptance tests consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .additive import (
     Code,
     GeneratorMatrix,
     MixedVector,
+    WordCodec,
     gray_image_is_linear,
     gray_is_linear_oracle,
 )
 from .cyclofield import factor_xn_minus_1_z4
 from .cycliccode import (
     CyclicGenerators,
+    _triple_forms,
     code_type,
     enumerate_all_cyclic,
     enumerate_code,
@@ -94,7 +108,35 @@ class SweepRecord:
         return self.type_formula == self.type_standard
 
 
+# more than the 293 distinct puncture checks of the full sweep
+PROJECTION_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PROJECTION_CACHE_SIZE)
+def _projection_matches(
+    alpha: int, beta: int, words: tuple[int, ...], planes: tuple[int, int, int]
+) -> bool:
+    """Whether the packed ``words`` of shape (alpha, beta), one of the two
+    being 0, span the cyclic code generated by the word with the given
+    (binary, t, h) planes, that is by its alpha + beta shifts.  A function
+    of its arguments alone, so a cached answer is the one recomputing
+    would give."""
+    codec = WordCodec(alpha, beta)
+    word = codec.pack_planes(*planes)
+    return Code.span(codec, words) == Code.span(codec, codec.shifts(word, alpha + beta))
+
+
 def check_candidate(gens: CyclicGenerators) -> SweepRecord:
+    """Every structural check of the mixed sweep on one code.
+
+    The polynomials of the code's factor triple come from
+    ``cycliccode._triple_forms`` and the two puncture identities from
+    ``_projection_matches``, keyed by the shape, the projected generator
+    words and the expected generator, so a hit answers what recomputing
+    would for this code.  ``run_mixed_sweep`` empties both caches when it
+    returns; a caller of this function alone leaves at most their bounds
+    of entries behind.
+    """
     ct = code_type(gens)
     code = enumerate_code(gens)
 
@@ -109,15 +151,16 @@ def check_candidate(gens: CyclicGenerators) -> SweepRecord:
     t1, t2, t3 = three_generator_form(gens)
     span3 = span_words(code.codec, [t1, t2, t3], [gens.alpha, gens.beta, gens.beta])
 
-    # the punctured codes should be generated by gcd(b, ell) and fh + 2f,
-    # spanned here on the punctured codes' own codecs
-    px, py = code.puncture_x(), code.puncture_y()
-    px_word = cyclic_reduce(gcd2(gens.b, gens.ell), gens.alpha).bits
+    # the punctured codes, spanned by the projected generators, should be
+    # generated by gcd(b, ell) and fh + 2f
+    a, bmask = gens.alpha, code.codec.bmask
+    px_word = cyclic_reduce(gcd2(gens.b, gens.ell), a).bits
     py_gen = gens.fh_plus_2f
-    py_word = py.codec.pack_planes(0, py_gen.lo, py_gen.hi)
-    px_expect = Code.span(px.codec, px.codec.shifts(px_word, gens.alpha))
-    py_expect = Code.span(py.codec, py.codec.shifts(py_word, gens.beta))
-    punctures_ok = px == px_expect and py == py_expect
+    punctures_ok = _projection_matches(
+        a, 0, tuple([w & bmask for w in code.gens]), (px_word, 0, 0)
+    ) and _projection_matches(
+        0, gens.beta, tuple([w >> a for w in code.gens]), (0, py_gen.lo, py_gen.hi)
+    )
 
     psi_dc = psi_span_ok = None
     if report.verdict:
@@ -167,7 +210,11 @@ def run_mixed_sweep(
     betas: Sequence[int] = FULL_BETAS,
     jobs: int = 1,
 ) -> list[SweepRecord]:
-    return _run_parallel(check_candidate, mixed_candidates(alphas, betas), jobs)
+    try:
+        return _run_parallel(check_candidate, mixed_candidates(alphas, betas), jobs)
+    finally:
+        _triple_forms.cache_clear()
+        _projection_matches.cache_clear()
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2z4.additive import (
+    MAX_MATRIX_LENGTH,
     Code,
     GeneratorMatrix,
     MixedVector,
@@ -409,6 +410,28 @@ class TestMatrixIO:
     def test_json_shape_that_is_not_integers_rejected(self, alpha, beta):
         with pytest.raises(DomainError):
             GeneratorMatrix.from_json({"alpha": alpha, "beta": beta, "rows": [[1, "|", 1]]})
+
+    def test_matrix_past_the_length_bound_is_refused(self):
+        # beta = 10^7: by its declared shape in JSON, by its entry count in
+        # text, before the row's entries are read
+        bound = f"bound {MAX_MATRIX_LENGTH}$"
+        with pytest.raises(DomainError, match=bound):
+            GeneratorMatrix.from_json({"alpha": 1, "beta": 10**7, "rows": [[1, "|", 1]]})
+        text = "1 |" + " 0" * 10**7
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=bound):
+                GeneratorMatrix.from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)  # copies of the line, no tuple of entries
+
+    def test_matrix_at_the_length_bound_is_read(self):
+        n = MAX_MATRIX_LENGTH
+        m = GeneratorMatrix.from_text("1 |" + " 0" * (n - 1))
+        assert (m.alpha, m.beta) == (1, n - 1)
+        assert GeneratorMatrix.from_json({"alpha": 0, "beta": n, "rows": []}).beta == n
 
     @pytest.mark.parametrize("text", ["1,0|5,7", "2,0|1,1", "1,0|1,-1", "1,x|1,1"])
     def test_vector_entries_out_of_range_rejected(self, text):

@@ -396,6 +396,17 @@ class TestAnalyze:
         got = out.splitlines()[:3]
         assert [line[:len(want)] for line, want in zip(got, lines)] == lines
 
+    @pytest.mark.parametrize("name, text", [
+        ("m.json", json.dumps({"alpha": 1, "beta": 10**7, "rows": [[1, "|", 1]]})),
+        ("m.txt", "1 |" + " 0" * 10**7),
+    ], ids=["json", "text"])
+    def test_matrix_past_the_length_bound_is_refused(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        status, out, err = run(capsys, "analyze", "--matrix", str(path))
+        assert (status, out) == (1, "")
+        assert err.startswith("DomainError: ") and err.endswith("exceeds the bound 1048576\n")
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         status, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.txt"))
         assert status == 1 and err.startswith("DomainError:") and "absent.txt" in err

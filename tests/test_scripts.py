@@ -114,7 +114,7 @@ class TestOutputDigest:
 
     def test_every_gated_output_is_listed(self):
         labels = [label for label, _ in _output_digest().gated_outputs()]
-        assert len(labels) == len(set(labels)) == 6 + 4 + 2 + 2 * 128 + 3 + 4
+        assert len(labels) == len(set(labels)) == 6 + 4 + 2 + 2 * 128 + 4 + 4
 
     def test_outputs_match_the_checked_in_digests(self):
         # the byte-identity gate: every gated output as it was when the
