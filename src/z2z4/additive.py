@@ -81,6 +81,9 @@ def parse_ints(tokens: Iterable[str]) -> tuple[int, ...]:
     return tuple(out)
 
 
+_SHAPE_ERROR = "matrix rows do not match the declared shape"
+
+
 def _check_matrix_length(length: int) -> None:
     if length > MAX_MATRIX_LENGTH:
         raise DomainError(f"matrix length alpha + beta exceeds the bound {MAX_MATRIX_LENGTH}")
@@ -188,7 +191,7 @@ class GeneratorMatrix:
         object.__setattr__(self, "rows", tuple(self.rows))
         for r in self.rows:
             if r.alpha != self.alpha or r.beta != self.beta:
-                raise DomainError("matrix rows do not match the declared shape")
+                raise DomainError(_SHAPE_ERROR)
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeneratorMatrix":
@@ -197,7 +200,9 @@ class GeneratorMatrix:
         alpha and beta must be integers of at least 0, with alpha + beta at
         most ``MAX_MATRIX_LENGTH`` (checked before any row is read), bits
         the integers 0 or 1 and quaternary entries 0..3; nothing is
-        converted or reduced, so 1.7, true or "3" is a DomainError.
+        converted or reduced, so 1.7, true or "3" is a DomainError.  Each
+        row must be a list, and its counts of bits and entries are compared
+        with alpha and beta before any of its entries is copied.
         """
         try:
             alpha, beta = obj["alpha"], obj["beta"]
@@ -208,17 +213,21 @@ class GeneratorMatrix:
             _check_matrix_length(alpha + beta)
             rows = []
             for raw in obj["rows"]:
-                if "|" in raw:
-                    cut = raw.index("|")
-                    bins, quats = raw[:cut], raw[cut + 1 :]
-                else:
-                    bins, quats = raw[:alpha], raw[alpha:]
+                if type(raw) is not list:
+                    raise DomainError(f"matrix row of type {type(raw).__name__} is not a list")
+                cut, skip = (raw.index("|"), 1) if "|" in raw else (alpha, 0)
+                if cut != alpha or len(raw) != alpha + skip + beta:
+                    rows = None  # refused below, before any entry is copied
+                    break
+                bins, quats = raw[:alpha], raw[alpha + skip :]
                 bad = [c for c in (*bins, *quats) if type(c) is not int]
                 if bad:
                     raise DomainError(f"matrix entry {bad[0]!r} is not an integer")
                 rows.append(MixedVector._of(_as_bits(bins), _as_quat(quats)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad matrix JSON: {exc}") from exc
+        if rows is None:
+            raise DomainError(_SHAPE_ERROR)
         return cls(alpha, beta, tuple(rows))
 
     def to_json(self) -> dict:
@@ -335,12 +344,51 @@ class PlaneShift:
         return out
 
 
+def _psi_swap_mask(alpha: int, beta: int) -> int:
+    """Positions alpha + 1, alpha + 3, ..., alpha + beta - 2: the Nechaev
+    permutation swaps each with the position beta above it.  With
+    k = (beta - 1) // 2 such positions that is (4^k - 1) / 3 = 0b0101..01
+    shifted up to alpha + 1."""
+    return ((1 << (max(beta - 1, 0) // 2 * 2)) - 1) // 3 << (alpha + 1)
+
+
+def _check_odd(beta: int) -> None:
+    if beta % 2 == 0:
+        raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
+
+
+def _inv_image(v: int, s: int, bm: int, tp: int, hp: int, pm: int) -> int:
+    """Packed preimage [binary block][t][h] of one packed extended Gray-type
+    image v, for quaternary length s and the shape's binary, t and h masks.
+    pm is the Nechaev swap mask for psi, 0 for the Gray map: the swaps are
+    an involution, so they are undone as ``WordCodec.psi_words`` makes
+    them, and then the Gray blocks h and t + h give t = h ^ (t + h).  The
+    one definition of both inverses, behind ``psi_inv_word`` and the
+    codec's ``gray_inv_words`` and ``psi_inv_words``."""
+    d = (v ^ (v >> s)) & pm
+    v ^= d ^ (d << s)
+    return (v & bm) | ((v ^ (v >> s)) & tp) | ((v << s) & hp)
+
+
+def psi_inv_word(v: int, alpha: int, beta: int) -> int:
+    """``WordCodec(alpha, beta).psi_inv_words([v])[0]`` from the shape's
+    masks, with no codec built; beta must be odd."""
+    _check_odd(beta)
+    qmask = (1 << beta) - 1
+    return _inv_image(
+        v, beta, (1 << alpha) - 1, qmask << alpha, qmask << (alpha + beta),
+        _psi_swap_mask(alpha, beta),
+    )
+
+
 class WordCodec:
     """Bit-plane packing of mixed words for a fixed (alpha, beta).
 
     Besides the per-word arithmetic it maps whole word lists at once (the
     cyclic shift, the two Gray-type images and their inverses), with the
-    masks computed here, so that no Python function is called per word.
+    masks computed here.  The shift and the images call no Python function
+    per word; the inverses call ``_inv_image`` per word, the definition
+    that ``psi_inv_word`` shares for one word without a codec.
     The shift's ``PlaneShift`` is built on first use: most codecs never
     shift.
 
@@ -370,11 +418,7 @@ class WordCodec:
         self._shift: PlaneShift | None = None
         self._tplane = self.qmask << alpha
         self._hplane = self.qmask << (alpha + beta)
-        # positions alpha + 1, alpha + 3, ..., alpha + beta - 2: the Nechaev
-        # permutation swaps each with the position beta above it.  With
-        # k = (beta - 1) // 2 such positions that is (4^k - 1) / 3 = 0b0101..01
-        # shifted up to alpha + 1.
-        self._psi_mask = ((1 << (max(beta - 1, 0) // 2 * 2)) - 1) // 3 << (alpha + 1)
+        self._psi_mask = _psi_swap_mask(alpha, beta)
 
     @property
     def shift_words(self) -> PlaneShift:
@@ -416,8 +460,7 @@ class WordCodec:
 
     def psi_words(self, words: Iterable[int]) -> list[int]:
         """Packed extended Nechaev-Gray images; beta must be odd."""
-        if self.beta % 2 == 0:
-            raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
+        _check_odd(self.beta)
         s, pm = self.beta, self._psi_mask
         return [
             g ^ d ^ (d << s)
@@ -427,21 +470,16 @@ class WordCodec:
 
     def gray_inv_words(self, images: Iterable[int]) -> list[int]:
         """Packed preimages [binary block][t][h] of packed extended-Gray
-        images: the Gray blocks h and t + h give t = h ^ (t + h)."""
+        images, by ``_inv_image`` with no swaps."""
         s, bm, tp, hp = self.beta, self.bmask, self._tplane, self._hplane
-        return [(v & bm) | ((v ^ (v >> s)) & tp) | ((v << s) & hp) for v in images]
+        return [_inv_image(v, s, bm, tp, hp, 0) for v in images]
 
     def psi_inv_words(self, images: Iterable[int]) -> list[int]:
         """Packed preimages [binary block][t][h] of packed extended
-        Nechaev-Gray images; beta must be odd.  The swaps are an involution,
-        so they are undone as in ``psi_words``, and ``gray_inv_words`` then
-        inverts the Gray map."""
-        if self.beta % 2 == 0:
-            raise DomainError("the Nechaev-Gray map needs an odd quaternary block")
-        s, pm = self.beta, self._psi_mask
-        return self.gray_inv_words(
-            g ^ d ^ (d << s) for g in images for d in ((g ^ (g >> s)) & pm,)
-        )
+        Nechaev-Gray images, by ``_inv_image``; beta must be odd."""
+        _check_odd(self.beta)
+        s, bm, tp, hp, pm = self.beta, self.bmask, self._tplane, self._hplane, self._psi_mask
+        return [_inv_image(v, s, bm, tp, hp, pm) for v in images]
 
 
 def _unit_echelon(codec: WordCodec, gens: Iterable[int]) -> tuple[dict[int, int], list[int]]:
@@ -723,14 +761,17 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
     """Closure test: the extended Gray image is linear iff 2u*v stays in the code.
 
     ``exhaustive`` ranges over all codeword pairs via their quaternary mod-2
-    patterns, which determine 2u*v: the nonzero t planes of ``reps``, each
-    witnessed by its smallest word, the minimum of its coset.
+    patterns, which determine 2u*v: the nonzero t planes of ``reps``.  Each
+    pattern has one representative, since the representatives are sums of
+    distinct sets of pivots; only a failing pair's two are reduced to their
+    witnesses, the smallest words of their cosets.
     ``generators`` ranges over pairs of the code's generators with a
     nonzero mod-2 pattern, which suffices because the doubled star product
     is bi-additive in the patterns.  Both test membership by reduction and
-    build no word set; ``exhaustive`` reduces each distinct product once.
-    Only ``exhaustive`` reads ``reps``, so only it meets the capacity
-    bound; ``generators`` works at any size.
+    build no word set; a product 2u*v has an empty t plane, so it is in the
+    code iff it reduces to 0 by C_2's ``basis``, and ``exhaustive`` reduces
+    each distinct product once.  Only ``exhaustive`` reads ``reps``, so
+    only it meets the capacity bound; ``generators`` works at any size.
     """
     codec = code.codec
     hoff = codec.hoff
@@ -739,15 +780,13 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
         for i, (wi, ti) in enumerate(units):
             for wj, tj in units[i:]:
                 prod = (ti & tj) << hoff
-                if not code.has_word(prod):
+                if _gf2_reduce(code.basis, prod):
                     return OracleReport(False, tuple(map(codec.unpack, (wi, wj, prod))))
         return OracleReport(True)
     if mode != "exhaustive":
         raise DomainError(f"unknown oracle mode {mode!r}")
-    # the words with t plane t(r) form the coset r ^ C_2; its minimum is
-    # the pattern's witness
-    witness = {t: _coset_min(code.basis, r) for r in code.reps if (t := codec.tpattern(r))}
-    patterns = sorted(witness)
+    rep = {t: r for r in code.reps if (t := codec.tpattern(r))}
+    patterns = sorted(rep)
     in_code = set()  # the products s & t already reduced to 0
     for i, s in enumerate(patterns):
         for t in patterns[i:]:
@@ -755,11 +794,11 @@ def gray_is_linear_oracle(code: Code, mode: str = "exhaustive") -> OracleReport:
             if st in in_code:
                 continue
             prod = st << hoff
-            if _gf2_reduce(code.basis, prod):  # has_word, for an empty t plane
-                return OracleReport(
-                    False,
-                    (codec.unpack(witness[s]), codec.unpack(witness[t]), codec.unpack(prod)),
-                )
+            if _gf2_reduce(code.basis, prod):
+                # the words with t plane t(r) form the coset r ^ C_2; its
+                # minimum is the pattern's witness
+                u, v = (_coset_min(code.basis, rep[p]) for p in (s, t))
+                return OracleReport(False, tuple(map(codec.unpack, (u, v, prod))))
             in_code.add(st)
     return OracleReport(True)
 

@@ -17,7 +17,10 @@ code generated by (b | 0) and (ell' | f~^2 h~) with ell' = p~ ell mod b for
 any p solving p * (fh + 2f) = T := psi^{-1}(f~^2 h~).  Every solution gives
 the same ell', so ``psi_image_generators`` solves for no p: it reads ell'
 off T through the residue code <f~h~> and the torsion code <f~> of
-<fh + 2f>, in a few GF(2) operations.  ``solve_cyclic_z4_lexmin``, which
+<fh + 2f>, in two Z4 products on bit planes (``polyring.z4mul``), psi^{-1}
+of one packed word (``additive.psi_inv_word``) and a few GF(2)
+operations, with no polynomial object or codec built on the way.
+``solve_cyclic_z4_lexmin``, which
 finds the lexicographically smallest p, is the differential oracle of
 that closed form.
 """
@@ -38,6 +41,7 @@ from .additive import (
     _gf2_basis,
     _gf2_reduce,
     gray_is_linear_oracle,
+    psi_inv_word,
 )
 from .cyclofield import tensor_square
 from .cycliccode import CyclicGenerators, _candidate_runs, _criterion_quotient, quaternary_generator
@@ -45,6 +49,7 @@ from .errors import DomainError, InternalError, PreconditionError
 from .polyring import (
     BinPoly,
     QuatPoly,
+    _clfold,
     cldivmod,
     clgcd,
     clmod,
@@ -54,6 +59,7 @@ from .polyring import (
     gf2_bezout,
     lift_to_quat,
     reduce_mod2,
+    z4mul,
 )
 
 # ``z4_gray_linear_oracle`` runs the exhaustive closure on codes of at most
@@ -385,21 +391,28 @@ def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
 
     Returns (b | 0) and (ell' | f~^2 h~) over blocks (alpha, 2*beta), with
     ell' = p~ * ell mod b for any p solving p * (fh + 2f) = T in
-    Z4[x]/(x^beta - 1), T = psi^{-1}(f~^2 h~), f~^2 = f~(x^2) being the
-    bits of f~ spread apart.  The preimage is taken on the packed bits by
-    ``WordCodec.psi_inv_words``, whose two halves are the planes of T.
-    ell' is read off T without solving for p, on the int kernels, with
-    d2 = gcd(b, ell*g~) and q = b / d2, divided once:
+    Z4[x]/(x^beta - 1), T = psi^{-1}(f~^2 h~), f~^2 = f~(x^2).
+
+    The query runs on int bit planes from its inputs to the two
+    polynomials it returns, and builds no QuatPoly and no WordCodec.  The
+    planes of fh come from ``polyring.z4mul`` once; the ``lo`` plane is
+    f~h~.  Over Z2, f~(x^2) = f~(x)^2, so f~^2 h~ = f~ * f~h~, folded mod
+    x^(2 beta) - 1.  Its preimage T is one packed word, taken by
+    ``additive.psi_inv_word`` from the masks of the shape (0, beta); the
+    two halves of that word are the planes of T.  ell' is read off T
+    without solving for p, on the int kernels, with d2 = gcd(b, ell*g~)
+    and q = b / d2, divided once:
 
     1. A~ = T~ / (f~ h~), which must leave no remainder;
     2. 2U = T - A~ * (fh + 2f), whose ``hi`` plane U~ must be a multiple
        of f~.  With no remainder deg A~ < beta - deg(fh), since
        deg T~ < beta, so A~ * (fh + 2f) needs no reduction mod x^beta - 1;
-       its ``lo`` plane is T~, and U~ = T.hi ^ hi(A~ * fh) ^ A~ f~: one Z4
-       product f*h and one product of the 0/1 vector A~ by it.  Steps 1
-       and 2 are the membership test T in <fh + 2f>: the code has residue
-       code <f~h~> and torsion code <f~> (Pless and Qian, IEEE Trans. IT
-       42, 1996), so it holds T iff both pass;
+       its ``lo`` plane is T~, and U~ = T.hi ^ hi(A~ * fh) ^ A~ f~, with
+       hi(A~ * fh) the ``hi`` plane of ``z4mul`` on the 0/1 vector A~
+       (``hi`` = 0) and the planes of fh.  Steps 1 and 2 are the
+       membership test T in <fh + 2f>: the code has residue code <f~h~>
+       and torsion code <f~> (Pless and Qian, IEEE Trans. IT 42, 1996), so
+       it holds T iff both pass;
     3. z = U~ (f~ g~)^{-1} mod q, or 0 when q = 1.  The ell conditions give
        b | h~ d2, so q divides h~ and f~ g~ is a unit mod q;
     4. ell' = (A~ + g~ z) * ell mod b.
@@ -413,18 +426,19 @@ def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
     ``LinearityReport`` is built.
     """
     beta = gens.beta
-    ft, ht, gt = gens.f.lo, gens.h.lo, gens.g.lo
+    f, h = gens.f, gens.h
+    ft, gt = f.lo, gens.g.lo
     q = _criterion_quotient(gens.b.bits, gens.ell_gcds[1].bits)
     if clgcd(clmul(ft, q), tensor_square(reduce_mod2(gens.g), beta).bits) != 1:
         raise PreconditionError(
             "the Gray image is not linear; the Nechaev-Gray image has no "
             "double-cyclic generator pair"
         )
-    fht = clmul(ft, ht)
-    a = cyclic_reduce(BinPoly.from_bits(clmul(int(format(ft, "b"), 4), ht)), 2 * beta)
-    (word,) = WordCodec(0, beta).psi_inv_words((a.bits,))
+    fht, fh_hi = z4mul(ft, f.hi, h.lo, h.hi)  # the lo plane of fh is f~h~
+    a = _clfold(clmul(ft, fht), 2 * beta)  # f~^2 = f~(x^2) over Z2, so f~^2 h~ = f~ * f~h~
+    word = psi_inv_word(a, 0, beta)
     at, rest = cldivmod(word & ((1 << beta) - 1), fht)
-    u = word >> beta ^ (QuatPoly.from_planes(at, 0) * (gens.f * gens.h)).hi ^ clmul(at, ft)
+    u = word >> beta ^ z4mul(at, 0, fht, fh_hi)[1] ^ clmul(at, ft)
     if rest or clmod(u, ft):
         raise InternalError("psi preimage of f~^2 h~ is not in the quaternary code")
     z = 0
@@ -433,7 +447,7 @@ def psi_image_generators(gens: CyclicGenerators) -> DoubleCyclicGenerators:
         z = clmod(clmul(clmod(u, q), inv), q)
     # b | x^alpha - 1, a = f~^2 h~ | (x^beta - 1)^2 and deg ellp < deg b: no validation
     ellp = BinPoly.from_bits(clmod(clmul(at ^ clmul(gt, z), gens.ell.bits), gens.b.bits))
-    return DoubleCyclicGenerators._trusted(gens.alpha, 2 * beta, gens.b, ellp, a)
+    return DoubleCyclicGenerators._trusted(gens.alpha, 2 * beta, gens.b, ellp, BinPoly.from_bits(a))
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ x^i.  BinPoly (over Z2) holds the int ``bits`` and works with the
 carry-less int kernels below, which ``cyclofield`` also uses.  QuatPoly
 (over Z4) holds two bit planes, the ints ``lo`` and ``hi``: the
 coefficient of x^i is bit i of ``lo`` plus twice bit i of ``hi``, so a sum
-is an XOR per plane plus a carry and the mod-2 image is ``lo``.  Either
-gives ``coeffs``, the ascending coefficient tuple with no trailing zeros
-(the zero polynomial is the empty tuple and has degree -inf), for
-printing, JSON and sorting.  Arithmetic never mixes the two rings.
+is an XOR per plane plus a carry and the mod-2 image is ``lo``.  Its
+product is the plane kernel ``z4mul``, which callers that hold planes use
+without building a QuatPoly.  Either ring gives ``coeffs``, the ascending
+coefficient tuple with no trailing zeros (the zero polynomial is the empty
+tuple and has degree -inf), for printing, JSON and sorting.  Arithmetic
+never mixes the two rings.
 Division over Z4 is restricted to monic divisors, which covers every
 divisor of x^n - 1 needed here.
 
@@ -96,6 +98,52 @@ def clxgcd(a: int, b: int) -> tuple[int, int, int]:
         s, s1 = s1, s ^ clmul(q, s1)
         t, t1 = t1, t ^ clmul(q, t1)
     return a, s, t
+
+
+def _clfold(a: int, n: int) -> int:
+    """a modulo x^n - 1, for a >= 0 and n > 0: the XOR of a's n-bit blocks."""
+    mask, out = (1 << n) - 1, 0
+    while a:
+        out ^= a & mask
+        a >>= n
+    return out
+
+
+# ----------------------------------------------------------------------
+# Z4[x] on pairs of bit planes (lo, hi): the coefficient of x^i is bit i
+# of lo plus twice bit i of hi
+
+
+def z4mul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """The planes (lo, hi) of the Z4 product of (a_lo, a_hi) and (b_lo, b_hi).
+
+    One shifted add of the denser factor per nonzero entry of the sparser:
+    entry 1 adds it, 3 adds its negation, 2 adds its ``lo`` into ``hi``.
+    The ``lo`` plane of the product is the carry-less product of the two
+    ``lo`` planes, the mod-2 image.  ``QuatPoly.__mul__`` is this kernel
+    behind the ring check; callers that hold planes, such as a 0/1 vector
+    (a_hi = 0), call it without building a polynomial.  A negative plane
+    is a DomainError.
+    """
+    if (a_lo | a_hi | b_lo | b_hi) < 0:  # the OR is negative iff one is
+        raise DomainError("negative Z4 plane")
+    if (a_lo | a_hi).bit_count() > (b_lo | b_hi).bit_count():
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+    lo = hi = 0
+    rest = a_lo | a_hi
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        r_lo = b_lo * bit
+        if a_lo & bit:
+            r_hi = b_hi * bit
+            if a_hi & bit:
+                r_hi ^= r_lo
+            hi ^= r_hi ^ (lo & r_lo)
+            lo ^= r_lo
+        else:
+            hi ^= r_lo
+    return lo, hi
 
 
 class _Poly:
@@ -394,29 +442,9 @@ class QuatPoly(_Poly):
         return self + -other
 
     def __mul__(self, other):
-        """One shifted add of the denser factor per nonzero entry of the
-        sparser: entry 1 adds it, 3 adds its negation, 2 adds its ``lo``
-        into ``hi``."""
+        """The ring check, then ``z4mul`` on the planes."""
         self._check_ring(other)
-        a_lo, a_hi, b_lo, b_hi = self.lo, self.hi, other.lo, other.hi
-        if (a_lo | a_hi).bit_count() > (b_lo | b_hi).bit_count():
-            a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
-        lo = hi = 0
-        rest = a_lo | a_hi
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            k = bit.bit_length() - 1
-            r_lo = b_lo << k
-            if a_lo & bit:
-                r_hi = b_hi << k
-                if a_hi & bit:
-                    r_hi ^= r_lo
-                hi ^= r_hi ^ (lo & r_lo)
-                lo ^= r_lo
-            else:
-                hi ^= r_lo
-        return QuatPoly.from_planes(lo, hi)
+        return QuatPoly.from_planes(*z4mul(self.lo, self.hi, other.lo, other.hi))
 
     def __divmod__(self, d):
         """Shift-and-subtract by a monic divisor: the leading entry c of
@@ -450,18 +478,12 @@ def cyclic_reduce(p, n: int):
     """Reduce p modulo x^n - 1 by folding n-bit blocks of its planes."""
     if n <= 0:
         raise DomainError("cyclic length must be positive")
-    mask = (1 << n) - 1
     if isinstance(p, BinPoly):
-        b, out = p.bits, 0
-        if not b >> n:
-            return p
-        while b:
-            out ^= b & mask
-            b >>= n
-        return BinPoly.from_bits(out)
+        return BinPoly.from_bits(_clfold(p.bits, n)) if p.bits >> n else p
     lo, hi = p.lo, p.hi
     if not (lo | hi) >> n:
         return p
+    mask = (1 << n) - 1
     out_lo, out_hi = lo & mask, hi & mask
     while (lo := lo >> n) | (hi := hi >> n):  # the Z4 add of the next block
         a = lo & mask

@@ -9,7 +9,9 @@ parsing and printing are the shared ``_Poly`` ones.
 ``tuple_cyclic_reduce`` folds exponents mod n; gcd and extended gcd are the
 Euclid loops on polynomial objects.  ``bitloop_clmul`` is the carry-less
 product that steps through every bit of its second operand, the reference
-for ``polyring.clmul``.  ``padded`` reads a polynomial of
+for ``polyring.clmul``; ``shift_add_z4mul`` is the Z4 product loop that
+``QuatPoly.__mul__`` held before ``polyring.z4mul``, the reference for
+that kernel beside the tuple products.  ``padded`` reads a polynomial of
 either class as a fixed-length coefficient vector.
 """
 
@@ -169,6 +171,30 @@ def bitloop_clmul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return out
+
+
+def shift_add_z4mul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """The planes of the Z4 product: one shifted add of the denser factor
+    per nonzero entry of the sparser, entry 1 adding it, 3 its negation
+    and 2 its ``lo`` into ``hi``."""
+    if (a_lo | a_hi).bit_count() > (b_lo | b_hi).bit_count():
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+    lo = hi = 0
+    rest = a_lo | a_hi
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        k = bit.bit_length() - 1
+        r_lo = b_lo << k
+        if a_lo & bit:
+            r_hi = b_hi << k
+            if a_hi & bit:
+                r_hi ^= r_lo
+            hi ^= r_hi ^ (lo & r_lo)
+            lo ^= r_lo
+        else:
+            hi ^= r_lo
+    return lo, hi
 
 
 def padded(p, n: int) -> tuple[int, ...]:

@@ -427,6 +427,29 @@ class TestMatrixIO:
             tracemalloc.stop()
         assert peak < 3 * len(text)  # copies of the line, no tuple of entries
 
+    @pytest.mark.parametrize("row", [[0] * 10**6, [0, "|"] + [0] * 10**6, [0] * 10**6 + ["|", 0]])
+    def test_json_row_off_the_shape_is_refused_before_its_entries_are_read(self, row):
+        # a row of 10^6 entries under a declared (1, 1): its entry tuples
+        # took 22 MB before the shape was compared
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="^matrix rows do not match the declared shape$"):
+                GeneratorMatrix.from_json({"alpha": 1, "beta": 1, "rows": [[1, "|", 1], row]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("row", [[1], [1, 0, 1], [1, "|"], ["|", 1], [1, 0, "|", 1], [1, "|", 1, 1]])
+    def test_json_row_counts_must_match_the_shape(self, row):
+        with pytest.raises(DomainError, match="^matrix rows do not match the declared shape$"):
+            GeneratorMatrix.from_json({"alpha": 1, "beta": 1, "rows": [row]})
+
+    @pytest.mark.parametrize("row", [{"|": 1}, {"a": 1, "b": 1}, "1|1", 7, None])
+    def test_json_row_that_is_not_a_list_rejected(self, row):
+        with pytest.raises(DomainError, match="^bad matrix JSON: matrix row of type .* is not a list$"):
+            GeneratorMatrix.from_json({"alpha": 1, "beta": 1, "rows": [row]})
+
     def test_matrix_at_the_length_bound_is_read(self):
         n = MAX_MATRIX_LENGTH
         m = GeneratorMatrix.from_text("1 |" + " 0" * (n - 1))

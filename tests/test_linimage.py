@@ -3,7 +3,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from z2z4 import cycliccode, linimage
 from z2z4.additive import (
@@ -15,8 +15,11 @@ from z2z4.cycliccode import (
     CyclicGenerators,
     enumerate_code,
     factor_triples,
+    violations,
 )
-from z2z4.cyclofield import TENSOR_CACHE_SIZE, factor_xn_minus_1_z4, tensor_square
+from z2z4.cyclofield import (
+    TENSOR_CACHE_SIZE, divisors_of_xn_minus_1_z2, factor_xn_minus_1_z4, tensor_square,
+)
 from z2z4.errors import DomainError, InternalError, PreconditionError
 from z2z4.linimage import (
     BinaryBlockCode,
@@ -505,6 +508,41 @@ def _edge_codes(edge):
             if keep(G)]
 
 
+# cells of the image-query pool's lengths, each alpha with divisors of
+# x^alpha - 1 of degree 2 or more
+IMAGE_CELLS = [(3, 31), (2, 45), (6, 45), (3, 63), (7, 63)]
+
+
+@st.composite
+def image_cell_codes(draw):
+    """A code with linear Gray image from one of ``IMAGE_CELLS``: each factor
+    of x^beta - 1 is dealt to f, h or g, a factor of f that meets
+    g~ (x) g~ (which gcd(f~, g~ (x) g~) = 1 forbids) goes to h, and b and
+    ell are drawn among those that pass the checks and the criterion,
+    half of the time among those with q > 1 where there are any."""
+    alpha, beta = draw(st.sampled_from(IMAGE_CELLS))
+    factors = factor_xn_minus_1_z4(beta)
+    slots = draw(st.lists(st.sampled_from("fhg"), min_size=len(factors), max_size=len(factors)))
+    g = functools.reduce(QuatPoly.__mul__, (p for p, x in zip(factors, slots) if x == "g"),
+                         QuatPoly.one())
+    tensor = tensor_square(reduce_mod2(g), beta)
+    f = h = QuatPoly.one()
+    for p, x in zip(factors, slots):
+        if x == "f" and gcd2(reduce_mod2(p), tensor) == BinPoly.one():
+            f = f * p
+        elif x != "g":
+            h = h * p
+    b = draw(st.sampled_from(divisors_of_xn_minus_1_z2(alpha)))
+    ells = [BinPoly.from_bits(e) for e in range(1 << int(max(b.degree, 0)))]
+    codes = [CyclicGenerators(alpha, beta, b, e, f, h, g) for e in ells
+             if not violations(alpha, beta, b, e, f, h, g)]
+    codes = [G for G in codes if gray_linear_criterion(G).verdict]
+    assume(codes)
+    # q = b / gcd(b, ell*g~) > 1 takes the z step of the closed form
+    wide = [G for G in codes if G.ell_gcds[1] != G.b]
+    return draw(st.sampled_from(wide if wide and draw(st.booleans()) else codes))
+
+
 class TestClosedFormImage:
     """psi_image_generators reads ell' off T = A~ (fh + 2f) + 2U; the
     solver on the Howell bases of (f, h, g) is its differential oracle."""
@@ -553,14 +591,35 @@ class TestClosedFormImage:
             with pytest.raises(InternalError, match="failed to divide b"):
                 query(skewed)
 
+    def test_a_pool_query_builds_no_quatpoly_and_no_codec(self, monkeypatch):
+        pool = _pool_codes()
+        assert len(pool) == 72
+        want = [psi_image_generators(G) for G in pool]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a query built a QuatPoly or a WordCodec")
+
+        # f * h and A~ * fh are taken on the planes by polyring.z4mul, and
+        # psi^-1 of f~^2 h~ by additive.psi_inv_word
+        monkeypatch.setattr(QuatPoly, "__mul__", refuse)
+        monkeypatch.setattr(QuatPoly, "__init__", refuse)
+        monkeypatch.setattr(QuatPoly, "from_planes", classmethod(refuse))
+        monkeypatch.setattr(WordCodec, "__init__", refuse)
+        assert [psi_image_generators(G) for G in pool] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(image_cell_codes())
+    def test_matches_the_solver_on_the_image_cells(self, G):
+        assert psi_image_generators(G) == _solver_path(G, _lexmin)
+
     @staticmethod
     def _flip_preimage(monkeypatch, flip):
-        """Make ``WordCodec.psi_inv_words`` return T with the packed bits
-        ``flip(beta)`` flipped."""
-        real = WordCodec.psi_inv_words
+        """Make ``psi_inv_word``, the psi^-1 that the query calls, return T
+        with the packed bits ``flip(beta)`` flipped."""
+        real = linimage.psi_inv_word
         monkeypatch.setattr(
-            WordCodec, "psi_inv_words",
-            lambda codec, images: [w ^ flip(codec.beta) for w in real(codec, images)],
+            linimage, "psi_inv_word",
+            lambda v, alpha, beta: real(v, alpha, beta) ^ flip(beta),
         )
 
     def test_residue_outside_fh_is_an_internal_error(self, length9_code, monkeypatch):

@@ -1,11 +1,11 @@
 """Differential tests: the bit-sliced QuatPoly against the tuple oracle."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from z2z4.errors import DomainError
-from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, lift_to_quat, reduce_mod2
-from binpoly_oracle import TupleBinPoly, TupleQuatPoly, tuple_cyclic_reduce
+from z2z4.polyring import BinPoly, QuatPoly, cyclic_reduce, lift_to_quat, reduce_mod2, z4mul
+from binpoly_oracle import TupleBinPoly, TupleQuatPoly, shift_add_z4mul, tuple_cyclic_reduce
 
 # lengths past 64 bits and lists with trailing zeros
 coeff_lists = st.lists(st.integers(0, 3), max_size=80)
@@ -14,6 +14,19 @@ monic_lists = st.lists(st.integers(0, 3), max_size=40).map(lambda cs: cs + [1])
 # nonzero divisors whose leading coefficient is 2 or 3
 nonmonic_lists = st.tuples(st.lists(st.integers(0, 3), max_size=20), st.sampled_from([2, 3])).map(
     lambda t: t[0] + [t[1]]
+)
+
+
+# plane pairs (lo, hi) of up to 511 bits: zero, the constants 1, 2 and 3,
+# 0/1 vectors (hi = 0) and any two planes
+planes = st.one_of(st.binary(max_size=64), st.binary(min_size=64, max_size=64)).map(
+    lambda bs: int.from_bytes(bs, "little") >> 1
+)
+plane_pairs = st.one_of(
+    st.just((0, 0)),
+    st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+    st.tuples(planes, st.just(0)),
+    st.tuples(planes, planes),
 )
 
 
@@ -110,3 +123,22 @@ class TestArithmetic:
     def test_cyclic_reduce(self, a, n):
         p, ref = both(a)
         assert same(cyclic_reduce(p, n), tuple_cyclic_reduce(ref, n))
+
+
+def tuple_of(lo: int, hi: int) -> TupleQuatPoly:
+    return TupleQuatPoly((lo >> i & 1) | (hi >> i & 1) << 1 for i in range((lo | hi).bit_length()))
+
+
+class TestProductKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(plane_pairs, plane_pairs)
+    def test_matches_the_loop_and_the_tuple_product(self, a, b):
+        got = z4mul(*a, *b)
+        assert got == z4mul(*b, *a) == shift_add_z4mul(*a, *b) == shift_add_z4mul(*b, *a)
+        assert tuple_of(*got) == tuple_of(*a) * tuple_of(*b)
+        assert got[0] == (QuatPoly.from_planes(*a) * QuatPoly.from_planes(*b)).lo
+
+    @pytest.mark.parametrize("args", [(-1, 0, 1, 0), (1, -2, 1, 0), (1, 0, 0, -3), (3, 0, -1, 1)])
+    def test_a_negative_plane_is_a_domain_error(self, args):
+        with pytest.raises(DomainError, match="negative"):
+            z4mul(*args)

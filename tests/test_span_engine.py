@@ -660,6 +660,29 @@ class TestExhaustiveOracle:
             gray_is_linear_oracle(code)
             assert len(reduced) == len(set(reduced))
 
+    def test_reduces_the_witnesses_of_a_failing_pair_only(self, monkeypatch, nonlinear_image_matrix):
+        # each pattern has one representative, kept as it is; only a failing
+        # pair's two are reduced to their coset minima, the witnesses that
+        # the word-set scan finds
+        reduced = []
+        real = additive._coset_min
+
+        def counting(basis, r):
+            reduced.append(r)
+            return real(basis, r)
+
+        monkeypatch.setattr(additive, "_coset_min", counting)
+        codes = [Code.from_matrix(nonlinear_image_matrix)]
+        codes += [enumerate_code(gens) for gens in mixed_candidates((3,), (7,))]
+        verdicts = []
+        for code in codes:
+            reduced.clear()
+            rep = gray_is_linear_oracle(code)
+            assert rep == word_set_closure(code)
+            assert len(reduced) == (0 if rep.linear else 2)
+            verdicts.append(rep.linear)
+        assert not verdicts[0] and verdicts.count(False) > 1 and verdicts.count(True) > 1
+
 
 def _block_codes(code: Code) -> list[BinaryBlockCode]:
     """The code's Nechaev-Gray image in coset form (linear or not), its
